@@ -40,10 +40,6 @@ class NonPositiveProfileError(SoapFilmError):
     """A surface profile has a non-positive radius sample."""
 
 
-# Both spellings appear in client code; they are the same condition.
-ProfileNonPositiveError = NonPositiveProfileError
-
-
 class ZeroDenominatorError(SoapFilmError):
     """A quotient's denominator is numerically zero."""
 

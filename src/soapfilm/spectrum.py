@@ -5,19 +5,24 @@ The stability of a catenoid reduces to the eigenvalue problem
     psi'' + lambda * (2/cosh^2 s) * psi = 0,   psi(-tau) = psi(tau) = 0,
 
 whose first eigenvalue crosses 1 exactly at tau = tau_star. The primary
-solver shoots from s = -tau with fixed-step RK4 and brackets each eigenvalue
-by the Sturm node count; dense_eigenvalues solves the same problem as a
-finite-difference matrix eigenproblem and serves as an independent check.
+solver shoots from s = -tau with fixed-step RK4. Because the ODE is linear,
+each RK4 step is a 2x2 matrix on (psi, psi'); a sweep builds all n step
+matrices at once with numpy and forms their prefix products by recursive
+doubling (log2 n levels of componentwise 2x2 products), which gives psi at
+every node. Each eigenvalue is bracketed by the Sturm node count of those
+values and refined on the end value psi(tau; lambda), with every lambda shot
+at most once per `eigenvalues` call. dense_eigenvalues solves the same
+problem as a finite-difference matrix eigenproblem and serves as an
+independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .config import DEFAULTS
 from .errors import (
@@ -47,8 +52,9 @@ _DOUBLING_CAP = 60
 _BRACKET_CAP = 200
 
 
-def _density(s: float) -> float:
-    return 2.0 / math.cosh(s) ** 2
+def _density(s):
+    """The string density 2/cosh^2 s, elementwise."""
+    return 2.0 / np.cosh(s) ** 2
 
 
 def _check_problem(tau: float, n: int) -> None:
@@ -58,22 +64,22 @@ def _check_problem(tau: float, n: int) -> None:
         raise DomainError(f"need at least {_MIN_STEPS} integration steps, got {n!r}")
 
 
-def _rk4_sweep(tau: float, lam: float, n: int, keep_trajectory: bool):
-    """Shared RK4 march; returns (end_value, node_count, trajectory-or-None)."""
+def _sweep(tau: float, lam: float, n: int) -> np.ndarray:
+    """psi at the n+1 nodes of [-tau, tau] for (psi, psi')(-tau) = (0, 1).
+
+    An RK4 step of the linear ODE is a 2x2 matrix M_i acting on (psi, psi').
+    All n matrices come from the RK4 stage formulas run on the basis vectors,
+    vectorised over i; recursive doubling then turns them into the prefix
+    products M_{i-1}...M_0, whose (0, 1) entries are psi at the nodes.
+    """
     dt = 2.0 * tau / n
     # lam * rho sampled on the half-step grid: index 2i is node i, 2i+1 its midpoint
-    q = [lam * _density(-tau + 0.5 * i * dt) for i in range(2 * n + 1)]
-    u = 0.0
-    v = 1.0
-    nodes = 0
-    last_sign = 0
+    q = lam * _density(-tau + 0.5 * dt * np.arange(2 * n + 1))
+    q0, qh, q1 = q[0:-1:2], q[1::2], q[2::2]
     half = 0.5 * dt
     sixth = dt / 6.0
-    trajectory = [0.0] if keep_trajectory else None
-    for i in range(n):
-        q0 = q[2 * i]
-        qh = q[2 * i + 1]
-        q1 = q[2 * i + 2]
+
+    def step(u, v):
         a1v = -q0 * u
         u2 = u + half * v
         v2 = v + half * a1v
@@ -84,21 +90,23 @@ def _rk4_sweep(tau: float, lam: float, n: int, keep_trajectory: bool):
         u4 = u + dt * v3
         v4 = v + dt * a3v
         a4v = -q1 * u4
-        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        if keep_trajectory:
-            trajectory.append(u)
-        if u > 0.0:
-            sign = 1
-        elif u < 0.0:
-            sign = -1
-        else:
-            sign = 0
-        if sign != 0:
-            if last_sign != 0 and sign != last_sign:
-                nodes += 1
-            last_sign = sign
-    return u, nodes, trajectory
+        return (
+            u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
+            v + sixth * (a1v + 2.0 * a2v + 2.0 * a3v + a4v),
+        )
+
+    # prod[:, :, i] is M_i; column j is the step's image of basis vector j.
+    prod = np.empty((2, 2, n))
+    prod[0, 0], prod[1, 0] = step(1.0, 0.0)
+    prod[0, 1], prod[1, 1] = step(0.0, 1.0)
+    span = 1
+    while span < n:
+        # prod[:, :, i] <- prod[:, :, i] @ prod[:, :, i - span], written out
+        # componentwise: np.matmul on an (n, 2, 2) stack is as slow as a loop.
+        later, earlier = prod[:, :, span:], prod[:, :, :-span]
+        prod[:, :, span:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        span *= 2
+    return np.concatenate(([0.0], prod[0, 1]))
 
 
 def shoot(tau: float, lam: float, n: int = DEFAULTS.spectrum_steps) -> Tuple[float, int]:
@@ -109,8 +117,11 @@ def shoot(tau: float, lam: float, n: int = DEFAULTS.spectrum_steps) -> Tuple[flo
     eigenvalues). Fixed-step RK4; deterministic for given (tau, lam, n).
     """
     _check_problem(tau, n)
-    end_value, nodes, _ = _rk4_sweep(tau, lam, n, keep_trajectory=False)
-    return end_value, nodes
+    psi = _sweep(tau, lam, n)
+    # Exact zeros (and NaN) carry no sign and are skipped.
+    positive = psi > 0.0
+    signs = positive[positive | (psi < 0.0)]
+    return float(psi[-1]), int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 @dataclass
@@ -132,7 +143,9 @@ class StringSpectrum:
             raise ValueError("one eigenfunction per eigenvalue required")
 
 
-def _bracket_by_nodes(tau: float, k: int, lam_hi: float, n: int) -> Tuple[float, float]:
+def _bracket_by_nodes(
+    shoot_once: Callable[[float], Tuple[float, int]], k: int, lam_hi: float
+) -> Tuple[float, float]:
     """Shrink [lo, hi] until the node counts are exactly k-1 and k.
 
     The node count is nondecreasing in lambda and jumps by one at each
@@ -141,12 +154,12 @@ def _bracket_by_nodes(tau: float, k: int, lam_hi: float, n: int) -> Tuple[float,
     """
     lo, hi = 0.0, lam_hi
     nodes_lo = 0
-    nodes_hi = shoot(tau, hi, n)[1]
+    nodes_hi = shoot_once(hi)[1]
     for _ in range(_BRACKET_CAP):
         if nodes_lo == k - 1 and nodes_hi == k:
             return lo, hi
         mid = 0.5 * (lo + hi)
-        nodes_mid = shoot(tau, mid, n)[1]
+        nodes_mid = shoot_once(mid)[1]
         if nodes_mid <= k - 1:
             lo, nodes_lo = mid, nodes_mid
         else:
@@ -168,9 +181,21 @@ def eigenvalues(tau: float, k_max: int, n: int = DEFAULTS.spectrum_steps) -> Str
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max!r}")
 
+    # The bisections for successive k retrace each other's midpoints, and the
+    # root solve starts from bracket ends already shot: shoot each lambda once.
+    shot_at: Dict[float, Tuple[float, int]] = {}
+
+    def shoot_once(lam: float) -> Tuple[float, int]:
+        if lam not in shot_at:
+            shot_at[lam] = shoot(tau, lam, n)
+        return shot_at[lam]
+
+    def end_value(lam: float) -> float:
+        return shoot_once(lam)[0]
+
     lam_hi = 1.0
     for _ in range(_DOUBLING_CAP):
-        if shoot(tau, lam_hi, n)[1] >= k_max:
+        if shoot_once(lam_hi)[1] >= k_max:
             break
         lam_hi *= 2.0
     else:
@@ -179,19 +204,14 @@ def eigenvalues(tau: float, k_max: int, n: int = DEFAULTS.spectrum_steps) -> Str
     lams = []
     functions = []
     grid = np.linspace(-tau, tau, n + 1)
-    weight = np.array([_density(s) for s in grid])
+    weight = _density(grid)
     for k in range(1, k_max + 1):
-        lo, hi = _bracket_by_nodes(tau, k, lam_hi, n)
-
-        def end_value(lam: float) -> float:
-            return shoot(tau, lam, n)[0]
-
+        lo, hi = _bracket_by_nodes(shoot_once, k, lam_hi)
         bracket = Bracket(lo, hi, end_value(lo), end_value(hi))
         lam_k = find_root_bracketed(
             end_value, bracket, tol_x=1e-12 * max(1.0, hi), tol_f=1e-13
         )
-        _, _, trajectory = _rk4_sweep(tau, lam_k, n, keep_trajectory=True)
-        values = np.asarray(trajectory)
+        values = _sweep(tau, lam_k, n)
         values[-1] = 0.0
         norm = composite_simpson(weight * values * values, grid[1] - grid[0])
         values = values / math.sqrt(norm)
@@ -205,15 +225,19 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
 
     Discretizing -psi'' = lambda*rho*psi on m intervals and scaling by
     rho^(-1/2) gives a symmetric tridiagonal standard problem; the smallest
-    k_max eigenvalues come from a direct tridiagonal solver. No code shared
-    with the shooting route.
+    k_max eigenvalues come from a direct tridiagonal solver. Apart from the
+    density itself, no code is shared with the shooting route.
     """
+    # Deferred: scipy.linalg is most of the import time of the package, and
+    # only this oracle needs it.
+    from scipy.linalg import eigh_tridiagonal
+
     _check_problem(tau, m)
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max!r}")
     ds = 2.0 * tau / m
     s = np.linspace(-tau, tau, m + 1)[1:-1]
-    rho = 2.0 / np.cosh(s) ** 2
+    rho = _density(s)
     inv_sqrt = 1.0 / np.sqrt(rho)
     diag = 2.0 / (ds * ds * rho)
     off = -inv_sqrt[:-1] * inv_sqrt[1:] / (ds * ds)
@@ -230,7 +254,7 @@ def rayleigh_quotient(psi: TestFunction) -> float:
     """
     dpsi = sampled_derivative(psi.values, psi.spacing)
     numerator = composite_simpson(dpsi * dpsi, psi.spacing)
-    weight = 2.0 / np.cosh(psi.grid) ** 2
+    weight = _density(psi.grid)
     denominator = composite_simpson(weight * psi.values * psi.values, psi.spacing)
     if denominator < 1e-14:
         raise ZeroDenominatorError("weighted norm of psi is numerically zero")
@@ -251,7 +275,7 @@ def negative_direction(tau: float, n: int = DEFAULTS.spectrum_steps) -> TestFunc
         )
     psi = eigenvalues(tau, 1, n).eigenfunctions[0]
     dpsi = sampled_derivative(psi.values, psi.spacing)
-    weight = 2.0 / np.cosh(psi.grid) ** 2
+    weight = _density(psi.grid)
     q_estimate = composite_simpson(dpsi * dpsi - weight * psi.values * psi.values, psi.spacing)
     if q_estimate >= 0.0:
         raise ConvergenceFailureError(

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately primitive: plain bisection with a fixed
-halving count, Taylor series summed to convergence, and simple finite
-differences.  None of it calls into soapfilm internals.
+halving count, Taylor series summed to convergence, simple finite
+differences, and a scalar step-by-step RK4 loop.  None of it calls into
+soapfilm internals.
 """
 
 import math
@@ -73,6 +74,52 @@ def smooth_test_profiles(rng, h, n, count, amplitude=0.08):
         y[-1] = 1.0
         out.append((grid, y))
     return out
+
+
+def rk4_sweep(tau, lam, n):
+    """Scalar RK4 shooting for psi'' + lam (2/cosh^2 s) psi = 0, (psi, psi')(-tau) = (0, 1).
+
+    One plain Python step at a time; returns (psi(tau), sign changes, psi at
+    every node).
+    """
+    dt = 2.0 * tau / n
+    # lam * rho sampled on the half-step grid: index 2i is node i, 2i+1 its midpoint
+    q = [lam * (2.0 / math.cosh(-tau + 0.5 * i * dt) ** 2) for i in range(2 * n + 1)]
+    u = 0.0
+    v = 1.0
+    nodes = 0
+    last_sign = 0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    trajectory = [0.0]
+    for i in range(n):
+        q0 = q[2 * i]
+        qh = q[2 * i + 1]
+        q1 = q[2 * i + 2]
+        a1v = -q0 * u
+        u2 = u + half * v
+        v2 = v + half * a1v
+        a2v = -qh * u2
+        u3 = u + half * v2
+        v3 = v + half * a2v
+        a3v = -qh * u3
+        u4 = u + dt * v3
+        v4 = v + dt * a3v
+        a4v = -q1 * u4
+        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
+        trajectory.append(u)
+        if u > 0.0:
+            sign = 1
+        elif u < 0.0:
+            sign = -1
+        else:
+            sign = 0
+        if sign != 0:
+            if last_sign != 0 and sign != last_sign:
+                nodes += 1
+            last_sign = sign
+    return u, nodes, trajectory
 
 
 # Frozen values produced by the helpers above.

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from soapfilm import spectrum
 from soapfilm.errors import DomainError, NotSupercriticalError, ZeroDenominatorError
 from soapfilm.extremals import critical_constants
 from soapfilm.grids import TestFunction, composite_simpson
@@ -14,7 +19,7 @@ from soapfilm.spectrum import (
 )
 from soapfilm.variation import mu
 
-from oracles import TAU_STAR
+from oracles import TAU_STAR, rk4_sweep
 
 
 def test_shoot_flat_string_at_lambda_zero():
@@ -30,6 +35,45 @@ def test_shoot_hits_zero_at_critical_unit_eigenvalue():
     end_half, nodes_half = shoot(TAU_STAR, 0.5)
     assert end_half > 1e-2
     assert nodes_half == 0
+
+
+@pytest.mark.parametrize("n", [256, 1000, 2048])
+@pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
+def test_shoot_matches_scalar_rk4_oracle(tau, n):
+    # n = 1000 is not a power of two, so the last doubling level is partial.
+    for lam in (0.0, 1.0, 30.0, 700.0, 3000.0):
+        end_ref, nodes_ref, trajectory = rk4_sweep(tau, lam, n)
+        end, nodes = shoot(tau, lam, n)
+        assert nodes == nodes_ref
+        scale = max(1.0, max(abs(x) for x in trajectory))
+        assert abs(end - end_ref) <= 1e-12 * scale
+
+
+def test_eigenvalues_shoots_each_lambda_once(monkeypatch):
+    calls = []
+    original = spectrum.shoot
+
+    def counting_shoot(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(spectrum, "shoot", counting_shoot)
+    eigenvalues(TAU_STAR, 5)
+    assert len(calls) <= 73
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    eigenvalues(TAU_STAR, 1)
+    assert len(calls) <= 18
+
+
+def test_import_does_not_load_scipy_linalg():
+    code = "import sys, soapfilm; print('scipy.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(spectrum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_shoot_rejects_bad_input():
