@@ -187,12 +187,6 @@ def minimize(
     n: int,
     init: Union[Profile, InitPreset, str],
     *,
-    floor: float = DEFAULTS.minimize_floor,
-    grad_tol: Optional[float] = None,
-    max_iter: int = DEFAULTS.minimize_max_iter,
-    shrink: float = DEFAULTS.minimize_shrink,
-    armijo: float = DEFAULTS.minimize_armijo,
-    max_step: float = DEFAULTS.minimize_max_step,
     history: Optional[List[float]] = None,
 ) -> MinimizeReport:
     """Projected gradient descent on the discretized area functional.
@@ -201,20 +195,19 @@ def minimize(
     max_step per iteration, then backtrack until the monotone sufficient-
     decrease test holds; interior radii are projected onto [floor, inf) and
     the endpoints re-pinned to 1 every step. The run terminates when the
-    projected gradient max-norm falls below grad_tol (default 1e-8 * 2*pi):
+    projected gradient max-norm falls below grad_tol = 1e-8 * 2*pi:
     Collapsed if some interior radius ended at or below 10*floor (the film
     degenerated onto the floor thread), Converged otherwise; IterationLimit
-    if the budget ran out first. If history is given, the area after each
-    accepted step is appended.
+    if the budget ran out first. Every tunable is read from DEFAULTS. If
+    history is given, the area after each accepted step is appended.
     """
     if h <= 0.0:
         raise DomainError(f"half-distance must be positive, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
-    if floor < DEFAULTS.minimize_floor:
-        raise DomainError(f"floor below {DEFAULTS.minimize_floor} would break Profile invariants")
-    if grad_tol is None:
-        grad_tol = TWO_PI * DEFAULTS.minimize_grad_tol_factor
+    floor = DEFAULTS.minimize_floor
+    grad_tol = TWO_PI * DEFAULTS.minimize_grad_tol_factor
+    max_step = DEFAULTS.minimize_max_step
 
     grid = np.linspace(-h, h, n)
     dx = float(grid[1] - grid[0])
@@ -241,7 +234,7 @@ def minimize(
     steps = 0
     outcome = Outcome.ITERATION_LIMIT
 
-    for _ in range(max_iter):
+    for _ in range(DEFAULTS.minimize_max_iter):
         g = _grad_raw(y, dx)
         # floored radii pushed further down by the gradient are stationary
         # under the projection, so they drop out of the termination norm
@@ -275,10 +268,10 @@ def minimize(
             np.maximum(y_new[1:-1], floor, out=y_new[1:-1])
             decrease = _area_decrease(y, y_new, dx)
             gap = float(g @ (y - y_new))
-            if decrease >= armijo * gap:
+            if decrease >= DEFAULTS.minimize_armijo * gap:
                 accepted = True
                 break
-            alpha *= shrink
+            alpha *= DEFAULTS.minimize_shrink
         if not accepted or gap == 0.0:
             break
         prev_y, prev_g = y, g

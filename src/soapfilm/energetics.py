@@ -3,7 +3,7 @@
 The two-disk (collapsed) configuration has total area 2*pi for unit rings.
 goldschmidt_constant finds the half-distance at which the stable catenoid's
 area crosses that value; force evaluates the attraction F = -4*pi*h/tau_1
-the film exerts on the rings, together with its h-derivative.
+the film exerts on the rings, together with its h-derivative in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, TWO_PI
+from .config import TWO_PI
 from .errors import DomainError, NoExtremalError, NonPositiveProfileError
 from .grids import check_uniform_grid, composite_simpson, sampled_derivative
 from .extremals import critical_constants, solve_branches
@@ -78,7 +78,7 @@ def goldschmidt_constant() -> float:
 
 @dataclass(frozen=True)
 class ForceSample:
-    """Ring force at one half-distance, with its finite-difference slope."""
+    """Ring force at one half-distance, with its closed-form slope."""
 
     h: float
     force: float
@@ -88,23 +88,20 @@ class ForceSample:
 def force(h: float) -> ForceSample:
     """Attractive force F(h) = -4*pi*h/tau_1 on either ring, and dF/dh.
 
-    The derivative is a centered difference with a step that shrinks near
-    h_star, where tau_1(h) and hence F has a vertical tangent.
+    From tau = h*cosh(tau), tau_1' = cosh(tau_1)/mu(tau_1) with
+    mu(s) = 1 - s*tanh(s), so dF/dh = 4*pi*tanh(tau_1)/mu(tau_1), unbounded
+    toward h_star where mu vanishes.
 
-    Raises NoExtremalError at or beyond the critical half-distance (force
-    exactly at h_star is one-sided and not reported).
+    Raises DomainError unless h > 0, and NoExtremalError from 1e-12 below
+    h_star on (the degenerate catenoid's force is one-sided, not reported).
     """
-    cc = critical_constants()
-    if h >= cc.h_star:
-        raise NoExtremalError(h, cc.h_star)
-
-    def f_of(hh: float) -> float:
-        lower, _ = solve_branches(hh)
-        return -2.0 * TWO_PI * hh / lower.tau
-
-    value = f_of(h)
+    lower, upper = solve_branches(h)
+    if lower.tau == upper.tau:
+        raise NoExtremalError(h, critical_constants().h_star)
+    tau = lower.tau
+    value = -2.0 * TWO_PI * h / tau
     if value >= 0.0:
         raise AssertionError("ring force must be attractive (negative)")
-    step = min(1e-6, (cc.h_star - h) / 10.0)
-    slope = (f_of(h + step) - f_of(h - step)) / (2.0 * step)
+    tanh = math.tanh(tau)
+    slope = 2.0 * TWO_PI * tanh / (1.0 - tau * tanh)
     return ForceSample(h=h, force=value, dforce_dh=slope)

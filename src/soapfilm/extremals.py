@@ -9,7 +9,8 @@ With tau = h / C the boundary condition becomes phi(tau) = cosh(tau) / tau
 = 1 / h. phi is strictly convex on tau > 0 with a single minimum at tau_star
 solving 1 - tau tanh(tau) = 0, so the problem has two solutions for
 h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
-and none beyond it.
+and none beyond it. Either branch parameter is one bracketed solve of
+log(h * phi(tau)) = 0 in log(tau), from h ~ 1e-300 up to the fold.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ _COSH_OVERFLOW = 710.0
 # h within this distance of h_star is treated as the critical case: the two
 # branch parameters are closer than root-finding can resolve them.
 _CRITICAL_TOL = 1e-12
+
+_LOG_2 = math.log(2.0)
 
 
 class Branch(enum.Enum):
@@ -123,27 +126,21 @@ class Extremal:
             raise ValueError("upper-branch parameter is below tau_star")
 
 
-def _solve_lower(h: float, target: float, tau_star: float) -> float:
-    # phi decreases on (0, tau_star]; phi(lo) is huge for tiny lo, so the
-    # bracket always straddles. lo shrinks with h so the bracket stays valid
-    # even for h below 1e-12.
-    lo = min(1e-12, 0.5 * h)
-    f = lambda t: phi(t) - target
-    bracket = Bracket(lo, tau_star, phi(lo) - target, phi(tau_star) - target)
-    # tol_x scales with the root (tau_1 is of order h) so the boundary
-    # condition holds to 1e-10 even for very small rings separations.
-    return find_root_bracketed(f, bracket, tol_x=1e-11 * h, tol_f=1e-11)
+def _solve_branch(log_h: float, lo: float, hi: float) -> float:
+    """The root tau of g(u) = log(h*phi(tau)), u = log(tau), with u in [lo, hi].
 
+    g forms neither 1/h nor cosh(tau), so it cannot overflow at tiny h.
+    tol_x is about one ulp of u, since h*phi(tau) - 1 moves by tau per unit
+    of u; tol_f is g's rounding floor, so near the fold, where g is flat,
+    the bracket shrinks as far as the noise allows.
+    """
 
-def _solve_upper(h: float, target: float, tau_star: float) -> float:
-    # phi increases beyond tau_star; grow the right edge geometrically until
-    # it clears the target (phi saturates to +inf, so this terminates).
-    hi = 2.0 * tau_star
-    while phi(hi) < target:
-        hi *= 2.0
-    f = lambda t: phi(t) - target
-    bracket = Bracket(tau_star, hi, phi(tau_star) - target, phi(hi) - target)
-    return find_root_bracketed(f, bracket, tol_x=1e-12, tol_f=1e-11)
+    def g(u: float) -> float:
+        t = math.exp(u)
+        return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2 - u + log_h
+
+    bracket = Bracket.from_function(g, lo, hi)
+    return math.exp(find_root_bracketed(g, bracket, tol_x=1e-15, tol_f=1e-16))
 
 
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
@@ -154,10 +151,10 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     branch.
 
     Raises:
-        DomainError: h <= 0.
+        DomainError: h is not positive (NaN included).
         NoExtremalError: h exceeds the critical half-distance.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError(f"half-distance must be positive, got {h!r}")
     cc = critical_constants()
     if abs(h - cc.h_star) <= _CRITICAL_TOL:
@@ -166,9 +163,11 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
         return lower, upper
     if h > cc.h_star:
         raise NoExtremalError(h, cc.h_star)
-    target = 1.0 / h
-    tau1 = _solve_lower(h, target, cc.tau_star)
-    tau2 = _solve_upper(h, target, cc.tau_star)
+    # tau = h*cosh(tau) puts tau_1 in [h, tau_star]; cosh(t) >= e^t / 2 puts
+    # tau_2 below 2*log(2/h) + 2.
+    log_h, log_tau_star = math.log(h), math.log(cc.tau_star)
+    tau1 = _solve_branch(log_h, log_h, log_tau_star)
+    tau2 = _solve_branch(log_h, log_tau_star, math.log(2.0 * (_LOG_2 - log_h) + 2.0))
     lower = Extremal(h=h, tau=tau1, c=h / tau1, branch=Branch.LOWER)
     upper = Extremal(h=h, tau=tau2, c=h / tau2, branch=Branch.UPPER)
     return lower, upper
@@ -197,9 +196,12 @@ def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray
 
 
 def area_closed_form(e: Extremal) -> float:
-    """Film area of an extremal: 2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2."""
-    h, tau = e.h, e.tau
-    return TWO_PI * h * h / tau + 0.5 * TWO_PI * h * h * math.sinh(2.0 * tau) / (tau * tau)
+    """Film area 2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 of an extremal.
+
+    Written in c = h/tau, whose factors do not underflow at tiny h.
+    """
+    c, tau = e.c, e.tau
+    return TWO_PI * (e.h * c + (c * math.sinh(tau)) * (c * math.cosh(tau)))
 
 
 def small_h_asymptotics(h: float) -> Tuple[float, float]:

@@ -53,8 +53,9 @@ _BRACKET_CAP = 200
 
 
 def _density(s):
-    """The string density 2/cosh^2 s, elementwise."""
-    return 2.0 / np.cosh(s) ** 2
+    """The string density 2/cosh^2 s, elementwise; 0 where cosh^2 overflows."""
+    with np.errstate(over="ignore"):
+        return 2.0 / np.cosh(s) ** 2
 
 
 def _check_problem(tau: float, n: int) -> None:
@@ -227,6 +228,7 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     rho^(-1/2) gives a symmetric tridiagonal standard problem; the smallest
     k_max eigenvalues come from a direct tridiagonal solver. Apart from the
     density itself, no code is shared with the shooting route.
+    Raises DomainError where 1/rho overflows on the grid (tau above ~354).
     """
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.
@@ -238,8 +240,11 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     ds = 2.0 * tau / m
     s = np.linspace(-tau, tau, m + 1)[1:-1]
     rho = _density(s)
-    inv_sqrt = 1.0 / np.sqrt(rho)
-    diag = 2.0 / (ds * ds * rho)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(rho)
+        diag = 2.0 / (ds * ds * rho)
+    if not np.all(np.isfinite(diag)):
+        raise DomainError(f"1/rho overflows on the grid at tau={tau!r}")
     off = -inv_sqrt[:-1] * inv_sqrt[1:] / (ds * ds)
     return eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, k_max - 1)

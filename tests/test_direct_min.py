@@ -174,6 +174,4 @@ def test_minimize_validates_arguments():
     with pytest.raises(ValueError):
         minimize(0.4, 32, InitPreset.CYLINDER)
     with pytest.raises(ValueError):
-        minimize(0.4, 256, InitPreset.CYLINDER, floor=1e-9)
-    with pytest.raises(ValueError):
         minimize(0.4, 256, "not-a-preset")

@@ -119,6 +119,16 @@ def test_force_rejects_supercritical():
         force(0.7)
 
 
+def test_force_not_reported_in_critical_band():
+    # Within 1e-12 of h_star the branches are the one degenerate catenoid and
+    # the slope 4*pi*tanh(tau_1)/mu(tau_1) would divide by mu(tau_star) = 0.
+    h_star = critical_constants().h_star
+    for d in (-9e-13, -5e-13, 0.0, 5e-13, 9e-13):
+        with pytest.raises(NoExtremalError):
+            force(h_star + d)
+    assert force(h_star - 1.1e-12).dforce_dh > 1e6
+
+
 def test_stable_film_persists_beyond_disk_crossing():
     # Between the area-crossing threshold and the critical half-distance the
     # shallow catenoid still exists and stays a strict local minimum: its

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,15 @@ def test_dense_solver_rejects_bad_input():
         dense_eigenvalues(-1.0, 3)
     with pytest.raises(DomainError):
         eigenvalues(1.0, 0)
+
+
+def test_spectrum_where_cosh_overflows():
+    # Beyond |s| ~ 355 the density underflows to 0: shooting goes on quietly,
+    # while the dense oracle's 1/rho scaling cannot be formed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = eigenvalues(800.0, 1).lambdas[0]
+        shoot(800.0, 1.0)
+    assert 0.0 < lam < 1e-3
+    with pytest.raises(DomainError):
+        dense_eigenvalues(800.0, 1)
