@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     _add_output_flags(p)
 
-    p = sub.add_parser("minimize", help="relax a profile by projected gradient descent")
+    p = sub.add_parser("minimize", help="relax a profile by projected Newton descent")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--n", type=int, default=512)
     p.add_argument(

@@ -26,7 +26,6 @@ class Defaults:
     minimize_grad_tol_factor: float = 1e-8
     minimize_shrink: float = 0.5
     minimize_armijo: float = 1e-4
-    minimize_max_step: float = 0.05
     minimize_max_iter: int = 100_000
 
 

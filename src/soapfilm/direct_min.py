@@ -1,15 +1,18 @@
 """Direct minimization of the discretized area functional.
 
 Independent confirmation route: instead of solving the Euler equation, relax
-a sampled profile by projected gradient descent on the discrete area
+a sampled profile by projected Newton steps on the discrete area
 
     A(y) = 2*pi*dx * sum of ybar_i*sqrt(1 + m_i^2)
 
-with per-segment slope m_i and midpoint radius ybar_i, endpoints pinned to 1
-and interior values kept at or above a small floor. Below the critical
-half-distance the relaxation lands on the stable catenoid; above it the
-waist hits the floor (the discrete stand-in for the two-disk configuration)
-and the run reports a collapse with area just over 2*pi.
+with per-segment slope m_i, w_i = sqrt(1 + m_i^2) and midpoint radius ybar_i,
+endpoints pinned to 1 and interior values kept at or above a small floor.
+The Hessian is tridiagonal, H = K + P: K is the Dirichlet Laplacian with
+weights 2*pi*ybar_i/(dx*w_i^3), positive definite as sqrt(1 + m^2) is convex,
+and P the diagonal 2*pi*((m/w)_(i-1) - (m/w)_i), which can be indefinite.
+Below the critical half-distance the relaxation lands on the stable catenoid;
+above it the waist hits the floor (the discrete stand-in for the two-disk
+configuration) and the run reports a collapse with area just over 2*pi.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ __all__ = [
 # only produce null steps.
 _BACKTRACK_CAP = 60
 
-_BB_STEP_MIN = 1e-12
-_BB_STEP_MAX = 1e3
-
 # size of the perturbation added to the unstable branch by the
 # UPPER_PERTURBED preset
 _KICK = 1e-3
@@ -63,8 +63,8 @@ class Profile:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise DomainError(f"half-distance must be positive, got {self.h!r}")
+        if not 0.0 < self.h < np.inf:
+            raise DomainError(f"half-distance must be positive and finite, got {self.h!r}")
         self.grid = np.asarray(self.grid, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if self.grid.shape != self.y.shape:
@@ -148,6 +148,40 @@ def _grad_raw(y: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
+def _ldl_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> Optional[List[float]]:
+    """Solve a symmetric tridiagonal system by LDL^T; None unless it is positive definite."""
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for i in range(len(d)):
+        if i:
+            lower = e[i - 1] / d[i - 1]
+            d[i] -= lower * e[i - 1]
+            x[i] -= lower * x[i - 1]
+            e[i - 1] = lower
+        if not d[i] > 0.0:
+            return None
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = x[i] / d[i] - e[i] * x[i + 1]
+    return x
+
+
+def _newton_step(y: np.ndarray, g: np.ndarray, dx: float, floor: float) -> np.ndarray:
+    """Projected Newton direction: H^-1 g on the free radii, g/K on the active ones."""
+    m = np.diff(y) / dx
+    w = np.sqrt(1.0 + m * m)
+    c = TWO_PI * 0.5 * (y[:-1] + y[1:]) / (dx * w**3)
+    q = TWO_PI * m / w
+    inner, gi = y[1:-1], g[1:-1]
+    eps = float(np.max(np.abs(inner - np.maximum(inner - gi, floor))))
+    active = (inner <= floor + eps) & (gi > 0.0)
+    k_diag = c[:-1] + c[1:]
+    off = np.where(active[:-1] | active[1:], 0.0, -c[1:-1])
+    sol = _ldl_solve(k_diag + np.where(active, 0.0, q[:-1] - q[1:]), off, gi)
+    if sol is None:
+        sol = _ldl_solve(k_diag, off, gi)
+    return np.array([0.0, *sol, 0.0])
+
+
 def discrete_area(p: Profile) -> float:
     """Discretized area: segment slopes and midpoint radii, summed exactly.
 
@@ -189,25 +223,25 @@ def minimize(
     *,
     history: Optional[List[float]] = None,
 ) -> MinimizeReport:
-    """Projected gradient descent on the discretized area functional.
+    """Projected Newton descent on the discretized area functional.
 
-    Steps use a Barzilai-Borwein length capped so no radius moves more than
-    max_step per iteration, then backtrack until the monotone sufficient-
-    decrease test holds; interior radii are projected onto [floor, inf) and
-    the endpoints re-pinned to 1 every step. The run terminates when the
-    projected gradient max-norm falls below grad_tol = 1e-8 * 2*pi:
-    Collapsed if some interior radius ended at or below 10*floor (the film
-    degenerated onto the floor thread), Converged otherwise; IterationLimit
-    if the budget ran out first. Every tunable is read from DEFAULTS. If
-    history is given, the area after each accepted step is appended.
+    Radii within one projected-gradient step of the floor that the gradient
+    pushes down (Bertsekas' epsilon-active set) move by g/K, the rest by
+    H^-1 g, or by K^-1 g where H has a non-positive pivot (the saddle, the
+    collapse). The full step backtracks until the monotone sufficient-
+    decrease test holds, projected onto [floor, inf) with the ends pinned
+    to 1. The run ends when the projected gradient max-norm falls below
+    grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or below
+    10*floor, Converged otherwise; IterationLimit if the budget ran out first.
+    Every tunable is read from DEFAULTS. If history is given, the area after
+    each accepted step is appended.
     """
-    if h <= 0.0:
-        raise DomainError(f"half-distance must be positive, got {h!r}")
+    if not 0.0 < h < np.inf:
+        raise DomainError(f"half-distance must be positive and finite, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
     floor = DEFAULTS.minimize_floor
     grad_tol = TWO_PI * DEFAULTS.minimize_grad_tol_factor
-    max_step = DEFAULTS.minimize_max_step
 
     grid = np.linspace(-h, h, n)
     dx = float(grid[1] - grid[0])
@@ -229,8 +263,6 @@ def minimize(
     np.maximum(y[1:-1], floor, out=y[1:-1])
     collapse_at = DEFAULTS.minimize_collapse_factor * floor
     area = _area_raw(y, dx)
-    prev_y: Optional[np.ndarray] = None
-    prev_g: Optional[np.ndarray] = None
     steps = 0
     outcome = Outcome.ITERATION_LIMIT
 
@@ -248,21 +280,12 @@ def minimize(
             else:
                 outcome = Outcome.CONVERGED
             break
-        g_max = float(np.max(np.abs(g)))
 
-        if prev_y is None:
-            alpha = max_step / g_max
-        else:
-            dy = y - prev_y
-            dg = g - prev_g
-            denom = float(dy @ dg)
-            alpha = float(dy @ dy) / denom if denom > 0.0 else max_step / g_max
-            alpha = min(max(alpha, _BB_STEP_MIN), _BB_STEP_MAX)
-        alpha = min(alpha, max_step / g_max)
-
+        step = _newton_step(y, g, dx, floor)
+        alpha = 1.0
         accepted = False
         for _ in range(_BACKTRACK_CAP):
-            y_new = y - alpha * g
+            y_new = y - alpha * step
             y_new[0] = 1.0
             y_new[-1] = 1.0
             np.maximum(y_new[1:-1], floor, out=y_new[1:-1])
@@ -274,7 +297,6 @@ def minimize(
             alpha *= DEFAULTS.minimize_shrink
         if not accepted or gap == 0.0:
             break
-        prev_y, prev_g = y, g
         y = y_new
         area -= decrease
         steps += 1

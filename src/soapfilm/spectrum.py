@@ -227,12 +227,13 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     Discretizing -psi'' = lambda*rho*psi on m intervals and scaling by
     rho^(-1/2) gives a symmetric tridiagonal standard problem; the smallest
     k_max eigenvalues come from a direct tridiagonal solver. Apart from the
-    density itself, no code is shared with the shooting route.
-    Raises DomainError where 1/rho overflows on the grid (tau above ~354).
+    density itself, no code is shared with the shooting route. Its bisection
+    stops at an absolute 1e-13 (eps*||A|| grows like cosh^2 tau). Raises
+    DomainError where it fails (tau ~200 to ~354) or 1/rho overflows (beyond).
     """
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     _check_problem(tau, m)
     if k_max < 1:
@@ -246,9 +247,12 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     if not np.all(np.isfinite(diag)):
         raise DomainError(f"1/rho overflows on the grid at tau={tau!r}")
     off = -inv_sqrt[:-1] * inv_sqrt[1:] / (ds * ds)
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, k_max - 1)
-    )
+    try:
+        return eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, k_max - 1), tol=1e-13
+        )
+    except LinAlgError as exc:
+        raise DomainError(f"tridiagonal bisection fails at tau={tau!r}: {exc}") from None
 
 
 def rayleigh_quotient(psi: TestFunction) -> float:

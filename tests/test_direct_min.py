@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soapfilm.config import TWO_PI
 from soapfilm.direct_min import (
@@ -10,6 +14,7 @@ from soapfilm.direct_min import (
     discrete_gradient,
     minimize,
 )
+from soapfilm.errors import DomainError
 from soapfilm.extremals import area_closed_form, profile, solve_branches
 
 from oracles import richardson_diff, smooth_test_profiles
@@ -175,3 +180,41 @@ def test_minimize_validates_arguments():
         minimize(0.4, 32, InitPreset.CYLINDER)
     with pytest.raises(ValueError):
         minimize(0.4, 256, "not-a-preset")
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bad_half_distance_is_a_domain_error(h):
+    with pytest.raises(DomainError):
+        minimize(h, 64, InitPreset.CYLINDER)
+    with pytest.raises(DomainError):
+        Profile(h=h, grid=np.linspace(-0.4, 0.4, 65), y=np.ones(65))
+
+
+@pytest.mark.parametrize(
+    "h, n, init, bound",
+    [
+        (0.4, 512, "cylinder", 8),
+        (0.7, 1024, "cylinder", 42),
+        (0.4, 256, "upper_perturbed", 16),
+        (0.4, 8192, "cylinder", 6),
+    ],
+)
+def test_minimize_iteration_counts(h, n, init, bound):
+    # Newton steps: the count does not grow with n (gradient descent took
+    # 11 746, 51 647 and 11 342 iterations at the first three).
+    assert minimize(h, n, init).iterations <= bound
+
+
+@given(st.floats(0.05, 0.62))
+def test_minimize_converges_below_transition(h):
+    report = minimize(h, 64, InitPreset.CYLINDER)
+    assert report.outcome is Outcome.CONVERGED
+    exact = area_closed_form(solve_branches(h)[0])
+    assert abs(report.final_area - exact) <= 1e-4 * exact
+
+
+@given(st.floats(0.70, 2.0))
+def test_minimize_collapses_above_transition(h):
+    report = minimize(h, 64, InitPreset.CYLINDER)
+    assert report.outcome is Outcome.COLLAPSED
+    assert TWO_PI < report.final_area < TWO_PI + 0.15

@@ -67,14 +67,26 @@ def test_eigenvalues_shoots_each_lambda_once(monkeypatch):
     assert len(calls) <= 18
 
 
-def test_import_does_not_load_scipy_linalg():
-    code = "import sys, soapfilm; print('scipy.linalg' in sys.modules)"
+def _loads_scipy_linalg(code):
+    code += "; import sys; print('scipy.linalg' in sys.modules)"
     src = os.path.dirname(os.path.dirname(spectrum.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "False"
+    return out.strip() != "False"
+
+
+def test_import_does_not_load_scipy_linalg():
+    assert not _loads_scipy_linalg("import soapfilm")
+
+
+def test_minimize_does_not_load_scipy_linalg():
+    # The Newton solve and the saddle escape's negative direction run
+    # without scipy.linalg.
+    argv = ["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"]
+    code = f"import os, soapfilm.cli as cli; cli.main({argv!r} + ['--out', os.devnull])"
+    assert not _loads_scipy_linalg(code)
 
 
 def test_shoot_rejects_bad_input():
@@ -214,9 +226,19 @@ def test_eigenvalues_deterministic():
         assert np.array_equal(fa.values, fb.values)
 
 
+@pytest.mark.parametrize("tau", [10.0, 20.0, 50.0, 100.0])
+def test_dense_solver_at_large_tau(tau):
+    # The bisection tolerance is absolute: eps*||A|| would grow like cosh^2(tau).
+    dense = dense_eigenvalues(tau, 3)
+    assert np.all(dense > 0.0) and np.all(np.diff(dense) > 0.0)
+    np.testing.assert_allclose(dense, eigenvalues(tau, 3).lambdas, rtol=1e-3, atol=0.0)
+
+
 def test_dense_solver_rejects_bad_input():
     with pytest.raises(DomainError):
         dense_eigenvalues(-1.0, 3)
+    with pytest.raises(DomainError):  # where the tridiagonal bisection fails
+        dense_eigenvalues(250.0, 3)
     with pytest.raises(DomainError):
         eigenvalues(1.0, 0)
 
