@@ -9,122 +9,20 @@ film exerts on the rings. A direct discretized minimizer confirms the
 analytic picture without using the Euler equation.
 """
 
-from .config import DEFAULTS, TWO_PI
-from .direct_min import (
-    InitPreset,
-    MinimizeReport,
-    Outcome,
-    Profile,
-    discrete_area,
-    discrete_gradient,
-    minimize,
+from . import (
+    config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation,
 )
-from .energetics import ForceSample, area_quadrature, force, goldschmidt_constant, r_of_tau
-from .errors import (
-    ConvergenceFailureError,
-    DomainError,
-    GridMismatchError,
-    MaxIterationsError,
-    NoExtremalError,
-    NonPositiveProfileError,
-    NoSignChangeError,
-    NotSupercriticalError,
-    SoapFilmError,
-    ZeroDenominatorError,
-)
-from .extremals import (
-    Branch,
-    CriticalConstants,
-    Extremal,
-    area_closed_form,
-    critical_constants,
-    critical_extremal,
-    phi,
-    profile,
-    small_h_asymptotics,
-    solve_branches,
-)
-from .grids import TestFunction, composite_simpson, sampled_derivative
-from .rootfind import Bracket, find_root_bracketed
-from .spectrum import (
-    StringSpectrum,
-    dense_eigenvalues,
-    eigenvalues,
-    negative_direction,
-    rayleigh_quotient,
-    shoot,
-)
-from .variation import (
-    Classification,
-    VariationReport,
-    area_along_direction,
-    eta_from_psi,
-    mu,
-    mu_prime,
-    q_form,
-    q_form_factored,
-    riccati_residual,
-    taylor_probe,
-    third_variation,
-)
+from .config import *
+from .direct_min import *
+from .energetics import *
+from .errors import *
+from .extremals import *
+from .grids import *
+from .rootfind import *
+from .spectrum import *
+from .variation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "Bracket",
-    "Classification",
-    "ConvergenceFailureError",
-    "CriticalConstants",
-    "DEFAULTS",
-    "DomainError",
-    "Extremal",
-    "ForceSample",
-    "GridMismatchError",
-    "InitPreset",
-    "MaxIterationsError",
-    "MinimizeReport",
-    "NoExtremalError",
-    "NoSignChangeError",
-    "NonPositiveProfileError",
-    "NotSupercriticalError",
-    "Outcome",
-    "Profile",
-    "SoapFilmError",
-    "StringSpectrum",
-    "TWO_PI",
-    "TestFunction",
-    "VariationReport",
-    "ZeroDenominatorError",
-    "area_along_direction",
-    "area_closed_form",
-    "area_quadrature",
-    "composite_simpson",
-    "critical_constants",
-    "critical_extremal",
-    "dense_eigenvalues",
-    "discrete_area",
-    "discrete_gradient",
-    "eigenvalues",
-    "eta_from_psi",
-    "find_root_bracketed",
-    "force",
-    "goldschmidt_constant",
-    "minimize",
-    "mu",
-    "mu_prime",
-    "negative_direction",
-    "phi",
-    "profile",
-    "q_form",
-    "q_form_factored",
-    "r_of_tau",
-    "rayleigh_quotient",
-    "riccati_residual",
-    "sampled_derivative",
-    "shoot",
-    "small_h_asymptotics",
-    "solve_branches",
-    "taylor_probe",
-    "third_variation",
-]
+_MODULES = (config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -1,7 +1,7 @@
 """Command-line front end: every analysis as a subcommand with CSV/JSON output.
 
-Each invocation emits one OutputRecord: inputs (with the config block echoed
-for reproducibility) plus named results. Every real number is serialized
+Each invocation emits one record: the schema version, the command, its
+inputs and its named results. Every real number is serialized
 with 17 significant digits, so re-running a command reproduces the output
 byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
 exit 0 with the outcome encoded in the record.
@@ -17,13 +17,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import direct_min, energetics, extremals, spectrum, variation
-from .config import DEFAULTS, TWO_PI, config_dict
+from .config import TWO_PI
 from .errors import NoExtremalError
 from .grids import TestFunction
 
 __all__ = ["main"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+
+# samples of the critical catenoid's direction mu for its third variation
+_THIRD_VARIATION_SAMPLES = 2049
 
 
 class UsageError(Exception):
@@ -90,12 +93,10 @@ def _emit(record: Dict, fmt: str, out: Optional[str]) -> None:
 
 
 def _record(command: str, inputs: Dict, results: Dict) -> Dict:
-    full_inputs = dict(inputs)
-    full_inputs["config"] = config_dict()
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "inputs": full_inputs,
+        "inputs": inputs,
         "results": results,
     }
 
@@ -107,7 +108,7 @@ def _require_positive(value: float, flag: str) -> float:
 
 
 def _critical_third_variation(e: extremals.Extremal) -> float:
-    psi = TestFunction.sample(variation.mu, e.tau, DEFAULTS.grid_samples + 1)
+    psi = TestFunction.sample(variation.mu, e.tau, _THIRD_VARIATION_SAMPLES)
     eta = variation.eta_from_psi(psi, e)
     return variation.third_variation(e, eta)
 
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="string eigenvalues on [-tau, tau]")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--k", type=int, default=5, help="number of eigenvalues (default 5)")
-    p.add_argument("--n", type=int, default=DEFAULTS.spectrum_steps)
+    p.add_argument("--n", type=int, default=spectrum._DEFAULT_STEPS)
     _add_output_flags(p)
 
     p = sub.add_parser("force", help="ring force over a range of half-distances")

@@ -23,7 +23,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .config import DEFAULTS, TWO_PI
+from .config import TWO_PI
 from .errors import DomainError
 from .extremals import profile as catenoid_profile
 from .extremals import solve_branches
@@ -39,6 +39,17 @@ __all__ = [
     "discrete_gradient",
     "minimize",
 ]
+
+# interior radii are kept at or above this floor
+_FLOOR = 1e-6
+# a converged run whose smallest interior radius is at most this has collapsed
+_COLLAPSE_AT = 10.0 * _FLOOR
+# the run ends once the projected gradient max-norm is at most this
+_GRAD_TOL = TWO_PI * 1e-8
+# sufficient-decrease factor of the Armijo test and the backtracking shrink
+_ARMIJO = 1e-4
+_SHRINK = 0.5
+_MAX_ITER = 100_000
 
 # 60 halvings shrink any starting step below machine precision; more would
 # only produce null steps.
@@ -68,15 +79,15 @@ class Profile:
         self.grid = np.asarray(self.grid, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if self.grid.shape != self.y.shape:
-            raise ValueError("grid and y must have the same shape")
+            raise DomainError("grid and y must have the same shape")
         check_uniform_grid(self.grid)
         slack = 1e-12 * max(1.0, self.h)
         if abs(self.grid[0] + self.h) > slack or abs(self.grid[-1] - self.h) > slack:
-            raise ValueError(f"grid must span [-{self.h}, {self.h}]")
+            raise DomainError(f"grid must span [-{self.h}, {self.h}]")
         if self.y[0] != 1.0 or self.y[-1] != 1.0:
-            raise ValueError("endpoint radii must be exactly 1")
-        if np.any(self.y[1:-1] < DEFAULTS.minimize_floor):
-            raise ValueError(f"interior radii must stay >= {DEFAULTS.minimize_floor}")
+            raise DomainError("endpoint radii must be exactly 1")
+        if np.any(self.y[1:-1] < _FLOOR):
+            raise DomainError(f"interior radii must stay >= {_FLOOR}")
         self.n = int(self.y.size)
 
     @property
@@ -165,15 +176,15 @@ def _ldl_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> Optional[L
     return x
 
 
-def _newton_step(y: np.ndarray, g: np.ndarray, dx: float, floor: float) -> np.ndarray:
+def _newton_step(y: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     """Projected Newton direction: H^-1 g on the free radii, g/K on the active ones."""
     m = np.diff(y) / dx
     w = np.sqrt(1.0 + m * m)
     c = TWO_PI * 0.5 * (y[:-1] + y[1:]) / (dx * w**3)
     q = TWO_PI * m / w
     inner, gi = y[1:-1], g[1:-1]
-    eps = float(np.max(np.abs(inner - np.maximum(inner - gi, floor))))
-    active = (inner <= floor + eps) & (gi > 0.0)
+    eps = float(np.max(np.abs(inner - np.maximum(inner - gi, _FLOOR))))
+    active = (inner <= _FLOOR + eps) & (gi > 0.0)
     k_diag = c[:-1] + c[1:]
     off = np.where(active[:-1] | active[1:], 0.0, -c[1:-1])
     sol = _ldl_solve(k_diag + np.where(active, 0.0, q[:-1] - q[1:]), off, gi)
@@ -233,15 +244,12 @@ def minimize(
     to 1. The run ends when the projected gradient max-norm falls below
     grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or below
     10*floor, Converged otherwise; IterationLimit if the budget ran out first.
-    Every tunable is read from DEFAULTS. If history is given, the area after
-    each accepted step is appended.
+    If history is given, the area after each accepted step is appended.
     """
     if not 0.0 < h < np.inf:
         raise DomainError(f"half-distance must be positive and finite, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
-    floor = DEFAULTS.minimize_floor
-    grad_tol = TWO_PI * DEFAULTS.minimize_grad_tol_factor
 
     grid = np.linspace(-h, h, n)
     dx = float(grid[1] - grid[0])
@@ -260,41 +268,40 @@ def minimize(
                 raise DomainError(f"unknown preset {init!r}; choose one of: {names}") from None
         y = _preset_values(init, h, grid)
 
-    np.maximum(y[1:-1], floor, out=y[1:-1])
-    collapse_at = DEFAULTS.minimize_collapse_factor * floor
+    np.maximum(y[1:-1], _FLOOR, out=y[1:-1])
     area = _area_raw(y, dx)
     steps = 0
     outcome = Outcome.ITERATION_LIMIT
 
-    for _ in range(DEFAULTS.minimize_max_iter):
+    for _ in range(_MAX_ITER):
         g = _grad_raw(y, dx)
         # floored radii pushed further down by the gradient are stationary
         # under the projection, so they drop out of the termination norm
         pg = g.copy()
         pinned = np.zeros_like(y, dtype=bool)
-        pinned[1:-1] = (y[1:-1] <= floor) & (g[1:-1] > 0.0)
+        pinned[1:-1] = (y[1:-1] <= _FLOOR) & (g[1:-1] > 0.0)
         pg[pinned] = 0.0
-        if float(np.max(np.abs(pg))) <= grad_tol:
-            if float(np.min(y[1:-1])) <= collapse_at:
+        if float(np.max(np.abs(pg))) <= _GRAD_TOL:
+            if float(np.min(y[1:-1])) <= _COLLAPSE_AT:
                 outcome = Outcome.COLLAPSED
             else:
                 outcome = Outcome.CONVERGED
             break
 
-        step = _newton_step(y, g, dx, floor)
+        step = _newton_step(y, g, dx)
         alpha = 1.0
         accepted = False
         for _ in range(_BACKTRACK_CAP):
             y_new = y - alpha * step
             y_new[0] = 1.0
             y_new[-1] = 1.0
-            np.maximum(y_new[1:-1], floor, out=y_new[1:-1])
+            np.maximum(y_new[1:-1], _FLOOR, out=y_new[1:-1])
             decrease = _area_decrease(y, y_new, dx)
             gap = float(g @ (y - y_new))
-            if decrease >= DEFAULTS.minimize_armijo * gap:
+            if decrease >= _ARMIJO * gap:
                 accepted = True
                 break
-            alpha *= DEFAULTS.minimize_shrink
+            alpha *= _SHRINK
         if not accepted or gap == 0.0:
             break
         y = y_new

@@ -39,7 +39,7 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     dx = check_uniform_grid(grid)
     y = np.asarray(y, dtype=float)
     if y.shape != grid.shape:
-        raise ValueError("grid and y must have the same shape")
+        raise DomainError("grid and y must have the same shape")
     if np.any(y <= 0.0):
         raise NonPositiveProfileError("profile must be strictly positive")
     dy = sampled_derivative(y, dx)
@@ -92,7 +92,7 @@ def force(h: float) -> ForceSample:
     mu(s) = 1 - s*tanh(s), so dF/dh = 4*pi*tanh(tau_1)/mu(tau_1), unbounded
     toward h_star where mu vanishes.
 
-    Raises DomainError unless h > 0, and NoExtremalError from 1e-12 below
+    Raises DomainError unless h >= 1e-307, and NoExtremalError from 1e-12 below
     h_star on (the degenerate catenoid's force is one-sided, not reported).
     """
     lower, upper = solve_branches(h)

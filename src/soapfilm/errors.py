@@ -1,5 +1,18 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "SoapFilmError",
+    "DomainError",
+    "NoSignChangeError",
+    "MaxIterationsError",
+    "NoExtremalError",
+    "GridMismatchError",
+    "NonPositiveProfileError",
+    "ZeroDenominatorError",
+    "NotSupercriticalError",
+    "ConvergenceFailureError",
+]
+
 
 class SoapFilmError(Exception):
     """Base class for all library-specific errors."""

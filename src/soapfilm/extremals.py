@@ -10,7 +10,7 @@ With tau = h / C the boundary condition becomes phi(tau) = cosh(tau) / tau
 solving 1 - tau tanh(tau) = 0, so the problem has two solutions for
 h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
 and none beyond it. Either branch parameter is one bracketed solve of
-log(h * phi(tau)) = 0 in log(tau), from h ~ 1e-300 up to the fold.
+log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold.
 """
 
 from __future__ import annotations
@@ -48,7 +48,21 @@ _COSH_OVERFLOW = 710.0
 # branch parameters are closer than root-finding can resolve them.
 _CRITICAL_TOL = 1e-12
 
+# Below this h, c = h/tau_2 is subnormal and so coarse that the upper
+# extremal's boundary check (1e-10) fails at some h from 1.24e-308 down;
+# at 1e-307 that check's residual is at most 1.3e-11.
+_H_MIN = 1e-307
+
 _LOG_2 = math.log(2.0)
+
+
+def _log_cosh(t: float) -> float:
+    """log(cosh(t)) for t >= 0, finite wherever t is.
+
+    _solve_branch's g writes the same sum inline: it runs about 60 times per
+    solve_branches, and a call there costs about 4 % of the solve.
+    """
+    return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2
 
 
 class Branch(enum.Enum):
@@ -114,16 +128,17 @@ class Extremal:
     branch: Branch
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0 or self.tau <= 0.0 or self.c <= 0.0:
-            raise ValueError("h, tau, c must all be positive")
-        boundary = self.c * math.cosh(self.h / self.c)
-        if abs(boundary - 1.0) > 1e-10:
-            raise ValueError(f"boundary condition violated: c*cosh(h/c) = {boundary!r}")
+        if not (self.h > 0.0 and self.tau > 0.0 and self.c > 0.0):
+            raise DomainError("h, tau, c must all be positive")
+        # log(c*cosh(h/c)), which stays finite where cosh(h/c) overflows
+        residual = math.log(self.c) + _log_cosh(self.h / self.c)
+        if not abs(residual) <= 1e-10:
+            raise DomainError(f"boundary condition violated: log(c*cosh(h/c)) = {residual!r}")
         tau_star = critical_constants().tau_star
         if self.branch is Branch.LOWER and self.tau > tau_star + 1e-9:
-            raise ValueError("lower-branch parameter exceeds tau_star")
+            raise DomainError("lower-branch parameter exceeds tau_star")
         if self.branch is Branch.UPPER and self.tau < tau_star - 1e-9:
-            raise ValueError("upper-branch parameter is below tau_star")
+            raise DomainError("upper-branch parameter is below tau_star")
 
 
 def _solve_branch(log_h: float, lo: float, hi: float) -> float:
@@ -136,6 +151,7 @@ def _solve_branch(log_h: float, lo: float, hi: float) -> float:
     """
 
     def g(u: float) -> float:
+        # _log_cosh(t) - u + log_h, inlined (see _log_cosh)
         t = math.exp(u)
         return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2 - u + log_h
 
@@ -151,11 +167,12 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     branch.
 
     Raises:
-        DomainError: h is not positive (NaN included).
+        DomainError: h is below 1e-307 (NaN included), where c = h/tau_2
+            is too coarse to hold the boundary condition.
         NoExtremalError: h exceeds the critical half-distance.
     """
-    if not h > 0.0:
-        raise DomainError(f"half-distance must be positive, got {h!r}")
+    if not h >= _H_MIN:
+        raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
     cc = critical_constants()
     if abs(h - cc.h_star) <= _CRITICAL_TOL:
         lower = Extremal(h=h, tau=cc.tau_star, c=h / cc.tau_star, branch=Branch.LOWER)
@@ -198,9 +215,13 @@ def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray
 def area_closed_form(e: Extremal) -> float:
     """Film area 2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 of an extremal.
 
-    Written in c = h/tau, whose factors do not underflow at tiny h.
+    Written in c = h/tau, whose factors do not underflow at tiny h. Where
+    cosh(tau) overflows, c*cosh(tau) is formed from logs and tanh(tau) is 1.
     """
     c, tau = e.c, e.tau
+    if tau > _COSH_OVERFLOW:
+        c_cosh = math.exp(math.log(c) + _log_cosh(tau))
+        return TWO_PI * (e.h * c + c_cosh * c_cosh)
     return TWO_PI * (e.h * c + (c * math.sinh(tau)) * (c * math.cosh(tau)))
 
 

@@ -14,20 +14,22 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["TestFunction", "composite_simpson", "sampled_derivative", "check_uniform_grid"]
 
 
 def check_uniform_grid(grid: np.ndarray) -> float:
     """Validate a strictly increasing uniform grid; return its spacing."""
     if grid.ndim != 1 or grid.size < 3:
-        raise ValueError("grid must be one-dimensional with at least 3 points")
+        raise DomainError("grid must be one-dimensional with at least 3 points")
     steps = np.diff(grid)
     if not np.all(steps > 0.0):
-        raise ValueError("grid must be strictly increasing")
+        raise DomainError("grid must be strictly increasing")
     dx = (grid[-1] - grid[0]) / (grid.size - 1)
     scale = max(1.0, abs(grid[0]), abs(grid[-1]))
     if np.max(np.abs(steps - dx)) > 1e-14 * scale:
-        raise ValueError("grid spacing is not uniform to within 1e-14")
+        raise DomainError("grid spacing is not uniform to within 1e-14")
     return float(dx)
 
 
@@ -40,7 +42,7 @@ def composite_simpson(values: np.ndarray, dx: float) -> float:
     values = np.asarray(values, dtype=float)
     m = values.size - 1
     if m < 4:
-        raise ValueError("composite Simpson needs at least 5 samples")
+        raise DomainError("composite Simpson needs at least 5 samples")
     if m % 2 == 1:
         head = composite_simpson(values[: m - 2], dx)
         tail = 3.0 * dx / 8.0 * (values[-4] + 3.0 * values[-3] + 3.0 * values[-2] + values[-1])
@@ -75,15 +77,15 @@ class TestFunction:
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.shape != self.values.shape:
-            raise ValueError("grid and values must have the same shape")
+            raise DomainError("grid and values must have the same shape")
         if self.n < 16:
-            raise ValueError(f"need at least 16 samples, got {self.n}")
+            raise DomainError(f"need at least 16 samples, got {self.n}")
         a = self.grid[-1]
         if abs(self.grid[0] + a) > 1e-14 * max(1.0, abs(a)):
-            raise ValueError("grid must span a symmetric interval [-a, a]")
+            raise DomainError("grid must span a symmetric interval [-a, a]")
         check_uniform_grid(self.grid)
         if self.values[0] != 0.0 or self.values[-1] != 0.0:
-            raise ValueError("endpoint values must be exactly zero")
+            raise DomainError("endpoint values must be exactly zero")
 
     @property
     def n(self) -> int:

@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .config import DEFAULTS
-from .errors import MaxIterationsError, NoSignChangeError
+from .errors import DomainError, MaxIterationsError, NoSignChangeError
 
 __all__ = ["Bracket", "find_root_bracketed"]
+
+# budget of function evaluations after the endpoints
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class Bracket:
 
     def __post_init__(self) -> None:
         if not (self.lo < self.hi):
-            raise ValueError(f"bracket endpoints must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+            raise DomainError(f"bracket endpoints must satisfy lo < hi, got [{self.lo}, {self.hi}]")
         if self.f_lo * self.f_hi > 0.0:
             raise NoSignChangeError(
                 f"f({self.lo}) = {self.f_lo} and f({self.hi}) = {self.f_hi} share a sign"
@@ -55,9 +57,9 @@ class Bracket:
 def find_root_bracketed(
     f: Callable[[float], float],
     bracket: Bracket,
-    tol_x: float = DEFAULTS.root_tol_x,
-    tol_f: float = DEFAULTS.root_tol_f,
-    max_iter: int = DEFAULTS.root_max_iter,
+    *,
+    tol_x: float,
+    tol_f: float,
 ) -> float:
     """Locate a root of f inside a sign-changing bracket.
 
@@ -66,7 +68,6 @@ def find_root_bracketed(
         bracket: interval with f values of opposite sign at the ends.
         tol_x: stop once the bracket width is at most this.
         tol_f: stop once |f| at the iterate is at most this.
-        max_iter: budget of function evaluations after the endpoints.
 
     Returns:
         A point x with bracket.lo <= x <= bracket.hi satisfying |f(x)| <= tol_f
@@ -74,11 +75,12 @@ def find_root_bracketed(
 
     Raises:
         NoSignChangeError: the bracket does not straddle a root.
-        MaxIterationsError: the budget ran out before either tolerance was met.
-        ValueError: nonpositive tolerance, or f returned a non-finite value.
+        MaxIterationsError: the evaluation budget ran out before either tolerance was met.
+        DomainError: a tolerance is not positive (NaN included).
+        ValueError: f returned a non-finite value.
     """
-    if tol_x <= 0.0 or tol_f <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if not (tol_x > 0.0 and tol_f > 0.0):
+        raise DomainError("tolerances must be positive")
     a, b = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
     if fa == 0.0:
@@ -91,7 +93,7 @@ def find_root_bracketed(
     x1, f1 = a, fa
     x2, f2 = b, fb
 
-    for k in range(max_iter):
+    for k in range(_MAX_ITER):
         if b - a <= tol_x:
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
@@ -118,5 +120,5 @@ def find_root_bracketed(
         x2, f2 = x, fx
 
     raise MaxIterationsError(
-        f"no root to tolerance after {max_iter} evaluations; residual bracket [{a}, {b}]"
+        f"no root to tolerance after {_MAX_ITER} evaluations; residual bracket [{a}, {b}]"
     )

@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import (
     ConvergenceFailureError,
     DomainError,
@@ -48,6 +47,7 @@ __all__ = [
 DENSITY_ID = "2/cosh^2(s)"
 
 _MIN_STEPS = 256
+_DEFAULT_STEPS = 2048
 _DOUBLING_CAP = 60
 _BRACKET_CAP = 200
 
@@ -59,8 +59,8 @@ def _density(s):
 
 
 def _check_problem(tau: float, n: int) -> None:
-    if tau <= 0.0:
-        raise DomainError(f"half-interval must be positive, got {tau!r}")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
     if n < _MIN_STEPS:
         raise DomainError(f"need at least {_MIN_STEPS} integration steps, got {n!r}")
 
@@ -110,14 +110,17 @@ def _sweep(tau: float, lam: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], prod[0, 1]))
 
 
-def shoot(tau: float, lam: float, n: int = DEFAULTS.spectrum_steps) -> Tuple[float, int]:
+def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     """Integrate psi'' + lam*rho*psi = 0 from (psi, psi')(-tau) = (0, 1).
 
     Returns psi(tau) and the number of sign changes the solution makes after
     leaving the initial zero (the Sturm oscillation count used to bracket
     eigenvalues). Fixed-step RK4; deterministic for given (tau, lam, n).
+    Raises DomainError unless 0 < tau < inf, lam is finite and n >= 256.
     """
     _check_problem(tau, n)
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     psi = _sweep(tau, lam, n)
     # Exact zeros (and NaN) carry no sign and are skipped.
     positive = psi > 0.0
@@ -168,14 +171,15 @@ def _bracket_by_nodes(
     raise ConvergenceFailureError(f"could not isolate eigenvalue {k} by node count")
 
 
-def eigenvalues(tau: float, k_max: int, n: int = DEFAULTS.spectrum_steps) -> StringSpectrum:
+def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectrum:
     """First k_max Dirichlet eigenvalues by shooting, with eigenfunctions.
 
     Brackets each lambda_k between node counts k-1 and k, then solves
     psi(tau; lambda) = 0 on the bracket. Eigenfunctions are RK4 trajectories
     normalized to unit weighted norm (weight 2/cosh^2 s) with psi'(-tau) > 0.
 
-    Raises ConvergenceFailure if no lambda with k_max nodes is found under a
+    Raises DomainError unless 0 < tau < inf, k_max >= 1 and n >= 256, and
+    ConvergenceFailureError if no lambda with k_max nodes is found under a
     geometrically grown ceiling (that would be a bug, not a domain outcome).
     """
     _check_problem(tau, n)
@@ -270,13 +274,14 @@ def rayleigh_quotient(psi: TestFunction) -> float:
     return numerator / denominator
 
 
-def negative_direction(tau: float, n: int = DEFAULTS.spectrum_steps) -> TestFunction:
+def negative_direction(tau: float, n: int = _DEFAULT_STEPS) -> TestFunction:
     """A direction with negative quadratic form, available once tau > tau_star.
 
     Returns the normalized ground eigenfunction psi_1(.; tau); its form value
     is lambda_1 - 1 by the normalization, negative exactly when tau exceeds
-    tau_star.
+    tau_star. Raises DomainError unless 0 < tau < inf and n >= 256.
     """
+    _check_problem(tau, n)
     tau_star = critical_constants().tau_star
     if tau <= tau_star + 1e-9:
         raise NotSupercriticalError(

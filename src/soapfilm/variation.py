@@ -25,6 +25,7 @@ from .energetics import area_quadrature
 from .errors import DomainError, GridMismatchError
 from .extremals import Extremal, critical_constants, profile
 from .grids import TestFunction, composite_simpson, sampled_derivative
+from .spectrum import _density
 
 __all__ = [
     "Classification",
@@ -100,13 +101,13 @@ def riccati_residual(s: float, fd_step: float = 1e-4) -> float:
         return mu_prime(ss) / mu(ss)
 
     w_prime = (w(s + fd_step) - w(s - fd_step)) / (2.0 * fd_step)
-    return abs(w_prime + w(s) ** 2 + 2.0 / math.cosh(s) ** 2)
+    return float(abs(w_prime + w(s) ** 2 + _density(s)))
 
 
 def q_form(psi: TestFunction) -> float:
     """Reduced second-variation form: integral of psi'^2 - 2 psi^2/cosh^2 s."""
     dpsi = sampled_derivative(psi.values, psi.spacing)
-    integrand = dpsi * dpsi - 2.0 * psi.values * psi.values / np.cosh(psi.grid) ** 2
+    integrand = dpsi * dpsi - _density(psi.grid) * psi.values * psi.values
     return composite_simpson(integrand, psi.spacing)
 
 

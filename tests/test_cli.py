@@ -18,10 +18,10 @@ def test_solve_subcritical_json(capsys):
     code, out, _ = run_cli(capsys, "solve", "--h", "0.4")
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "1"
+    assert record["schema_version"] == "2"
     assert record["command"] == "solve"
     assert record["inputs"]["h"] == 0.4
-    assert "grid_samples" in record["inputs"]["config"]
+    assert "config" not in record["inputs"]
     results = record["results"]
     assert results["outcome"] == "Subcritical"
     np.testing.assert_allclose(results["tau1"], 0.4392042525017987, rtol=1e-10)

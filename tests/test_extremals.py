@@ -190,6 +190,14 @@ def test_extremal_validates_inputs():
         Extremal(h=0.4, tau=lower.tau, c=lower.c, branch=Branch.UPPER)
 
 
+@pytest.mark.parametrize("field", ["h", "tau", "c"])
+def test_extremal_rejects_nan(field):
+    lower, _ = solve_branches(0.4)
+    fields = {"h": 0.4, "tau": lower.tau, "c": lower.c, field: math.nan}
+    with pytest.raises(DomainError):
+        Extremal(branch=Branch.LOWER, **fields)
+
+
 def test_branch_solution_matches_independent_halving():
     h = 0.25
     cc = critical_constants()

@@ -96,6 +96,23 @@ def test_shoot_rejects_bad_input():
         shoot(1.0, 1.0, n=100)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: shoot(x, 1.0),
+        lambda x: shoot(1.0, x),
+        lambda x: eigenvalues(x, 2),
+        lambda x: dense_eigenvalues(x, 2),
+        negative_direction,
+    ],
+    ids=["shoot_tau", "shoot_lambda", "eigenvalues", "dense_eigenvalues", "negative_direction"],
+)
+def test_non_finite_input_is_a_domain_error(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
+
+
 def test_unit_eigenvalue_at_critical_parameter():
     spec = eigenvalues(TAU_STAR, 1)
     np.testing.assert_allclose(spec.lambdas[0], 1.0, rtol=0.0, atol=1e-4)
