@@ -4,7 +4,9 @@ Each invocation emits one record: the schema version, the command, its
 inputs and its named results. Every real number is serialized
 with 17 significant digits, so re-running a command reproduces the output
 byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
-exit 0 with the outcome encoded in the record.
+exit 0 with the outcome encoded in the record. The library functions check
+their own arguments: any DomainError, from them or from the CLI's range
+checks, exits 2 with its message; other failures exit 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import direct_min, energetics, extremals, spectrum, variation
 from .config import TWO_PI
-from .errors import NoExtremalError
+from .errors import DomainError, NoExtremalError
 from .grids import TestFunction
 
 __all__ = ["main"]
@@ -27,10 +29,6 @@ SCHEMA_VERSION = "2"
 
 # samples of the critical catenoid's direction mu for its third variation
 _THIRD_VARIATION_SAMPLES = 2049
-
-
-class UsageError(Exception):
-    """Bad command-line arguments; maps to exit status 2."""
 
 
 def _scalar_token(value) -> str:
@@ -101,12 +99,6 @@ def _record(command: str, inputs: Dict, results: Dict) -> Dict:
     }
 
 
-def _require_positive(value: float, flag: str) -> float:
-    if value is None or not value > 0.0:
-        raise UsageError(f"{flag} must be positive")
-    return float(value)
-
-
 def _critical_third_variation(e: extremals.Extremal) -> float:
     psi = TestFunction.sample(variation.mu, e.tau, _THIRD_VARIATION_SAMPLES)
     eta = variation.eta_from_psi(psi, e)
@@ -114,11 +106,10 @@ def _critical_third_variation(e: extremals.Extremal) -> float:
 
 
 def _run_solve(args) -> Dict:
-    h = _require_positive(args.h, "--h")
-    inputs = {"h": h}
+    inputs = {"h": args.h}
     cc = extremals.critical_constants()
     try:
-        lower, upper = extremals.solve_branches(h)
+        lower, upper = extremals.solve_branches(args.h)
     except NoExtremalError:
         results = {
             "outcome": "NoExtremal",
@@ -164,24 +155,19 @@ def _run_goldschmidt(args) -> Dict:
 
 
 def _run_spectrum(args) -> Dict:
-    tau = _require_positive(args.tau, "--tau")
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if args.n < 256:
-        raise UsageError("--n must be at least 256")
-    result = spectrum.eigenvalues(tau, args.k, args.n)
-    rows = [[tau, k + 1, float(lam)] for k, lam in enumerate(result.lambdas)]
-    inputs = {"tau": tau, "k": args.k, "n": args.n}
+    result = spectrum.eigenvalues(args.tau, args.k, args.n)
+    rows = [[args.tau, k + 1, float(lam)] for k, lam in enumerate(result.lambdas)]
+    inputs = {"tau": args.tau, "k": args.k, "n": args.n}
     return _record("spectrum", inputs, {"columns": ["tau", "k", "lambda"], "rows": rows})
 
 
 def _range_points(args) -> List[float]:
-    h_min = _require_positive(args.h_min, "--h-min")
-    h_max = h_min if args.h_max is None else float(args.h_max)
+    h_min = args.h_min
+    h_max = h_min if args.h_max is None else args.h_max
     if h_max < h_min:
-        raise UsageError("--h-max must not be below --h-min")
+        raise DomainError("--h-max must not be below --h-min")
     if args.steps < 1:
-        raise UsageError("--steps must be at least 1")
+        raise DomainError("--steps must be at least 1")
     if args.steps == 1:
         return [h_min]
     return [float(v) for v in np.linspace(h_min, h_max, args.steps)]
@@ -226,12 +212,9 @@ def _run_sweep(args) -> Dict:
 
 
 def _run_minimize(args) -> Dict:
-    h = _require_positive(args.h, "--h")
-    if args.n < 64:
-        raise UsageError("--n must be at least 64")
-    inputs = {"h": h, "n": args.n, "init": args.init}
+    inputs = {"h": args.h, "n": args.n, "init": args.init}
     try:
-        report = direct_min.minimize(h, args.n, args.init)
+        report = direct_min.minimize(args.h, args.n, args.init)
     except NoExtremalError as exc:
         results = {"outcome": "NoExtremal", "h_star": exc.h_star}
         return _record("minimize", inputs, results)
@@ -316,7 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         record = _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI
-from .errors import DomainError, NoExtremalError, NonPositiveProfileError
+from .errors import ConvergenceFailureError, DomainError, NoExtremalError
 from .grids import check_uniform_grid, composite_simpson, sampled_derivative
-from .extremals import critical_constants, solve_branches
-from .rootfind import Bracket, find_root_bracketed
+from .extremals import area_closed_form, critical_constants, solve_branches
+from .rootfind import find_root_bracketed
 
 __all__ = [
     "area_quadrature",
-    "r_of_tau",
     "goldschmidt_constant",
     "ForceSample",
     "force",
@@ -40,39 +39,29 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != grid.shape:
         raise DomainError("grid and y must have the same shape")
-    if np.any(y <= 0.0):
-        raise NonPositiveProfileError("profile must be strictly positive")
+    if not np.all(y > 0.0):
+        raise DomainError("profile must be strictly positive")
     dy = sampled_derivative(y, dx)
     return composite_simpson(TWO_PI * y * np.sqrt(1.0 + dy * dy), dx)
-
-
-def r_of_tau(tau: float) -> float:
-    """Scaled area 2/tau + sinh(2*tau)/tau^2, i.e. area / (pi*h^2)."""
-    if tau <= 0.0:
-        raise DomainError(f"r_of_tau requires tau > 0, got {tau!r}")
-    return 2.0 / tau + math.sinh(2.0 * tau) / (tau * tau)
 
 
 @functools.cache
 def goldschmidt_constant() -> float:
     """Half-distance where the stable catenoid's area equals the disks' 2*pi.
 
-    Cached after the first solve. Below the returned value the film beats the
-    two flat disks; above it the disks win even though the catenoid persists
-    up to h_star.
+    One bracketed solve of area_closed_form(lower(h)) = 2*pi on
+    [0.1, h_star], cached after the first call. Below the returned value the
+    film beats the two flat disks; above it the disks win even though the
+    catenoid persists up to h_star. Raises ConvergenceFailureError if the
+    solved area misses 2*pi by more than 1e-10 (a bug, not a domain outcome).
     """
 
     def excess(h: float) -> float:
-        lower, _ = solve_branches(h)
-        h2 = h * h
-        return math.pi * h2 * r_of_tau(lower.tau) - TWO_PI
+        return area_closed_form(solve_branches(h)[0]) - TWO_PI
 
-    h_star = critical_constants().h_star
-    bracket = Bracket.from_function(excess, 0.1, h_star)
-    h_g = find_root_bracketed(excess, bracket, tol_x=1e-13, tol_f=1e-11)
-    lower, _ = solve_branches(h_g)
-    if abs(math.pi * h_g * h_g * r_of_tau(lower.tau) - TWO_PI) > 1e-10:
-        raise AssertionError("threshold solve did not reach the disk area")
+    h_g = find_root_bracketed(excess, 0.1, critical_constants().h_star, tol_x=1e-13, tol_f=1e-11)
+    if not abs(excess(h_g)) <= 1e-10:
+        raise ConvergenceFailureError("threshold solve did not reach the disk area")
     return h_g
 
 
@@ -100,8 +89,6 @@ def force(h: float) -> ForceSample:
         raise NoExtremalError(h, critical_constants().h_star)
     tau = lower.tau
     value = -2.0 * TWO_PI * h / tau
-    if value >= 0.0:
-        raise AssertionError("ring force must be attractive (negative)")
     tanh = math.tanh(tau)
     slope = 2.0 * TWO_PI * tanh / (1.0 - tau * tanh)
     return ForceSample(h=h, force=value, dforce_dh=slope)

@@ -1,15 +1,14 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+DomainError means bad input; MaxIterationsError and ConvergenceFailureError
+mean the library failed; NoExtremalError is the problem's outcome above h_star.
+"""
 
 __all__ = [
     "SoapFilmError",
     "DomainError",
-    "NoSignChangeError",
-    "MaxIterationsError",
     "NoExtremalError",
-    "GridMismatchError",
-    "NonPositiveProfileError",
-    "ZeroDenominatorError",
-    "NotSupercriticalError",
+    "MaxIterationsError",
     "ConvergenceFailureError",
 ]
 
@@ -20,14 +19,6 @@ class SoapFilmError(Exception):
 
 class DomainError(SoapFilmError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class NoSignChangeError(SoapFilmError):
-    """A bracket does not straddle a root: f(lo) and f(hi) share a sign."""
-
-
-class MaxIterationsError(SoapFilmError):
-    """An iteration budget was exhausted before a tolerance was met."""
 
 
 class NoExtremalError(SoapFilmError):
@@ -45,20 +36,8 @@ class NoExtremalError(SoapFilmError):
         )
 
 
-class GridMismatchError(SoapFilmError):
-    """Two sampled functions live on incompatible grids."""
-
-
-class NonPositiveProfileError(SoapFilmError):
-    """A surface profile has a non-positive radius sample."""
-
-
-class ZeroDenominatorError(SoapFilmError):
-    """A quotient's denominator is numerically zero."""
-
-
-class NotSupercriticalError(SoapFilmError):
-    """An operation that needs tau > tau_star was called below that range."""
+class MaxIterationsError(SoapFilmError):
+    """An iteration budget was exhausted before a tolerance was met."""
 
 
 class ConvergenceFailureError(SoapFilmError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import TWO_PI
 from .errors import DomainError, NoExtremalError
-from .rootfind import Bracket, find_root_bracketed
+from .rootfind import find_root_bracketed
 
 __all__ = [
     "Branch",
@@ -43,6 +43,8 @@ __all__ = [
 # cosh overflows float64 just above exp(709); phi is astronomically large
 # there anyway, so clip to +inf instead of raising.
 _COSH_OVERFLOW = 710.0
+# math.exp overflows from log(float max) = 709.78 on
+_EXP_OVERFLOW = 709.0
 
 # h within this distance of h_star is treated as the critical case: the two
 # branch parameters are closer than root-finding can resolve them.
@@ -75,9 +77,10 @@ class Branch(enum.Enum):
 def phi(tau: float) -> float:
     """cosh(tau) / tau, the boundary-condition function of the reduced problem.
 
-    Raises DomainError for tau <= 0. Returns +inf where cosh overflows.
+    Raises DomainError unless tau > 0 (NaN included). Returns +inf where
+    the value overflows: tau above 710, where cosh does, or below 1/max float.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError(f"phi requires tau > 0, got {tau!r}")
     if tau > _COSH_OVERFLOW:
         return math.inf
@@ -97,10 +100,10 @@ class CriticalConstants:
 
     def __post_init__(self) -> None:
         residual = abs(1.0 - self.tau_star * math.tanh(self.tau_star))
-        if residual > 1e-12:
-            raise ValueError(f"tau_star residual {residual} exceeds 1e-12")
-        if abs(self.h_star - self.tau_star / math.cosh(self.tau_star)) > 1e-12:
-            raise ValueError("h_star inconsistent with tau_star")
+        if not residual <= 1e-12:
+            raise DomainError(f"tau_star residual {residual} exceeds 1e-12")
+        if not abs(self.h_star - self.tau_star / math.cosh(self.tau_star)) <= 1e-12:
+            raise DomainError("h_star inconsistent with tau_star")
 
 
 @functools.cache
@@ -114,7 +117,7 @@ def critical_constants() -> CriticalConstants:
     def g(tau: float) -> float:
         return 1.0 - tau * math.tanh(tau)
 
-    tau_star = find_root_bracketed(g, Bracket.from_function(g, 1.0, 1.5), tol_x=1e-14, tol_f=1e-13)
+    tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-14, tol_f=1e-13)
     return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
 
 
@@ -155,8 +158,7 @@ def _solve_branch(log_h: float, lo: float, hi: float) -> float:
         t = math.exp(u)
         return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2 - u + log_h
 
-    bracket = Bracket.from_function(g, lo, hi)
-    return math.exp(find_root_bracketed(g, bracket, tol_x=1e-15, tol_f=1e-16))
+    return math.exp(find_root_bracketed(g, lo, hi, tol_x=1e-15, tol_f=1e-16))
 
 
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
@@ -200,13 +202,22 @@ def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray
     """Evaluate the catenoid radius y(x) = c cosh(x / c).
 
     Accepts a scalar or an array of positions; every position must lie in
-    [-h, h] (up to roundoff slack).
+    [-h, h] (up to roundoff slack; NaN is rejected). Where cosh(x/c)
+    overflows (the upper extremal below h ~ 6e-306), c*cosh(x/c) is formed
+    from logs.
     """
     arr = np.asarray(x, dtype=float)
     slack = 1e-12 * max(1.0, e.h)
-    if np.any(np.abs(arr) > e.h + slack):
+    if not np.all(np.abs(arr) <= e.h + slack):
         raise DomainError(f"position outside [-{e.h}, {e.h}]")
-    y = e.c * np.cosh(arr / e.c)
+    u = arr / e.c
+    t = np.abs(u)
+    with np.errstate(over="ignore"):
+        y = np.where(
+            t > _COSH_OVERFLOW,
+            np.exp(math.log(e.c) + t + np.log1p(np.exp(-2.0 * t)) - _LOG_2),
+            e.c * np.cosh(u),
+        )
     if arr.ndim == 0:
         return float(y)
     return y
@@ -229,10 +240,16 @@ def small_h_asymptotics(h: float) -> Tuple[float, float]:
     """The two branch-parameter ratios that limit to 1 and 2 as h -> 0.
 
     Returns (tau1/h, h*exp(tau2)/tau2). Requires 0 < h < h_star/10 so the
-    branches are far apart and the ratios are meaningful.
+    branches are far apart and the ratios are meaningful; raises DomainError
+    otherwise, and below h = 1e-307 as solve_branches does.
     """
     cc = critical_constants()
     if not (0.0 < h < cc.h_star / 10.0):
         raise DomainError(f"asymptotic regime needs 0 < h < {cc.h_star / 10.0}, got {h!r}")
     lower, upper = solve_branches(h)
-    return lower.tau / h, h * math.exp(upper.tau) / upper.tau
+    tau2 = upper.tau
+    if tau2 < _EXP_OVERFLOW:
+        return lower.tau / h, h * math.exp(tau2) / tau2
+    # exp(tau2) overflows below h ~ 1e-305: apply it in two halves
+    half = math.exp(0.5 * tau2)
+    return lower.tau / h, h * half * half / tau2

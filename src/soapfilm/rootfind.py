@@ -6,88 +6,71 @@ parameter, eigenvalue refinement, the Goldschmidt constant) is solved through
 forced on every other iteration so the bracket provably shrinks; secant steps
 are only taken when they land strictly inside the current bracket. The
 iteration uses no randomness and no global state, so repeated calls with the
-same inputs return bit-identical results.
+same inputs return bit-identical results. Any input the solver cannot work
+on, a bracket included, is a DomainError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, MaxIterationsError, NoSignChangeError
+from .errors import DomainError, MaxIterationsError
 
-__all__ = ["Bracket", "find_root_bracketed"]
+__all__ = ["find_root_bracketed"]
 
 # budget of function evaluations after the endpoints
 _MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] together with the function values at its ends.
-
-    A valid bracket straddles a root: f_lo * f_hi < 0, or one endpoint is an
-    exact root.
-    """
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise DomainError(f"bracket endpoints must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo * self.f_hi > 0.0:
-            raise NoSignChangeError(
-                f"f({self.lo}) = {self.f_lo} and f({self.hi}) = {self.f_hi} share a sign"
-            )
-
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        """Evaluate f at both endpoints and build the bracket."""
-        return cls(lo, hi, f(lo), f(hi))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
+# Every second evaluation bisects, so a bracket at most this many tol_x wide
+# is down to tol_x before the budget runs out.
+_MAX_WIDTH = 2.0 ** (_MAX_ITER // 2 - 2)
 
 
 def find_root_bracketed(
     f: Callable[[float], float],
-    bracket: Bracket,
+    lo: float,
+    hi: float,
     *,
     tol_x: float,
     tol_f: float,
 ) -> float:
-    """Locate a root of f inside a sign-changing bracket.
+    """Locate a root of f inside the sign-changing bracket [lo, hi].
+
+    f is evaluated at lo, then at hi, then at each iterate.
 
     Args:
         f: continuous scalar function.
-        bracket: interval with f values of opposite sign at the ends.
-        tol_x: stop once the bracket width is at most this.
+        lo, hi: finite ends with lo < hi where f has opposite signs, or is 0
+            at one end.
+        tol_x: stop once the bracket width is at most this; hi - lo may be
+            at most 2**98 times tol_x.
         tol_f: stop once |f| at the iterate is at most this.
 
     Returns:
-        A point x with bracket.lo <= x <= bracket.hi satisfying |f(x)| <= tol_f
-        or lying in a residual bracket of width <= tol_x.
+        A point x with lo <= x <= hi satisfying |f(x)| <= tol_f or lying in a
+        residual bracket of width <= tol_x.
 
     Raises:
-        NoSignChangeError: the bracket does not straddle a root.
-        MaxIterationsError: the evaluation budget ran out before either tolerance was met.
-        DomainError: a tolerance is not positive (NaN included).
-        ValueError: f returned a non-finite value.
+        DomainError: lo < hi fails or an end is not finite (NaN included), a
+            tolerance is not positive, the bracket is too wide for tol_x, f
+            has the same sign at both ends, or f returned a non-finite value.
+        MaxIterationsError: the evaluation budget ran out before either
+            tolerance was met; the width bound rules this out, so it is a bug.
     """
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"bracket ends must be finite with lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol_x > 0.0 and tol_f > 0.0):
         raise DomainError("tolerances must be positive")
-    a, b = bracket.lo, bracket.hi
-    fa, fb = bracket.f_lo, bracket.f_hi
+    if not hi - lo <= _MAX_WIDTH * tol_x:
+        raise DomainError(f"bracket [{lo!r}, {hi!r}] is wider than 2**98 tol_x = {tol_x!r}")
+    a, b = lo, hi
+    fa, fb = _finite(f, a), _finite(f, b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    # The Bracket type already validated the sign change.
+    if (fa > 0.0) == (fb > 0.0):
+        raise DomainError(f"f({a!r}) = {fa!r} and f({b!r}) = {fb!r} share a sign")
 
     # Secant memory: the two most recent evaluations anywhere in the bracket.
     x1, f1 = a, fa
@@ -107,9 +90,7 @@ def find_root_bracketed(
             s = x2 - f2 * (x2 - x1) / (f2 - f1)
             if a < s < b:
                 x = s
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise ValueError(f"function returned non-finite value {fx!r} at {x!r}")
+        fx = _finite(f, x)
         if abs(fx) <= tol_f:
             return x
         if (fx > 0.0) == (fa > 0.0):
@@ -122,3 +103,10 @@ def find_root_bracketed(
     raise MaxIterationsError(
         f"no root to tolerance after {_MAX_ITER} evaluations; residual bracket [{a}, {b}]"
     )
+
+
+def _finite(f: Callable[[float], float], x: float) -> float:
+    fx = f(x)
+    if not math.isfinite(fx):
+        raise DomainError(f"function returned non-finite value {fx!r} at {x!r}")
+    return fx

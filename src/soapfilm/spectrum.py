@@ -24,18 +24,12 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailureError,
-    DomainError,
-    NotSupercriticalError,
-    ZeroDenominatorError,
-)
+from .errors import ConvergenceFailureError, DomainError
 from .extremals import critical_constants
 from .grids import TestFunction, composite_simpson, sampled_derivative
-from .rootfind import Bracket, find_root_bracketed
+from .rootfind import find_root_bracketed
 
 __all__ = [
-    "DENSITY_ID",
     "StringSpectrum",
     "shoot",
     "eigenvalues",
@@ -43,8 +37,6 @@ __all__ = [
     "rayleigh_quotient",
     "negative_direction",
 ]
-
-DENSITY_ID = "2/cosh^2(s)"
 
 _MIN_STEPS = 256
 _DEFAULT_STEPS = 2048
@@ -135,16 +127,15 @@ class StringSpectrum:
     tau: float
     lambdas: np.ndarray
     eigenfunctions: List[TestFunction]
-    density_id: str = DENSITY_ID
 
     def __post_init__(self) -> None:
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         if np.any(self.lambdas <= 0.0):
-            raise ValueError("string eigenvalues must be positive")
+            raise DomainError("string eigenvalues must be positive")
         if np.any(np.diff(self.lambdas) <= 0.0):
-            raise ValueError("string eigenvalues must be strictly increasing")
+            raise DomainError("string eigenvalues must be strictly increasing")
         if len(self.eigenfunctions) != self.lambdas.size:
-            raise ValueError("one eigenfunction per eigenvalue required")
+            raise DomainError("one eigenfunction per eigenvalue required")
 
 
 def _bracket_by_nodes(
@@ -174,7 +165,7 @@ def _bracket_by_nodes(
 def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectrum:
     """First k_max Dirichlet eigenvalues by shooting, with eigenfunctions.
 
-    Brackets each lambda_k between node counts k-1 and k, then solves
+    Isolates each lambda_k between node counts k-1 and k, then solves
     psi(tau; lambda) = 0 on the bracket. Eigenfunctions are RK4 trajectories
     normalized to unit weighted norm (weight 2/cosh^2 s) with psi'(-tau) > 0.
 
@@ -187,7 +178,7 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
         raise DomainError(f"k_max must be at least 1, got {k_max!r}")
 
     # The bisections for successive k retrace each other's midpoints, and the
-    # root solve starts from bracket ends already shot: shoot each lambda once.
+    # root solve evaluates bracket ends already shot: shoot each lambda once.
     shot_at: Dict[float, Tuple[float, int]] = {}
 
     def shoot_once(lam: float) -> Tuple[float, int]:
@@ -212,10 +203,7 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     weight = _density(grid)
     for k in range(1, k_max + 1):
         lo, hi = _bracket_by_nodes(shoot_once, k, lam_hi)
-        bracket = Bracket(lo, hi, end_value(lo), end_value(hi))
-        lam_k = find_root_bracketed(
-            end_value, bracket, tol_x=1e-12 * max(1.0, hi), tol_f=1e-13
-        )
+        lam_k = find_root_bracketed(end_value, lo, hi, tol_x=1e-12 * max(1.0, hi), tol_f=1e-13)
         values = _sweep(tau, lam_k, n)
         values[-1] = 0.0
         norm = composite_simpson(weight * values * values, grid[1] - grid[0])
@@ -269,8 +257,8 @@ def rayleigh_quotient(psi: TestFunction) -> float:
     numerator = composite_simpson(dpsi * dpsi, psi.spacing)
     weight = _density(psi.grid)
     denominator = composite_simpson(weight * psi.values * psi.values, psi.spacing)
-    if denominator < 1e-14:
-        raise ZeroDenominatorError("weighted norm of psi is numerically zero")
+    if not denominator >= 1e-14:
+        raise DomainError("weighted norm of psi is numerically zero")
     return numerator / denominator
 
 
@@ -279,12 +267,12 @@ def negative_direction(tau: float, n: int = _DEFAULT_STEPS) -> TestFunction:
 
     Returns the normalized ground eigenfunction psi_1(.; tau); its form value
     is lambda_1 - 1 by the normalization, negative exactly when tau exceeds
-    tau_star. Raises DomainError unless 0 < tau < inf and n >= 256.
+    tau_star. Raises DomainError unless tau_star < tau < inf and n >= 256.
     """
     _check_problem(tau, n)
     tau_star = critical_constants().tau_star
     if tau <= tau_star + 1e-9:
-        raise NotSupercriticalError(
+        raise DomainError(
             f"tau={tau!r} does not exceed tau_star={tau_star!r}; no negative direction exists"
         )
     psi = eigenvalues(tau, 1, n).eigenfunctions[0]

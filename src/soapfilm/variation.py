@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .energetics import area_quadrature
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError
 from .extremals import Extremal, critical_constants, profile
 from .grids import TestFunction, composite_simpson, sampled_derivative
 from .spectrum import _density
@@ -67,7 +67,10 @@ class VariationReport:
 
 
 def mu(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """1 - s*tanh(s): even, equals 1 at 0, vanishes exactly at +-tau_star."""
+    """1 - s*tanh(s): even, equals 1 at 0, vanishes exactly at +-tau_star.
+
+    Elementwise over any float input: +-inf give -inf, NaN gives NaN.
+    """
     arr = np.asarray(s, dtype=float)
     out = 1.0 - arr * np.tanh(arr)
     if arr.ndim == 0:
@@ -76,9 +79,16 @@ def mu(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 
 def mu_prime(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Derivative of mu: -(tanh(s) + s/cosh(s)^2)."""
+    """Derivative of mu: -(tanh(s) + s/cosh(s)^2).
+
+    Elementwise over any float input: s/cosh(s)^2 takes its limit 0 where
+    cosh(s)^2 overflows, so +-inf give -+1; NaN gives NaN.
+    """
     arr = np.asarray(s, dtype=float)
-    out = -(np.tanh(arr) + arr / np.cosh(arr) ** 2)
+    with np.errstate(over="ignore"):
+        cosh_sq = np.cosh(arr) ** 2
+    ratio = np.divide(arr, cosh_sq, out=np.zeros_like(arr), where=np.isfinite(cosh_sq))
+    out = -(np.tanh(arr) + ratio)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -89,12 +99,13 @@ def riccati_residual(s: float, fd_step: float = 1e-4) -> float:
 
     Checks that the logarithmic derivative of mu satisfies the Riccati
     companion of the Jacobi equation. The quotient blows up at mu's roots, so
-    s must stay at least 10 steps away from +-tau_star.
+    s must stay at least 10 steps away from +-tau_star; DomainError otherwise,
+    and for a NaN s or a fd_step that is not positive.
     """
-    if fd_step <= 0.0:
+    if not fd_step > 0.0:
         raise DomainError(f"fd_step must be positive, got {fd_step!r}")
     tau_star = critical_constants().tau_star
-    if abs(s) >= tau_star - 10.0 * fd_step:
+    if not abs(s) < tau_star - 10.0 * fd_step:
         raise DomainError(f"s={s!r} is inside the exclusion band around +-{tau_star}")
 
     def w(ss: float) -> float:
@@ -136,7 +147,7 @@ def q_form_factored(psi: TestFunction) -> float:
 def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
     """Map a direction psi(s) on [-tau, tau] to eta(x) = psi(x/C) cosh(x/C)."""
     if abs(psi.halfwidth - e.tau) > 1e-12:
-        raise GridMismatchError(
+        raise DomainError(
             f"psi spans [-{psi.halfwidth}, {psi.halfwidth}] but the extremal has tau={e.tau}"
         )
     x = psi.grid * e.c
@@ -147,7 +158,7 @@ def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
 
 def _require_matching_interval(e: Extremal, eta: TestFunction) -> None:
     if abs(eta.halfwidth - e.h) > 1e-12 * max(1.0, e.h):
-        raise GridMismatchError(
+        raise DomainError(
             f"eta spans [-{eta.halfwidth}, {eta.halfwidth}] but the extremal has h={e.h}"
         )
 
@@ -174,7 +185,7 @@ def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> V
     evaluations stay inside the given range. The set must be symmetric about
     0. raw_d2 and raw_d3 divide the stencil derivatives by 2! and 3!; the
     first derivative is checked against zero (these are extremals) and
-    reported.
+    reported; above 1e-4*max(1, S) it is a DomainError (eta too coarse).
     """
     _require_matching_interval(e, eta)
     t_arr = np.sort(np.asarray(list(t_values), dtype=float))
@@ -194,8 +205,8 @@ def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> V
     ) / delta**3
     # coarse grids leave O(dx^2) noise in the sampled areas, so this guard
     # only catches gross mismatches; tests pin the tight 1e-6*S bound
-    if abs(raw_d1) > 1e-4 * max(1.0, f[0]):
-        raise AssertionError(f"first variation {raw_d1!r} not negligible on an extremal")
+    if not abs(raw_d1) <= 1e-4 * max(1.0, f[0]):
+        raise DomainError(f"first variation {raw_d1!r} not negligible on an extremal")
 
     psi = _psi_from_eta(eta, e)
     q = q_form(psi)

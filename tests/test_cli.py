@@ -6,6 +6,7 @@ import pytest
 
 import soapfilm.energetics
 from soapfilm.cli import main
+from soapfilm.extremals import critical_constants
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,13 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "minimize", "--h", "0.4", "--n", "16")[0] == 2
     assert run_cli(capsys, "minimize", "--h", "0.4", "--init", "bogus")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+    # rejected by the library alone, with its message on stderr
+    code, out, err = run_cli(capsys, "solve", "--h", "1e-308")
+    assert (code, out) == (2, "")
+    assert err == "usage error: half-distance must be at least 1e-307, got 1e-308\n"
+    assert run_cli(capsys, "spectrum", "--tau", "inf")[0] == 2
+    h_star = repr(critical_constants().h_star)
+    assert run_cli(capsys, "minimize", "--h", h_star, "--n", "64", "--init", "upper_perturbed")[0] == 2
 
 
 def test_internal_errors_exit_1(capsys, monkeypatch):

@@ -1,0 +1,114 @@
+"""The error contract: DomainError means bad input, and nothing else escapes.
+
+Every scalar-path function, over the edges of the float domain, returns a
+value its docstring allows or raises DomainError (or NoExtremalError, the
+problem's own outcome above h*). An allowed value is finite, or the inf/NaN
+the docstring names. A numpy warning fails the test too (the suite turns
+warnings into errors). The source scan pins the other half: every raise in
+the library names one of the five types of soapfilm.errors.
+"""
+
+import ast
+import math
+import pathlib
+
+import pytest
+
+import soapfilm
+from soapfilm import errors
+from soapfilm.energetics import force
+from soapfilm.errors import DomainError, NoExtremalError
+from soapfilm.extremals import area_closed_form, phi, profile, small_h_asymptotics, solve_branches
+from soapfilm.rootfind import find_root_bracketed
+from soapfilm.variation import mu, mu_prime, riccati_residual
+
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308]
+
+
+def _branches(h):
+    out = []
+    for e in solve_branches(h):
+        out += [e.tau, e.c, area_closed_form(e), profile(e, 0.0), profile(e, e.h), profile(e, -e.h)]
+    return out
+
+
+def _force(h):
+    sample = force(h)
+    return [sample.force, sample.dforce_dh]
+
+
+def _root(lo, hi):
+    return [find_root_bracketed(lambda t: t - 0.5, lo, hi, tol_x=1e-12, tol_f=1e-12)]
+
+
+CALLS = {
+    "phi": lambda x: [phi(x)],
+    "solve_branches": _branches,
+    "force": _force,
+    "small_h_asymptotics": lambda x: list(small_h_asymptotics(x)),
+    "mu": lambda x: [mu(x)],
+    "mu_prime": lambda x: [mu_prime(x)],
+    "riccati_residual(s)": lambda x: [riccati_residual(x)],
+    "riccati_residual(fd_step)": lambda x: [riccati_residual(0.1, fd_step=x)],
+    "find_root_bracketed(lo)": lambda x: _root(x, 1.0),
+    "find_root_bracketed(hi)": lambda x: _root(-1.0, x),
+}
+
+# (call, repr of the edge) -> the non-finite result its docstring names:
+# phi is +inf where it overflows; mu and mu_prime are elementwise, NaN in
+# NaN out, and mu(+-inf) = -inf.
+NAMED = {
+    ("phi", "inf"): math.inf,
+    ("phi", "1e+308"): math.inf,
+    ("phi", "5e-324"): math.inf,
+    ("mu", "nan"): math.nan,
+    ("mu", "inf"): -math.inf,
+    ("mu", "-inf"): -math.inf,
+    ("mu_prime", "nan"): math.nan,
+}
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("x", EDGES, ids=repr)
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_edge_input_gives_allowed_value_or_domain_error(name, x):
+    try:
+        values = CALLS[name](x)
+    except (DomainError, NoExtremalError):
+        return
+    named = NAMED.get((name, repr(x)))
+    for value in values:
+        assert math.isfinite(value) or (named is not None and _same(value, named)), (name, x, values)
+
+
+def test_errors_are_the_five_contract_types():
+    assert errors.__all__ == [
+        "SoapFilmError",
+        "DomainError",
+        "NoExtremalError",
+        "MaxIterationsError",
+        "ConvergenceFailureError",
+    ]
+
+
+def test_every_raise_names_a_library_error():
+    package = pathlib.Path(soapfilm.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(node)
+            if name not in errors.__all__:
+                found.append((path.name, name))
+    # the interpreter exit in __main__, and the serializer's two TypeErrors,
+    # which only a programming error in the CLI can reach
+    assert sorted(found) == [
+        ("__main__.py", "SystemExit"),
+        ("cli.py", "TypeError"),
+        ("cli.py", "TypeError"),
+    ]

@@ -31,13 +31,13 @@ def _catenoid_profile(h, n, branch=0):
 
 def test_profile_validation():
     grid = np.linspace(-0.4, 0.4, 65)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Profile(h=0.4, grid=grid, y=np.full(65, 0.5))
     y = np.ones(65)
     y[10] = 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Profile(h=0.4, grid=grid, y=y)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Profile(h=0.5, grid=grid, y=np.ones(65))
 
 
@@ -169,16 +169,16 @@ def test_minimize_accepts_explicit_profile():
     start = Profile(h=h, grid=grid, y=y)
     report = minimize(h, n, start)
     assert report.outcome is Outcome.CONVERGED
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         minimize(h, 257, start)
 
 
 def test_minimize_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         minimize(0.0, 256, InitPreset.CYLINDER)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         minimize(0.4, 32, InitPreset.CYLINDER)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         minimize(0.4, 256, "not-a-preset")
 
 

@@ -9,10 +9,16 @@ from soapfilm.energetics import (
     area_quadrature,
     force,
     goldschmidt_constant,
-    r_of_tau,
 )
-from soapfilm.errors import DomainError, NoExtremalError, NonPositiveProfileError
-from soapfilm.extremals import area_closed_form, critical_constants, profile, solve_branches
+from soapfilm.errors import DomainError, NoExtremalError
+from soapfilm.extremals import (
+    Branch,
+    Extremal,
+    area_closed_form,
+    critical_constants,
+    profile,
+    solve_branches,
+)
 from soapfilm.spectrum import eigenvalues
 
 from oracles import H_STAR, R_AT_1, central_diff
@@ -45,7 +51,7 @@ def test_area_quadrature_rejects_nonpositive_profile():
     grid = np.linspace(-0.4, 0.4, 65)
     y = np.ones_like(grid)
     y[32] = 0.0
-    with pytest.raises(NonPositiveProfileError):
+    with pytest.raises(DomainError):
         area_quadrature(grid, y)
 
 
@@ -60,22 +66,18 @@ def test_area_quadrature_richardson_rate():
     assert 3.5 <= errs[1] / errs[2] <= 4.5
 
 
-def test_r_of_tau_values():
-    np.testing.assert_allclose(r_of_tau(1.0), R_AT_1, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(r_of_tau(1.0), 5.6269, rtol=0.0, atol=1e-4)
+def _scaled_area(tau):
+    """area / (pi*h^2) = 2/tau + sinh(2*tau)/tau^2 of the catenoid with parameter tau."""
+    h = tau / math.cosh(tau)
+    e = Extremal(h=h, tau=tau, c=h / tau, branch=Branch.LOWER)
+    return area_closed_form(e) / (math.pi * h * h)
+
+
+def test_scaled_area_values():
+    np.testing.assert_allclose(_scaled_area(1.0), R_AT_1, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(_scaled_area(1.0), 5.6269, rtol=0.0, atol=1e-4)
     # R ~ 4/tau as tau -> 0.
-    np.testing.assert_allclose(r_of_tau(1e-4) * 1e-4 / 4.0, 1.0, rtol=0.0, atol=1e-6)
-    with pytest.raises(DomainError):
-        r_of_tau(0.0)
-    with pytest.raises(DomainError):
-        r_of_tau(-2.0)
-
-
-def test_r_of_tau_consistent_with_closed_form():
-    lower, _ = solve_branches(0.4)
-    np.testing.assert_allclose(
-        math.pi * 0.4**2 * r_of_tau(lower.tau), area_closed_form(lower), rtol=0.0, atol=1e-10
-    )
+    np.testing.assert_allclose(_scaled_area(1e-4) * 1e-4 / 4.0, 1.0, rtol=0.0, atol=1e-6)
 
 
 def test_goldschmidt_constant():

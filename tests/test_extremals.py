@@ -183,10 +183,10 @@ def test_small_h_asymptotics_requires_small_h():
 
 
 def test_extremal_validates_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Extremal(h=0.4, tau=1.0, c=0.4, branch=Branch.LOWER)
     lower, _ = solve_branches(0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Extremal(h=0.4, tau=lower.tau, c=lower.c, branch=Branch.UPPER)
 
 

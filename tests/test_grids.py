@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from soapfilm.errors import DomainError
 from soapfilm.grids import TestFunction, check_uniform_grid, composite_simpson, sampled_derivative
 
 
@@ -27,7 +28,7 @@ def test_simpson_fourth_order_on_sine():
 
 
 def test_simpson_rejects_short_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         composite_simpson(np.ones(4), 0.1)
 
 
@@ -47,33 +48,33 @@ def test_check_uniform_grid_returns_spacing():
 
 def test_check_uniform_grid_rejects_nonuniform():
     grid = np.array([0.0, 0.1, 0.25, 0.3, 0.4])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         check_uniform_grid(grid)
 
 
 def test_check_uniform_grid_rejects_decreasing():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         check_uniform_grid(np.linspace(1.0, -1.0, 9))
 
 
 def test_test_function_requires_zero_endpoints():
     grid = np.linspace(-1.0, 1.0, 17)
     values = np.ones(17)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         TestFunction(grid, values)
 
 
 def test_test_function_requires_symmetric_grid():
     grid = np.linspace(0.0, 1.0, 17)
     values = np.zeros(17)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         TestFunction(grid, values)
 
 
 def test_test_function_requires_enough_samples():
     grid = np.linspace(-1.0, 1.0, 15)
     values = np.zeros(15)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         TestFunction(grid, values)
 
 

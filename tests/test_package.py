@@ -16,18 +16,22 @@ from soapfilm import (
 MODULES = (config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation)
 
 # Every name the package exported when __all__ was written out by hand,
-# except the retired DEFAULTS block.
+# except the retired ones: the DEFAULTS block, Bracket, r_of_tau and the five
+# error classes folded into DomainError (DENSITY_ID came later and went too).
 EARLIER_EXPORTS = """
-Bracket Branch Classification ConvergenceFailureError CriticalConstants DomainError
-Extremal ForceSample GridMismatchError InitPreset MaxIterationsError MinimizeReport
-NoExtremalError NoSignChangeError NonPositiveProfileError NotSupercriticalError
+Branch Classification ConvergenceFailureError CriticalConstants DomainError
+Extremal ForceSample InitPreset MaxIterationsError MinimizeReport NoExtremalError
 Outcome Profile SoapFilmError StringSpectrum TWO_PI TestFunction VariationReport
-ZeroDenominatorError area_along_direction area_closed_form area_quadrature
+area_along_direction area_closed_form area_quadrature
 composite_simpson critical_constants critical_extremal dense_eigenvalues
 discrete_area discrete_gradient eigenvalues eta_from_psi find_root_bracketed force
 goldschmidt_constant minimize mu mu_prime negative_direction phi profile q_form
-q_form_factored r_of_tau rayleigh_quotient riccati_residual sampled_derivative shoot
+q_form_factored rayleigh_quotient riccati_residual sampled_derivative shoot
 small_h_asymptotics solve_branches taylor_probe third_variation
+""".split()
+RETIRED = """
+DEFAULTS Bracket r_of_tau DENSITY_ID NoSignChangeError GridMismatchError
+NonPositiveProfileError ZeroDenominatorError NotSupercriticalError
 """.split()
 
 
@@ -41,9 +45,10 @@ def test_all_is_the_union_of_the_module_lists():
 
 
 def test_earlier_exports_still_resolve():
-    assert len(EARLIER_EXPORTS) == 55
+    assert len(EARLIER_EXPORTS) == 48
     for name in EARLIER_EXPORTS:
         assert name in soapfilm.__all__
         getattr(soapfilm, name)
-    assert not hasattr(soapfilm, "DEFAULTS")
     assert not hasattr(config, "DEFAULTS")
+    for retired in RETIRED:
+        assert not hasattr(soapfilm, retired)

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from soapfilm import spectrum
-from soapfilm.errors import DomainError, NotSupercriticalError, ZeroDenominatorError
+from soapfilm.errors import DomainError
 from soapfilm.extremals import critical_constants
 from soapfilm.grids import TestFunction, composite_simpson
 from soapfilm.spectrum import (
-    DENSITY_ID,
     dense_eigenvalues,
     eigenvalues,
     negative_direction,
@@ -116,7 +115,6 @@ def test_non_finite_input_is_a_domain_error(call, bad):
 def test_unit_eigenvalue_at_critical_parameter():
     spec = eigenvalues(TAU_STAR, 1)
     np.testing.assert_allclose(spec.lambdas[0], 1.0, rtol=0.0, atol=1e-4)
-    assert spec.density_id == DENSITY_ID
     # The ground eigenfunction is the balance function mu up to scale.
     psi = spec.eigenfunctions[0]
     center = psi.values[psi.n // 2]
@@ -216,7 +214,7 @@ def test_rayleigh_quotient_properties():
 
 def test_rayleigh_quotient_rejects_null_function():
     psi = TestFunction.sample(lambda s: np.zeros_like(s), 1.0, 65)
-    with pytest.raises(ZeroDenominatorError):
+    with pytest.raises(DomainError):
         rayleigh_quotient(psi)
 
 
@@ -229,9 +227,9 @@ def test_negative_direction_below_unit_eigenvalue():
 
 
 def test_negative_direction_requires_supercritical_tau():
-    with pytest.raises(NotSupercriticalError):
+    with pytest.raises(DomainError):
         negative_direction(0.5)
-    with pytest.raises(NotSupercriticalError):
+    with pytest.raises(DomainError):
         negative_direction(TAU_STAR)
 
 

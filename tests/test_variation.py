@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from soapfilm.errors import DomainError, GridMismatchError, NonPositiveProfileError
+from soapfilm.errors import DomainError
 from soapfilm.extremals import critical_constants, critical_extremal, solve_branches
 from soapfilm.grids import TestFunction, composite_simpson, sampled_derivative
 from soapfilm.spectrum import negative_direction
@@ -119,7 +119,7 @@ def test_eta_from_psi_scaling():
 
 def test_eta_from_psi_rejects_mismatched_interval():
     e = critical_extremal()
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(DomainError):
         eta_from_psi(_sine_psi(1.0), e)
 
 
@@ -135,7 +135,7 @@ def test_area_along_direction_rejects_pinched_profile():
     lower, _ = solve_branches(0.4)
     psi = _sine_psi(lower.tau, n=513)
     eta = eta_from_psi(psi, lower)
-    with pytest.raises(NonPositiveProfileError):
+    with pytest.raises(DomainError):
         area_along_direction(lower, eta, -5.0)
 
 
@@ -186,6 +186,10 @@ def test_probe_requires_symmetric_positive_t():
         taylor_probe(lower, eta, [-0.2, 0.1])
     with pytest.raises(DomainError):
         taylor_probe(lower, eta, [-0.1])
+    # an eta grid too coarse for the extremal: the first variation is not ~0
+    coarse = eta_from_psi(_sine_psi(lower.tau, n=33), lower)
+    with pytest.raises(DomainError):
+        taylor_probe(lower, coarse, [-0.1, 0.1])
 
 
 def test_quadratic_coefficient_proportional_to_q_form():
