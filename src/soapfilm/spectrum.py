@@ -6,19 +6,22 @@ The stability of a catenoid reduces to the eigenvalue problem
 
 whose first eigenvalue crosses 1 exactly at tau = tau_star. The primary
 solver shoots from s = -tau with fixed-step RK4. Because the ODE is linear,
-each RK4 step is a 2x2 matrix on (psi, psi'); a sweep builds all n step
-matrices at once with numpy and forms their prefix products by recursive
-doubling (log2 n levels of componentwise 2x2 products), which gives psi at
-every node. Each eigenvalue is bracketed by the Sturm node count of those
-values and refined on the end value psi(tau; lambda), with every lambda shot
-at most once per `eigenvalues` call. dense_eigenvalues solves the same
-problem as a finite-difference matrix eigenproblem and serves as an
-independent check.
+each RK4 step is a 2x2 matrix on (psi, dt*psi'), whose entries are
+quadratics in lambda*dt^2 over the density at the step's node, midpoint and
+next node. A sweep forms the prefix products of all n step matrices by
+recursive doubling (log2 n levels of batched 2x2 products), which gives psi
+at every node; each eigenvalue is bracketed by the Sturm node count of those
+values. The root solve on that bracket reads only the end value
+psi(tau; lambda), which pairwise products of the step matrices give in O(n)
+work. Each eigenvalues call samples the density once and shoots every lambda
+at most once. dense_eigenvalues solves the same problem as a
+finite-difference matrix eigenproblem and serves as an independent check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -40,7 +43,6 @@ __all__ = [
 
 _MIN_STEPS = 256
 _DEFAULT_STEPS = 2048
-_DOUBLING_CAP = 60
 _BRACKET_CAP = 200
 
 
@@ -50,56 +52,64 @@ def _density(s):
         return 2.0 / np.cosh(s) ** 2
 
 
-def _check_problem(tau: float, n: int) -> None:
-    if not 0.0 < tau < math.inf:
-        raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
+def _check_problem(tau: float, n: int) -> float:
+    """Validate the interval and the step count; return the step dt = 2*tau/n."""
+    if not 0.0 < 2.0 * tau < math.inf:
+        raise DomainError(f"half-interval must be positive with 2*tau finite, got {tau!r}")
     if n < _MIN_STEPS:
         raise DomainError(f"need at least {_MIN_STEPS} integration steps, got {n!r}")
-
-
-def _sweep(tau: float, lam: float, n: int) -> np.ndarray:
-    """psi at the n+1 nodes of [-tau, tau] for (psi, psi')(-tau) = (0, 1).
-
-    An RK4 step of the linear ODE is a 2x2 matrix M_i acting on (psi, psi').
-    All n matrices come from the RK4 stage formulas run on the basis vectors,
-    vectorised over i; recursive doubling then turns them into the prefix
-    products M_{i-1}...M_0, whose (0, 1) entries are psi at the nodes.
-    """
     dt = 2.0 * tau / n
-    # lam * rho sampled on the half-step grid: index 2i is node i, 2i+1 its midpoint
-    q = lam * _density(-tau + 0.5 * dt * np.arange(2 * n + 1))
-    q0, qh, q1 = q[0:-1:2], q[1::2], q[2::2]
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    if dt < sys.float_info.min:
+        raise DomainError(f"step 2*tau/n = {dt!r} is subnormal at tau={tau!r}")
+    return dt
 
-    def step(u, v):
-        a1v = -q0 * u
-        u2 = u + half * v
-        v2 = v + half * a1v
-        a2v = -qh * u2
-        u3 = u + half * v2
-        v3 = v + half * a2v
-        a3v = -qh * u3
-        u4 = u + dt * v3
-        v4 = v + dt * a3v
-        a4v = -q1 * u4
-        return (
-            u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
-            v + sixth * (a1v + 2.0 * a2v + 2.0 * a3v + a4v),
-        )
 
-    # prod[:, :, i] is M_i; column j is the step's image of basis vector j.
-    prod = np.empty((2, 2, n))
-    prod[0, 0], prod[1, 0] = step(1.0, 0.0)
-    prod[0, 1], prod[1, 1] = step(0.0, 1.0)
+def _samples(tau: float, dt: float, n: int) -> np.ndarray:
+    """rho on the half-step grid: index 2i is node i, 2i+1 its midpoint."""
+    return _density(-tau + 0.5 * dt * np.arange(2 * n + 1))
+
+
+def _steps(rho: np.ndarray, mu: float) -> np.ndarray:
+    """The n RK4 step matrices on (psi, dt*psi'), as [:, :, i], for mu = lam*dt^2.
+
+    RK4 run on the two basis vectors makes each entry a quadratic in mu, with
+    the density at the step's node (r0), midpoint (rh) and next node (r1).
+    """
+    x0, xh, x1 = mu * rho[0:-1:2], mu * rho[1::2], mu * rho[2::2]
+    m = np.empty((2, 2, x0.size))
+    m[0, 0] = 1.0 - (x0 + 2.0 * xh) / 6.0 + x0 * xh / 24.0
+    m[0, 1] = 1.0 - xh / 6.0
+    m[1, 0] = xh * (x0 + x1) / 12.0 - (x0 + 4.0 * xh + x1) / 6.0
+    m[1, 1] = 1.0 - (2.0 * xh + x1) / 6.0 + xh * x1 / 24.0
+    return m
+
+
+def _sweep(m: np.ndarray) -> np.ndarray:
+    """psi/dt at the n+1 nodes for (psi, dt*psi')(-tau) = (0, 1).
+
+    Recursive doubling turns the step matrices M_i into the prefix products
+    M_{i-1}...M_0 in place; their (0, 1) entries are psi/dt at the nodes.
+    """
     span = 1
-    while span < n:
-        # prod[:, :, i] <- prod[:, :, i] @ prod[:, :, i - span], written out
-        # componentwise: np.matmul on an (n, 2, 2) stack is as slow as a loop.
-        later, earlier = prod[:, :, span:], prod[:, :, :-span]
-        prod[:, :, span:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+    while span < m.shape[2]:
+        # m[:, :, i] <- m[:, :, i] @ m[:, :, i - span] for every i >= span
+        m[:, :, span:] = np.einsum("ijk,jlk->ilk", m[:, :, span:], m[:, :, :-span])
         span *= 2
-    return np.concatenate(([0.0], prod[0, 1]))
+    return np.concatenate(([0.0], m[0, 1]))
+
+
+def _end(m: np.ndarray) -> float:
+    """psi(tau)/dt alone: M_{n-1}...M_0 by pairwise products, O(n) work.
+
+    Each level multiplies neighbours and halves the stack; on an odd level
+    the last matrix is first folded into the one before it.
+    """
+    while m.shape[2] > 1:
+        if m.shape[2] % 2:
+            m[:, :, -2] = m[:, :, -1] @ m[:, :, -2]
+            m = m[:, :, :-1]
+        m = np.einsum("ijk,jlk->ilk", m[:, :, 1::2], m[:, :, 0::2])
+    return float(m[0, 1, 0])
 
 
 def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
@@ -108,16 +118,21 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     Returns psi(tau) and the number of sign changes the solution makes after
     leaving the initial zero (the Sturm oscillation count used to bracket
     eigenvalues). Fixed-step RK4; deterministic for given (tau, lam, n).
-    Raises DomainError unless 0 < tau < inf, lam is finite and n >= 256.
+    Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
+    float, lam is finite and n >= 256, and where psi overflows (lam far
+    beyond RK4's stability bound 4/dt^2, or far below 0).
     """
-    _check_problem(tau, n)
+    dt = _check_problem(tau, n)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    psi = _sweep(tau, lam, n)
-    # Exact zeros (and NaN) carry no sign and are skipped.
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = _sweep(_steps(_samples(tau, dt, n), lam * dt * dt))
+    if not np.all(np.isfinite(psi)):
+        raise DomainError(f"psi overflows at lambda={lam!r}, tau={tau!r}, n={n!r}")
+    # Exact zeros carry no sign and are skipped.
     positive = psi > 0.0
     signs = positive[positive | (psi < 0.0)]
-    return float(psi[-1]), int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return dt * float(psi[-1]), int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 @dataclass
@@ -169,13 +184,22 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     psi(tau; lambda) = 0 on the bracket. Eigenfunctions are RK4 trajectories
     normalized to unit weighted norm (weight 2/cosh^2 s) with psi'(-tau) > 0.
 
-    Raises DomainError unless 0 < tau < inf, k_max >= 1 and n >= 256, and
-    ConvergenceFailureError if no lambda with k_max nodes is found under a
-    geometrically grown ceiling (that would be a bug, not a domain outcome).
+    Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
+    float, k_max >= 1 and n >= 256, where pi^2/(8 tau^2) (a lower bound on
+    lambda_1) overflows, and where lambda_{k_max} exceeds RK4's stability
+    bound 4/dt^2: n steps cannot resolve k_max eigenvalues at that tau.
     """
-    _check_problem(tau, n)
+    dt = _check_problem(tau, n)
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max!r}")
+    lam_floor = math.pi**2 / 8.0 / tau / tau  # <= lambda_1, because rho <= 2
+    if lam_floor == math.inf:
+        raise DomainError(f"the eigenvalues at tau={tau!r} exceed the float range")
+    rho = _samples(tau, dt, n)
+    lam_max = 4.0 / dt / dt  # RK4 is stable while lam*dt^2*max(rho) <= 8
+    # tol_f is absolute and psi(tau) shrinks like tau: below tau = 0.2, psi in
+    # units of 5*tau solves lambda*tau^2 to one relative accuracy at any tau.
+    unit = min(1.0, 5.0 * tau)
 
     # The bisections for successive k retrace each other's midpoints, and the
     # root solve evaluates bracket ends already shot: shoot each lambda once.
@@ -187,26 +211,29 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
         return shot_at[lam]
 
     def end_value(lam: float) -> float:
-        return shoot_once(lam)[0]
+        if lam in shot_at:
+            return shot_at[lam][0] / unit
+        return dt * _end(_steps(rho, lam * dt * dt)) / unit
 
-    lam_hi = 1.0
-    for _ in range(_DOUBLING_CAP):
-        if shoot_once(lam_hi)[1] >= k_max:
-            break
-        lam_hi *= 2.0
-    else:
-        raise ConvergenceFailureError(f"no lambda below {lam_hi} has {k_max} nodes")
+    # Doubling from the largest power of two below the bound skips only
+    # lambdas with no nodes, so the ceiling is the one doubling from 1 finds.
+    lam_hi = min(math.ldexp(1.0, math.frexp(max(1.0, lam_floor))[1] - 1), lam_max)
+    while shoot_once(lam_hi)[1] < k_max:
+        if lam_hi == lam_max:
+            raise DomainError(f"{n} steps cannot resolve {k_max} eigenvalues at tau={tau!r}")
+        lam_hi = min(2.0 * lam_hi, lam_max)
 
     lams = []
     functions = []
     grid = np.linspace(-tau, tau, n + 1)
-    weight = _density(grid)
+    weight = rho[::2]
     for k in range(1, k_max + 1):
         lo, hi = _bracket_by_nodes(shoot_once, k, lam_hi)
         lam_k = find_root_bracketed(end_value, lo, hi, tol_x=1e-12 * max(1.0, hi), tol_f=1e-13)
-        values = _sweep(tau, lam_k, n)
+        # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
+        values = _sweep(_steps(rho, lam_k * dt * dt))
         values[-1] = 0.0
-        norm = composite_simpson(weight * values * values, grid[1] - grid[0])
+        norm = composite_simpson(weight * values * values, dt)
         values = values / math.sqrt(norm)
         lams.append(lam_k)
         functions.append(TestFunction(grid=grid, values=values))
@@ -221,7 +248,8 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     k_max eigenvalues come from a direct tridiagonal solver. Apart from the
     density itself, no code is shared with the shooting route. Its bisection
     stops at an absolute 1e-13 (eps*||A|| grows like cosh^2 tau). Raises
-    DomainError where it fails (tau ~200 to ~354) or 1/rho overflows (beyond).
+    DomainError where it fails (tau ~200 to ~354, and below tau ~1e-74, where
+    the eigenvalues' rounding exceeds 1e-13) or 1/rho overflows (beyond).
     """
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.

@@ -1,11 +1,12 @@
 """The error contract: DomainError means bad input, and nothing else escapes.
 
-Every scalar-path function, over the edges of the float domain, returns a
-value its docstring allows or raises DomainError (or NoExtremalError, the
-problem's own outcome above h*). An allowed value is finite, or the inf/NaN
-the docstring names. A numpy warning fails the test too (the suite turns
-warnings into errors). The source scan pins the other half: every raise in
-the library names one of the five types of soapfilm.errors.
+Every scalar-path function and every spectrum function, over the edges of
+the float domain, returns a value its docstring allows or raises DomainError
+(or NoExtremalError, the problem's own outcome above h*). An allowed value is
+finite, or the inf/NaN the docstring names. A numpy warning fails the test
+too (the suite turns warnings into errors). The source scan pins the other
+half: every raise in the library names one of the five types of
+soapfilm.errors.
 """
 
 import ast
@@ -20,9 +21,12 @@ from soapfilm.energetics import force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, phi, profile, small_h_asymptotics, solve_branches
 from soapfilm.rootfind import find_root_bracketed
+from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import mu, mu_prime, riccati_residual
 
-EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308]
+# 1e-150, 1e4 and 1e6 are string half-intervals where shooting at the default
+# n runs into the float range (lambda ~ 1/tau^2) and RK4's stability bound.
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 1e-150, 1e4, 1e6]
 
 
 def _branches(h):
@@ -41,6 +45,11 @@ def _root(lo, hi):
     return [find_root_bracketed(lambda t: t - 0.5, lo, hi, tol_x=1e-12, tol_f=1e-12)]
 
 
+def _spectrum(tau):
+    spec = eigenvalues(tau, 2)
+    return list(spec.lambdas) + [v for f in spec.eigenfunctions for v in f.values]
+
+
 CALLS = {
     "phi": lambda x: [phi(x)],
     "solve_branches": _branches,
@@ -52,6 +61,11 @@ CALLS = {
     "riccati_residual(fd_step)": lambda x: [riccati_residual(0.1, fd_step=x)],
     "find_root_bracketed(lo)": lambda x: _root(x, 1.0),
     "find_root_bracketed(hi)": lambda x: _root(-1.0, x),
+    "shoot(tau)": lambda x: list(shoot(x, 1.0)),
+    "shoot(lam)": lambda x: list(shoot(1.0, x)),
+    "eigenvalues": _spectrum,
+    "dense_eigenvalues": lambda x: list(dense_eigenvalues(x, 2)),
+    "negative_direction": lambda x: list(negative_direction(x).values),
 }
 
 # (call, repr of the edge) -> the non-finite result its docstring names:
@@ -60,6 +74,8 @@ CALLS = {
 NAMED = {
     ("phi", "inf"): math.inf,
     ("phi", "1e+308"): math.inf,
+    ("phi", "10000.0"): math.inf,
+    ("phi", "1000000.0"): math.inf,
     ("phi", "5e-324"): math.inf,
     ("mu", "nan"): math.nan,
     ("mu", "inf"): -math.inf,
@@ -82,6 +98,15 @@ def test_edge_input_gives_allowed_value_or_domain_error(name, x):
     named = NAMED.get((name, repr(x)))
     for value in values:
         assert math.isfinite(value) or (named is not None and _same(value, named)), (name, x, values)
+
+
+@pytest.mark.parametrize("tau", [1e-150, 1e-50, 1e-9])
+def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
+    # Below tau ~ 1.5e-8 the density rounds to 2 at every sample, so the RK4
+    # problem depends on lambda only through lambda*dt^2.
+    reference = eigenvalues(1e-8, 5).lambdas * 1e-16
+    scaled = eigenvalues(tau, 5).lambdas * tau * tau
+    assert max(abs(scaled / reference - 1.0)) <= 1e-12
 
 
 def test_errors_are_the_five_contract_types():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soapfilm import spectrum
 from soapfilm.errors import DomainError
@@ -64,6 +67,42 @@ def test_eigenvalues_shoots_each_lambda_once(monkeypatch):
     calls.clear()
     eigenvalues(TAU_STAR, 1)
     assert len(calls) <= 18
+
+
+@given(
+    log_tau=st.floats(math.log(1e-3), math.log(100.0)),
+    lam=st.floats(0.0, 3000.0),
+    n=st.sampled_from([256, 257, 1000, 2048]),
+)
+def test_pairwise_end_value_matches_shoot(log_tau, lam, n):
+    # n = 257 and 1000 make odd levels in the pairwise product.
+    tau = math.exp(log_tau)
+    dt = 2.0 * tau / n
+    rho = spectrum._samples(tau, dt, n)
+    end = dt * spectrum._end(spectrum._steps(rho, lam * dt * dt))
+    psi = dt * spectrum._sweep(spectrum._steps(rho, lam * dt * dt))
+    assert abs(end - shoot(tau, lam, n)[0]) <= 1e-12 * np.max(np.abs(psi))
+
+
+def test_eigenvalues_count_shots_and_end_values(monkeypatch):
+    # Node counts need a full sweep; the root solve reads only psi(tau). Bounds
+    # are the counts of the pairwise end value plus 25 %; refining on full
+    # sweeps took 73, 68 and 19 shots with no pairwise end value.
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(spectrum, name, wrapper)
+
+    counting("shoot", spectrum.shoot)
+    counting("_end", spectrum._end)
+    for tau, k, shots, ends in ((TAU_STAR, 5, 8, 82), (0.2, 5, 10, 70), (5.0, 1, 1, 22)):
+        counts.update(shoot=0, _end=0)
+        eigenvalues(tau, k)
+        assert counts["shoot"] <= shots and counts["_end"] <= ends, (tau, k, counts)
 
 
 def _loads_scipy_linalg(code):
@@ -130,6 +169,25 @@ def test_first_five_critical_eigenvalues_frozen():
         rtol=1e-6,
         atol=0.0,
     )
+
+
+# lambda_1..lambda_5 from the full-sweep refinement this replaced, which
+# evaluated psi(tau) through the RK4 stage formulas and prefix products.
+PINNED = {
+    0.2: [31.00309908315021, 124.76358757911005, 281.0321895658129, 499.8083839429749,
+          781.0921043186596],
+    TAU_STAR: [1.000000000000112, 4.784148764797407, 11.126312955851965, 20.013902686820828,
+               31.443870955017136],
+    1.2: [0.9995331031379194, 4.7822957960876495, 11.122166299964611, 20.006550505688242,
+          31.432399769852715],
+    5.0: [0.12359614000136174, 1.4001246619234635, 3.727507382204838, 7.094537516856907,
+          11.495875345088926],
+}
+
+
+@pytest.mark.parametrize("tau", sorted(PINNED))
+def test_eigenvalues_pinned_to_full_sweep_refinement(tau):
+    np.testing.assert_allclose(eigenvalues(tau, 5).lambdas, PINNED[tau], rtol=1e-13, atol=0.0)
 
 
 def test_eigenvalue_window_by_interval_width():
