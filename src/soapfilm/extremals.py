@@ -117,7 +117,7 @@ def critical_constants() -> CriticalConstants:
     def g(tau: float) -> float:
         return 1.0 - tau * math.tanh(tau)
 
-    tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-14, tol_f=1e-13)
+    tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-15, tol_f=1e-16)
     return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
 
 

@@ -2,12 +2,14 @@
 
 Every transcendental equation in the library (branch parameters, the critical
 parameter, eigenvalue refinement, the Goldschmidt constant) is solved through
-`find_root_bracketed`, a hybrid of bisection and secant steps. Bisection is
-forced on every other iteration so the bracket provably shrinks; secant steps
-are only taken when they land strictly inside the current bracket. The
-iteration uses no randomness and no global state, so repeated calls with the
-same inputs return bit-identical results. Any input the solver cannot work
-on, a bracket included, is a DomainError.
+`find_root_bracketed`. Each iteration takes the secant point of the two most
+recent evaluations, at least tol_x/2 from the last one, projected as in the
+ITP method (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around
+the bracket midpoint that shrinks so the bracket reaches tol_x within 4
+evaluations of bisection's count; a point outside the bracket is replaced by
+the midpoint. The iteration uses no randomness and no global state, so
+repeated calls with the same inputs return bit-identical results. Any input
+the solver cannot work on, a bracket included, is a DomainError.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ __all__ = ["find_root_bracketed"]
 
 # budget of function evaluations after the endpoints
 _MAX_ITER = 200
-# Every second evaluation bisects, so a bracket at most this many tol_x wide
-# is down to tol_x before the budget runs out.
-_MAX_WIDTH = 2.0 ** (_MAX_ITER // 2 - 2)
+# evaluations allowed beyond bisection's count, which _MAX_WIDTH caps at 98
+_N0 = 4
+_MAX_WIDTH = 2.0**98
 
 
 def find_root_bracketed(
@@ -43,12 +45,14 @@ def find_root_bracketed(
         lo, hi: finite ends with lo < hi where f has opposite signs, or is 0
             at one end.
         tol_x: stop once the bracket width is at most this; hi - lo may be
-            at most 2**98 times tol_x.
+            at most 2**98 times tol_x. f is evaluated at most
+            ceil(log2((hi - lo)/tol_x)) + 4 times after the ends.
         tol_f: stop once |f| at the iterate is at most this.
 
     Returns:
         A point x with lo <= x <= hi satisfying |f(x)| <= tol_f or lying in a
-        residual bracket of width <= tol_x.
+        residual bracket of width <= tol_x, give or take the rounding of its
+        ends where the evaluation bound ends the search.
 
     Raises:
         DomainError: lo < hi fails or an end is not finite (NaN included), a
@@ -61,7 +65,8 @@ def find_root_bracketed(
         raise DomainError(f"bracket ends must be finite with lo < hi, got [{lo!r}, {hi!r}]")
     if not (tol_x > 0.0 and tol_f > 0.0):
         raise DomainError("tolerances must be positive")
-    if not hi - lo <= _MAX_WIDTH * tol_x:
+    widths = (hi - lo) / tol_x
+    if not widths <= _MAX_WIDTH:
         raise DomainError(f"bracket [{lo!r}, {hi!r}] is wider than 2**98 tol_x = {tol_x!r}")
     a, b = lo, hi
     fa, fb = _finite(f, a), _finite(f, b)
@@ -76,20 +81,26 @@ def find_root_bracketed(
     x1, f1 = a, fa
     x2, f2 = b, fb
 
-    for k in range(_MAX_ITER):
-        if b - a <= tol_x:
-            return 0.5 * (a + b)
-        mid = 0.5 * (a + b)
+    # tol_x * p bounds the width the next evaluation leaves; p halves with each
+    p = 2.0 ** (math.ceil(math.log2(max(widths, 1.0))) + _N0 - 1)
+    for _ in range(_MAX_ITER):
+        # p < 1: the budget is spent, and the width is tol_x up to rounding
+        if b - a <= tol_x or p < 1.0:
+            return a + 0.5 * (b - a)
+        mid = a + 0.5 * (b - a)
         if not (a < mid < b):
             # The bracket has collapsed to adjacent floats; no refinement left.
             return mid
-        x = mid
-        # Secant proposal on even iterations; plain bisection on odd ones so
-        # the bracket halves at least every second step.
-        if (k % 2 == 0) and f2 != f1:
-            s = x2 - f2 * (x2 - x1) / (f2 - f1)
-            if a < s < b:
-                x = s
+        # The secant point, at least tol_x/2 from the last iterate so that a
+        # root next to it gets bracketed (Brent's minimal step), then within r
+        # of the midpoint: the next bracket is at most tol_x * p wide.
+        s = x2 - f2 * (x2 - x1) / (f2 - f1) if f2 != f1 else mid
+        if abs(s - x2) < 0.5 * tol_x:
+            s = x2 + math.copysign(0.5 * tol_x, mid - x2)
+        r, p = tol_x * p - 0.5 * (b - a), 0.5 * p
+        if abs(s - mid) > r:
+            s = mid + math.copysign(r, s - mid)
+        x = s if a < s < b else mid
         fx = _finite(f, x)
         if abs(fx) <= tol_f:
             return x

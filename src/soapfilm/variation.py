@@ -100,10 +100,10 @@ def riccati_residual(s: float, fd_step: float = 1e-4) -> float:
     Checks that the logarithmic derivative of mu satisfies the Riccati
     companion of the Jacobi equation. The quotient blows up at mu's roots, so
     s must stay at least 10 steps away from +-tau_star; DomainError otherwise,
-    and for a NaN s or a fd_step that is not positive.
+    and for a NaN s or a fd_step that is not positive or rounds away in s.
     """
-    if not fd_step > 0.0:
-        raise DomainError(f"fd_step must be positive, got {fd_step!r}")
+    if not (fd_step > 0.0 and s - fd_step < s < s + fd_step):
+        raise DomainError(f"need s - fd_step < s < s + fd_step, got s={s!r}, fd_step={fd_step!r}")
     tau_star = critical_constants().tau_star
     if not abs(s) < tau_star - 10.0 * fd_step:
         raise DomainError(f"s={s!r} is inside the exclusion band around +-{tau_star}")

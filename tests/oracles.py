@@ -2,12 +2,14 @@
 
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, Taylor series summed to convergence, simple finite
-differences, and a scalar step-by-step RK4 loop.  None of it calls into
-soapfilm internals.
+differences, a scalar step-by-step RK4 loop, and 40-digit mpmath roots.
+None of it calls into soapfilm internals.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -82,9 +84,17 @@ def rk4_sweep(tau, lam, n):
     One plain Python step at a time; returns (psi(tau), sign changes, psi at
     every node).
     """
+    return _rk4(_half_step_density(tau, n), lam, 2.0 * tau / n)
+
+
+def _half_step_density(tau, n):
+    """2/cosh^2 s on the half-step grid: index 2i is node i, 2i+1 its midpoint."""
     dt = 2.0 * tau / n
-    # lam * rho sampled on the half-step grid: index 2i is node i, 2i+1 its midpoint
-    q = [lam * (2.0 / math.cosh(-tau + 0.5 * i * dt) ** 2) for i in range(2 * n + 1)]
+    return [2.0 / math.cosh(-tau + 0.5 * i * dt) ** 2 for i in range(2 * n + 1)]
+
+
+def _rk4(rho, lam, dt):
+    q = [lam * r for r in rho]
     u = 0.0
     v = 1.0
     nodes = 0
@@ -92,7 +102,7 @@ def rk4_sweep(tau, lam, n):
     half = 0.5 * dt
     sixth = dt / 6.0
     trajectory = [0.0]
-    for i in range(n):
+    for i in range(len(rho) // 2):
         q0 = q[2 * i]
         qh = q[2 * i + 1]
         q1 = q[2 * i + 2]
@@ -120,6 +130,55 @@ def rk4_sweep(tau, lam, n):
                 nodes += 1
             last_sign = sign
     return u, nodes, trajectory
+
+
+def discrete_eigenvalue(tau, k, n=2048):
+    """The k-th root in lam of the scalar RK4 end value psi(tau; lam), to adjacent floats.
+
+    The sign-change count reaches k exactly where psi(tau) changes sign at
+    the k-th eigenvalue, so doubling from 1 brackets that root and plain
+    halving of the bracket bisects the end value's sign until no float lies
+    between its ends.
+    """
+    rho = _half_step_density(tau, n)
+    dt = 2.0 * tau / n
+
+    def past(lam):
+        return _rk4(rho, lam, dt)[1] >= k
+
+    lo, hi = 0.0, 1.0
+    while not past(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+@functools.cache
+def mpmath_constants():
+    """(tau_star, h_star, h_G) as the doubles nearest their 40-digit mpmath values.
+
+    tau_star solves tau*tanh(tau) = 1 and h_star = tau_star/cosh(tau_star).
+    h_G is where the lower catenoid, tau1 = h*cosh(tau1) and c = h/tau1, has
+    the disks' area: h*c + c^2*sinh(tau1)*cosh(tau1) = 1, in units of 2*pi.
+    """
+    with mpmath.workdps(40):
+        tau_star = mpmath.findroot(lambda t: 1 - t * mpmath.tanh(t), 1.2)
+
+        def area_excess(h):
+            tau1 = mpmath.findroot(
+                lambda t: t - h * mpmath.cosh(t), (mpmath.mpf(0.001), tau_star), solver="anderson"
+            )
+            c = h / tau1
+            return h * c + c * mpmath.sinh(tau1) * c * mpmath.cosh(tau1) - 1
+
+        h_g = mpmath.findroot(area_excess, (mpmath.mpf(0.5), mpmath.mpf(0.55)), solver="anderson")
+        return float(tau_star), float(tau_star / mpmath.cosh(tau_star)), float(h_g)
 
 
 # Frozen values produced by the helpers above.

@@ -8,6 +8,8 @@ import soapfilm.energetics
 from soapfilm.cli import main
 from soapfilm.extremals import critical_constants
 
+from oracles import mpmath_constants
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -45,7 +47,8 @@ def test_solve_critical_reports_third_variation(capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["outcome"] == "Critical"
-    np.testing.assert_allclose(results["tau_star"], 1.1996786402577344, rtol=1e-12)
+    tau_star = mpmath_constants()[0]
+    assert abs(results["tau_star"] - tau_star) <= 2.0 * math.ulp(tau_star)
     np.testing.assert_allclose(results["third_variation"], 6.54595, rtol=1e-4)
     assert results["verdict"] == "critical: no extremum"
 
@@ -55,7 +58,8 @@ def test_solve_supercritical_is_domain_outcome(capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["outcome"] == "NoExtremal"
-    np.testing.assert_allclose(results["h_star"], 0.6627434193491816, rtol=1e-12)
+    h_star = mpmath_constants()[1]
+    assert abs(results["h_star"] - h_star) <= 2.0 * math.ulp(h_star)
     np.testing.assert_allclose(results["goldschmidt_area"], 2.0 * math.pi, rtol=1e-15)
 
 
@@ -63,8 +67,9 @@ def test_critical_subcommand(capsys):
     code, out, _ = run_cli(capsys, "critical")
     assert code == 0
     results = json.loads(out)["results"]
-    np.testing.assert_allclose(results["tau_star"], 1.1996786402577344, rtol=1e-12)
-    np.testing.assert_allclose(results["h_star"], 0.6627434193491816, rtol=1e-12)
+    tau_star, h_star, _ = mpmath_constants()
+    assert abs(results["tau_star"] - tau_star) <= 2.0 * math.ulp(tau_star)
+    assert abs(results["h_star"] - h_star) <= 2.0 * math.ulp(h_star)
 
 
 def test_goldschmidt_csv(capsys):
@@ -74,7 +79,7 @@ def test_goldschmidt_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "h_goldschmidt,disk_area"
     h_g, disks = lines[1].split(",")
-    np.testing.assert_allclose(float(h_g), 0.5276973969631018, rtol=1e-10)
+    np.testing.assert_allclose(float(h_g), mpmath_constants()[2], rtol=2e-15)
     np.testing.assert_allclose(float(disks), 2.0 * math.pi, rtol=1e-15)
 
 

@@ -109,6 +109,13 @@ def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
     assert max(abs(scaled / reference - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [0.1, -1.0, 1e-300])
+def test_riccati_step_that_rounds_away_is_a_domain_error(s):
+    # s +- 5e-324 == s, so the central difference would divide 0 by 1e-323.
+    with pytest.raises(DomainError):
+        riccati_residual(s, fd_step=5e-324)
+
+
 def test_errors_are_the_five_contract_types():
     assert errors.__all__ == [
         "SoapFilmError",

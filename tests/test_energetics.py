@@ -21,7 +21,7 @@ from soapfilm.extremals import (
 )
 from soapfilm.spectrum import eigenvalues
 
-from oracles import H_STAR, R_AT_1, central_diff
+from oracles import H_STAR, R_AT_1, central_diff, mpmath_constants
 
 
 def _catenoid_samples(e, n):
@@ -83,10 +83,17 @@ def test_scaled_area_values():
 def test_goldschmidt_constant():
     h_g = goldschmidt_constant()
     np.testing.assert_allclose(h_g, 0.5277, rtol=0.0, atol=1e-4)
-    np.testing.assert_allclose(h_g, 0.5276973969631018, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(h_g, mpmath_constants()[2], rtol=2e-15, atol=0.0)
     assert h_g < critical_constants().h_star
     lower, _ = solve_branches(h_g)
     np.testing.assert_allclose(area_closed_form(lower), TWO_PI, rtol=0.0, atol=1e-10)
+
+
+def test_critical_constants_within_two_ulps_of_mpmath():
+    tau_star, h_star, _ = mpmath_constants()
+    cc = critical_constants()
+    assert abs(cc.tau_star - tau_star) <= 2.0 * math.ulp(tau_star)
+    assert abs(cc.h_star - h_star) <= 2.0 * math.ulp(h_star)
 
 
 def test_force_sign_and_value():

@@ -1,8 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from soapfilm import energetics, extremals
 from soapfilm.errors import DomainError
 from soapfilm.rootfind import find_root_bracketed
 
@@ -99,3 +103,115 @@ def test_non_finite_value_is_a_domain_error(bad, where):
     f = lambda x: bad if x == where else x - 0.5
     with pytest.raises(DomainError):
         find_root_bracketed(f, -1.0, 2.0, **TOLS)
+
+
+def test_midpoint_of_a_bracket_near_the_float_limit_stays_finite():
+    # 0.5 * (a + b) overflowed to inf here, outside the bracket.
+    root = find_root_bracketed(
+        lambda x: (x - 1.75e308) / 1e308, 1.6e308, 1.79e308, tol_x=1e295, tol_f=1e-300
+    )
+    assert 1.6e308 <= root <= 1.79e308
+    assert abs(root - 1.75e308) <= 1e295
+
+
+def test_bracket_whose_width_overflows_is_a_domain_error():
+    with pytest.raises(DomainError):
+        find_root_bracketed(lambda x: x, -1e308, 1e308, tol_x=1e300, tol_f=1e-12)
+
+
+# Most evaluations after the two ends: bisection's ceil(log2(width/tol_x)),
+# plus this many.
+N0 = 4
+
+
+@settings(max_examples=300)
+# Known hard inputs: secant steps creeping up a steep exponential, a smooth
+# case that halving only every other step overruns, and a ball that binds to
+# the last step, where rounding leaves the bracket an ulp wider than tol_x.
+@example(0.0, 10.0, 20.0, 0.3, 20.0, "smooth", 1e-300)
+@example(0.0, 2.0, 9.0, 0.875, 2.0, "smooth", 1e-300)
+@example(1.0, 3.0, 5.0, 0.625, 12.0, "smooth", 1e-3)
+@given(
+    center=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+    width=st.floats(1e-6, 10.0),
+    log2_widths=st.floats(0.0, 98.0),
+    where=st.floats(0.0, 1.0),
+    steep=st.floats(0.01, 20.0),
+    kind=st.sampled_from(["smooth", "step", "noisy"]),
+    tol_f=st.floats(1e-300, 1e-3),
+)
+def test_evaluations_stay_within_bisection_plus_n0(
+    center, width, log2_widths, where, steep, kind, tol_f
+):
+    # A root at 0 has floats dense enough around it to resolve any tol_x; a
+    # steep exponential makes secant steps creep.
+    lo, hi = center - where * width, center + (1.0 - where) * width
+    tol_x = width / 2.0**log2_widths
+
+    def g(x):
+        return math.expm1(steep * (x - center))
+
+    noise = 4e-16 * max(abs(g(lo)), abs(g(hi))) if kind == "noisy" else 0.0
+
+    def f(x):
+        if kind == "step":
+            return 1.0 if x >= center else -1.0
+        if kind == "noisy":
+            return g(x) + noise * random.Random(x).uniform(-1.0, 1.0)
+        return g(x)
+
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    if not (f(lo) < 0.0 < f(hi)):
+        return
+    x = find_root_bracketed(counted, lo, hi, tol_x=tol_x, tol_f=tol_f)
+    widths = (hi - lo) / tol_x
+    assert len(seen) - 2 <= max(0, math.ceil(math.log2(widths)) + N0)
+    assert lo <= x <= hi
+    if abs(f(x)) > tol_f:
+        # x lies within tol_x of a sign change of f, and f changes sign only
+        # where |g| <= noise
+        reach = tol_x + 4.0 * math.ulp(max(abs(lo), abs(hi)))
+        assert g(x - reach) <= noise and g(x + reach) >= -noise
+
+
+def _evaluations(monkeypatch, call):
+    """Root-finder evaluations the call makes, over all its solves."""
+    count = [0]
+    solve = find_root_bracketed
+
+    def counting(f, lo, hi, **tols):
+        def g(x):
+            count[0] += 1
+            return f(x)
+
+        return solve(g, lo, hi, **tols)
+
+    for module in (extremals, energetics):
+        monkeypatch.setattr(module, "find_root_bracketed", counting)
+    call()
+    return count[0]
+
+
+# caller -> (call, bound). Bounds are the measured counts plus 25 %: 7, 20,
+# 35 and 187 (the last over 16 branch solves and its own solve).
+CALLERS = {
+    "critical_constants": (lambda: extremals.critical_constants.__wrapped__(), 8),
+    "solve_branches(0.3)": (lambda: extremals.solve_branches(0.3), 25),
+    "solve_branches(h* - 1e-10)": (
+        lambda: extremals.solve_branches(extremals.critical_constants().h_star - 1e-10),
+        43,
+    ),
+    "goldschmidt_constant": (lambda: energetics.goldschmidt_constant.__wrapped__(), 233),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLERS))
+def test_evaluation_counts_per_caller(monkeypatch, name):
+    call, bound = CALLERS[name]
+    extremals.critical_constants()
+    assert _evaluations(monkeypatch, call) <= bound

@@ -22,7 +22,7 @@ from soapfilm.spectrum import (
 )
 from soapfilm.variation import mu
 
-from oracles import TAU_STAR, rk4_sweep
+from oracles import TAU_STAR, discrete_eigenvalue, rk4_sweep
 
 
 def test_shoot_flat_string_at_lambda_zero():
@@ -78,16 +78,15 @@ def test_pairwise_end_value_matches_shoot(log_tau, lam, n):
     # n = 257 and 1000 make odd levels in the pairwise product.
     tau = math.exp(log_tau)
     dt = 2.0 * tau / n
-    rho = spectrum._samples(tau, dt, n)
-    end = dt * spectrum._end(spectrum._steps(rho, lam * dt * dt))
-    psi = dt * spectrum._sweep(spectrum._steps(rho, lam * dt * dt))
+    ab = spectrum._coefficients(spectrum._samples(tau, dt, n))
+    end = dt * spectrum._end(spectrum._steps(ab, lam * dt * dt))
+    psi = dt * spectrum._sweep(spectrum._steps(ab, lam * dt * dt))
     assert abs(end - shoot(tau, lam, n)[0]) <= 1e-12 * np.max(np.abs(psi))
 
 
 def test_eigenvalues_count_shots_and_end_values(monkeypatch):
     # Node counts need a full sweep; the root solve reads only psi(tau). Bounds
-    # are the counts of the pairwise end value plus 25 %; refining on full
-    # sweeps took 73, 68 and 19 shots with no pairwise end value.
+    # are the measured counts plus 25 %: 7/41, 8/35 and 1/12.
     counts = {}
 
     def counting(name, fn):
@@ -99,7 +98,7 @@ def test_eigenvalues_count_shots_and_end_values(monkeypatch):
 
     counting("shoot", spectrum.shoot)
     counting("_end", spectrum._end)
-    for tau, k, shots, ends in ((TAU_STAR, 5, 8, 82), (0.2, 5, 10, 70), (5.0, 1, 1, 22)):
+    for tau, k, shots, ends in ((TAU_STAR, 5, 8, 51), (0.2, 5, 10, 43), (5.0, 1, 1, 15)):
         counts.update(shoot=0, _end=0)
         eigenvalues(tau, k)
         assert counts["shoot"] <= shots and counts["_end"] <= ends, (tau, k, counts)
@@ -171,23 +170,12 @@ def test_first_five_critical_eigenvalues_frozen():
     )
 
 
-# lambda_1..lambda_5 from the full-sweep refinement this replaced, which
-# evaluated psi(tau) through the RK4 stage formulas and prefix products.
-PINNED = {
-    0.2: [31.00309908315021, 124.76358757911005, 281.0321895658129, 499.8083839429749,
-          781.0921043186596],
-    TAU_STAR: [1.000000000000112, 4.784148764797407, 11.126312955851965, 20.013902686820828,
-               31.443870955017136],
-    1.2: [0.9995331031379194, 4.7822957960876495, 11.122166299964611, 20.006550505688242,
-          31.432399769852715],
-    5.0: [0.12359614000136174, 1.4001246619234635, 3.727507382204838, 7.094537516856907,
-          11.495875345088926],
-}
-
-
-@pytest.mark.parametrize("tau", sorted(PINNED))
-def test_eigenvalues_pinned_to_full_sweep_refinement(tau):
-    np.testing.assert_allclose(eigenvalues(tau, 5).lambdas, PINNED[tau], rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("tau", [0.2, TAU_STAR, 1.2, 5.0])
+def test_eigenvalues_pinned_to_discrete_root(tau):
+    # The roots of the discrete RK4 end value, bisected to adjacent floats by
+    # an independent scalar loop; the solve stops within a few ulps of them.
+    want = [discrete_eigenvalue(tau, k) for k in range(1, 6)]
+    np.testing.assert_allclose(eigenvalues(tau, 5).lambdas, want, rtol=1e-14, atol=0.0)
 
 
 def test_eigenvalue_window_by_interval_width():
