@@ -9,20 +9,29 @@ film exerts on the rings. A direct discretized minimizer confirms the
 analytic picture without using the Euler equation.
 """
 
-from . import (
-    config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation,
-)
-from .config import *
-from .direct_min import *
-from .energetics import *
-from .errors import *
-from .extremals import *
-from .grids import *
-from .rootfind import *
-from .spectrum import *
-from .variation import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_MODULES = (config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation)
-__all__ = [name for module in _MODULES for name in module.__all__]
+# Names resolve on first use (PEP 562); the first five modules never import numpy.
+_MODULES = ("config", "errors", "rootfind", "extremals", "energetics",
+            "grids", "spectrum", "variation", "direct_min")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _MODULES[:5]:
+        return import_module(f"{__name__}.{name}")
+    names = []
+    for module in (import_module(f"{__name__}.{m}") for m in _MODULES):
+        if name in module.__all__:
+            globals()[name] = getattr(module, name)
+            return globals()[name]
+        names += module.__all__
+    if name not in ("__all__", *_MODULES):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()["__all__"] = names
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*__getattr__("__all__"), *globals()})

@@ -6,7 +6,8 @@ with 17 significant digits, so re-running a command reproduces the output
 byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
 exit 0 with the outcome encoded in the record. The library functions check
 their own arguments: any DomainError, from them or from the CLI's range
-checks, exits 2 with its message; other failures exit 1.
+checks, exits 2 with its message; other failures exit 1. Only the handlers
+that use arrays import the modules that need numpy.
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import direct_min, energetics, extremals, spectrum, variation
+from . import energetics, extremals
 from .config import TWO_PI
 from .errors import DomainError, NoExtremalError
-from .grids import TestFunction
 
 __all__ = ["main"]
 
@@ -36,9 +34,9 @@ def _scalar_token(value) -> str:
         return ""
     if isinstance(value, bool):
         raise TypeError("boolean output is not part of the schema")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return format(float(value), ".17g")
     if isinstance(value, str):
         return value
@@ -100,7 +98,8 @@ def _record(command: str, inputs: Dict, results: Dict) -> Dict:
 
 
 def _critical_third_variation(e: extremals.Extremal) -> float:
-    psi = TestFunction.sample(variation.mu, e.tau, _THIRD_VARIATION_SAMPLES)
+    from . import grids, variation
+    psi = grids.TestFunction.sample(variation.mu, e.tau, _THIRD_VARIATION_SAMPLES)
     eta = variation.eta_from_psi(psi, e)
     return variation.third_variation(e, eta)
 
@@ -155,9 +154,11 @@ def _run_goldschmidt(args) -> Dict:
 
 
 def _run_spectrum(args) -> Dict:
-    result = spectrum.eigenvalues(args.tau, args.k, args.n)
+    from . import spectrum
+    n = spectrum._DEFAULT_STEPS if args.n is None else args.n
+    result = spectrum.eigenvalues(args.tau, args.k, n)
     rows = [[args.tau, k + 1, float(lam)] for k, lam in enumerate(result.lambdas)]
-    inputs = {"tau": args.tau, "k": args.k, "n": args.n}
+    inputs = {"tau": args.tau, "k": args.k, "n": n}
     return _record("spectrum", inputs, {"columns": ["tau", "k", "lambda"], "rows": rows})
 
 
@@ -170,7 +171,10 @@ def _range_points(args) -> List[float]:
         raise DomainError("--steps must be at least 1")
     if args.steps == 1:
         return [h_min]
-    return [float(v) for v in np.linspace(h_min, h_max, args.steps)]
+    # numpy.linspace's arithmetic, bit for bit: i/div*delta where step underflows
+    div, delta = args.steps - 1, h_max - h_min
+    step = delta / div
+    return [(i * step if step else i / div * delta) + h_min for i in range(div)] + [h_max]
 
 
 def _run_force(args) -> Dict:
@@ -212,6 +216,7 @@ def _run_sweep(args) -> Dict:
 
 
 def _run_minimize(args) -> Dict:
+    from . import direct_min
     inputs = {"h": args.h, "n": args.n, "init": args.init}
     try:
         report = direct_min.minimize(args.h, args.n, args.init)
@@ -263,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="string eigenvalues on [-tau, tau]")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--k", type=int, default=5, help="number of eigenvalues (default 5)")
-    p.add_argument("--n", type=int, default=spectrum._DEFAULT_STEPS)
+    p.add_argument("--n", type=int)
     _add_output_flags(p)
 
     p = sub.add_parser("force", help="ring force over a range of half-distances")
@@ -281,11 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="relax a profile by projected Newton descent")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--n", type=int, default=512)
-    p.add_argument(
-        "--init",
-        choices=tuple(preset.value for preset in direct_min.InitPreset),
-        default="cylinder",
-    )
+    p.add_argument("--init", default="cylinder")
     _add_output_flags(p)
 
     return parser

@@ -46,6 +46,11 @@ _FLOOR = 1e-6
 _COLLAPSE_AT = 10.0 * _FLOOR
 # the run ends once the projected gradient max-norm is at most this
 _GRAD_TOL = TWO_PI * 1e-8
+# smallest grid spacing dx = 2h/(n-1): a radius near 1 rounds by up to
+# 1.1e-16, which moves a gradient entry by up to 2*pi*4.4e-16/dx, past
+# _GRAD_TOL from dx = 4.4e-8 down, so only an exactly flat profile could
+# converge there; further down, slopes of order 1/dx overflow
+_DX_MIN = 1e-7
 # sufficient-decrease factor of the Armijo test and the backtracking shrink
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -159,13 +164,19 @@ def _grad_raw(y: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def _ldl_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> Optional[List[float]]:
-    """Solve a symmetric tridiagonal system by LDL^T; None unless it is positive definite."""
-    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+def _ldl_solve(
+    diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, pivots: Optional[List[float]] = None
+) -> Optional[List[float]]:
+    """Solve a symmetric tridiagonal system by LDL^T; None unless it is positive definite.
+
+    Given pivots, the factorization takes them instead of eliminating diag.
+    """
+    d, e, x = diag.tolist() if pivots is None else pivots, off.tolist(), rhs.tolist()
     for i in range(len(d)):
         if i:
             lower = e[i - 1] / d[i - 1]
-            d[i] -= lower * e[i - 1]
+            if pivots is None:
+                d[i] -= lower * e[i - 1]
             x[i] -= lower * x[i - 1]
             e[i - 1] = lower
         if not d[i] > 0.0:
@@ -190,7 +201,27 @@ def _newton_step(y: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     sol = _ldl_solve(k_diag + np.where(active, 0.0, q[:-1] - q[1:]), off, gi)
     if sol is None:
         sol = _ldl_solve(k_diag, off, gi)
+    if sol is None:
+        sol = _ldl_solve(k_diag, off, gi, _laplacian_pivots(c, off))
     return np.array([0.0, *sol, 0.0])
+
+
+def _laplacian_pivots(c: np.ndarray, off: np.ndarray) -> List[float]:
+    """The LDL^T pivots of K from positive terms only.
+
+    Row i's pivot is c_(i+1) plus the series conductance e_i of the segments
+    on its left: e_i = c_i*e_(i-1)/(c_i + e_(i-1)), or c_i where off cuts the
+    coupling. Elimination subtracts c_i^2/d_(i-1) from c_i + c_(i+1) instead,
+    which cancels to a non-positive pivot once the weights span about 16
+    decades (a steep catenoid at small h).
+    """
+    c, cut = c.tolist(), (off == 0.0).tolist()
+    e = c[0]
+    pivots = [c[1] + e]
+    for i in range(1, len(c) - 1):
+        e = c[i] if cut[i - 1] else c[i] * e / (c[i] + e)
+        pivots.append(c[i + 1] + e)
+    return pivots
 
 
 def discrete_area(p: Profile) -> float:
@@ -245,11 +276,17 @@ def minimize(
     grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or below
     10*floor, Converged otherwise; IterationLimit if the budget ran out first.
     If history is given, the area after each accepted step is appended.
+
+    Raises DomainError unless 0 < h < inf, n >= 64 and the grid spacing
+    2h/(n-1) is at least 1e-7, whatever the starting profile: on a finer grid
+    the rounding of the radii alone exceeds the gradient tolerance.
     """
     if not 0.0 < h < np.inf:
         raise DomainError(f"half-distance must be positive and finite, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
+    if not 2.0 * h / (n - 1) >= _DX_MIN:
+        raise DomainError(f"grid spacing 2h/(n-1) must be at least {_DX_MIN!r}; h={h!r}, n={n!r}")
 
     grid = np.linspace(-h, h, n)
     dx = float(grid[1] - grid[0])
@@ -262,7 +299,7 @@ def minimize(
     else:
         if isinstance(init, str):
             try:
-                init = InitPreset(init.strip().lower())
+                init = InitPreset(init)
             except ValueError:
                 names = ", ".join(p.value for p in InitPreset)
                 raise DomainError(f"unknown preset {init!r}; choose one of: {names}") from None

@@ -11,14 +11,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import TWO_PI
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
-from .grids import check_uniform_grid, composite_simpson, sampled_derivative
 from .extremals import area_closed_form, critical_constants, solve_branches
 from .rootfind import find_root_bracketed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "area_quadrature",
@@ -35,6 +36,8 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     the axis is not a film radius). The derivative uses second-order
     differences, the integral composite Simpson.
     """
+    import numpy as np
+    from .grids import check_uniform_grid, composite_simpson, sampled_derivative
     dx = check_uniform_grid(grid)
     y = np.asarray(y, dtype=float)
     if y.shape != grid.shape:

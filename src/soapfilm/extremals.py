@@ -19,13 +19,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple, Union
 
 from .config import TWO_PI
 from .errors import DomainError, NoExtremalError
 from .rootfind import find_root_bracketed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Branch",
@@ -206,6 +207,7 @@ def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray
     overflows (the upper extremal below h ~ 6e-306), c*cosh(x/c) is formed
     from logs.
     """
+    import numpy as np
     arr = np.asarray(x, dtype=float)
     slack = 1e-12 * max(1.0, e.h)
     if not np.all(np.abs(arr) <= e.h + slack):

@@ -1,11 +1,14 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import soapfilm.energetics
-from soapfilm.cli import main
+from soapfilm.cli import _range_points, main
 from soapfilm.extremals import critical_constants
 
 from oracles import mpmath_constants
@@ -220,3 +223,35 @@ def test_csv_and_json_numbers_identical(capsys):
             assert cell == format(value, ".17g")
         else:
             assert cell == str(value)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE, FINITE, st.integers(2, 500))
+@example(0.0, 5e-324, 4)
+@example(-1e308, 1e308, 5)
+def test_range_points_are_numpy_linspace_bit_for_bit(a, b, n):
+    a, b = min(a, b), max(a, b)
+    points = _range_points(argparse.Namespace(h_min=a, h_max=b, steps=n))
+    # numpy's own special cases are kept: a subnormal span whose step
+    # underflows to 0, and a span that overflows (the first point is 0*inf,
+    # NaN, which numpy warns about); so compare bit patterns
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = np.linspace(a, b, n)
+    assert np.array(points).tobytes() == reference.tobytes()
+
+
+def test_init_is_checked_against_the_presets(capsys):
+    code, out, err = run_cli(capsys, "minimize", "--h", "0.4", "--init", "bogus")
+    assert (code, out) == (2, "")
+    for preset in ("cylinder", "lower_catenoid", "upper_catenoid", "upper_perturbed"):
+        assert preset in err
+    # preset names match exactly; other spellings are no preset
+    assert run_cli(capsys, "minimize", "--h", "0.4", "--init", "CYLINDER")[:2] == (2, "")
+
+
+def test_spectrum_echoes_the_default_n(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--tau", "1.2", "--k", "1")
+    assert code == 0
+    assert json.loads(out)["inputs"]["n"] == 2048

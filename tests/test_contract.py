@@ -17,6 +17,7 @@ import pytest
 
 import soapfilm
 from soapfilm import errors
+from soapfilm.direct_min import Outcome, minimize
 from soapfilm.energetics import force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, phi, profile, small_h_asymptotics, solve_branches
@@ -116,6 +117,42 @@ def test_riccati_step_that_rounds_away_is_a_domain_error(s):
         riccati_residual(s, fd_step=5e-324)
 
 
+# minimize's grid spacing 2h/(n-1) must be at least 1e-7. Without that
+# bound the first six, at n = 64, overflow (m*m, w**3, cosh) or divide 0 by
+# 0 with a numpy warning; 3.1e-6 is just below it.
+@pytest.mark.parametrize(
+    "h, init",
+    [
+        (1e-306, "upper_catenoid"),
+        (1e-306, "lower_catenoid"),
+        (1e-306, "upper_perturbed"),
+        (1e-160, "lower_catenoid"),
+        (1e-150, "upper_catenoid"),
+        (5e-324, "cylinder"),
+        (3.1e-6, "cylinder"),
+        (3.1e-6, "lower_catenoid"),
+        (3.1e-6, "upper_catenoid"),
+        (3.1e-6, "upper_perturbed"),
+    ],
+    ids=repr,
+)
+def test_minimize_below_the_grid_spacing_bound_is_a_domain_error(h, init):
+    with pytest.raises(DomainError):
+        minimize(h, 64, init)
+
+
+# upper_perturbed is not run here: its kick 1e-3*psi*cosh(s) grows like 1/c
+# as h falls, reaches about 60 times the ring radius at this h, and the run
+# spends its whole iteration budget.
+@pytest.mark.parametrize("init", ["cylinder", "lower_catenoid", "upper_catenoid"])
+def test_minimize_just_above_the_grid_spacing_bound_converges(init):
+    h = 3.2e-6  # 2h/63 = 1.016e-7
+    report = minimize(h, 64, init)
+    assert report.outcome is Outcome.CONVERGED
+    exact = area_closed_form(solve_branches(h)[0])
+    assert abs(report.final_area - exact) <= 1e-12 * exact
+
+
 def test_errors_are_the_five_contract_types():
     assert errors.__all__ == [
         "SoapFilmError",
@@ -137,9 +174,11 @@ def test_every_raise_names_a_library_error():
             name = exc.id if isinstance(exc, ast.Name) else ast.unparse(node)
             if name not in errors.__all__:
                 found.append((path.name, name))
-    # the interpreter exit in __main__, and the serializer's two TypeErrors,
-    # which only a programming error in the CLI can reach
+    # the interpreter exit in __main__, the AttributeError that PEP 562 asks
+    # of the package's __getattr__ for an unknown name, and the serializer's
+    # two TypeErrors, which only a programming error in the CLI can reach
     assert sorted(found) == [
+        ("__init__.py", "AttributeError"),
         ("__main__.py", "SystemExit"),
         ("cli.py", "TypeError"),
         ("cli.py", "TypeError"),

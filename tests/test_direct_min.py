@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from soapfilm.config import TWO_PI
 from soapfilm.direct_min import (
+    _laplacian_pivots,
+    _ldl_solve,
     InitPreset,
     Outcome,
     Profile,
@@ -218,3 +221,26 @@ def test_minimize_collapses_above_transition(h):
     report = minimize(h, 64, InitPreset.CYLINDER)
     assert report.outcome is Outcome.COLLAPSED
     assert TWO_PI < report.final_area < TWO_PI + 0.15
+
+
+def test_laplacian_pivots_survive_weights_spread_over_20_decades():
+    # Segment weights of a steep profile: elimination rounds the second pivot,
+    # (1e8 + 1e-12) - 1e8**2/(1e8 + 1e-12), to 0, where it is about 2e-12.
+    c = np.array([1e-12, 1e8, 1e-12, 1e8, 1e-12, 3.0, 1e-12])
+    diag, off = c[:-1] + c[1:], -c[1:-1]
+    rhs = np.arange(1.0, 7.0)
+    assert _ldl_solve(diag, off, rhs) is None
+    # exact pivots and solution of K with these weights, in rationals
+    w = [Fraction(v) for v in c]
+    pivots, forward = [w[0] + w[1]], [Fraction(rhs[0])]
+    for i in range(1, len(diag)):
+        pivots.append(w[i] + w[i + 1] - w[i] ** 2 / pivots[-1])
+        forward.append(Fraction(rhs[i]) + w[i] / pivots[-2] * forward[-1])
+    exact = [forward[-1] / pivots[-1]]
+    for i in range(len(diag) - 2, -1, -1):
+        exact.insert(0, (forward[i] + w[i + 1] * exact[0]) / pivots[i])
+    got = _laplacian_pivots(c, off)
+    for value, want in zip(got, pivots):
+        assert abs(Fraction(value) - want) <= Fraction(1e-15) * want
+    for value, want in zip(_ldl_solve(diag, off, rhs, got), exact):
+        assert abs(Fraction(value) - want) <= Fraction(1e-14) * abs(want)

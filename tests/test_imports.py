@@ -1,0 +1,63 @@
+"""numpy is imported only by code that uses arrays.
+
+The package resolves its public names on first use, so the scalar API and
+the scalar CLI subcommands run in a fresh interpreter without numpy, while
+the array paths still import it on demand.
+"""
+
+import os
+
+import pytest
+
+from soapfilm.extremals import critical_constants
+
+from fresh import loads
+
+SCALAR_API = (
+    "import soapfilm; soapfilm.critical_constants(); "
+    "lower, upper = soapfilm.solve_branches(0.3); "
+    "soapfilm.area_closed_form(lower); soapfilm.area_closed_form(upper); "
+    "soapfilm.force(0.3); soapfilm.goldschmidt_constant(); soapfilm.phi(1.0)"
+)
+
+
+def _cli(argv):
+    argv = argv + ["--out", os.devnull]
+    return f"from soapfilm import cli; assert cli.main({argv!r}) == 0"
+
+
+def test_scalar_api_loads_no_numpy():
+    assert not loads(SCALAR_API, "numpy")
+
+
+def test_cli_import_loads_no_numpy():
+    assert not loads("from soapfilm import cli", "numpy")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical"],
+        ["solve", "--h", "0.3"],
+        ["solve", "--h", "0.9"],
+        ["goldschmidt"],
+        ["force", "--h-min", "0.1", "--h-max", "0.7", "--steps", "7"],
+        ["sweep", "--h-min", "0.05", "--h-max", "0.66", "--steps", "12"],
+    ],
+    ids=" ".join,
+)
+def test_scalar_subcommand_loads_no_numpy(argv):
+    assert not loads(_cli(argv), "numpy")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--h", repr(critical_constants().h_star)],
+        ["spectrum", "--tau", "1.2", "--k", "2"],
+        ["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_array_subcommand_imports_numpy_on_demand(argv):
+    assert loads(_cli(argv), "numpy")

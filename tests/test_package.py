@@ -1,5 +1,7 @@
 """The package's public names: each module's __all__, gathered once."""
 
+import importlib
+
 import soapfilm
 from soapfilm import (
     config,
@@ -12,6 +14,8 @@ from soapfilm import (
     spectrum,
     variation,
 )
+
+from fresh import loads
 
 MODULES = (config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation)
 
@@ -52,3 +56,25 @@ def test_earlier_exports_still_resolve():
     assert not hasattr(config, "DEFAULTS")
     for retired in RETIRED:
         assert not hasattr(soapfilm, retired)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from soapfilm import *", namespace)
+    for name in soapfilm.__all__:
+        assert namespace[name] is getattr(soapfilm, name)
+
+
+def test_dir_lists_the_public_names_and_all():
+    # in a fresh interpreter, where dir() is the first to ask for __all__,
+    # which needs every module and so numpy
+    code = (
+        "import soapfilm; listed = dir(soapfilm); "
+        "assert '__all__' in listed and set(soapfilm.__all__) <= set(listed)"
+    )
+    assert loads(code, "numpy")
+
+
+def test_submodule_names_resolve_to_the_submodules():
+    for name in ("cli", *(module.__name__.rpartition(".")[2] for module in MODULES)):
+        assert getattr(soapfilm, name) is importlib.import_module(f"soapfilm.{name}")

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -22,6 +19,7 @@ from soapfilm.spectrum import (
 )
 from soapfilm.variation import mu
 
+from fresh import loads
 from oracles import TAU_STAR, discrete_eigenvalue, rk4_sweep
 
 
@@ -104,18 +102,8 @@ def test_eigenvalues_count_shots_and_end_values(monkeypatch):
         assert counts["shoot"] <= shots and counts["_end"] <= ends, (tau, k, counts)
 
 
-def _loads_scipy_linalg(code):
-    code += "; import sys; print('scipy.linalg' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(spectrum.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    return out.strip() != "False"
-
-
 def test_import_does_not_load_scipy_linalg():
-    assert not _loads_scipy_linalg("import soapfilm")
+    assert not loads("import soapfilm", "scipy.linalg")
 
 
 def test_minimize_does_not_load_scipy_linalg():
@@ -123,7 +111,7 @@ def test_minimize_does_not_load_scipy_linalg():
     # without scipy.linalg.
     argv = ["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"]
     code = f"import os, soapfilm.cli as cli; cli.main({argv!r} + ['--out', os.devnull])"
-    assert not _loads_scipy_linalg(code)
+    assert not loads(code, "scipy.linalg")
 
 
 def test_shoot_rejects_bad_input():
