@@ -232,74 +232,72 @@ def _run_minimize(args) -> Dict:
     return _record("minimize", inputs, results)
 
 
-_HANDLERS = {
-    "solve": _run_solve,
-    "critical": _run_critical,
-    "goldschmidt": _run_goldschmidt,
-    "spectrum": _run_spectrum,
-    "force": _run_force,
-    "sweep": _run_sweep,
-    "minimize": _run_minimize,
+# name -> (handler, help, arguments); every subcommand also takes --format and --out
+_COMMANDS = {
+    "solve": (_run_solve, "both catenoid branches at one half-distance", [
+        ("--h", dict(type=float, required=True)),
+    ]),
+    "critical": (_run_critical, "critical constants tau_star and h_star", []),
+    "goldschmidt": (_run_goldschmidt, "half-distance where the film ties the disks", []),
+    "spectrum": (_run_spectrum, "string eigenvalues on [-tau, tau]", [
+        ("--tau", dict(type=float, required=True)),
+        ("--k", dict(type=int, default=5, help="number of eigenvalues (default 5)")),
+        ("--n", dict(type=int)),
+    ]),
+    "force": (_run_force, "ring force over a range of half-distances", [
+        ("--h-min", dict(type=float, required=True)),
+        ("--h-max", dict(type=float)),
+        ("--steps", dict(type=int, default=1)),
+    ]),
+    "sweep": (_run_sweep, "branch parameters, areas, force over a range", [
+        ("--h-min", dict(type=float, required=True)),
+        ("--h-max", dict(type=float, required=True)),
+        ("--steps", dict(type=int, default=100)),
+    ]),
+    "minimize": (_run_minimize, "relax a profile by projected Newton descent", [
+        ("--h", dict(type=float, required=True)),
+        ("--n", dict(type=int, default=512)),
+        ("--init", dict(default="cylinder")),
+    ]),
 }
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser, holding only argv[0]'s subparser when argv[0] names one.
 
-
-def _build_parser() -> argparse.ArgumentParser:
+    That build names every subcommand in its metavar, so its top-level usage
+    line is the full build's; the full build (help, no or unknown command)
+    leaves metavar unset, so its errors keep naming the argument `command`.
+    """
     parser = argparse.ArgumentParser(
         prog="soapfilm",
         description="Catenoid analysis of the soap film spanning two coaxial unit rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="both catenoid branches at one half-distance")
-    p.add_argument("--h", type=float, required=True)
-    _add_output_flags(p)
-
-    p = sub.add_parser("critical", help="critical constants tau_star and h_star")
-    _add_output_flags(p)
-
-    p = sub.add_parser("goldschmidt", help="half-distance where the film ties the disks")
-    _add_output_flags(p)
-
-    p = sub.add_parser("spectrum", help="string eigenvalues on [-tau, tau]")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--k", type=int, default=5, help="number of eigenvalues (default 5)")
-    p.add_argument("--n", type=int)
-    _add_output_flags(p)
-
-    p = sub.add_parser("force", help="ring force over a range of half-distances")
-    p.add_argument("--h-min", type=float, required=True, dest="h_min")
-    p.add_argument("--h-max", type=float, default=None, dest="h_max")
-    p.add_argument("--steps", type=int, default=1)
-    _add_output_flags(p)
-
-    p = sub.add_parser("sweep", help="branch parameters, areas, force over a range")
-    p.add_argument("--h-min", type=float, required=True, dest="h_min")
-    p.add_argument("--h-max", type=float, required=True, dest="h_max")
-    p.add_argument("--steps", type=int, default=100)
-    _add_output_flags(p)
-
-    p = sub.add_parser("minimize", help="relax a profile by projected Newton descent")
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--init", default="cylinder")
-    _add_output_flags(p)
-
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        metavar = "{" + ",".join(names) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = [argv[0]]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        record = _HANDLERS[args.command](args)
+        record = _COMMANDS[args.command][0](args)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -274,15 +274,16 @@ def minimize(
     decrease test holds, projected onto [floor, inf) with the ends pinned
     to 1. The run ends when the projected gradient max-norm falls below
     grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or below
-    10*floor, Converged otherwise; IterationLimit if the budget ran out first.
+    10*floor, Converged otherwise; IterationLimit if the budget ran out first
+    or the line search stalled (minimize(1e200, 64, "cylinder"): 0 iterations).
     If history is given, the area after each accepted step is appended.
 
-    Raises DomainError unless 0 < h < inf, n >= 64 and the grid spacing
+    Raises DomainError unless 0 < 2h < inf, n >= 64 and the grid spacing
     2h/(n-1) is at least 1e-7, whatever the starting profile: on a finer grid
     the rounding of the radii alone exceeds the gradient tolerance.
     """
-    if not 0.0 < h < np.inf:
-        raise DomainError(f"half-distance must be positive and finite, got {h!r}")
+    if not 0.0 < 2.0 * h < np.inf:
+        raise DomainError(f"half-distance must be positive with 2*h finite, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
     if not 2.0 * h / (n - 1) >= _DX_MIN:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .config import TWO_PI
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
-from .extremals import area_closed_form, critical_constants, solve_branches
+from .extremals import _lower_branch, area_closed_form, critical_constants
 from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ def goldschmidt_constant() -> float:
     """
 
     def excess(h: float) -> float:
-        return area_closed_form(solve_branches(h)[0]) - TWO_PI
+        return area_closed_form(_lower_branch(h)[0]) - TWO_PI
 
     h_g = find_root_bracketed(excess, 0.1, critical_constants().h_star, tol_x=1e-13, tol_f=1e-11)
     if not abs(excess(h_g)) <= 1e-10:
@@ -87,8 +87,8 @@ def force(h: float) -> ForceSample:
     Raises DomainError unless h >= 1e-307, and NoExtremalError from 1e-12 below
     h_star on (the degenerate catenoid's force is one-sided, not reported).
     """
-    lower, upper = solve_branches(h)
-    if lower.tau == upper.tau:
+    lower, at_fold = _lower_branch(h)
+    if at_fold:
         raise NoExtremalError(h, critical_constants().h_star)
     tau = lower.tau
     value = -2.0 * TWO_PI * h / tau

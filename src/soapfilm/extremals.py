@@ -62,8 +62,8 @@ _LOG_2 = math.log(2.0)
 def _log_cosh(t: float) -> float:
     """log(cosh(t)) for t >= 0, finite wherever t is.
 
-    _solve_branch's g writes the same sum inline: it runs about 60 times per
-    solve_branches, and a call there costs about 4 % of the solve.
+    _solve_branch's g writes the same sum inline: it runs about 21 times per
+    solve_branches, and a call there would cost about 4 % of the solve.
     """
     return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2
 
@@ -162,6 +162,23 @@ def _solve_branch(log_h: float, lo: float, hi: float) -> float:
     return math.exp(find_root_bracketed(g, lo, hi, tol_x=1e-15, tol_f=1e-16))
 
 
+def _lower_branch(h: float) -> Tuple[Extremal, bool]:
+    """solve_branches(h)[0], raising as it does, and whether h is at the fold."""
+    if not h >= _H_MIN:
+        raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
+    cc = critical_constants()
+    at_fold = abs(h - cc.h_star) <= _CRITICAL_TOL
+    if at_fold:
+        tau = cc.tau_star
+    elif h > cc.h_star:
+        raise NoExtremalError(h, cc.h_star)
+    else:
+        # tau = h*cosh(tau) puts tau_1 in [h, tau_star]
+        log_h = math.log(h)
+        tau = _solve_branch(log_h, log_h, math.log(cc.tau_star))
+    return Extremal(h=h, tau=tau, c=h / tau, branch=Branch.LOWER), at_fold
+
+
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     """Both catenoid solutions at half-distance h, ordered lower then upper.
 
@@ -174,23 +191,15 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
             is too coarse to hold the boundary condition.
         NoExtremalError: h exceeds the critical half-distance.
     """
-    if not h >= _H_MIN:
-        raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
-    cc = critical_constants()
-    if abs(h - cc.h_star) <= _CRITICAL_TOL:
-        lower = Extremal(h=h, tau=cc.tau_star, c=h / cc.tau_star, branch=Branch.LOWER)
-        upper = Extremal(h=h, tau=cc.tau_star, c=h / cc.tau_star, branch=Branch.UPPER)
-        return lower, upper
-    if h > cc.h_star:
-        raise NoExtremalError(h, cc.h_star)
-    # tau = h*cosh(tau) puts tau_1 in [h, tau_star]; cosh(t) >= e^t / 2 puts
-    # tau_2 below 2*log(2/h) + 2.
-    log_h, log_tau_star = math.log(h), math.log(cc.tau_star)
-    tau1 = _solve_branch(log_h, log_h, log_tau_star)
-    tau2 = _solve_branch(log_h, log_tau_star, math.log(2.0 * (_LOG_2 - log_h) + 2.0))
-    lower = Extremal(h=h, tau=tau1, c=h / tau1, branch=Branch.LOWER)
-    upper = Extremal(h=h, tau=tau2, c=h / tau2, branch=Branch.UPPER)
-    return lower, upper
+    lower, at_fold = _lower_branch(h)
+    if at_fold:
+        tau2 = lower.tau
+    else:
+        # cosh(t) >= e^t / 2 puts tau_2 in [tau_star, 2*log(2/h) + 2]
+        log_h = math.log(h)
+        hi = math.log(2.0 * (_LOG_2 - log_h) + 2.0)
+        tau2 = _solve_branch(log_h, math.log(critical_constants().tau_star), hi)
+    return lower, Extremal(h=h, tau=tau2, c=h / tau2, branch=Branch.UPPER)
 
 
 def critical_extremal() -> Extremal:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soapfilm import energetics
+from soapfilm import energetics, extremals
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, critical_constants, solve_branches
 
@@ -81,16 +81,18 @@ def test_force_slope_matches_difference_quotient(h):
 
 @given(_log_uniform(1e-300, H_STAR - _FOLD_MARGIN))
 def test_force_solves_branches_once(h):
-    calls = []
+    # one root solve, of the lower branch only: its bracket starts at log(h)
+    lower_ends = []
+    solve = extremals._solve_branch
 
-    def counting(x):
-        calls.append(x)
-        return solve_branches(x)
+    def counting(log_h, lo, hi):
+        lower_ends.append(lo)
+        return solve(log_h, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energetics, "solve_branches", counting)
+        mp.setattr(extremals, "_solve_branch", counting)
         energetics.force(h)
-    assert calls == [h]
+    assert lower_ends == [math.log(h)]
 
 
 @given(st.one_of(st.just(math.nan), st.floats(max_value=0.0)))

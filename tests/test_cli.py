@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import soapfilm.energetics
-from soapfilm.cli import _range_points, main
+from soapfilm.cli import _build_parser, _range_points, main
 from soapfilm.extremals import critical_constants
 
 from oracles import mpmath_constants
@@ -255,3 +255,109 @@ def test_spectrum_echoes_the_default_n(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--tau", "1.2", "--k", "1")
     assert code == 0
     assert json.loads(out)["inputs"]["n"] == 2048
+
+
+# Help and parser-error bytes at COLUMNS=80, as the full eight-parser build
+# printed them (Python 3.11's argparse wording). main builds only the named
+# subcommand's parser; these catch any drift of that build from the full one.
+_USAGE = (
+    "usage: soapfilm [-h]\n"
+    "                {solve,critical,goldschmidt,spectrum,force,sweep,minimize} ...\n"
+)
+_TOP_HELP = _USAGE + """
+Catenoid analysis of the soap film spanning two coaxial unit rings.
+
+positional arguments:
+  {solve,critical,goldschmidt,spectrum,force,sweep,minimize}
+    solve               both catenoid branches at one half-distance
+    critical            critical constants tau_star and h_star
+    goldschmidt         half-distance where the film ties the disks
+    spectrum            string eigenvalues on [-tau, tau]
+    force               ring force over a range of half-distances
+    sweep               branch parameters, areas, force over a range
+    minimize            relax a profile by projected Newton descent
+
+options:
+  -h, --help            show this help message and exit
+"""
+_CHOICES = "(choose from 'solve', 'critical', 'goldschmidt', 'spectrum', 'force', 'sweep', 'minimize')"
+_OPTIONS = """
+options:
+  -h, --help           show this help message and exit
+"""
+_OUTPUT_FLAGS = """  --format {json,csv}
+  --out OUT            output path (default: stdout)
+"""
+_SOLVE_USAGE = "usage: soapfilm solve [-h] --h H [--format {json,csv}] [--out OUT]\n"
+_RANGE_FLAGS = "  --h-min H_MIN\n  --h-max H_MAX\n  --steps STEPS\n" + _OUTPUT_FLAGS
+
+GOLDEN = [
+    (["-h"], 0, _TOP_HELP, ""),
+    (["--help"], 0, _TOP_HELP, ""),
+    ([], 2, "", _USAGE + "soapfilm: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", _USAGE + f"soapfilm: error: argument command: invalid choice: 'bogus' {_CHOICES}\n"),
+    (["solve", "-h"], 0, _SOLVE_USAGE + _OPTIONS + "  --h H\n" + _OUTPUT_FLAGS, ""),
+    (["critical", "-h"], 0,
+     "usage: soapfilm critical [-h] [--format {json,csv}] [--out OUT]\n" + _OPTIONS + _OUTPUT_FLAGS, ""),
+    (["goldschmidt", "-h"], 0,
+     "usage: soapfilm goldschmidt [-h] [--format {json,csv}] [--out OUT]\n" + _OPTIONS + _OUTPUT_FLAGS, ""),
+    (["spectrum", "-h"], 0,
+     "usage: soapfilm spectrum [-h] --tau TAU [--k K] [--n N] [--format {json,csv}]\n"
+     "                         [--out OUT]\n" + _OPTIONS
+     + "  --tau TAU\n  --k K                number of eigenvalues (default 5)\n  --n N\n" + _OUTPUT_FLAGS, ""),
+    (["force", "-h"], 0,
+     "usage: soapfilm force [-h] --h-min H_MIN [--h-max H_MAX] [--steps STEPS]\n"
+     "                      [--format {json,csv}] [--out OUT]\n" + _OPTIONS + _RANGE_FLAGS, ""),
+    (["sweep", "-h"], 0,
+     "usage: soapfilm sweep [-h] --h-min H_MIN --h-max H_MAX [--steps STEPS]\n"
+     "                      [--format {json,csv}] [--out OUT]\n" + _OPTIONS + _RANGE_FLAGS, ""),
+    (["minimize", "-h"], 0,
+     "usage: soapfilm minimize [-h] --h H [--n N] [--init INIT]\n"
+     "                         [--format {json,csv}] [--out OUT]\n" + _OPTIONS
+     + "  --h H\n  --n N\n  --init INIT\n" + _OUTPUT_FLAGS, ""),
+    (["solve"], 2, "", _SOLVE_USAGE + "soapfilm solve: error: the following arguments are required: --h\n"),
+    (["solve", "--h", "abc"], 2, "",
+     _SOLVE_USAGE + "soapfilm solve: error: argument --h: invalid float value: 'abc'\n"),
+    (["solve", "--h"], 2, "", _SOLVE_USAGE + "soapfilm solve: error: argument --h: expected one argument\n"),
+    (["solve", "--h", "0.3", "--format", "xml"], 2, "",
+     _SOLVE_USAGE + "soapfilm solve: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')\n"),
+    (["solve", "--h", "0.3", "extra"], 2, "", _USAGE + "soapfilm: error: unrecognized arguments: extra\n"),
+    (["--format", "json", "solve", "--h", "0.3"], 2, "",
+     _USAGE + f"soapfilm: error: argument command: invalid choice: 'json' {_CHOICES}\n"),
+    (["critical", "solve"], 2, "", _USAGE + "soapfilm: error: unrecognized arguments: solve\n"),
+    (["sol", "--h", "0.3"], 2, "", _USAGE + f"soapfilm: error: argument command: invalid choice: 'sol' {_CHOICES}\n"),
+]
+
+# accepted spellings and the canonical argv each must print exactly as
+SPELLINGS = [
+    (["solve", "--h", "0.3", "--h", "0.4"], ["solve", "--h", "0.4"]),
+    (["solve", "--h", "0.3", "--fo", "csv"], ["solve", "--h", "0.3", "--format", "csv"]),
+    (["spectrum", "--ta", "1.0", "--k", "1"], ["spectrum", "--tau", "1.0", "--k", "1"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN, ids=[" ".join(g[0]) or "(none)" for g in GOLDEN])
+def test_help_and_parser_errors_are_golden(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, canonical", SPELLINGS, ids=lambda v: " ".join(v))
+def test_repeated_and_abbreviated_flags_print_as_the_canonical_argv(argv, canonical, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *canonical)[1]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [g[0] for g in GOLDEN] + [s[0] for s in SPELLINGS], ids=lambda v: " ".join(v) or "(none)")
+def test_one_subparser_build_parses_as_the_full_build(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(_build_parser(argv), argv, capsys) == _parse(_build_parser([]), argv, capsys)

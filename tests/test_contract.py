@@ -1,7 +1,7 @@
 """The error contract: DomainError means bad input, and nothing else escapes.
 
-Every scalar-path function and every spectrum function, over the edges of
-the float domain, returns a value its docstring allows or raises DomainError
+Every scalar-path function, every spectrum function and minimize (from each
+starting profile), over the edges of the float domain, returns a value its docstring allows or raises DomainError
 (or NoExtremalError, the problem's own outcome above h*). An allowed value is
 finite, or the inf/NaN the docstring names. A numpy warning fails the test
 too (the suite turns warnings into errors). The source scan pins the other
@@ -17,7 +17,7 @@ import pytest
 
 import soapfilm
 from soapfilm import errors
-from soapfilm.direct_min import Outcome, minimize
+from soapfilm.direct_min import InitPreset, Outcome, minimize
 from soapfilm.energetics import force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, phi, profile, small_h_asymptotics, solve_branches
@@ -46,6 +46,13 @@ def _root(lo, hi):
     return [find_root_bracketed(lambda t: t - 0.5, lo, hi, tol_x=1e-12, tol_f=1e-12)]
 
 
+def _minimize(init):
+    def call(h):
+        report = minimize(h, 64, init)
+        return [report.final_area, report.min_y]
+    return call
+
+
 def _spectrum(tau):
     spec = eigenvalues(tau, 2)
     return list(spec.lambdas) + [v for f in spec.eigenfunctions for v in f.values]
@@ -67,6 +74,7 @@ CALLS = {
     "eigenvalues": _spectrum,
     "dense_eigenvalues": lambda x: list(dense_eigenvalues(x, 2)),
     "negative_direction": lambda x: list(negative_direction(x).values),
+    **{f"minimize({init})": _minimize(init) for init in [p.value for p in InitPreset]},
 }
 
 # (call, repr of the edge) -> the non-finite result its docstring names:
