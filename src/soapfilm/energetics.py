@@ -34,7 +34,10 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
 
     grid must be uniform; y must be strictly positive (a graph that touches
     the axis is not a film radius). The derivative uses second-order
-    differences, the integral composite Simpson.
+    differences, the integral composite Simpson. Raises DomainError where
+    check_uniform_grid, sampled_derivative or composite_simpson do, on a
+    shape mismatch, on a non-positive or non-finite y, and where the
+    integrand y*sqrt(1+y'^2) overflows the float range.
     """
     import numpy as np
     from .grids import check_uniform_grid, composite_simpson, sampled_derivative
@@ -45,7 +48,11 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     if not np.all(y > 0.0):
         raise DomainError("profile must be strictly positive")
     dy = sampled_derivative(y, dx)
-    return composite_simpson(TWO_PI * y * np.sqrt(1.0 + dy * dy), dx)
+    with np.errstate(over="ignore"):
+        integrand = TWO_PI * y * np.sqrt(1.0 + dy * dy)
+    if not np.all(np.isfinite(integrand)):
+        raise DomainError("the area integrand overflows the float range")
+    return composite_simpson(integrand, dx)
 
 
 @functools.cache

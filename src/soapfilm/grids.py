@@ -9,6 +9,7 @@ place makes Richardson checks of that rate meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,13 +21,19 @@ __all__ = ["TestFunction", "composite_simpson", "sampled_derivative", "check_uni
 
 
 def check_uniform_grid(grid: np.ndarray) -> float:
-    """Validate a strictly increasing uniform grid; return its spacing."""
+    """Validate a strictly increasing uniform grid; return its spacing.
+
+    Raises DomainError unless the grid is one-dimensional with at least 3
+    points, strictly increasing (so not NaN), uniform to within 1e-14, and
+    its span grid[-1] - grid[0] is finite.
+    """
     if grid.ndim != 1 or grid.size < 3:
         raise DomainError("grid must be one-dimensional with at least 3 points")
-    steps = np.diff(grid)
-    if not np.all(steps > 0.0):
-        raise DomainError("grid must be strictly increasing")
-    dx = (grid[-1] - grid[0]) / (grid.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(grid)
+        dx = (grid[-1] - grid[0]) / (grid.size - 1)
+    if not (np.all(steps > 0.0) and dx < math.inf):
+        raise DomainError("grid must be strictly increasing with a finite span")
     scale = max(1.0, abs(grid[0]), abs(grid[-1]))
     if np.max(np.abs(steps - dx)) > 1e-14 * scale:
         raise DomainError("grid spacing is not uniform to within 1e-14")
@@ -38,24 +45,41 @@ def composite_simpson(values: np.ndarray, dx: float) -> float:
 
     An odd interval count is handled with the 3/8 rule on the last three
     intervals, keeping the overall order. Requires at least 5 samples.
+    Raises DomainError where the result is not finite: a sample or dx is
+    NaN or infinite, or the sum overflows.
     """
     values = np.asarray(values, dtype=float)
     m = values.size - 1
     if m < 4:
         raise DomainError("composite Simpson needs at least 5 samples")
-    if m % 2 == 1:
-        head = composite_simpson(values[: m - 2], dx)
-        tail = 3.0 * dx / 8.0 * (values[-4] + 3.0 * values[-3] + 3.0 * values[-2] + values[-1])
-        return head + tail
-    w = np.ones(m + 1)
+    w = np.ones(m + 1 - 3 * (m % 2))
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(np.dot(w, values)) * dx / 3.0
+    with np.errstate(all="ignore"):
+        total = float(np.dot(w, values[: w.size])) * dx / 3.0
+        if m % 2 == 1:
+            total += 3.0 * dx / 8.0 * (values[-4] + 3.0 * values[-3] + 3.0 * values[-2] + values[-1])
+    if not math.isfinite(total):
+        raise DomainError("the integral of these samples is not a finite float")
+    return total
 
 
 def sampled_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Centered differences in the interior, 3-point one-sided at the ends."""
-    return np.gradient(np.asarray(values, dtype=float), dx, edge_order=2)
+    """Centered differences in the interior, 3-point one-sided at the ends.
+
+    Raises DomainError unless there are at least 3 samples and
+    0 < dx < inf, and where a difference quotient is not finite: a sample is
+    NaN or infinite, a quotient overflows, or dx is so small that the end
+    stencils' dx^2 underflows to 0.
+    """
+    values = np.asarray(values, dtype=float)
+    if not (values.size >= 3 and 0.0 < dx < math.inf):
+        raise DomainError(f"need at least 3 samples and 0 < dx < inf, got dx={dx!r}")
+    with np.errstate(all="ignore"):
+        slope = np.gradient(values, dx, edge_order=2)
+    if not np.all(np.isfinite(slope)):
+        raise DomainError("the derivative of these samples is not finite")
+    return slope
 
 
 @dataclass
@@ -64,7 +88,9 @@ class TestFunction:
 
     Admissible directions vanish at both endpoints of [-a, a]; the endpoint
     samples must be exactly 0.0 so that boundary terms drop out of every
-    integration by parts without residue.
+    integration by parts without residue. Raises DomainError unless there
+    are at least 16 samples, all finite, on a grid that check_uniform_grid
+    accepts and that is symmetric to within 1e-14.
     """
 
     # Not a test case despite the Test* name; keeps pytest collection quiet.
@@ -86,6 +112,8 @@ class TestFunction:
         check_uniform_grid(self.grid)
         if self.values[0] != 0.0 or self.values[-1] != 0.0:
             raise DomainError("endpoint values must be exactly zero")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("sampled values must be finite")
 
     @property
     def n(self) -> int:
@@ -104,8 +132,11 @@ class TestFunction:
         """Sample a callable on [-halfwidth, halfwidth], clamping the ends to 0.
 
         The clamp removes the roundoff residue of functions that vanish at the
-        endpoints only up to floating-point error.
+        endpoints only up to floating-point error. Raises DomainError unless
+        0 < 2*halfwidth < inf, and wherever the constructor does.
         """
+        if not 0.0 < 2.0 * halfwidth < math.inf:
+            raise DomainError(f"need 0 < 2*halfwidth < inf, got halfwidth={halfwidth!r}")
         grid = np.linspace(-halfwidth, halfwidth, n)
         values = np.asarray(fn(grid), dtype=float).copy()
         values[0] = 0.0

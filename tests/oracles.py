@@ -189,3 +189,56 @@ TAU2_AT_04 = 2.532248225294426
 COSH_1 = 1.543080634815244
 R_AT_1 = 5.626860407847018
 THIRD_VARIATION_CRITICAL = 6.5459531924140055
+
+
+def _legendre(n, x):
+    """P_n(x) and the second-kind Q_n(x) = P_n(x) atanh(x) - W_{n-1}(x), |x| < 1.
+
+    P_k by Bonnet's recurrence; W_{n-1} = sum_{k=1..n} P_{k-1} P_{n-k} / k.
+    """
+    p = [1.0, x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    w = sum(p[k - 1] * p[n - k] / k for k in range(1, n + 1))
+    return p[n], p[n] * math.atanh(x) - w
+
+
+@functools.cache
+def legendre_pins(n_max=8):
+    """Exact string eigenvalues: (tau, k, lam) with lam = n(n+1)/2 for n <= n_max.
+
+    With x = tanh s and lam = nu(nu+1)/2 the string equation
+    psi'' + lam (2/cosh^2 s) psi = 0 is Legendre's equation, solved by
+    P_n(tanh s) and Q_n(tanh s) for integer nu = n. Each zero x0 in (0, 1) of
+    either vanishes at both ends of [-tau, tau], tau = atanh x0, by parity, so
+    lam is exactly the k-th Dirichlet eigenvalue there, where k - 1 is the
+    number of zeros inside (-x0, x0). The zeros are bracketed on a 0.01 grid
+    in s and bisected to adjacent floats. Sorted by (tau, k).
+    """
+    pins = []
+    for n in range(1, n_max + 1):
+        for kind in (0, 1):
+            f = lambda s: _legendre(n, math.tanh(s))[kind]
+            # P_n is odd for odd n, Q_n for even n: then 0 is a zero too
+            zero_at_origin = (n + kind) % 2 == 1
+            grid = [0.01 * i for i in range(1, 401)]
+            zeros = []
+            for lo, hi in zip(grid, grid[1:]):
+                if (f(lo) < 0.0) != (f(hi) < 0.0):
+                    zeros.append(_bisect_to_floats(f, lo, hi))
+            for i, tau in enumerate(zeros):
+                pins.append((tau, 2 * i + 1 + zero_at_origin, n * (n + 1) / 2.0))
+    return sorted(pins)
+
+
+def _bisect_to_floats(f, lo, hi):
+    """Halve a sign-changing bracket until no float lies between its ends."""
+    neg_lo = f(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) < 0.0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid

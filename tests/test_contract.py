@@ -1,7 +1,9 @@
 """The error contract: DomainError means bad input, and nothing else escapes.
 
-Every scalar-path function, every spectrum function and minimize (from each
-starting profile), over the edges of the float domain, returns a value its docstring allows or raises DomainError
+Every scalar-path function, every spectrum function, the grid plumbing
+(composite_simpson, sampled_derivative, TestFunction, area_quadrature) and
+minimize (from each starting profile), over the edges of the float domain,
+returns a value its docstring allows or raises DomainError
 (or NoExtremalError, the problem's own outcome above h*). An allowed value is
 finite, or the inf/NaN the docstring names. A numpy warning fails the test
 too (the suite turns warnings into errors). The source scan pins the other
@@ -13,14 +15,16 @@ import ast
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import soapfilm
 from soapfilm import errors
 from soapfilm.direct_min import InitPreset, Outcome, minimize
-from soapfilm.energetics import force
+from soapfilm.energetics import area_quadrature, force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, phi, profile, small_h_asymptotics, solve_branches
+from soapfilm.grids import TestFunction, composite_simpson, sampled_derivative
 from soapfilm.rootfind import find_root_bracketed
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import mu, mu_prime, riccati_residual
@@ -53,6 +57,25 @@ def _minimize(init):
     return call
 
 
+def _with(x, base=(0.0, 0.5, 1.0, 0.5, 0.2, 0.0)):
+    """A sample row, 0.0 at both ends, with x where Simpson weighs it by 4."""
+    values = np.array(base)
+    values[1] = x
+    return values
+
+
+def _test_function(x):
+    values = np.zeros(17)
+    values[8] = x
+    psi = TestFunction(np.linspace(-1.0, 1.0, 17), values)
+    return list(psi.values) + [psi.spacing, psi.halfwidth]
+
+
+def _sampled(halfwidth):
+    psi = TestFunction.sample(np.cos, halfwidth, 17)
+    return list(psi.values) + [psi.spacing, psi.halfwidth]
+
+
 def _spectrum(tau):
     spec = eigenvalues(tau, 2)
     return list(spec.lambdas) + [v for f in spec.eigenfunctions for v in f.values]
@@ -73,6 +96,16 @@ CALLS = {
     "shoot(lam)": lambda x: list(shoot(1.0, x)),
     "eigenvalues": _spectrum,
     "dense_eigenvalues": lambda x: list(dense_eigenvalues(x, 2)),
+    "composite_simpson(values)": lambda x: [composite_simpson(_with(x), 0.1)],
+    "composite_simpson(dx)": lambda x: [composite_simpson(_with(1.0), x)],
+    "sampled_derivative(values)": lambda x: list(sampled_derivative(_with(x), 0.1)),
+    "sampled_derivative(dx)": lambda x: list(sampled_derivative(_with(1.0), x)),
+    "area_quadrature(y)": lambda x: [area_quadrature(np.linspace(0.0, 1.0, 6), 1.0 + _with(x))],
+    "area_quadrature(grid)": lambda x: [
+        area_quadrature(x * np.linspace(-1.0, 1.0, 6), 1.0 + _with(1.0))
+    ],
+    "TestFunction(values)": _test_function,
+    "TestFunction.sample(halfwidth)": _sampled,
     "negative_direction": lambda x: list(negative_direction(x).values),
     **{f"minimize({init})": _minimize(init) for init in [p.value for p in InitPreset]},
 }

@@ -85,3 +85,10 @@ def test_sample_clamps_endpoints():
     assert psi.halfwidth == 1.0
     assert psi.n == 33
     np.testing.assert_allclose(psi.spacing, 2.0 / 32.0, rtol=0.0, atol=1e-16)
+
+
+def test_simpson_on_five_intervals():
+    # the 3/8 rule takes the last three intervals, Simpson the first two
+    x = np.linspace(0.0, 1.0, 6)
+    np.testing.assert_allclose(composite_simpson(x**3, x[1] - x[0]), 0.25, rtol=0.0, atol=1e-15)
+

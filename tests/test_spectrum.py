@@ -20,7 +20,7 @@ from soapfilm.spectrum import (
 from soapfilm.variation import mu
 
 from fresh import loads
-from oracles import TAU_STAR, discrete_eigenvalue, rk4_sweep
+from oracles import TAU_STAR, discrete_eigenvalue, legendre_pins, rk4_sweep
 
 
 def test_shoot_flat_string_at_lambda_zero():
@@ -38,16 +38,79 @@ def test_shoot_hits_zero_at_critical_unit_eigenvalue():
     assert nodes_half == 0
 
 
-@pytest.mark.parametrize("n", [256, 1000, 2048])
+@pytest.mark.parametrize("n", [256, 257, 1000, 1001, 2048])
 @pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
 def test_shoot_matches_scalar_rk4_oracle(tau, n):
-    # n = 1000 is not a power of two, so the last doubling level is partial.
-    for lam in (0.0, 1.0, 30.0, 700.0, 3000.0):
+    # The oracle steps over all of [-tau, tau]; shoot over [0, tau] only. n =
+    # 1000 is not a power of two, so the last doubling level is partial, and
+    # for odd n the centre step straddles s = 0. Below lam = 0 the parity
+    # solutions grow like exp(sqrt(-2 lam) s), and the rebuilt left half, a
+    # difference of the two, must not read noise as nodes.
+    for lam in (-100.0, -1.0, 0.0, 1.0, 30.0, 700.0, 3000.0):
         end_ref, nodes_ref, trajectory = rk4_sweep(tau, lam, n)
         end, nodes = shoot(tau, lam, n)
         assert nodes == nodes_ref
         scale = max(1.0, max(abs(x) for x in trajectory))
         assert abs(end - end_ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [256, 257, 1001, 2048])
+def test_every_sweep_and_end_value_builds_half_the_steps(monkeypatch, n):
+    # one _steps call per shot, per end value and per eigenfunction
+    built = []
+    calls = {"shoot": 0, "_end": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(spectrum, name, wrapper)
+
+    def recording_steps(ab, mu):
+        m = original(ab, mu)
+        built.append(m.shape[2])
+        return m
+
+    original = spectrum._steps
+    monkeypatch.setattr(spectrum, "_steps", recording_steps)
+    counting("shoot", spectrum.shoot)
+    counting("_end", spectrum._end)
+    eigenvalues(1.3, 3, n)
+    assert set(built) == {(n + 1) // 2}
+    assert len(built) == calls["shoot"] + calls["_end"] + 3
+
+
+@pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
+def test_eigenfunctions_match_scalar_rk4_trajectory(tau):
+    # The eigenfunctions are rebuilt on [-tau, tau] from the half sweep; the
+    # oracle steps over the whole interval at the same lambda_k.
+    spec = eigenvalues(tau, 5)
+    for lam, psi in zip(spec.lambdas, spec.eigenfunctions):
+        trajectory = np.array(rk4_sweep(tau, lam, 2048)[2])
+        trajectory[-1] = 0.0
+        want = trajectory / np.max(np.abs(trajectory))
+        got = psi.values / np.max(np.abs(psi.values))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_legendre_pins_are_the_known_closed_forms():
+    pins = legendre_pins()
+    assert len(pins) == 36
+    # Q_1(tanh s) = -mu(s), which vanishes at tau_star; P_2 = (3x^2 - 1)/2.
+    assert (TAU_STAR, 1, 1.0) in pins
+    p2 = [tau for tau, k, lam in pins if (k, lam) == (1, 3.0)]
+    assert p2 == [pytest.approx(math.atanh(3.0**-0.5), rel=1e-15)]
+
+
+@pytest.mark.parametrize(
+    "tau, k, lam", [p for p in legendre_pins() if p[1] <= 5], ids=lambda x: f"{x:.6g}"
+)
+def test_eigenvalues_meet_their_accuracy_contract_on_legendre_pins(tau, k, lam):
+    # lam = n(n+1)/2 is exact; the miss is RK4's O(dt^4) error at the default
+    # n, at most 2.3e-10 relative (Q_5 at tau = 2.51).
+    got = eigenvalues(tau, k).lambdas[k - 1]
+    assert abs(got - lam) <= 3e-10 * lam
 
 
 def test_eigenvalues_shoots_each_lambda_once(monkeypatch):
@@ -77,14 +140,14 @@ def test_pairwise_end_value_matches_shoot(log_tau, lam, n):
     tau = math.exp(log_tau)
     dt = 2.0 * tau / n
     ab = spectrum._coefficients(spectrum._samples(tau, dt, n))
-    end = dt * spectrum._end(spectrum._steps(ab, lam * dt * dt))
-    psi = dt * spectrum._sweep(spectrum._steps(ab, lam * dt * dt))
+    end = dt * spectrum._end(spectrum._steps(ab, lam * dt * dt), n % 2)
+    psi = dt * spectrum._sweep(spectrum._steps(ab, lam * dt * dt), n % 2)
     assert abs(end - shoot(tau, lam, n)[0]) <= 1e-12 * np.max(np.abs(psi))
 
 
 def test_eigenvalues_count_shots_and_end_values(monkeypatch):
-    # Node counts need a full sweep; the root solve reads only psi(tau). Bounds
-    # are the measured counts plus 25 %: 7/41, 8/35 and 1/12.
+    # Node counts need a full sweep; the root solve reads only psi(tau). The
+    # bounds sit 14-36 % above the measured counts 7/40, 8/36 and 1/11.
     counts = {}
 
     def counting(name, fn):
