@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 from .config import TWO_PI
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
@@ -48,8 +48,11 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     if not np.all(y > 0.0):
         raise DomainError("profile must be strictly positive")
     dy = sampled_derivative(y, dx)
+    slope = np.abs(dy)
     with np.errstate(over="ignore"):
-        integrand = TWO_PI * y * np.sqrt(1.0 + dy * dy)
+        # sqrt(1 + y'^2) rounds to |y'| long before y'^2 overflows
+        stretch = np.where(slope > 1e150, slope, np.sqrt(1.0 + dy * dy))
+        integrand = TWO_PI * y * stretch
     if not np.all(np.isfinite(integrand)):
         raise DomainError("the area integrand overflows the float range")
     return composite_simpson(integrand, dx)
@@ -59,18 +62,23 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
 def goldschmidt_constant() -> float:
     """Half-distance where the stable catenoid's area equals the disks' 2*pi.
 
-    One bracketed solve of area_closed_form(lower(h)) = 2*pi on
-    [0.1, h_star], cached after the first call. Below the returned value the
-    film beats the two flat disks; above it the disks win even though the
-    catenoid persists up to h_star. Raises ConvergenceFailureError if the
-    solved area misses 2*pi by more than 1e-10 (a bug, not a domain outcome).
+    One bracketed Newton solve of area_closed_form(lower(h)) = 2*pi on
+    [0.1, h_star], cached after the first call. The slope of the area is
+    dS/dh = -F(h) = 4*pi*h/tau_1: the ring force is minus the slope of the
+    area. Below the returned value the film beats the two flat disks; above
+    it the disks win even though the catenoid persists up to h_star. Raises
+    ConvergenceFailureError if the solved area misses 2*pi by more than
+    1e-10 (a bug, not a domain outcome).
     """
 
-    def excess(h: float) -> float:
-        return area_closed_form(_lower_branch(h)[0]) - TWO_PI
+    def excess(h: float) -> Tuple[float, float]:
+        lower = _lower_branch(h)[0]
+        return area_closed_form(lower) - TWO_PI, 2.0 * TWO_PI * h / lower.tau
 
-    h_g = find_root_bracketed(excess, 0.1, critical_constants().h_star, tol_x=1e-13, tol_f=1e-11)
-    if not abs(excess(h_g)) <= 1e-10:
+    h_g = find_root_bracketed(
+        excess, 0.1, critical_constants().h_star, tol_x=1e-15, tol_f=1e-15, slope=True
+    )
+    if not abs(excess(h_g)[0]) <= 1e-10:
         raise ConvergenceFailureError("threshold solve did not reach the disk area")
     return h_g
 
@@ -94,8 +102,8 @@ def force(h: float) -> ForceSample:
     Raises DomainError unless h >= 1e-307, and NoExtremalError from 1e-12 below
     h_star on (the degenerate catenoid's force is one-sided, not reported).
     """
-    lower, at_fold = _lower_branch(h)
-    if at_fold:
+    lower, fold = _lower_branch(h)
+    if fold is None:
         raise NoExtremalError(h, critical_constants().h_star)
     tau = lower.tau
     value = -2.0 * TWO_PI * h / tau

@@ -10,7 +10,12 @@ With tau = h / C the boundary condition becomes phi(tau) = cosh(tau) / tau
 solving 1 - tau tanh(tau) = 0, so the problem has two solutions for
 h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
 and none beyond it. Either branch parameter is one bracketed solve of
-log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold.
+log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold. Its
+slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so the solves
+take Newton steps, each from a closed-form bracket: h cosh(h) below tau_1,
+tau_star below tau_2, and above them the fold offsets of the quadratic
+log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the fold, iterates
+of tau -> log(2 tau / h), which stay above tau_2.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from .config import TWO_PI
 from .errors import DomainError, NoExtremalError
@@ -58,11 +63,19 @@ _H_MIN = 1e-307
 
 _LOG_2 = math.log(2.0)
 
+# The fold ends of the branch brackets are u* -+ (1 -+ _FOLD_MARGIN)*delta
+# (see _lower_branch): bounds for any factor on the near side of 1, kept
+# this far from 1 so that g there stands well above its rounding.
+_FOLD_MARGIN = 1.0 / 64.0
+# Past this delta (h below about 0.55) the upper bracket ends on iterates
+# of U, which beat the fold end there.
+_FAR_FROM_FOLD = 0.5
+
 
 def _log_cosh(t: float) -> float:
     """log(cosh(t)) for t >= 0, finite wherever t is.
 
-    _solve_branch's g writes the same sum inline: it runs about 21 times per
+    _solve_branch's g writes the same sum inline: it runs about 11 times per
     solve_branches, and a call there would cost about 4 % of the solve.
     """
     return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2
@@ -115,10 +128,11 @@ def critical_constants() -> CriticalConstants:
     compute, but they produce identical values.
     """
 
-    def g(tau: float) -> float:
-        return 1.0 - tau * math.tanh(tau)
+    def g(tau: float) -> Tuple[float, float]:
+        tanh = math.tanh(tau)
+        return 1.0 - tau * tanh, -(tanh + tau * (1.0 - tanh * tanh))
 
-    tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-15, tol_f=1e-16)
+    tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-15, tol_f=1e-16, slope=True)
     return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
 
 
@@ -148,35 +162,49 @@ class Extremal:
 def _solve_branch(log_h: float, lo: float, hi: float) -> float:
     """The root tau of g(u) = log(h*phi(tau)), u = log(tau), with u in [lo, hi].
 
-    g forms neither 1/h nor cosh(tau), so it cannot overflow at tiny h.
-    tol_x is about one ulp of u, since h*phi(tau) - 1 moves by tau per unit
-    of u; tol_f is g's rounding floor, so near the fold, where g is flat,
-    the bracket shrinks as far as the noise allows.
+    g forms neither 1/h nor cosh(tau), so it cannot overflow at tiny h. Its
+    slope t*tanh(t) - 1 = -mu(t) costs nothing beyond e = exp(-2t), which g
+    forms anyway, so every step is a Newton step. tol_x is about one ulp of
+    u, since h*phi(tau) - 1 moves by tau per unit of u. tol_f is g's
+    rounding floor, one ulp of the O(1) terms that cancel in it: an iterate
+    that meets it is at the root to within g's noise, and near the fold,
+    where g is flat, the bracket shrinks as far as that noise allows.
     """
 
-    def g(u: float) -> float:
+    def g(u: float) -> Tuple[float, float]:
         # _log_cosh(t) - u + log_h, inlined (see _log_cosh)
         t = math.exp(u)
-        return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2 - u + log_h
+        e = math.exp(-2.0 * t)
+        return t + math.log1p(e) - _LOG_2 - u + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
 
-    return math.exp(find_root_bracketed(g, lo, hi, tol_x=1e-15, tol_f=1e-16))
+    return math.exp(find_root_bracketed(g, lo, hi, tol_x=1e-15, tol_f=2.3e-16, slope=True))
 
 
-def _lower_branch(h: float) -> Tuple[Extremal, bool]:
-    """solve_branches(h)[0], raising as it does, and whether h is at the fold."""
+def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, float, float]]]:
+    """solve_branches(h)[0], raising as it does, and the upper bracket's data.
+
+    The data are log(h), u* = log(tau_star), the fold offset delta and the
+    pad, or None where h is at the fold. Both brackets rest on g being
+    convex in u with g(u*) = log(h/h_star), g'(u*) = 0, g''(u*) = tau_star**2
+    and g''' > 0: then g(u* - delta) <= 0 <= g(u* + delta) for
+    tau_star**2 * delta**2 / 2 = log(h_star/h), so u_1 <= u* - delta and
+    u_2 <= u* + delta. The pad widens every end past the rounding of u (2
+    ulps of log h) and of g.
+    """
     if not h >= _H_MIN:
         raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
     cc = critical_constants()
-    at_fold = abs(h - cc.h_star) <= _CRITICAL_TOL
-    if at_fold:
-        tau = cc.tau_star
-    elif h > cc.h_star:
+    if abs(h - cc.h_star) <= _CRITICAL_TOL:
+        return Extremal(h=h, tau=cc.tau_star, c=h / cc.tau_star, branch=Branch.LOWER), None
+    if h > cc.h_star:
         raise NoExtremalError(h, cc.h_star)
-    else:
-        # tau = h*cosh(tau) puts tau_1 in [h, tau_star]
-        log_h = math.log(h)
-        tau = _solve_branch(log_h, log_h, math.log(cc.tau_star))
-    return Extremal(h=h, tau=tau, c=h / tau, branch=Branch.LOWER), at_fold
+    log_h, u_star = math.log(h), math.log(cc.tau_star)
+    delta = math.sqrt(2.0 * math.log(cc.h_star / h)) / cc.tau_star
+    pad = 4e-15 - 4.5e-16 * log_h
+    # tau_1 = h*cosh(tau_1) > h*cosh(h)
+    lo = math.log(h * math.cosh(h)) - pad
+    tau = _solve_branch(log_h, lo, u_star - (1.0 - _FOLD_MARGIN) * delta + pad)
+    return Extremal(h=h, tau=tau, c=h / tau, branch=Branch.LOWER), (log_h, u_star, delta, pad)
 
 
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
@@ -191,14 +219,21 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
             is too coarse to hold the boundary condition.
         NoExtremalError: h exceeds the critical half-distance.
     """
-    lower, at_fold = _lower_branch(h)
-    if at_fold:
-        tau2 = lower.tau
+    lower, fold = _lower_branch(h)
+    if fold is None:
+        return lower, Extremal(h=h, tau=lower.tau, c=lower.c, branch=Branch.UPPER)
+    log_h, u_star, delta, pad = fold
+    if delta > _FAR_FROM_FOLD:
+        # cosh(tau) >= e^tau/2 puts tau_2 below 2*log(2/h) + 2 and below
+        # U(tau) = log(2*tau/h) of any tau >= tau_2; U is increasing, so its
+        # iterates stay above tau_2
+        hi = 2.0 * (_LOG_2 - log_h) + 2.0
+        for _ in range(3):
+            hi = math.log(2.0 * hi) - log_h
+        hi = math.log(hi)
     else:
-        # cosh(t) >= e^t / 2 puts tau_2 in [tau_star, 2*log(2/h) + 2]
-        log_h = math.log(h)
-        hi = math.log(2.0 * (_LOG_2 - log_h) + 2.0)
-        tau2 = _solve_branch(log_h, math.log(critical_constants().tau_star), hi)
+        hi = u_star + (1.0 + _FOLD_MARGIN) * delta
+    tau2 = _solve_branch(log_h, u_star - pad, hi + pad)
     return lower, Extremal(h=h, tau=tau2, c=h / tau2, branch=Branch.UPPER)
 
 

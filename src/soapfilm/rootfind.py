@@ -2,20 +2,24 @@
 
 Every transcendental equation in the library (branch parameters, the critical
 parameter, eigenvalue refinement, the Goldschmidt constant) is solved through
-`find_root_bracketed`. Each iteration takes the secant point of the two most
-recent evaluations, at least tol_x/2 from the last one, projected as in the
-ITP method (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around
-the bracket midpoint that shrinks so the bracket reaches tol_x within 4
-evaluations of bisection's count; a point outside the bracket is replaced by
-the midpoint. The iteration uses no randomness and no global state, so
-repeated calls with the same inputs return bit-identical results. Any input
-the solver cannot work on, a bracket included, is a DomainError.
+`find_root_bracketed`. Each iteration proposes a point: the Newton point of
+the bracket end where |f| is smaller when the caller supplies the slope, and
+the secant point of the two most recent evaluations otherwise. The point is
+kept at least tol_x/2 from the end or evaluation it expands about (Brent's
+minimal step), so that a root next to it gets bracketed, then projected as
+in the ITP method
+(Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around the bracket
+midpoint that shrinks so the bracket reaches tol_x within 4 evaluations of
+bisection's count; a point outside the bracket is replaced by the midpoint.
+The iteration uses no randomness and no global state, so repeated calls
+with the same inputs return bit-identical results. Any input the solver
+cannot work on, a bracket included, is a DomainError.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Tuple, Union
 
 from .errors import DomainError, MaxIterationsError
 
@@ -29,25 +33,29 @@ _MAX_WIDTH = 2.0**98
 
 
 def find_root_bracketed(
-    f: Callable[[float], float],
+    f: Callable[[float], Union[float, Tuple[float, float]]],
     lo: float,
     hi: float,
     *,
     tol_x: float,
     tol_f: float,
+    slope: bool = False,
 ) -> float:
     """Locate a root of f inside the sign-changing bracket [lo, hi].
 
     f is evaluated at lo, then at hi, then at each iterate.
 
     Args:
-        f: continuous scalar function.
+        f: continuous scalar function; with slope set, it returns the pair
+            (f(x), f'(x)) instead of f(x).
         lo, hi: finite ends with lo < hi where f has opposite signs, or is 0
             at one end.
         tol_x: stop once the bracket width is at most this; hi - lo may be
             at most 2**98 times tol_x. f is evaluated at most
             ceil(log2((hi - lo)/tol_x)) + 4 times after the ends.
         tol_f: stop once |f| at the iterate is at most this.
+        slope: f returns its slope too; propose the Newton point instead
+            of the secant point.
 
     Returns:
         A point x with lo <= x <= hi satisfying |f(x)| <= tol_f or lying in a
@@ -57,7 +65,8 @@ def find_root_bracketed(
     Raises:
         DomainError: lo < hi fails or an end is not finite (NaN included), a
             tolerance is not positive, the bracket is too wide for tol_x, f
-            has the same sign at both ends, or f returned a non-finite value.
+            has the same sign at both ends, or f returned a non-finite value
+            or slope.
         MaxIterationsError: the evaluation budget ran out before either
             tolerance was met; the width bound rules this out, so it is a bug.
     """
@@ -69,7 +78,14 @@ def find_root_bracketed(
     if not widths <= _MAX_WIDTH:
         raise DomainError(f"bracket [{lo!r}, {hi!r}] is wider than 2**98 tol_x = {tol_x!r}")
     a, b = lo, hi
-    fa, fb = _finite(f, a), _finite(f, b)
+    if slope:
+        fa, da = f(a)
+        fb, db = f(b)
+    else:
+        fa, fb, da, db = f(a), f(b), 0.0, 0.0
+    # inf - inf and NaN - NaN are NaN: zero exactly where all four are finite
+    if not (fa - fa) + (fb - fb) + (da - da) + (db - db) == 0.0:
+        raise DomainError(f"f returned a non-finite value or slope at an end of [{a!r}, {b!r}]")
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -77,47 +93,62 @@ def find_root_bracketed(
     if (fa > 0.0) == (fb > 0.0):
         raise DomainError(f"f({a!r}) = {fa!r} and f({b!r}) = {fb!r} share a sign")
 
-    # Secant memory: the two most recent evaluations anywhere in the bracket.
+    # The secant's two most recent evaluations; Newton expands about x2, the
+    # bracket end where |f| is smaller.
     x1, f1 = a, fa
-    x2, f2 = b, fb
+    x2, f2, d2 = (a, fa, da) if slope and abs(fa) < abs(fb) else (b, fb, db)
+    least = 0.5 * tol_x
+    copysign = math.copysign
 
     # tol_x * p bounds the width the next evaluation leaves; p halves with each
-    p = 2.0 ** (math.ceil(math.log2(max(widths, 1.0))) + _N0 - 1)
+    p = 2.0 ** (math.ceil(math.log2(widths if widths > 1.0 else 1.0)) + _N0 - 1)
     for _ in range(_MAX_ITER):
+        w = b - a
         # p < 1: the budget is spent, and the width is tol_x up to rounding
-        if b - a <= tol_x or p < 1.0:
-            return a + 0.5 * (b - a)
-        mid = a + 0.5 * (b - a)
+        if w <= tol_x or p < 1.0:
+            return a + 0.5 * w
+        mid = a + 0.5 * w
         if not (a < mid < b):
             # The bracket has collapsed to adjacent floats; no refinement left.
             return mid
-        # The secant point, at least tol_x/2 from the last iterate so that a
-        # root next to it gets bracketed (Brent's minimal step), then within r
-        # of the midpoint: the next bracket is at most tol_x * p wide.
-        s = x2 - f2 * (x2 - x1) / (f2 - f1) if f2 != f1 else mid
-        if abs(s - x2) < 0.5 * tol_x:
-            s = x2 + math.copysign(0.5 * tol_x, mid - x2)
-        r, p = tol_x * p - 0.5 * (b - a), 0.5 * p
-        if abs(s - mid) > r:
-            s = mid + math.copysign(r, s - mid)
+        # The Newton or secant point, at least tol_x/2 from x2 so that a root
+        # next to it gets bracketed (Brent's minimal step), then within r of
+        # the midpoint: the next bracket is at most tol_x * p wide. Once
+        # Newton has reached the root to f's rounding, the minimal step is
+        # its end-game: it crosses the root and closes a bracket tol_x/2 wide.
+        r, p = tol_x * p - 0.5 * w, 0.5 * p
+        if slope:
+            s = x2 - f2 / d2 if d2 != 0.0 else mid
+        else:
+            s = x2 - f2 * (x2 - x1) / (f2 - f1) if f2 != f1 else mid
+        if -least < s - x2 < least:
+            s = x2 + copysign(least, mid - x2)
+        d = s - mid
+        if d > r or d < -r:
+            s = mid + copysign(r, d)
         x = s if a < s < b else mid
-        fx = _finite(f, x)
-        if abs(fx) <= tol_f:
+        if slope:
+            fx, dx = f(x)
+            if not (fx - fx) + (dx - dx) == 0.0:
+                raise DomainError(f"f({x!r}) returned a non-finite value {fx!r} or slope {dx!r}")
+        else:
+            fx = f(x)
+            if not fx - fx == 0.0:
+                raise DomainError(f"f({x!r}) returned a non-finite value {fx!r}")
+        if -tol_f <= fx <= tol_f:
             return x
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
         else:
             b, fb = x, fx
-        x1, f1 = x2, f2
-        x2, f2 = x, fx
+        if not slope:
+            x1, f1 = x2, f2
+            x2, f2 = x, fx
+        elif (fx > 0.0) == (f2 > 0.0) or abs(fx) < abs(f2):
+            # x replaced x2 as a bracket end, or beats it at the other end
+            x2, f2, d2 = x, fx, dx
 
     raise MaxIterationsError(
         f"no root to tolerance after {_MAX_ITER} evaluations; residual bracket [{a}, {b}]"
     )
 
-
-def _finite(f: Callable[[float], float], x: float) -> float:
-    fx = f(x)
-    if not math.isfinite(fx):
-        raise DomainError(f"function returned non-finite value {fx!r} at {x!r}")
-    return fx

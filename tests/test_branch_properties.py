@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from soapfilm import energetics, extremals
@@ -81,18 +81,63 @@ def test_force_slope_matches_difference_quotient(h):
 
 @given(_log_uniform(1e-300, H_STAR - _FOLD_MARGIN))
 def test_force_solves_branches_once(h):
-    # one root solve, of the lower branch only: its bracket starts at log(h)
-    lower_ends = []
+    # exactly one root solve, and it is the lower branch's
+    taus = []
     solve = extremals._solve_branch
 
     def counting(log_h, lo, hi):
-        lower_ends.append(lo)
-        return solve(log_h, lo, hi)
+        taus.append(solve(log_h, lo, hi))
+        return taus[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremals, "_solve_branch", counting)
         energetics.force(h)
-    assert lower_ends == [math.log(h)]
+    assert taus == [solve_branches(h)[0].tau]
+
+
+def _g(u, log_h):
+    """The branch equation log(h*cosh(t)/t), t = e^u, as the solver forms it."""
+    t = math.exp(u)
+    return t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0) - u + log_h
+
+
+def _brackets(h):
+    """The (log h, lo, hi) of each branch solve solve_branches(h) makes."""
+    seen = []
+    solve = extremals._solve_branch
+
+    def capture(log_h, lo, hi):
+        seen.append((log_h, lo, hi))
+        return solve(log_h, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremals, "_solve_branch", capture)
+        solve_branches(h)
+    return seen
+
+
+@example(_H_MIN)
+@example(H_STAR - 1.0000001e-12)
+@given(
+    st.one_of(
+        _log_uniform(_H_MIN, H_STAR - 1e-12),
+        _log_uniform(_H_MIN, 1e-305),
+        _log_uniform(1e-12, 1e-4).map(lambda d: H_STAR - d),
+    )
+)
+def test_closed_form_brackets_contain_the_root(h):
+    # g falls through its lower root and rises through its upper one, so
+    # each bracket must have g > 0 > g (lower) or g < 0 < g (upper) at its
+    # ends, clear of g's rounding floor; the solver sign-checks the same ends.
+    if not h < critical_constants().h_star - 1e-12:
+        return
+    (log_h, lo1, hi1), (_, lo2, hi2) = _brackets(h)
+    floor = 2.3e-16
+    assert _g(lo1, log_h) > floor and _g(hi1, log_h) < -floor
+    assert _g(lo2, log_h) < -floor and _g(hi2, log_h) > floor
+    lower, upper = solve_branches(h)
+    assert lo1 <= math.log(lower.tau) <= hi1
+    assert lo2 <= math.log(upper.tau) <= hi2
 
 
 @given(st.one_of(st.just(math.nan), st.floats(max_value=0.0)))

@@ -64,6 +64,11 @@ def _with(x, base=(0.0, 0.5, 1.0, 0.5, 0.2, 0.0)):
     return values
 
 
+# radii whose sampled slope is about 1/spacing: y'^2 overflows below a grid
+# spacing of about 1e-154, while the area stays finite
+_ZIGZAG = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+
+
 def _test_function(x):
     values = np.zeros(17)
     values[8] = x
@@ -103,6 +108,9 @@ CALLS = {
     "area_quadrature(y)": lambda x: [area_quadrature(np.linspace(0.0, 1.0, 6), 1.0 + _with(x))],
     "area_quadrature(grid)": lambda x: [
         area_quadrature(x * np.linspace(-1.0, 1.0, 6), 1.0 + _with(1.0))
+    ],
+    "area_quadrature(steep grid)": lambda x: [
+        area_quadrature(x * np.linspace(-1.0, 1.0, 6), 1.0 + np.array(_ZIGZAG))
     ],
     "TestFunction(values)": _test_function,
     "TestFunction.sample(halfwidth)": _sampled,
@@ -224,3 +232,13 @@ def test_every_raise_names_a_library_error():
         ("cli.py", "TypeError"),
         ("cli.py", "TypeError"),
     ]
+
+
+def test_area_where_the_slope_squared_overflows():
+    # sqrt(1 + y'^2) is |y'| to the last bit from |y'| = 1e8 on, so the area
+    # on a grid whose y'^2 overflows equals the area on one whose does not.
+    y = 1.0 + np.array(_ZIGZAG)
+    tiny = area_quadrature(1e-306 * np.linspace(-1.0, 1.0, 6), y)
+    small = area_quadrature(1e-150 * np.linspace(-1.0, 1.0, 6), y)
+    assert math.isfinite(tiny)
+    assert abs(tiny / small - 1.0) <= 1e-14

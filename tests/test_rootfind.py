@@ -105,6 +105,33 @@ def test_non_finite_value_is_a_domain_error(bad, where):
         find_root_bracketed(f, -1.0, 2.0, **TOLS)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [-1.0, 2.0, 0.5])
+def test_non_finite_slope_is_a_domain_error(bad, where):
+    # 0.5 is the first iterate, the Newton point from 2.0
+    f = lambda x: (x - 0.5, bad if x == where else 1.0)
+    with pytest.raises(DomainError):
+        find_root_bracketed(f, -1.0, 2.0, slope=True, **TOLS)
+
+
+def test_newton_end_game_closes_the_bracket_in_one_evaluation():
+    # No iterate meets tol_f = 1e-300, so the solve must end on a bracket:
+    # three Newton steps reach sqrt(2) to rounding, and one end-game step
+    # crosses it and closes a bracket at most tol_x wide.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    root = find_root_bracketed(f, 1.4, 1.5, tol_x=1e-12, tol_f=1e-300, slope=True)
+    assert abs(root - math.sqrt(2.0)) <= 1e-12
+    assert len(seen) == 2 + 3 + 1
+    last, before = seen[-1], seen[-2]
+    assert 0.0 < abs(last - before) <= 1e-12
+    assert (f(last)[0] > 0.0) != (f(before)[0] > 0.0)
+
+
 def test_midpoint_of_a_bracket_near_the_float_limit_stays_finite():
     # 0.5 * (a + b) overflowed to inf here, outside the bracket.
     root = find_root_bracketed(
@@ -124,13 +151,20 @@ def test_bracket_whose_width_overflows_is_a_domain_error():
 N0 = 4
 
 
+@pytest.mark.parametrize("slope", [False, True])
 @settings(max_examples=300)
 # Known hard inputs: secant steps creeping up a steep exponential, a smooth
 # case that halving only every other step overruns, and a ball that binds to
 # the last step, where rounding leaves the bracket an ulp wider than tol_x.
-@example(0.0, 10.0, 20.0, 0.3, 20.0, "smooth", 1e-300)
-@example(0.0, 2.0, 9.0, 0.875, 2.0, "smooth", 1e-300)
-@example(1.0, 3.0, 5.0, 0.625, 12.0, "smooth", 1e-3)
+@example(
+    center=0.0, width=10.0, log2_widths=20.0, where=0.3, steep=20.0, kind="smooth", tol_f=1e-300
+)
+@example(
+    center=0.0, width=2.0, log2_widths=9.0, where=0.875, steep=2.0, kind="smooth", tol_f=1e-300
+)
+@example(
+    center=1.0, width=3.0, log2_widths=5.0, where=0.625, steep=12.0, kind="smooth", tol_f=1e-3
+)
 @given(
     center=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
     width=st.floats(1e-6, 10.0),
@@ -141,10 +175,12 @@ N0 = 4
     tol_f=st.floats(1e-300, 1e-3),
 )
 def test_evaluations_stay_within_bisection_plus_n0(
-    center, width, log2_widths, where, steep, kind, tol_f
+    slope, center, width, log2_widths, where, steep, kind, tol_f
 ):
     # A root at 0 has floats dense enough around it to resolve any tol_x; a
-    # steep exponential makes secant steps creep.
+    # steep exponential makes secant steps creep. With slope, f also returns
+    # the exact slope of the smooth part (0 for the step), as the Newton
+    # steps take it.
     lo, hi = center - where * width, center + (1.0 - where) * width
     tol_x = width / 2.0**log2_widths
 
@@ -160,15 +196,18 @@ def test_evaluations_stay_within_bisection_plus_n0(
             return g(x) + noise * random.Random(x).uniform(-1.0, 1.0)
         return g(x)
 
+    def df(x):
+        return 0.0 if kind == "step" else steep * math.exp(steep * (x - center))
+
     seen = []
 
     def counted(x):
         seen.append(x)
-        return f(x)
+        return (f(x), df(x)) if slope else f(x)
 
     if not (f(lo) < 0.0 < f(hi)):
         return
-    x = find_root_bracketed(counted, lo, hi, tol_x=tol_x, tol_f=tol_f)
+    x = find_root_bracketed(counted, lo, hi, tol_x=tol_x, tol_f=tol_f, slope=slope)
     widths = (hi - lo) / tol_x
     assert len(seen) - 2 <= max(0, math.ceil(math.log2(widths)) + N0)
     assert lo <= x <= hi
@@ -197,16 +236,20 @@ def _evaluations(monkeypatch, call):
     return count[0]
 
 
-# caller -> (call, bound). Bounds are the measured counts plus 25 %: 7, 20,
-# 35 and 187 (the last over 16 branch solves and its own solve).
+# caller -> (call, bound). Bounds are the measured counts plus 25 %: 6, 11,
+# 7, 8 and 47 (the last over the lower-branch solves at its iterates and its
+# own solve). At 1e-300, u_1 is near -690, where an ulp (1.1e-13) exceeds
+# tol_x: Newton lands on u_1's float at once, and only Brent's minimal step
+# then crosses it and closes the bracket.
 CALLERS = {
-    "critical_constants": (lambda: extremals.critical_constants.__wrapped__(), 8),
-    "solve_branches(0.3)": (lambda: extremals.solve_branches(0.3), 25),
+    "critical_constants": (lambda: extremals.critical_constants.__wrapped__(), 7),
+    "solve_branches(0.3)": (lambda: extremals.solve_branches(0.3), 13),
+    "solve_branches(1e-300)": (lambda: extremals.solve_branches(1e-300), 8),
     "solve_branches(h* - 1e-10)": (
         lambda: extremals.solve_branches(extremals.critical_constants().h_star - 1e-10),
-        43,
+        10,
     ),
-    "goldschmidt_constant": (lambda: energetics.goldschmidt_constant.__wrapped__(), 233),
+    "goldschmidt_constant": (lambda: energetics.goldschmidt_constant.__wrapped__(), 58),
 }
 
 
@@ -215,3 +258,17 @@ def test_evaluation_counts_per_caller(monkeypatch, name):
     call, bound = CALLERS[name]
     extremals.critical_constants()
     assert _evaluations(monkeypatch, call) <= bound
+
+
+def test_branch_solves_over_the_bulk_average_at_most_13_evaluations(monkeypatch):
+    # 200 h uniform below the fold band, as in the benchmark's bulk; measured
+    # 11.2 evaluations per solve_branches.
+    h_star = extremals.critical_constants().h_star
+    rng = random.Random(20261018)
+    hs = [rng.uniform(0.01, h_star - 1e-4) for _ in range(200)]
+
+    def solve_all():
+        for h in hs:
+            extremals.solve_branches(h)
+
+    assert _evaluations(monkeypatch, solve_all) <= 13 * len(hs)
