@@ -13,13 +13,13 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Names resolve on first use (PEP 562); the first five modules never import numpy.
-_MODULES = ("config", "errors", "rootfind", "extremals", "energetics",
+# Names resolve on first use (PEP 562); the first four modules never import numpy.
+_MODULES = ("errors", "rootfind", "extremals", "energetics",
             "grids", "spectrum", "variation", "direct_min")
 
 
 def __getattr__(name):
-    if name == "cli" or name in _MODULES[:5]:
+    if name == "cli" or name in _MODULES[:4]:
         return import_module(f"{__name__}.{name}")
     names = []
     for module in (import_module(f"{__name__}.{m}") for m in _MODULES):

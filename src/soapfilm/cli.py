@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import energetics, extremals
-from .config import TWO_PI
 from .errors import DomainError, NoExtremalError
 
 __all__ = ["main"]
 
 SCHEMA_VERSION = "2"
-
-# samples of the critical catenoid's direction mu for its third variation
-_THIRD_VARIATION_SAMPLES = 2049
 
 
 def _scalar_token(value) -> str:
@@ -97,13 +94,6 @@ def _record(command: str, inputs: Dict, results: Dict) -> Dict:
     }
 
 
-def _critical_third_variation(e: extremals.Extremal) -> float:
-    from . import grids, variation
-    psi = grids.TestFunction.sample(variation.mu, e.tau, _THIRD_VARIATION_SAMPLES)
-    eta = variation.eta_from_psi(psi, e)
-    return variation.third_variation(e, eta)
-
-
 def _run_solve(args) -> Dict:
     inputs = {"h": args.h}
     cc = extremals.critical_constants()
@@ -113,7 +103,7 @@ def _run_solve(args) -> Dict:
         results = {
             "outcome": "NoExtremal",
             "h_star": cc.h_star,
-            "goldschmidt_area": TWO_PI,
+            "goldschmidt_area": math.tau,
         }
         return _record("solve", inputs, results)
     if lower.tau == upper.tau:
@@ -122,7 +112,8 @@ def _run_solve(args) -> Dict:
             "tau_star": lower.tau,
             "c": lower.c,
             "area": extremals.area_closed_form(lower),
-            "third_variation": _critical_third_variation(lower),
+            # along eta = mu(s)*cosh(s) the cubic term's integrand is s^2/c^2
+            "third_variation": math.tau * lower.tau**4 / (3.0 * lower.h),
             "verdict": "critical: no extremum",
         }
         return _record("solve", inputs, results)
@@ -149,7 +140,7 @@ def _run_goldschmidt(args) -> Dict:
     return _record(
         "goldschmidt",
         {},
-        {"h_goldschmidt": energetics.goldschmidt_constant(), "disk_area": TWO_PI},
+        {"h_goldschmidt": energetics.goldschmidt_constant(), "disk_area": math.tau},
     )
 
 

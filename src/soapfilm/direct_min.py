@@ -12,18 +12,20 @@ weights 2*pi*ybar_i/(dx*w_i^3), positive definite as sqrt(1 + m^2) is convex,
 and P the diagonal 2*pi*((m/w)_(i-1) - (m/w)_i), which can be indefinite.
 Below the critical half-distance the relaxation lands on the stable catenoid;
 above it the waist hits the floor (the discrete stand-in for the two-disk
-configuration) and the run reports a collapse with area just over 2*pi.
+configuration) and the run reports a collapse. Its area is that of the two
+end cones, 2*pi*sqrt(1 + dx^2) for grid spacing dx, just over the disks'
+2*pi on a fine grid.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
 
-from .config import TWO_PI
 from .errors import DomainError
 from .extremals import profile as catenoid_profile
 from .extremals import solve_branches
@@ -45,12 +47,15 @@ _FLOOR = 1e-6
 # a converged run whose smallest interior radius is at most this has collapsed
 _COLLAPSE_AT = 10.0 * _FLOOR
 # the run ends once the projected gradient max-norm is at most this
-_GRAD_TOL = TWO_PI * 1e-8
+_GRAD_TOL = math.tau * 1e-8
 # smallest grid spacing dx = 2h/(n-1): a radius near 1 rounds by up to
 # 1.1e-16, which moves a gradient entry by up to 2*pi*4.4e-16/dx, past
 # _GRAD_TOL from dx = 4.4e-8 down, so only an exactly flat profile could
 # converge there; further down, slopes of order 1/dx overflow
 _DX_MIN = 1e-7
+# largest grid spacing, the ring radius: beyond it a collapse's two end
+# cones, of area 2*pi*sqrt(1 + dx^2), have over sqrt(2) times the disks' area
+_DX_MAX = 1.0
 # sufficient-decrease factor of the Armijo test and the backtracking shrink
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -91,8 +96,8 @@ class Profile:
             raise DomainError(f"grid must span [-{self.h}, {self.h}]")
         if self.y[0] != 1.0 or self.y[-1] != 1.0:
             raise DomainError("endpoint radii must be exactly 1")
-        if np.any(self.y[1:-1] < _FLOOR):
-            raise DomainError(f"interior radii must stay >= {_FLOOR}")
+        if not np.all((self.y[1:-1] >= _FLOOR) & (self.y[1:-1] < np.inf)):
+            raise DomainError(f"interior radii must be finite and >= {_FLOOR}")
         self.n = int(self.y.size)
 
     @property
@@ -131,7 +136,7 @@ class MinimizeReport:
 def _area_raw(y: np.ndarray, dx: float) -> float:
     m = np.diff(y) / dx
     ybar = 0.5 * (y[:-1] + y[1:])
-    return TWO_PI * dx * float(np.sum(ybar * np.sqrt(1.0 + m * m)))
+    return math.tau * dx * float(np.sum(ybar * np.sqrt(1.0 + m * m)))
 
 
 def _area_decrease(y: np.ndarray, y_new: np.ndarray, dx: float) -> float:
@@ -151,7 +156,7 @@ def _area_decrease(y: np.ndarray, y_new: np.ndarray, dx: float) -> float:
     dybar = 0.5 * (dy[:-1] + dy[1:])
     dm = np.diff(dy) / dx
     terms = dybar * w1 + ybar2 * dm * (m1 + m2) / (w1 + w2)
-    return TWO_PI * dx * float(np.sum(terms))
+    return math.tau * dx * float(np.sum(terms))
 
 
 def _grad_raw(y: np.ndarray, dx: float) -> np.ndarray:
@@ -160,7 +165,7 @@ def _grad_raw(y: np.ndarray, dx: float) -> np.ndarray:
     ybar = 0.5 * (y[:-1] + y[1:])
     t = ybar * m / w
     g = np.zeros_like(y)
-    g[1:-1] = TWO_PI * (0.5 * dx * (w[:-1] + w[1:]) + t[:-1] - t[1:])
+    g[1:-1] = math.tau * (0.5 * dx * (w[:-1] + w[1:]) + t[:-1] - t[1:])
     return g
 
 
@@ -191,8 +196,8 @@ def _newton_step(y: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     """Projected Newton direction: H^-1 g on the free radii, g/K on the active ones."""
     m = np.diff(y) / dx
     w = np.sqrt(1.0 + m * m)
-    c = TWO_PI * 0.5 * (y[:-1] + y[1:]) / (dx * w**3)
-    q = TWO_PI * m / w
+    c = math.tau * 0.5 * (y[:-1] + y[1:]) / (dx * w**3)
+    q = math.tau * m / w
     inner, gi = y[1:-1], g[1:-1]
     eps = float(np.max(np.abs(inner - np.maximum(inner - gi, _FLOOR))))
     active = (inner <= _FLOOR + eps) & (gi > 0.0)
@@ -258,13 +263,7 @@ def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray
     return y
 
 
-def minimize(
-    h: float,
-    n: int,
-    init: Union[Profile, InitPreset, str],
-    *,
-    history: Optional[List[float]] = None,
-) -> MinimizeReport:
+def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> MinimizeReport:
     """Projected Newton descent on the discretized area functional.
 
     Radii within one projected-gradient step of the floor that the gradient
@@ -275,19 +274,22 @@ def minimize(
     to 1. The run ends when the projected gradient max-norm falls below
     grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or below
     10*floor, Converged otherwise; IterationLimit if the budget ran out first
-    or the line search stalled (minimize(1e200, 64, "cylinder"): 0 iterations).
-    If history is given, the area after each accepted step is appended.
+    or the line search stalled. A collapse's area is that of the two end
+    cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
-    Raises DomainError unless 0 < 2h < inf, n >= 64 and the grid spacing
-    2h/(n-1) is at least 1e-7, whatever the starting profile: on a finer grid
-    the rounding of the radii alone exceeds the gradient tolerance.
+    Raises DomainError unless 0 < 2h < inf, n >= 64 and 1e-7 <= dx <= 1,
+    whatever the starting profile: on a finer grid the rounding of the radii
+    alone exceeds the gradient tolerance, and on a grid coarser than the
+    ring radius the end cones are no stand-in for the disks.
     """
     if not 0.0 < 2.0 * h < np.inf:
         raise DomainError(f"half-distance must be positive with 2*h finite, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
-    if not 2.0 * h / (n - 1) >= _DX_MIN:
-        raise DomainError(f"grid spacing 2h/(n-1) must be at least {_DX_MIN!r}; h={h!r}, n={n!r}")
+    if not _DX_MIN <= 2.0 * h / (n - 1) <= _DX_MAX:
+        raise DomainError(
+            f"grid spacing 2h/(n-1) must be in [{_DX_MIN!r}, {_DX_MAX!r}]; h={h!r}, n={n!r}"
+        )
 
     grid = np.linspace(-h, h, n)
     dx = float(grid[1] - grid[0])
@@ -307,7 +309,6 @@ def minimize(
         y = _preset_values(init, h, grid)
 
     np.maximum(y[1:-1], _FLOOR, out=y[1:-1])
-    area = _area_raw(y, dx)
     steps = 0
     outcome = Outcome.ITERATION_LIMIT
 
@@ -343,10 +344,7 @@ def minimize(
         if not accepted or gap == 0.0:
             break
         y = y_new
-        area -= decrease
         steps += 1
-        if history is not None:
-            history.append(area)
 
     final = Profile(h=h, grid=grid, y=y)
     return MinimizeReport(

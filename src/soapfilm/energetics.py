@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-from .config import TWO_PI
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
 from .extremals import _lower_branch, area_closed_form, critical_constants
 from .rootfind import find_root_bracketed
@@ -52,7 +51,7 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         # sqrt(1 + y'^2) rounds to |y'| long before y'^2 overflows
         stretch = np.where(slope > 1e150, slope, np.sqrt(1.0 + dy * dy))
-        integrand = TWO_PI * y * stretch
+        integrand = math.tau * y * stretch
     if not np.all(np.isfinite(integrand)):
         raise DomainError("the area integrand overflows the float range")
     return composite_simpson(integrand, dx)
@@ -73,7 +72,7 @@ def goldschmidt_constant() -> float:
 
     def excess(h: float) -> Tuple[float, float]:
         lower = _lower_branch(h)[0]
-        return area_closed_form(lower) - TWO_PI, 2.0 * TWO_PI * h / lower.tau
+        return area_closed_form(lower) - math.tau, 2.0 * math.tau * h / lower.tau
 
     h_g = find_root_bracketed(
         excess, 0.1, critical_constants().h_star, tol_x=1e-15, tol_f=1e-15, slope=True
@@ -106,7 +105,7 @@ def force(h: float) -> ForceSample:
     if fold is None:
         raise NoExtremalError(h, critical_constants().h_star)
     tau = lower.tau
-    value = -2.0 * TWO_PI * h / tau
+    value = -2.0 * math.tau * h / tau
     tanh = math.tanh(tau)
-    slope = 2.0 * TWO_PI * tanh / (1.0 - tau * tanh)
+    slope = 2.0 * math.tau * tanh / (1.0 - tau * tanh)
     return ForceSample(h=h, force=value, dforce_dh=slope)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from .config import TWO_PI
 from .errors import DomainError, NoExtremalError
 from .rootfind import find_root_bracketed
 
@@ -278,8 +277,8 @@ def area_closed_form(e: Extremal) -> float:
     c, tau = e.c, e.tau
     if tau > _COSH_OVERFLOW:
         c_cosh = math.exp(math.log(c) + _log_cosh(tau))
-        return TWO_PI * (e.h * c + c_cosh * c_cosh)
-    return TWO_PI * (e.h * c + (c * math.sinh(tau)) * (c * math.cosh(tau)))
+        return math.tau * (e.h * c + c_cosh * c_cosh)
+    return math.tau * (e.h * c + (c * math.sinh(tau)) * (c * math.cosh(tau)))
 
 
 def small_h_asymptotics(h: float) -> Tuple[float, float]:

@@ -38,27 +38,21 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, DomainError
 from .extremals import critical_constants
-from .grids import TestFunction, composite_simpson, sampled_derivative
+from .grids import TestFunction, composite_simpson
 from .rootfind import find_root_bracketed
+from .variation import _density, q_form
 
 __all__ = [
     "StringSpectrum",
     "shoot",
     "eigenvalues",
     "dense_eigenvalues",
-    "rayleigh_quotient",
     "negative_direction",
 ]
 
 _MIN_STEPS = 256
 _DEFAULT_STEPS = 2048
 _BRACKET_CAP = 200
-
-
-def _density(s):
-    """The string density 2/cosh^2 s, elementwise; 0 where cosh^2 overflows."""
-    with np.errstate(over="ignore"):
-        return 2.0 / np.cosh(s) ** 2
 
 
 def _check_problem(tau: float, n: int) -> float:
@@ -183,8 +177,13 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     dt = _check_problem(tau, n)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
+    return _shoot(_coefficients(_samples(tau, dt, n)), lam, tau, dt, n)
+
+
+def _shoot(ab: np.ndarray, lam: float, tau: float, dt: float, n: int) -> Tuple[float, int]:
+    """shoot(tau, lam, n) from the coefficients ab of the step matrices."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = _sweep(_steps(_coefficients(_samples(tau, dt, n)), lam * dt * dt), n % 2)
+        psi = _sweep(_steps(ab, lam * dt * dt), n % 2)
     if not np.all(np.isfinite(psi)):
         raise DomainError(f"psi overflows at lambda={lam!r}, tau={tau!r}, n={n!r}")
     if lam <= 0.0:
@@ -277,7 +276,7 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
 
     def shoot_once(lam: float) -> Tuple[float, int]:
         if lam not in shot_at:
-            shot_at[lam] = shoot(tau, lam, n)
+            shot_at[lam] = _shoot(ab, lam, tau, dt, n)
         return shot_at[lam]
 
     def end_value(lam: float) -> float:
@@ -321,7 +320,8 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     density itself, no code is shared with the shooting route. Its bisection
     stops at an absolute 1e-13 (eps*||A|| grows like cosh^2 tau). Raises
     DomainError where it fails (tau ~200 to ~354, and below tau ~1e-74, where
-    the eigenvalues' rounding exceeds 1e-13) or 1/rho overflows (beyond).
+    the eigenvalues' rounding exceeds 1e-13) or the matrix entries overflow
+    (1/rho beyond, the squared step near tau = 1e308).
     """
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.
@@ -333,11 +333,11 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     ds = 2.0 * tau / m
     s = np.linspace(-tau, tau, m + 1)[1:-1]
     rho = _density(s)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_sqrt = 1.0 / np.sqrt(rho)
         diag = 2.0 / (ds * ds * rho)
     if not np.all(np.isfinite(diag)):
-        raise DomainError(f"1/rho overflows on the grid at tau={tau!r}")
+        raise DomainError(f"the matrix entries overflow at tau={tau!r}")
     off = -inv_sqrt[:-1] * inv_sqrt[1:] / (ds * ds)
     try:
         return eigh_tridiagonal(
@@ -345,21 +345,6 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
         )
     except LinAlgError as exc:
         raise DomainError(f"tridiagonal bisection fails at tau={tau!r}: {exc}") from None
-
-
-def rayleigh_quotient(psi: TestFunction) -> float:
-    """Quotient of integral psi'^2 over integral (2/cosh^2 s) psi^2.
-
-    Its minimum over admissible directions is the first eigenvalue; on any
-    sampled direction it bounds lambda_1 from above.
-    """
-    dpsi = sampled_derivative(psi.values, psi.spacing)
-    numerator = composite_simpson(dpsi * dpsi, psi.spacing)
-    weight = _density(psi.grid)
-    denominator = composite_simpson(weight * psi.values * psi.values, psi.spacing)
-    if not denominator >= 1e-14:
-        raise DomainError("weighted norm of psi is numerically zero")
-    return numerator / denominator
 
 
 def negative_direction(tau: float, n: int = _DEFAULT_STEPS) -> TestFunction:
@@ -376,10 +361,7 @@ def negative_direction(tau: float, n: int = _DEFAULT_STEPS) -> TestFunction:
             f"tau={tau!r} does not exceed tau_star={tau_star!r}; no negative direction exists"
         )
     psi = eigenvalues(tau, 1, n).eigenfunctions[0]
-    dpsi = sampled_derivative(psi.values, psi.spacing)
-    weight = _density(psi.grid)
-    q_estimate = composite_simpson(dpsi * dpsi - weight * psi.values * psi.values, psi.spacing)
-    if q_estimate >= 0.0:
+    if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -25,14 +26,12 @@ from .energetics import area_quadrature
 from .errors import DomainError
 from .extremals import Extremal, critical_constants, profile
 from .grids import TestFunction, composite_simpson, sampled_derivative
-from .spectrum import _density
 
 __all__ = [
     "Classification",
     "VariationReport",
     "mu",
     "mu_prime",
-    "riccati_residual",
     "q_form",
     "q_form_factored",
     "eta_from_psi",
@@ -94,31 +93,21 @@ def mu_prime(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return out
 
 
-def riccati_residual(s: float, fd_step: float = 1e-4) -> float:
-    """|w' + w^2 + 2/cosh^2(s)| for w = mu'/mu, with w' by central difference.
-
-    Checks that the logarithmic derivative of mu satisfies the Riccati
-    companion of the Jacobi equation. The quotient blows up at mu's roots, so
-    s must stay at least 10 steps away from +-tau_star; DomainError otherwise,
-    and for a NaN s or a fd_step that is not positive or rounds away in s.
-    """
-    if not (fd_step > 0.0 and s - fd_step < s < s + fd_step):
-        raise DomainError(f"need s - fd_step < s < s + fd_step, got s={s!r}, fd_step={fd_step!r}")
-    tau_star = critical_constants().tau_star
-    if not abs(s) < tau_star - 10.0 * fd_step:
-        raise DomainError(f"s={s!r} is inside the exclusion band around +-{tau_star}")
-
-    def w(ss: float) -> float:
-        return mu_prime(ss) / mu(ss)
-
-    w_prime = (w(s + fd_step) - w(s - fd_step)) / (2.0 * fd_step)
-    return float(abs(w_prime + w(s) ** 2 + _density(s)))
+def _density(s):
+    """The string density 2/cosh^2 s, elementwise; 0 where cosh^2 overflows."""
+    with np.errstate(over="ignore"):
+        return 2.0 / np.cosh(s) ** 2
 
 
 def q_form(psi: TestFunction) -> float:
-    """Reduced second-variation form: integral of psi'^2 - 2 psi^2/cosh^2 s."""
+    """Reduced second-variation form: integral of psi'^2 - 2 psi^2/cosh^2 s.
+
+    Raises DomainError where the integrand overflows (psi'^2 on a grid as
+    fine as 1e-306), as composite_simpson does.
+    """
     dpsi = sampled_derivative(psi.values, psi.spacing)
-    integrand = dpsi * dpsi - _density(psi.grid) * psi.values * psi.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = dpsi * dpsi - _density(psi.grid) * psi.values * psi.values
     return composite_simpson(integrand, psi.spacing)
 
 
@@ -127,7 +116,8 @@ def q_form_factored(psi: TestFunction) -> float:
 
     Valid only while mu keeps one sign on the interval, i.e. for half-width
     tau <= tau_star. psi/mu stays bounded there; within 1e-6 of the roots
-    +-tau_star the quotient is replaced by its limit psi'/mu'.
+    +-tau_star the quotient is replaced by its limit psi'/mu'. Raises
+    DomainError where the integrand overflows, as q_form does.
     """
     tau_star = critical_constants().tau_star
     if psi.halfwidth > tau_star + 1e-12:
@@ -140,18 +130,26 @@ def q_form_factored(psi: TestFunction) -> float:
     ratio = np.empty_like(s)
     ratio[~near_root] = psi.values[~near_root] / m[~near_root]
     ratio[near_root] = dpsi[near_root] / mp[near_root]
-    integrand = (dpsi - mp * ratio) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = (dpsi - mp * ratio) ** 2
     return composite_simpson(integrand, psi.spacing)
 
 
 def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
-    """Map a direction psi(s) on [-tau, tau] to eta(x) = psi(x/C) cosh(x/C)."""
+    """Map a direction psi(s) on [-tau, tau] to eta(x) = psi(x/C) cosh(x/C).
+
+    Raises DomainError where cosh overflows on the grid (tau above about 710,
+    the upper extremal below h ~ 6e-306).
+    """
     if abs(psi.halfwidth - e.tau) > 1e-12:
         raise DomainError(
             f"psi spans [-{psi.halfwidth}, {psi.halfwidth}] but the extremal has tau={e.tau}"
         )
     x = psi.grid * e.c
-    values = psi.values * np.cosh(psi.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = psi.values * np.cosh(psi.grid)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"psi*cosh(s) overflows the float range at tau={e.tau!r}")
     # endpoint psi values are exactly 0, so these products are exact zeros
     return TestFunction(grid=x, values=values)
 
@@ -164,9 +162,16 @@ def _require_matching_interval(e: Extremal, eta: TestFunction) -> None:
 
 
 def area_along_direction(e: Extremal, eta: TestFunction, t: float) -> float:
-    """Area of the perturbed surface y + t*eta, by quadrature on eta's grid."""
+    """Area of the perturbed surface y + t*eta, by quadrature on eta's grid.
+
+    Raises DomainError unless t is finite, and where area_quadrature does
+    (y + t*eta not positive, or overflowing).
+    """
     _require_matching_interval(e, eta)
-    y = profile(e, eta.grid) + t * eta.values
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+    with np.errstate(over="ignore"):
+        y = profile(e, eta.grid) + t * eta.values
     return area_quadrature(eta.grid, y)
 
 
@@ -186,9 +191,13 @@ def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> V
     0. raw_d2 and raw_d3 divide the stencil derivatives by 2! and 3!; the
     first derivative is checked against zero (these are extremals) and
     reported; above 1e-4*max(1, S) it is a DomainError (eta too coarse).
+    Non-finite t_values, and a step whose cube is not a normal float
+    (max|t| outside about [2.3e-102, 4.5e103]), are DomainErrors too.
     """
     _require_matching_interval(e, eta)
     t_arr = np.sort(np.asarray(list(t_values), dtype=float))
+    if not np.all(np.isfinite(t_arr)):
+        raise DomainError("t_values must be finite")
     if t_arr.size == 0 or t_arr[-1] <= 0.0:
         raise DomainError("t_values must contain positive entries")
     t_max = float(np.max(np.abs(t_arr)))
@@ -196,6 +205,8 @@ def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> V
         raise DomainError("t_values must be symmetric about 0")
 
     delta = t_max / 8.0
+    if not sys.float_info.min <= delta * delta * delta < math.inf:
+        raise DomainError(f"stencil step {delta!r}: its cube is not a normal float")
     f = {k: area_along_direction(e, eta, k * delta) for k in range(-3, 4)}
 
     raw_d1 = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * delta)
@@ -234,14 +245,16 @@ def third_variation(e: Extremal, eta: TestFunction) -> float:
 
     Evaluates pi * integral of eta'^2/(1+y'^2)^(3/2) * (eta - y y' eta'/(1+y'^2))
     with y and y' analytic on the catenoid and eta' from centered differences.
-    Equal to taylor_probe's raw_d3 up to discretization error.
+    Equal to taylor_probe's raw_d3 up to discretization error. Raises
+    DomainError where the integrand overflows (steep eta at tiny h).
     """
     _require_matching_interval(e, eta)
     x = eta.grid
     s = x / e.c
-    y = e.c * np.cosh(s)
-    yp = np.sinh(s)
-    one_plus = np.cosh(s) ** 2
     deta = sampled_derivative(eta.values, eta.spacing)
-    integrand = deta * deta / one_plus**1.5 * (eta.values - y * yp * deta / one_plus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = e.c * np.cosh(s)
+        yp = np.sinh(s)
+        one_plus = np.cosh(s) ** 2
+        integrand = deta * deta / one_plus**1.5 * (eta.values - y * yp * deta / one_plus)
     return math.pi * composite_simpson(integrand, eta.spacing)

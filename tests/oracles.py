@@ -2,8 +2,8 @@
 
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, Taylor series summed to convergence, simple finite
-differences, a scalar step-by-step RK4 loop, and 40-digit mpmath roots.
-None of it calls into soapfilm internals.
+differences, plain Simpson sums, a scalar step-by-step RK4 loop, and
+40-digit mpmath roots. None of it calls into soapfilm internals.
 """
 
 import functools
@@ -53,6 +53,43 @@ def sinh_series(x):
 
 def central_diff(f, x, step):
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def riccati_residual(mu, mu_prime, s, fd_step=1e-4):
+    """|w' + w^2 + 2/cosh^2 s| at s for w = mu_prime/mu, w' by central difference.
+
+    Where mu solves the Jacobi equation mu'' + (2/cosh^2 s) mu = 0 and
+    mu_prime is its derivative, w is the solution of that Riccati companion,
+    so the residual is O(fd_step^2). w blows up at mu's roots: keep s clear
+    of them.
+    """
+
+    def w(x):
+        return mu_prime(x) / mu(x)
+
+    return abs(central_diff(w, s, fd_step) + w(s) ** 2 + 2.0 / math.cosh(s) ** 2)
+
+
+def _simpson(values, dx):
+    """Plain composite Simpson over an even number of intervals."""
+    if (len(values) - 1) % 2:
+        raise ValueError("plain Simpson needs an even number of intervals")
+    odd, even = np.sum(values[1:-1:2]), np.sum(values[2:-1:2])
+    return dx / 3.0 * (values[0] + 4.0 * odd + 2.0 * even + values[-1])
+
+
+def rayleigh_quotient(psi):
+    """Integral of psi'^2 over integral (2/cosh^2 s) psi^2 for a sampled psi.
+
+    psi has a uniform .grid and .values; psi' by second-order differences.
+    The quotient's minimum over admissible directions is the first string
+    eigenvalue, so on any sampled direction it bounds lambda_1 from above.
+    """
+    grid, values = psi.grid, psi.values
+    dx = (grid[-1] - grid[0]) / (len(grid) - 1)
+    dpsi = np.gradient(values, dx, edge_order=2)
+    weight = 2.0 / np.cosh(grid) ** 2
+    return _simpson(dpsi * dpsi, dx) / _simpson(weight * values * values, dx)
 
 
 def richardson_diff(f, x, step):

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from soapfilm.config import TWO_PI
 from soapfilm.direct_min import InitPreset, Outcome, Profile, discrete_area, discrete_gradient, minimize
 from soapfilm.energetics import area_quadrature, force, goldschmidt_constant
 from soapfilm.extremals import (
@@ -72,7 +71,7 @@ def test_c3_spectral_anchor():
 def test_c4_third_variation():
     cc = critical_constants()
     e = critical_extremal()
-    closed = TWO_PI * cc.tau_star**4 / (3.0 * cc.h_star)
+    closed = math.tau * cc.tau_star**4 / (3.0 * cc.h_star)
     psi = TestFunction.sample(mu, cc.tau_star, 8193)
     eta = eta_from_psi(psi, e)
     quad = third_variation(e, eta)
@@ -172,7 +171,7 @@ def test_c9_direct_minimization_dichotomy():
     sup_run = minimize(0.7, 1024, InitPreset.CYLINDER)
     collapse_ok = (
         sup_run.outcome is Outcome.COLLAPSED
-        and TWO_PI < sup_run.final_area < TWO_PI + 0.15
+        and math.tau < sup_run.final_area < math.tau + 0.15
     )
 
     lo, hi = 0.6, 0.7
@@ -189,7 +188,7 @@ def test_c9_direct_minimization_dichotomy():
     _verdict(
         ok,
         "C9 direct minimization",
-        f"h=0.4 sup dev={sup:.2e}; h=0.7 area-2pi={sup_run.final_area - TWO_PI:.2e}; "
+        f"h=0.4 sup dev={sup:.2e}; h=0.7 area-2pi={sup_run.final_area - math.tau:.2e}; "
         f"bisection estimate={est:.5f}",
     )
 

@@ -11,7 +11,7 @@ import soapfilm.energetics
 from soapfilm.cli import _build_parser, _range_points, main
 from soapfilm.extremals import critical_constants
 
-from oracles import mpmath_constants
+from oracles import THIRD_VARIATION_CRITICAL, mpmath_constants
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +53,9 @@ def test_solve_critical_reports_third_variation(capsys):
     tau_star = mpmath_constants()[0]
     assert abs(results["tau_star"] - tau_star) <= 2.0 * math.ulp(tau_star)
     np.testing.assert_allclose(results["third_variation"], 6.54595, rtol=1e-4)
+    # the closed form 2*pi*tau_star^4/(3*h_star), not a quadrature
+    third = results["third_variation"]
+    assert abs(third - THIRD_VARIATION_CRITICAL) <= 1e-14 * THIRD_VARIATION_CRITICAL
     assert results["verdict"] == "critical: no extremum"
 
 

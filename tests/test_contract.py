@@ -1,8 +1,9 @@
 """The error contract: DomainError means bad input, and nothing else escapes.
 
-Every scalar-path function, every spectrum function, the grid plumbing
-(composite_simpson, sampled_derivative, TestFunction, area_quadrature) and
-minimize (from each starting profile), over the edges of the float domain,
+Every scalar-path function, every spectrum and variation function, the grid
+plumbing (composite_simpson, sampled_derivative, TestFunction,
+area_quadrature), Profile and minimize (from each starting profile), over
+the edges of the float domain,
 returns a value its docstring allows or raises DomainError
 (or NoExtremalError, the problem's own outcome above h*). An allowed value is
 finite, or the inf/NaN the docstring names. A numpy warning fails the test
@@ -20,18 +21,29 @@ import pytest
 
 import soapfilm
 from soapfilm import errors
-from soapfilm.direct_min import InitPreset, Outcome, minimize
+from soapfilm import variation
+from soapfilm.direct_min import InitPreset, Outcome, Profile, minimize
 from soapfilm.energetics import area_quadrature, force
 from soapfilm.errors import DomainError, NoExtremalError
-from soapfilm.extremals import area_closed_form, phi, profile, small_h_asymptotics, solve_branches
+from soapfilm.extremals import (
+    area_closed_form,
+    critical_extremal,
+    phi,
+    profile,
+    small_h_asymptotics,
+    solve_branches,
+)
 from soapfilm.grids import TestFunction, composite_simpson, sampled_derivative
 from soapfilm.rootfind import find_root_bracketed
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
-from soapfilm.variation import mu, mu_prime, riccati_residual
+from soapfilm.variation import mu, mu_prime
 
 # 1e-150, 1e4 and 1e6 are string half-intervals where shooting at the default
-# n runs into the float range (lambda ~ 1/tau^2) and RK4's stability bound.
-EDGES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 1e-150, 1e4, 1e6]
+# n runs into the float range (lambda ~ 1/tau^2) and RK4's stability bound;
+# 8.9e307 is a half-distance whose 2h is still finite.
+EDGES = [
+    math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 8.9e307, 1e-150, 1e4, 1e6
+]
 
 
 def _branches(h):
@@ -81,6 +93,43 @@ def _sampled(halfwidth):
     return list(psi.values) + [psi.spacing, psi.halfwidth]
 
 
+def _profile(h):
+    # the harness's own grid arithmetic may overflow; Profile must reject it
+    with np.errstate(all="ignore"):
+        grid = h * np.linspace(-1.0, 1.0, 64)
+    p = Profile(h=h, grid=grid, y=np.ones(64))
+    return [p.spacing, p.h]
+
+
+def _profile_radius(x):
+    y = np.ones(64)
+    y[5] = x
+    return list(Profile(h=1.0, grid=np.linspace(-1.0, 1.0, 64), y=y).y)
+
+
+def _direction(e, n=17):
+    """eta for psi = cos(pi s/(2 tau)), one arch over the extremal's [-tau, tau]."""
+    psi = TestFunction.sample(lambda s: np.cos(0.5 * math.pi * s / e.tau), e.tau, n)
+    return variation.eta_from_psi(psi, e)
+
+
+def _on_branches(call):
+    def walk(h):
+        return [v for e in solve_branches(h) for v in np.ravel(call(e))]
+    return walk
+
+
+def _report(report):
+    return [report.q_form, report.raw_d1, report.raw_d2, report.raw_d3]
+
+
+_CRITICAL = critical_extremal()
+# 4*mu, the Jacobi direction: its eta reaches 4, so t*eta overflows at t = 1e308
+_CRITICAL_ETA = variation.eta_from_psi(
+    TestFunction.sample(lambda s: 4.0 * mu(s), _CRITICAL.tau, 65), _CRITICAL
+)
+
+
 def _spectrum(tau):
     spec = eigenvalues(tau, 2)
     return list(spec.lambdas) + [v for f in spec.eigenfunctions for v in f.values]
@@ -93,8 +142,6 @@ CALLS = {
     "small_h_asymptotics": lambda x: list(small_h_asymptotics(x)),
     "mu": lambda x: [mu(x)],
     "mu_prime": lambda x: [mu_prime(x)],
-    "riccati_residual(s)": lambda x: [riccati_residual(x)],
-    "riccati_residual(fd_step)": lambda x: [riccati_residual(0.1, fd_step=x)],
     "find_root_bracketed(lo)": lambda x: _root(x, 1.0),
     "find_root_bracketed(hi)": lambda x: _root(-1.0, x),
     "shoot(tau)": lambda x: list(shoot(x, 1.0)),
@@ -115,6 +162,22 @@ CALLS = {
     "TestFunction(values)": _test_function,
     "TestFunction.sample(halfwidth)": _sampled,
     "negative_direction": lambda x: list(negative_direction(x).values),
+    "q_form": lambda x: [variation.q_form(TestFunction.sample(np.cos, x, 17))],
+    "q_form_factored": lambda x: [variation.q_form_factored(TestFunction.sample(np.cos, x, 17))],
+    "eta_from_psi": _on_branches(lambda e: _direction(e).values),
+    "third_variation": _on_branches(lambda e: variation.third_variation(e, _direction(e))),
+    "area_along_direction(h)": _on_branches(
+        lambda e: variation.area_along_direction(e, _direction(e), 1e-3)
+    ),
+    "area_along_direction(t)": lambda x: [
+        variation.area_along_direction(_CRITICAL, _CRITICAL_ETA, x)
+    ],
+    "taylor_probe(h)": _on_branches(
+        lambda e: _report(variation.taylor_probe(e, _direction(e, 65), [-1e-3, 1e-3]))
+    ),
+    "taylor_probe(t)": lambda x: _report(variation.taylor_probe(_CRITICAL, _CRITICAL_ETA, [-x, x])),
+    "Profile(h)": _profile,
+    "Profile(y)": _profile_radius,
     **{f"minimize({init})": _minimize(init) for init in [p.value for p in InitPreset]},
 }
 
@@ -124,6 +187,7 @@ CALLS = {
 NAMED = {
     ("phi", "inf"): math.inf,
     ("phi", "1e+308"): math.inf,
+    ("phi", "8.9e+307"): math.inf,
     ("phi", "10000.0"): math.inf,
     ("phi", "1000000.0"): math.inf,
     ("phi", "5e-324"): math.inf,
@@ -157,13 +221,6 @@ def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
     reference = eigenvalues(1e-8, 5).lambdas * 1e-16
     scaled = eigenvalues(tau, 5).lambdas * tau * tau
     assert max(abs(scaled / reference - 1.0)) <= 1e-12
-
-
-@pytest.mark.parametrize("s", [0.1, -1.0, 1e-300])
-def test_riccati_step_that_rounds_away_is_a_domain_error(s):
-    # s +- 5e-324 == s, so the central difference would divide 0 by 1e-323.
-    with pytest.raises(DomainError):
-        riccati_residual(s, fd_step=5e-324)
 
 
 # minimize's grid spacing 2h/(n-1) must be at least 1e-7. Without that

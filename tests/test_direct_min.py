@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soapfilm.config import TWO_PI
+from soapfilm import direct_min
 from soapfilm.direct_min import (
     _laplacian_pivots,
     _ldl_solve,
@@ -47,7 +47,7 @@ def test_profile_validation():
 def test_cylinder_discrete_area_exact():
     grid = np.linspace(-0.4, 0.4, 129)
     p = Profile(h=0.4, grid=grid, y=np.ones(129))
-    assert discrete_area(p) == 2.0 * TWO_PI * 0.4
+    assert discrete_area(p) == 2.0 * math.tau * 0.4
 
 
 def test_catenoid_discrete_area_close():
@@ -111,23 +111,40 @@ def test_minimize_subcritical_converges_to_catenoid():
     assert report.final_profile.y[0] == 1.0
     assert report.final_profile.y[-1] == 1.0
     g = discrete_gradient(report.final_profile)
-    assert np.max(np.abs(g)) <= TWO_PI * 1e-8
+    assert np.max(np.abs(g)) <= math.tau * 1e-8
 
 
 def test_minimize_supercritical_collapses():
     report = minimize(0.7, 512, "cylinder")
     assert report.outcome is Outcome.COLLAPSED
     assert report.min_y <= 10.0 * 1e-6
-    assert TWO_PI < report.final_area < TWO_PI + 0.15
+    assert math.tau < report.final_area < math.tau + 0.15
 
 
-def test_minimize_descends_monotonically():
-    history = []
-    report = minimize(0.45, 256, InitPreset.CYLINDER, history=history)
+def test_minimize_descends_monotonically(monkeypatch):
+    # the gradient is taken once at every iterate, the start included
+    areas = []
+    original = direct_min._grad_raw
+
+    def spy(y, dx):
+        areas.append(direct_min._area_raw(y, dx))
+        return original(y, dx)
+
+    monkeypatch.setattr(direct_min, "_grad_raw", spy)
+    report = minimize(0.45, 256, InitPreset.CYLINDER)
     assert report.outcome is Outcome.CONVERGED
-    hist = np.array(history)
-    assert np.all(np.diff(hist) <= 0.0)
-    assert len(history) == report.iterations
+    assert np.all(np.diff(areas) <= 0.0)
+    assert len(areas) == report.iterations + 1
+
+
+def test_collapse_on_the_coarsest_grid_keeps_the_end_cones():
+    # dx = 2h/(n-1) = 1, the ring radius: the two end cones have area
+    # 2*pi*sqrt(1 + dx^2), not the disks' 2*pi
+    report = minimize(31.5, 64, "cylinder")
+    assert report.outcome is Outcome.COLLAPSED
+    assert abs(report.final_area - math.tau * math.sqrt(2.0)) <= 1e-4 * math.tau * math.sqrt(2.0)
+    with pytest.raises(DomainError):
+        minimize(math.nextafter(31.5, math.inf), 64, "cylinder")
 
 
 def test_minimize_dichotomy():
@@ -139,7 +156,7 @@ def test_minimize_dichotomy():
     for h in (0.7, 0.8, 1.0):
         report = minimize(h, 256, InitPreset.CYLINDER)
         assert report.outcome is Outcome.COLLAPSED, h
-        assert report.final_area > TWO_PI
+        assert report.final_area > math.tau
 
 
 def test_minimize_escapes_saddle():
@@ -220,7 +237,7 @@ def test_minimize_converges_below_transition(h):
 def test_minimize_collapses_above_transition(h):
     report = minimize(h, 64, InitPreset.CYLINDER)
     assert report.outcome is Outcome.COLLAPSED
-    assert TWO_PI < report.final_area < TWO_PI + 0.15
+    assert math.tau < report.final_area < math.tau + 0.15
 
 
 def test_laplacian_pivots_survive_weights_spread_over_20_decades():

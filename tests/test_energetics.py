@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from soapfilm.config import TWO_PI
 from soapfilm.energetics import (
     ForceSample,
     area_quadrature,
@@ -33,7 +32,7 @@ def test_cylinder_area_exact():
     for h in (0.2, 0.5, 1.3):
         grid = np.linspace(-h, h, 257)
         got = area_quadrature(grid, np.ones_like(grid))
-        np.testing.assert_allclose(got, 2.0 * TWO_PI * h, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got, 2.0 * math.tau * h, rtol=0.0, atol=1e-12)
 
 
 def test_catenoid_area_matches_closed_form():
@@ -44,7 +43,7 @@ def test_catenoid_area_matches_closed_form():
     grid, y = _catenoid_samples(upper, 4097)
     got = area_quadrature(grid, y)
     np.testing.assert_allclose(got, area_closed_form(upper), rtol=1e-6)
-    np.testing.assert_allclose(got, TWO_PI, rtol=0.0, atol=0.2)
+    np.testing.assert_allclose(got, math.tau, rtol=0.0, atol=0.2)
 
 
 def test_area_quadrature_rejects_nonpositive_profile():
@@ -86,7 +85,7 @@ def test_goldschmidt_constant():
     np.testing.assert_allclose(h_g, mpmath_constants()[2], rtol=2e-15, atol=0.0)
     assert h_g < critical_constants().h_star
     lower, _ = solve_branches(h_g)
-    np.testing.assert_allclose(area_closed_form(lower), TWO_PI, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(area_closed_form(lower), math.tau, rtol=0.0, atol=1e-10)
 
 
 def test_critical_constants_within_two_ulps_of_mpmath():
@@ -101,7 +100,7 @@ def test_force_sign_and_value():
     assert isinstance(fs, ForceSample)
     assert fs.force < 0.0
     lower, _ = solve_branches(0.3)
-    np.testing.assert_allclose(fs.force, -2.0 * TWO_PI * 0.3 / lower.tau, rtol=1e-12)
+    np.testing.assert_allclose(fs.force, -2.0 * math.tau * 0.3 / lower.tau, rtol=1e-12)
 
 
 def test_force_matches_area_slope():
@@ -151,4 +150,4 @@ def test_stable_film_persists_beyond_disk_crossing():
         assert lower.tau < tau_star
         lam1 = eigenvalues(lower.tau, 1, n=1024).lambdas[0]
         assert lam1 > 1.0
-        assert area_closed_form(lower) > TWO_PI
+        assert area_closed_form(lower) > math.tau

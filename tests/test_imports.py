@@ -40,6 +40,7 @@ def test_cli_import_loads_no_numpy():
         ["critical"],
         ["solve", "--h", "0.3"],
         ["solve", "--h", "0.9"],
+        ["solve", "--h", repr(critical_constants().h_star)],
         ["goldschmidt"],
         ["force", "--h-min", "0.1", "--h-max", "0.7", "--steps", "7"],
         ["sweep", "--h-min", "0.05", "--h-max", "0.66", "--steps", "12"],
@@ -53,7 +54,6 @@ def test_scalar_subcommand_loads_no_numpy(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "--h", repr(critical_constants().h_star)],
         ["spectrum", "--tau", "1.2", "--k", "2"],
         ["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"],
     ],

@@ -1,10 +1,11 @@
 """The package's public names: each module's __all__, gathered once."""
 
+import ast
 import importlib
+import pathlib
 
 import soapfilm
 from soapfilm import (
-    config,
     direct_min,
     energetics,
     errors,
@@ -17,25 +18,38 @@ from soapfilm import (
 
 from fresh import loads
 
-MODULES = (config, direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation)
+MODULES = (direct_min, energetics, errors, extremals, grids, rootfind, spectrum, variation)
 
 # Every name the package exported when __all__ was written out by hand,
 # except the retired ones: the DEFAULTS block, Bracket, r_of_tau and the five
-# error classes folded into DomainError (DENSITY_ID came later and went too).
+# error classes folded into DomainError (DENSITY_ID came later and went too),
+# then TWO_PI with its module config (math.tau is the same double) and the
+# test-only oracles riccati_residual and rayleigh_quotient.
 EARLIER_EXPORTS = """
 Branch Classification ConvergenceFailureError CriticalConstants DomainError
 Extremal ForceSample InitPreset MaxIterationsError MinimizeReport NoExtremalError
-Outcome Profile SoapFilmError StringSpectrum TWO_PI TestFunction VariationReport
+Outcome Profile SoapFilmError StringSpectrum TestFunction VariationReport
 area_along_direction area_closed_form area_quadrature
 composite_simpson critical_constants critical_extremal dense_eigenvalues
 discrete_area discrete_gradient eigenvalues eta_from_psi find_root_bracketed force
 goldschmidt_constant minimize mu mu_prime negative_direction phi profile q_form
-q_form_factored rayleigh_quotient riccati_residual sampled_derivative shoot
+q_form_factored sampled_derivative shoot
 small_h_asymptotics solve_branches taylor_probe third_variation
 """.split()
 RETIRED = """
 DEFAULTS Bracket r_of_tau DENSITY_ID NoSignChangeError GridMismatchError
 NonPositiveProfileError ZeroDenominatorError NotSupercriticalError
+TWO_PI config riccati_residual rayleigh_quotient
+""".split()
+
+# Public names that no code in src/ calls. The paper's results and the
+# checks a reader runs on them: critical_extremal, small_h_asymptotics,
+# eta_from_psi, q_form_factored, taylor_probe, third_variation,
+# discrete_area, discrete_gradient. Names the benchmark times or checks
+# against: phi, shoot, dense_eigenvalues.
+UNCALLED = """
+critical_extremal small_h_asymptotics eta_from_psi q_form_factored taylor_probe
+third_variation discrete_area discrete_gradient phi shoot dense_eigenvalues
 """.split()
 
 
@@ -49,11 +63,10 @@ def test_all_is_the_union_of_the_module_lists():
 
 
 def test_earlier_exports_still_resolve():
-    assert len(EARLIER_EXPORTS) == 48
+    assert len(EARLIER_EXPORTS) == 45
     for name in EARLIER_EXPORTS:
         assert name in soapfilm.__all__
         getattr(soapfilm, name)
-    assert not hasattr(config, "DEFAULTS")
     for retired in RETIRED:
         assert not hasattr(soapfilm, retired)
 
@@ -78,3 +91,29 @@ def test_dir_lists_the_public_names_and_all():
 def test_submodule_names_resolve_to_the_submodules():
     for name in ("cli", *(module.__name__.rpartition(".")[2] for module in MODULES)):
         assert getattr(soapfilm, name) is importlib.import_module(f"soapfilm.{name}")
+
+
+def _names_used(tree):
+    """Names read and attributes taken in a module, each top-level def's own name
+    excluded within its body (a recursive call is not a use)."""
+    used = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        used |= names - {getattr(stmt, "name", None)}
+    return used
+
+
+def test_every_public_name_is_used_in_src_or_listed_as_uncalled():
+    package = pathlib.Path(soapfilm.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    public = set(soapfilm.__all__)
+    assert set(UNCALLED) <= public
+    assert sorted(public - used - set(UNCALLED)) == []
+    assert sorted(used & set(UNCALLED)) == []

@@ -15,12 +15,11 @@ from soapfilm.variation import (
     mu_prime,
     q_form,
     q_form_factored,
-    riccati_residual,
     taylor_probe,
     third_variation,
 )
 
-from oracles import TAU_STAR, THIRD_VARIATION_CRITICAL, central_diff
+from oracles import TAU_STAR, THIRD_VARIATION_CRITICAL, central_diff, riccati_residual
 
 
 def _sine_psi(tau, n=2049, k=1):
@@ -44,16 +43,10 @@ def test_mu_prime_matches_finite_difference():
 
 
 def test_riccati_residual_small_inside_root_interval():
-    assert riccati_residual(0.0) <= 1e-8
-    assert riccati_residual(0.9, fd_step=1e-5) <= 1e-7
-    assert riccati_residual(-0.9, fd_step=1e-5) <= 1e-7
-
-
-def test_riccati_residual_rejects_bad_input():
-    with pytest.raises(DomainError):
-        riccati_residual(TAU_STAR)
-    with pytest.raises(DomainError):
-        riccati_residual(0.5, fd_step=0.0)
+    # mu'/mu solves the Riccati companion of the Jacobi equation
+    assert riccati_residual(mu, mu_prime, 0.0) <= 1e-8
+    assert riccati_residual(mu, mu_prime, 0.9, fd_step=1e-5) <= 1e-7
+    assert riccati_residual(mu, mu_prime, -0.9, fd_step=1e-5) <= 1e-7
 
 
 def test_q_form_signs_by_interval_width():
