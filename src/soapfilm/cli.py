@@ -187,20 +187,13 @@ def _run_sweep(args) -> Dict:
     for h in points:
         try:
             lower, upper = extremals.solve_branches(h)
-            row = [
-                h,
-                lower.tau,
-                upper.tau,
-                extremals.area_closed_form(lower),
-                extremals.area_closed_form(upper),
-            ]
         except NoExtremalError:
-            row = [h, None, None, None, None]
-        try:
-            row.append(energetics.force(h).force)
-        except NoExtremalError:
-            row.append(None)
-        rows.append(row)
+            rows.append([h, None, None, None, None, None])
+            continue
+        # force has no value at the fold, where the two branches coincide
+        force = None if lower.tau == upper.tau else energetics._force(lower).force
+        area1, area2 = extremals.area_closed_form(lower), extremals.area_closed_form(upper)
+        rows.append([h, lower.tau, upper.tau, area1, area2, force])
     inputs = {"h_min": points[0], "h_max": points[-1], "steps": len(points)}
     columns = ["h", "tau1", "tau2", "area1", "area2", "force"]
     return _record("sweep", inputs, {"columns": columns, "rows": rows})

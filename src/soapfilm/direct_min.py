@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,6 +64,9 @@ _MAX_ITER = 100_000
 # 60 halvings shrink any starting step below machine precision; more would
 # only produce null steps.
 _BACKTRACK_CAP = 60
+
+# slopes m, stretches w and midpoint radii ybar of the n - 1 segments
+Segments = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # size of the perturbation added to the unstable branch by the
 # UPPER_PERTURBED preset
@@ -133,38 +136,36 @@ class MinimizeReport:
     min_y: float
 
 
-def _area_raw(y: np.ndarray, dx: float) -> float:
+def _segments(y: np.ndarray, dx: float) -> Segments:
+    """Per-segment slope m, stretch w = sqrt(1 + m^2) and midpoint radius ybar."""
     m = np.diff(y) / dx
-    ybar = 0.5 * (y[:-1] + y[1:])
-    return math.tau * dx * float(np.sum(ybar * np.sqrt(1.0 + m * m)))
+    return m, np.sqrt(1.0 + m * m), 0.5 * (y[:-1] + y[1:])
 
 
-def _area_decrease(y: np.ndarray, y_new: np.ndarray, dx: float) -> float:
-    """discrete_area(y) - discrete_area(y_new), evaluated without cancellation.
+def _area(seg: Segments, dx: float) -> float:
+    _, w, ybar = seg
+    return math.tau * dx * float(np.sum(ybar * w))
+
+
+def _area_decrease(dy: np.ndarray, seg: Segments, seg_new: Segments, dx: float) -> float:
+    """_area(seg) - _area(seg_new) for radii y and y_new = y - dy, without cancellation.
 
     Subtracting two totals resolves differences only down to one ulp of the
     area, which stalls the line search long before the gradient tolerance.
     Expanding the difference segment by segment in the (exactly computed)
-    displacement keeps full relative precision however small the step.
+    displacement dy keeps full relative precision however small the step.
     """
-    dy = y - y_new
-    m1 = np.diff(y) / dx
-    m2 = np.diff(y_new) / dx
-    w1 = np.sqrt(1.0 + m1 * m1)
-    w2 = np.sqrt(1.0 + m2 * m2)
-    ybar2 = 0.5 * (y_new[:-1] + y_new[1:])
+    (m1, w1, _), (m2, w2, ybar2) = seg, seg_new
     dybar = 0.5 * (dy[:-1] + dy[1:])
     dm = np.diff(dy) / dx
     terms = dybar * w1 + ybar2 * dm * (m1 + m2) / (w1 + w2)
     return math.tau * dx * float(np.sum(terms))
 
 
-def _grad_raw(y: np.ndarray, dx: float) -> np.ndarray:
-    m = np.diff(y) / dx
-    w = np.sqrt(1.0 + m * m)
-    ybar = 0.5 * (y[:-1] + y[1:])
+def _gradient(seg: Segments, dx: float) -> np.ndarray:
+    m, w, ybar = seg
     t = ybar * m / w
-    g = np.zeros_like(y)
+    g = np.zeros(m.size + 1)
     g[1:-1] = math.tau * (0.5 * dx * (w[:-1] + w[1:]) + t[:-1] - t[1:])
     return g
 
@@ -192,20 +193,19 @@ def _ldl_solve(
     return x
 
 
-def _newton_step(y: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
-    """Projected Newton direction: H^-1 g on the free radii, g/K on the active ones."""
-    m = np.diff(y) / dx
-    w = np.sqrt(1.0 + m * m)
-    c = math.tau * 0.5 * (y[:-1] + y[1:]) / (dx * w**3)
+def _newton_step(y: np.ndarray, seg: Segments, g: np.ndarray, eps: float, dx: float) -> np.ndarray:
+    """Projected Newton direction: H^-1 g on the free radii, g/K on the active ones.
+
+    The active radii are those within eps of the floor that g pushes down.
+    """
+    m, w, ybar = seg
+    c = math.tau * ybar / (dx * w**3)
     q = math.tau * m / w
-    inner, gi = y[1:-1], g[1:-1]
-    eps = float(np.max(np.abs(inner - np.maximum(inner - gi, _FLOOR))))
-    active = (inner <= _FLOOR + eps) & (gi > 0.0)
+    gi = g[1:-1]
+    active = (y[1:-1] <= _FLOOR + eps) & (gi > 0.0)
     k_diag = c[:-1] + c[1:]
     off = np.where(active[:-1] | active[1:], 0.0, -c[1:-1])
     sol = _ldl_solve(k_diag + np.where(active, 0.0, q[:-1] - q[1:]), off, gi)
-    if sol is None:
-        sol = _ldl_solve(k_diag, off, gi)
     if sol is None:
         sol = _ldl_solve(k_diag, off, gi, _laplacian_pivots(c, off))
     return np.array([0.0, *sol, 0.0])
@@ -235,12 +235,14 @@ def discrete_area(p: Profile) -> float:
     Agrees with the continuum area of a smooth profile to O(n^-2); a constant
     profile gives 4*pi*h exactly.
     """
-    return _area_raw(p.y, p.spacing)
+    dx = p.spacing
+    return _area(_segments(p.y, dx), dx)
 
 
 def discrete_gradient(p: Profile) -> np.ndarray:
     """Exact gradient of discrete_area in the interior radii; zero at the ends."""
-    return _grad_raw(p.y, p.spacing)
+    dx = p.spacing
+    return _gradient(_segments(p.y, dx), dx)
 
 
 def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray:
@@ -266,15 +268,17 @@ def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray
 def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> MinimizeReport:
     """Projected Newton descent on the discretized area functional.
 
-    Radii within one projected-gradient step of the floor that the gradient
-    pushes down (Bertsekas' epsilon-active set) move by g/K, the rest by
-    H^-1 g, or by K^-1 g where H has a non-positive pivot (the saddle, the
-    collapse). The full step backtracks until the monotone sufficient-
-    decrease test holds, projected onto [floor, inf) with the ends pinned
-    to 1. The run ends when the projected gradient max-norm falls below
-    grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or below
-    10*floor, Converged otherwise; IterationLimit if the budget ran out first
-    or the line search stalled. A collapse's area is that of the two end
+    P projects radii onto [floor, inf) with the ends pinned to 1, and
+    eps = max|y - P(y - g)| is the projected gradient's max-norm. Radii
+    within eps of the floor that the gradient pushes down (Bertsekas'
+    epsilon-active set) move by g/K, the rest by H^-1 g, or by K^-1 g where
+    H has a non-positive pivot (the saddle, the collapse); K's pivots are
+    formed from positive terms only. The full step, projected by P,
+    backtracks until the monotone sufficient-decrease test holds. The run
+    ends once eps <= grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius
+    ended at or below 10*floor, Converged otherwise; IterationLimit if the
+    budget ran out first or the line search stalled. final_area is
+    discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
     Raises DomainError unless 0 < 2h < inf, n >= 64 and 1e-7 <= dx <= 1,
@@ -291,14 +295,10 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
             f"grid spacing 2h/(n-1) must be in [{_DX_MIN!r}, {_DX_MAX!r}]; h={h!r}, n={n!r}"
         )
 
-    grid = np.linspace(-h, h, n)
-    dx = float(grid[1] - grid[0])
     if isinstance(init, Profile):
         if abs(init.h - h) > 1e-12 * max(1.0, h) or init.n != n:
             raise DomainError("initial profile does not match the requested h and n")
-        y = init.y.copy()
-        grid = init.grid.copy()
-        dx = init.spacing
+        grid, y = init.grid.copy(), init.y.copy()
     else:
         if isinstance(init, str):
             try:
@@ -306,51 +306,49 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
             except ValueError:
                 names = ", ".join(p.value for p in InitPreset)
                 raise DomainError(f"unknown preset {init!r}; choose one of: {names}") from None
+        grid = np.linspace(-h, h, n)
         y = _preset_values(init, h, grid)
+    dx = check_uniform_grid(grid)
 
     np.maximum(y[1:-1], _FLOOR, out=y[1:-1])
+    seg = _segments(y, dx)
     steps = 0
     outcome = Outcome.ITERATION_LIMIT
 
     for _ in range(_MAX_ITER):
-        g = _grad_raw(y, dx)
-        # floored radii pushed further down by the gradient are stationary
-        # under the projection, so they drop out of the termination norm
-        pg = g.copy()
-        pinned = np.zeros_like(y, dtype=bool)
-        pinned[1:-1] = (y[1:-1] <= _FLOOR) & (g[1:-1] > 0.0)
-        pg[pinned] = 0.0
-        if float(np.max(np.abs(pg))) <= _GRAD_TOL:
-            if float(np.min(y[1:-1])) <= _COLLAPSE_AT:
-                outcome = Outcome.COLLAPSED
-            else:
-                outcome = Outcome.CONVERGED
+        g = _gradient(seg, dx)
+        # the projected gradient y - P(y - g); floored radii pushed further
+        # down by g are stationary under the projection P
+        inner = y[1:-1]
+        eps = float(np.max(np.abs(inner - np.maximum(inner - g[1:-1], _FLOOR))))
+        if eps <= _GRAD_TOL:
+            outcome = Outcome.COLLAPSED if np.min(inner) <= _COLLAPSE_AT else Outcome.CONVERGED
             break
 
-        step = _newton_step(y, g, dx)
+        step = _newton_step(y, seg, g, eps, dx)
         alpha = 1.0
-        accepted = False
         for _ in range(_BACKTRACK_CAP):
             y_new = y - alpha * step
             y_new[0] = 1.0
             y_new[-1] = 1.0
             np.maximum(y_new[1:-1], _FLOOR, out=y_new[1:-1])
-            decrease = _area_decrease(y, y_new, dx)
-            gap = float(g @ (y - y_new))
-            if decrease >= _ARMIJO * gap:
-                accepted = True
+            dy = y - y_new
+            seg_new = _segments(y_new, dx)
+            gap = float(g @ dy)
+            if _area_decrease(dy, seg, seg_new, dx) >= _ARMIJO * gap:
                 break
             alpha *= _SHRINK
-        if not accepted or gap == 0.0:
+        else:
             break
-        y = y_new
+        if gap == 0.0:
+            break
+        y, seg = y_new, seg_new
         steps += 1
 
-    final = Profile(h=h, grid=grid, y=y)
     return MinimizeReport(
         outcome=outcome,
-        final_area=_area_raw(y, dx),
+        final_area=_area(seg, dx),
         iterations=steps,
-        final_profile=final,
+        final_profile=Profile(h=h, grid=grid, y=y),
         min_y=float(np.min(y)),
     )

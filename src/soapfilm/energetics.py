@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
-from .extremals import _lower_branch, area_closed_form, critical_constants
+from .extremals import Extremal, _lower_branch, area_closed_form, critical_constants
 from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
@@ -104,8 +104,12 @@ def force(h: float) -> ForceSample:
     lower, fold = _lower_branch(h)
     if fold is None:
         raise NoExtremalError(h, critical_constants().h_star)
-    tau = lower.tau
-    value = -2.0 * math.tau * h / tau
+    return _force(lower)
+
+
+def _force(lower: Extremal) -> ForceSample:
+    """force(lower.h) from the lower extremal, which must not be the fold's."""
+    h, tau = lower.h, lower.tau
     tanh = math.tanh(tau)
     slope = 2.0 * math.tau * tanh / (1.0 - tau * tanh)
-    return ForceSample(h=h, force=value, dforce_dh=slope)
+    return ForceSample(h=h, force=-2.0 * math.tau * h / tau, dforce_dh=slope)

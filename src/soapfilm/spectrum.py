@@ -53,6 +53,8 @@ __all__ = [
 _MIN_STEPS = 256
 _DEFAULT_STEPS = 2048
 _BRACKET_CAP = 200
+# intervals of dense_eigenvalues' finite-difference matrix
+_DENSE_INTERVALS = 4096
 
 
 def _check_problem(tau: float, n: int) -> float:
@@ -311,10 +313,10 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     return StringSpectrum(tau=tau, lambdas=np.array(lams), eigenfunctions=functions)
 
 
-def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
+def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
     """Independent check: 3-point finite differences as a matrix eigenproblem.
 
-    Discretizing -psi'' = lambda*rho*psi on m intervals and scaling by
+    Discretizing -psi'' = lambda*rho*psi on 4096 intervals and scaling by
     rho^(-1/2) gives a symmetric tridiagonal standard problem; the smallest
     k_max eigenvalues come from a direct tridiagonal solver. Apart from the
     density itself, no code is shared with the shooting route. Its bisection
@@ -327,11 +329,10 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
     # only this oracle needs it.
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-    _check_problem(tau, m)
+    ds = _check_problem(tau, _DENSE_INTERVALS)
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max!r}")
-    ds = 2.0 * tau / m
-    s = np.linspace(-tau, tau, m + 1)[1:-1]
+    s = np.linspace(-tau, tau, _DENSE_INTERVALS + 1)[1:-1]
     rho = _density(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_sqrt = 1.0 / np.sqrt(rho)
@@ -347,20 +348,20 @@ def dense_eigenvalues(tau: float, k_max: int, m: int = 4096) -> np.ndarray:
         raise DomainError(f"tridiagonal bisection fails at tau={tau!r}: {exc}") from None
 
 
-def negative_direction(tau: float, n: int = _DEFAULT_STEPS) -> TestFunction:
+def negative_direction(tau: float) -> TestFunction:
     """A direction with negative quadratic form, available once tau > tau_star.
 
-    Returns the normalized ground eigenfunction psi_1(.; tau); its form value
-    is lambda_1 - 1 by the normalization, negative exactly when tau exceeds
-    tau_star. Raises DomainError unless tau_star < tau < inf and n >= 256.
+    Returns the normalized ground eigenfunction psi_1(.; tau) at the default
+    step count; its form value is lambda_1 - 1 by the normalization, negative
+    exactly when tau exceeds tau_star. Raises DomainError unless
+    tau_star < tau and eigenvalues(tau, 1) accepts tau.
     """
-    _check_problem(tau, n)
     tau_star = critical_constants().tau_star
     if tau <= tau_star + 1e-9:
         raise DomainError(
             f"tau={tau!r} does not exceed tau_star={tau_star!r}; no negative direction exists"
         )
-    psi = eigenvalues(tau, 1, n).eigenfunctions[0]
+    psi = eigenvalues(tau, 1).eigenfunctions[0]
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

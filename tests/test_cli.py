@@ -8,7 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import soapfilm.energetics
+import soapfilm.extremals
 from soapfilm.cli import _build_parser, _range_points, main
+from soapfilm.errors import NoExtremalError
 from soapfilm.extremals import critical_constants
 
 from oracles import THIRD_VARIATION_CRITICAL, mpmath_constants
@@ -152,6 +154,32 @@ def test_sweep_crossing_critical_leaves_blanks(capsys):
     lines = out.strip().splitlines()
     blank = [line for line in lines[1:] if line.endswith(",,,,")]
     assert len(blank) == 2
+
+
+def test_sweep_solves_the_lower_branch_once_per_h(capsys, monkeypatch):
+    # the force column comes from the lower extremal the row already holds:
+    # force(h) bit for bit, or blank exactly where force raises, at the fold
+    h_star = critical_constants().h_star
+    solves = []
+    for module in (soapfilm.extremals, soapfilm.energetics):
+        def spy(h, original=module._lower_branch):
+            solves.append(h)
+            return original(h)
+        monkeypatch.setattr(module, "_lower_branch", spy)
+    argv = ["--h-min", repr(h_star - 2e-12), "--h-max", repr(h_star + 2e-12), "--steps", "41"]
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert solves == [row[0] for row in rows]
+    blanks = 0
+    for h, *_, got in rows:
+        try:
+            want = soapfilm.energetics.force(h).force
+        except NoExtremalError:
+            want = None
+        blanks += want is None
+        assert got == want, h
+    assert 0 < blanks < len(rows)
 
 
 def test_minimize_json(capsys):

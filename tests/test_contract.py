@@ -40,9 +40,12 @@ from soapfilm.variation import mu, mu_prime
 
 # 1e-150, 1e4 and 1e6 are string half-intervals where shooting at the default
 # n runs into the float range (lambda ~ 1/tau^2) and RK4's stability bound;
-# 8.9e307 is a half-distance whose 2h is still finite.
+# at 1e-200 the bound pi^2/(8 tau^2) <= lambda_1 itself overflows, while the
+# step 2*tau/n is still a normal float; 8.9e307 is a half-distance whose 2h
+# is still finite.
 EDGES = [
-    math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 8.9e307, 1e-150, 1e4, 1e6
+    math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 8.9e307, 1e-150, 1e-200,
+    1e4, 1e6,
 ]
 
 
@@ -221,6 +224,11 @@ def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
     reference = eigenvalues(1e-8, 5).lambdas * 1e-16
     scaled = eigenvalues(tau, 5).lambdas * tau * tau
     assert max(abs(scaled / reference - 1.0)) <= 1e-12
+
+
+def test_eigenvalues_beyond_the_float_range_are_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        eigenvalues(1e-200, 1)
 
 
 # minimize's grid spacing 2h/(n-1) must be at least 1e-7. Without that

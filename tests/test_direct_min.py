@@ -42,6 +42,8 @@ def test_profile_validation():
         Profile(h=0.4, grid=grid, y=y)
     with pytest.raises(DomainError):
         Profile(h=0.5, grid=grid, y=np.ones(65))
+    with pytest.raises(DomainError, match="same shape"):
+        Profile(h=0.4, grid=grid, y=np.ones(64))
 
 
 def test_cylinder_discrete_area_exact():
@@ -124,17 +126,79 @@ def test_minimize_supercritical_collapses():
 def test_minimize_descends_monotonically(monkeypatch):
     # the gradient is taken once at every iterate, the start included
     areas = []
-    original = direct_min._grad_raw
+    original = direct_min._gradient
 
-    def spy(y, dx):
-        areas.append(direct_min._area_raw(y, dx))
-        return original(y, dx)
+    def spy(seg, dx):
+        areas.append(direct_min._area(seg, dx))
+        return original(seg, dx)
 
-    monkeypatch.setattr(direct_min, "_grad_raw", spy)
+    monkeypatch.setattr(direct_min, "_gradient", spy)
     report = minimize(0.45, 256, InitPreset.CYLINDER)
     assert report.outcome is Outcome.CONVERGED
     assert np.all(np.diff(areas) <= 0.0)
     assert len(areas) == report.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "h, init", [(0.45, "cylinder"), (0.4, "upper_perturbed"), (0.7, "cylinder")]
+)
+def test_minimize_forms_segments_once_per_trial_point(monkeypatch, h, init):
+    # the start's segments, then one set per line-search trial; the accepted
+    # trial's serve the next iterate's gradient and Newton step
+    formed, tried, used = [], [], []
+    segments, decrease = direct_min._segments, direct_min._area_decrease
+    gradient = direct_min._gradient
+
+    def spy_segments(y, dx):
+        formed.append(segments(y, dx))
+        return formed[-1]
+
+    def spy_decrease(dy, seg, seg_new, dx):
+        tried.append(seg_new)
+        return decrease(dy, seg, seg_new, dx)
+
+    def spy_gradient(seg, dx):
+        used.append(seg)
+        return gradient(seg, dx)
+
+    monkeypatch.setattr(direct_min, "_segments", spy_segments)
+    monkeypatch.setattr(direct_min, "_area_decrease", spy_decrease)
+    monkeypatch.setattr(direct_min, "_gradient", spy_gradient)
+    report = minimize(h, 64, init)
+    assert report.iterations > 0
+    assert len(formed) == 1 + len(tried)
+    assert all(a is b for a, b in zip(formed[1:], tried))
+    # every iterate's gradient reads segments formed for that point, start included
+    assert len(used) == report.iterations + 1
+    assert used[0] is formed[0] and all(any(u is t for t in tried) for u in used[1:])
+
+
+@pytest.mark.parametrize("init", [p.value for p in InitPreset] + ["profile"])
+def test_final_area_is_the_discrete_area_of_the_final_profile(init):
+    # one spacing: minimize takes dx from check_uniform_grid, as Profile does
+    h, n = 0.45, 64
+    if init == "profile":
+        grid = np.linspace(-h, h, n)
+        y = 1.0 - 0.1 * np.sin(np.pi * (grid + h) / (2.0 * h))
+        y[0] = y[-1] = 1.0
+        init = Profile(h=h, grid=grid, y=y)
+    report = minimize(h, n, init)
+    assert report.outcome is Outcome.CONVERGED
+    assert report.final_area == discrete_area(report.final_profile)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_stalled_line_search_is_an_iteration_limit(monkeypatch, scale):
+    # An uphill step fails the Armijo test at every trial: the short one
+    # dwindles to a null step, the long one exhausts the 60 halvings. Either
+    # way the run stops at the cylinder it started from, of area 4*pi*h.
+    monkeypatch.setattr(direct_min, "_newton_step", lambda y, seg, g, eps, dx: -scale * g)
+    h = 0.45
+    report = minimize(h, 64, "cylinder")
+    assert report.outcome is Outcome.ITERATION_LIMIT
+    assert report.iterations == 0
+    assert np.all(report.final_profile.y == 1.0)
+    assert report.final_area == 2.0 * math.tau * h
 
 
 def test_collapse_on_the_coarsest_grid_keeps_the_end_cones():

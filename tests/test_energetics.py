@@ -54,6 +54,11 @@ def test_area_quadrature_rejects_nonpositive_profile():
         area_quadrature(grid, y)
 
 
+def test_area_quadrature_rejects_mismatched_shapes():
+    with pytest.raises(DomainError, match="same shape"):
+        area_quadrature(np.linspace(-0.4, 0.4, 65), np.ones(64))
+
+
 def test_area_quadrature_richardson_rate():
     lower, _ = solve_branches(0.5)
     exact = area_closed_form(lower)

@@ -64,6 +64,11 @@ def test_test_function_requires_zero_endpoints():
         TestFunction(grid, values)
 
 
+def test_test_function_requires_matching_shapes():
+    with pytest.raises(DomainError, match="same shape"):
+        TestFunction(np.linspace(-1.0, 1.0, 17), np.zeros(16))
+
+
 def test_test_function_requires_symmetric_grid():
     grid = np.linspace(0.0, 1.0, 17)
     values = np.zeros(17)

@@ -35,6 +35,20 @@ def test_boundary_root_matches_bisection_oracle():
     assert abs(root - 0.439) <= 1e-3
 
 
+@pytest.mark.parametrize("slope", [False, True])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_root_at_an_end_is_returned_after_the_end_evaluations(slope, end):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x - 0.5, 1.0) if slope else x - 0.5
+
+    lo, hi = (0.5, 2.0) if end == "lo" else (-1.0, 0.5)
+    assert find_root_bracketed(f, lo, hi, slope=slope, **TOLS) == 0.5
+    assert calls == [lo, hi]
+
+
 def test_bracket_rejects_same_sign():
     with pytest.raises(DomainError):
         find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0, **TOLS)
