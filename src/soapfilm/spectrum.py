@@ -14,13 +14,17 @@ are ever formed: their product Q carries the even solution, started from
 (psi, dt*psi') = (1, 0) at s = 0, in its first column and the odd one, from
 (0, 1), in its second. The shot from s = -tau is then rebuilt exactly: it
 ends at psi(tau)/dt = 2*q00*q01 (for odd n the centre step over
-[-dt/2, dt/2] sits between the halves). A sweep forms the prefix products by
-recursive doubling (log2(n/2) levels of batched 2x2 products), which gives
-psi at every node; each eigenvalue is bracketed by the Sturm node count of
-those values. The root solve on that bracket reads only the end value
-psi(tau; lambda): one Horner pass in mu builds the step matrices and pairwise
-products reduce them in O(n) work. Each eigenvalues call computes the
-coefficients once and shoots every lambda at most once. Its eigenvalues are
+[-dt/2, dt/2] sits between the halves). One Horner pass in mu builds the
+step matrices, and pairwise products reduce them in O(n) work to at most 32
+blocks, whose left-to-right fold gives psi at the block boundaries and at
+tau. Each eigenvalue is bracketed by the Sturm node count. Zeros of psi lie
+at least pi/sqrt(2*lambda) apart; where that is four blocks or more, the
+boundaries give the count, and only beyond does a sweep form every prefix
+product by recursive doubling (log2(n/2) levels of batched 2x2 products) for
+psi at every node. The root
+solve on the bracket reads only psi(tau; lambda). Each eigenvalues call
+computes the coefficients once and shoots every lambda at most once; an
+eigenfunction costs one sweep, taken only when asked for. Its eigenvalues are
 the RK4 end value's roots to about 1e-14 relative (k <= 5, tau in
 [0.2, 300]), and the exact ones to RK4's O(dt^4) error (see eigenvalues).
 dense_eigenvalues solves the same problem as a finite-difference matrix
@@ -116,6 +120,23 @@ def _centre(steps: np.ndarray, odd: int, q00: float, q01: float) -> Tuple[float,
     return c00 * q01 + c01 * q00, c10 * q01 + c11 * q00
 
 
+def _rebuild(
+    steps: np.ndarray, odd: int, first: np.ndarray, second: np.ndarray, det: np.ndarray
+) -> np.ndarray:
+    """psi/dt of the shot from -tau at -x_j and x_j, from Q_j's first row and det.
+
+    first[j], second[j] and det[j] belong to the prefix product Q_j of the
+    steps over [x_0, x_j], with Q_0 = I. With (q00, q01) the first row of the
+    last product Q, the left half's product is R*adj(Q)*R, so the shot reaches
+    x_0 in the state v = C*(q01, q00). Hence psi/dt is Q_j[0]*v at x_j and
+    (q01*Q_j[0, 0] - q00*Q_j[0, 1])/det Q_j at -x_j; x_0 = 0 appears once.
+    """
+    q00, q01 = float(first[-1]), float(second[-1])
+    v0, v1 = _centre(steps, odd, q00, q01)
+    left = (q01 * first - q00 * second) / det
+    return np.concatenate((left[1 - odd :][::-1], v0 * first + v1 * second))
+
+
 def _sweep(steps: np.ndarray, odd: int) -> np.ndarray:
     """psi/dt at the n+1 nodes for (psi, dt*psi')(-tau) = (0, 1).
 
@@ -123,10 +144,7 @@ def _sweep(steps: np.ndarray, odd: int) -> np.ndarray:
     doubling turns those over [x_0, tau] into the prefix products
     Q_j = M_{j-1}...M_0 in place. Their first rows hold psi/dt at x_j for the
     solutions started from (1, 0) and (0, 1) at x_0 (the even and the odd
-    solution when n is even). With (q00, q01) the first row of the last
-    product Q, the left half's product is R*adj(Q)*R, so the shot reaches x_0
-    in the state v = C*(q01, q00). Hence psi/dt is Q_j[0]*v at x_j and
-    (q01*Q_j[0, 0] - q00*Q_j[0, 1])/det Q_j at -x_j.
+    solution when n is even); _rebuild gives the shot at every node.
     """
     m = steps[:, :, odd:]
     det = np.cumprod(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -137,19 +155,20 @@ def _sweep(steps: np.ndarray, odd: int) -> np.ndarray:
         span *= 2
     first = np.concatenate(([1.0], m[0, 0]))
     second = np.concatenate(([0.0], m[0, 1]))
-    q00, q01 = float(first[-1]), float(second[-1])
-    v0, v1 = _centre(steps, odd, q00, q01)
-    left = (q01 * first - q00 * second) / np.concatenate(([1.0], det))
-    return np.concatenate((left[1 - odd :][::-1], v0 * first + v1 * second))
+    return _rebuild(steps, odd, first, second, np.concatenate(([1.0], det)))
 
 
-def _end(steps: np.ndarray, odd: int) -> float:
-    """psi(tau)/dt alone, (q00, q01)*C*(q01, q00): Q by pairwise products, O(n) work.
+_Block = Tuple[float, float, float, float]
 
-    Each level multiplies neighbours and halves the stack; on an odd level
-    the last matrix is first folded into the one before it. Below 32
-    matrices a numpy call costs more than its work, so the first row of
-    their product is taken one matrix at a time in floats.
+
+def _blocks(steps: np.ndarray, odd: int) -> List[_Block]:
+    """The steps over [x_0, tau] reduced by pairwise products to at most 32 blocks.
+
+    Each level multiplies neighbours and halves the stack, in O(n) work in
+    all; on an odd level the last matrix is first folded into the one before
+    it, so the last block is the longest (see _longest_block). Below 32
+    matrices a numpy call costs more than its work, so the blocks are
+    returned as float entries (a00, a01, a10, a11), first block first.
     """
     m = steps[:, :, odd:]
     while m.shape[2] > 32:
@@ -157,21 +176,81 @@ def _end(steps: np.ndarray, odd: int) -> float:
             m[:, :, -2] = m[:, :, -1] @ m[:, :, -2]
             m = m[:, :, :-1]
         m = np.einsum("ijk,jlk->ilk", m[:, :, 1::2], m[:, :, 0::2])
+    return list(zip(*m.reshape(4, -1).tolist()))
+
+
+def _longest_block(count: int) -> int:
+    """The number of steps in the last, longest, of _blocks' products of count steps."""
+    longest, width = 1, 1
+    while count > 32:
+        longest += width * (1 + count % 2)
+        count //= 2
+        width *= 2
+    return longest
+
+
+def _fold_end(blocks: List[_Block], steps: np.ndarray, odd: int) -> float:
+    """psi(tau)/dt = (q00, q01)*C*(q01, q00), the first row of Q folded from the last block."""
     q00, q01 = 1.0, 0.0
-    for a00, a01, a10, a11 in reversed(list(zip(*m.reshape(4, -1).tolist()))):
+    for a00, a01, a10, a11 in reversed(blocks):
         q00, q01 = q00 * a00 + q01 * a10, q00 * a01 + q01 * a11
     v0, v1 = _centre(steps, odd, q00, q01)
     return q00 * v0 + q01 * v1
 
 
+def _end(steps: np.ndarray, odd: int) -> float:
+    """psi(tau)/dt alone, from _blocks' pass: O(n) work."""
+    return _fold_end(_blocks(steps, odd), steps, odd)
+
+
+def _boundary_shot(steps: np.ndarray, odd: int) -> np.ndarray:
+    """psi/dt of the shot at the block boundaries alone, from one pass of _blocks.
+
+    Folding the blocks left to right gives the prefix products at their
+    boundaries, from which _rebuild forms the shot; its last value is set
+    to the one _end returns, so a cached end value is _end's.
+    """
+    blocks = _blocks(steps, odd)
+    first, second, det = [1.0], [0.0], [1.0]
+    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+    for a00, a01, a10, a11 in blocks:
+        p00, p01, p10, p11 = (
+            a00 * p00 + a01 * p10,
+            a00 * p01 + a01 * p11,
+            a10 * p00 + a11 * p10,
+            a10 * p01 + a11 * p11,
+        )
+        first.append(p00)
+        second.append(p01)
+        det.append(det[-1] * (a00 * a11 - a01 * a10))
+    psi = _rebuild(steps, odd, np.array(first), np.array(second), np.array(det))
+    psi[-1] = _fold_end(blocks, steps, odd)
+    return psi
+
+
+def _boundaries_count_nodes(lam: float, dt: float, n: int) -> bool:
+    """Whether the block boundaries alone give shoot's node count at lam.
+
+    rho <= 2, so by Sturm comparison the zeros of psi lie at least
+    pi/sqrt(2*lam) apart. A block at most a quarter of that long holds at most
+    one sign change, even with RK4's phase error (lam*dt^2 <= pi^2/32 there),
+    so the count over its two boundaries is the count over all its nodes.
+    """
+    length = _longest_block(n // 2) * dt
+    return 2.0 * lam * length * length <= (math.pi / 4.0) ** 2
+
+
 def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     """Integrate psi'' + lam*rho*psi = 0 from (psi, psi')(-tau) = (0, 1).
 
-    Returns psi(tau) and the number of sign changes the solution makes after
-    leaving the initial zero (the Sturm oscillation count used to bracket
-    eigenvalues). Fixed-step RK4, stepped over [0, tau] only and rebuilt on
-    [-tau, tau] from the two parity solutions; deterministic for given
-    (tau, lam, n).
+    Returns psi(tau) and the number of sign changes the solution makes at the
+    n+1 nodes after leaving the initial zero (the Sturm oscillation count
+    used to bracket eigenvalues). Fixed-step RK4, stepped over [0, tau] only
+    and rebuilt on [-tau, tau] from the two parity solutions; deterministic
+    for given (tau, lam, n). Where the zeros of psi lie at least four blocks
+    of the pairwise product apart (see _boundaries_count_nodes), the count is
+    read at the block boundaries of one O(n) pass (65 nodes at the default
+    n); otherwise a full prefix sweep gives psi at every node.
     Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
     float, lam is finite and n >= 256, and where psi overflows (lam far
     beyond RK4's stability bound 4/dt^2, or far below 0).
@@ -184,8 +263,9 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
 
 def _shoot(ab: np.ndarray, lam: float, tau: float, dt: float, n: int) -> Tuple[float, int]:
     """shoot(tau, lam, n) from the coefficients ab of the step matrices."""
+    nodes = _boundary_shot if _boundaries_count_nodes(lam, dt, n) else _sweep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = _sweep(_steps(ab, lam * dt * dt), n % 2)
+        psi = nodes(_steps(ab, lam * dt * dt), n % 2)
     if not np.all(np.isfinite(psi)):
         raise DomainError(f"psi overflows at lambda={lam!r}, tau={tau!r}, n={n!r}")
     if lam <= 0.0:
@@ -202,11 +282,11 @@ def _shoot(ab: np.ndarray, lam: float, tau: float, dt: float, n: int) -> Tuple[f
 
 @dataclass
 class StringSpectrum:
-    """First eigenvalues and normalized eigenfunctions of the string problem."""
+    """First eigenvalues of the string problem at n steps; eigenfunctions on request."""
 
     tau: float
     lambdas: np.ndarray
-    eigenfunctions: List[TestFunction]
+    n: int
 
     def __post_init__(self) -> None:
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -214,8 +294,25 @@ class StringSpectrum:
             raise DomainError("string eigenvalues must be positive")
         if np.any(np.diff(self.lambdas) <= 0.0):
             raise DomainError("string eigenvalues must be strictly increasing")
-        if len(self.eigenfunctions) != self.lambdas.size:
-            raise DomainError("one eigenfunction per eigenvalue required")
+
+    def eigenfunction(self, k: int) -> TestFunction:
+        """psi_k at the n+1 nodes of [-tau, tau]: the RK4 trajectory at lambda_k.
+
+        Normalized to unit weighted norm (weight 2/cosh^2 s) with
+        psi'(-tau) > 0; one full prefix sweep. Raises DomainError unless
+        1 <= k <= len(lambdas).
+        """
+        if k not in range(1, self.lambdas.size + 1):
+            raise DomainError(f"k must be in 1..{self.lambdas.size}, got {k!r}")
+        tau, n = self.tau, self.n
+        dt = _check_problem(tau, n)
+        lam = float(self.lambdas[k - 1])
+        # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
+        values = _sweep(_steps(_coefficients(_samples(tau, dt, n)), lam * dt * dt), n % 2)
+        values[-1] = 0.0
+        grid = np.linspace(-tau, tau, n + 1)
+        norm = composite_simpson(_density(grid) * values * values, dt)
+        return TestFunction(grid=grid, values=values / math.sqrt(norm))
 
 
 def _bracket_by_nodes(
@@ -243,11 +340,11 @@ def _bracket_by_nodes(
 
 
 def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectrum:
-    """First k_max Dirichlet eigenvalues by shooting, with eigenfunctions.
+    """First k_max Dirichlet eigenvalues by shooting; eigenfunctions on request.
 
     Isolates each lambda_k between node counts k-1 and k, then solves
-    psi(tau; lambda) = 0 on the bracket. Eigenfunctions are RK4 trajectories
-    normalized to unit weighted norm (weight 2/cosh^2 s) with psi'(-tau) > 0.
+    psi(tau; lambda) = 0 on the bracket. The result's eigenfunction(k) sweeps
+    at lambda_k for the RK4 trajectory.
 
     Accuracy: lambda_k is the discrete RK4 root to about 1e-14 relative; the
     RK4 error is O(dt^4). At the default n, lambda_k is within 3e-10
@@ -257,8 +354,8 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
 
     Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
     float, k_max >= 1 and n >= 256, where pi^2/(8 tau^2) (a lower bound on
-    lambda_1) overflows, and where lambda_{k_max} exceeds RK4's stability
-    bound 4/dt^2: n steps cannot resolve k_max eigenvalues at that tau.
+    lambda_1) overflows, and where lambda_{k_max} exceeds 3/dt^2: n steps
+    cannot resolve k_max eigenvalues at that tau.
     """
     dt = _check_problem(tau, n)
     if k_max < 1:
@@ -267,7 +364,9 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     if lam_floor == math.inf:
         raise DomainError(f"the eigenvalues at tau={tau!r} exceed the float range")
     ab = _coefficients(_samples(tau, dt, n))
-    lam_max = 4.0 / dt / dt  # RK4 is stable while lam*dt^2*max(rho) <= 8
+    # RK4's phase per step reaches pi at lam*dt^2*rho = 6, short of its
+    # stability bound 8; beyond, the node count falls with lambda.
+    lam_max = 3.0 / dt / dt
     # tol_f is absolute and psi(tau) shrinks like tau: below tau = 0.2, psi in
     # units of 5*tau solves lambda*tau^2 to one relative accuracy at any tau.
     unit = min(1.0, 5.0 * tau)
@@ -295,22 +394,12 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
         lam_hi = min(2.0 * lam_hi, lam_max)
 
     lams = []
-    functions = []
-    grid = np.linspace(-tau, tau, n + 1)
-    weight = _density(grid)
     for k in range(1, k_max + 1):
         lo, hi = _bracket_by_nodes(shoot_once, k, lam_hi)
         # about half the solves end on tol_x, so it scales with lambda_k's floor
         tol_x = 1e-15 * max(lo, lam_floor)
-        lam_k = find_root_bracketed(end_value, lo, hi, tol_x=tol_x, tol_f=1e-16)
-        # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
-        values = _sweep(_steps(ab, lam_k * dt * dt), n % 2)
-        values[-1] = 0.0
-        norm = composite_simpson(weight * values * values, dt)
-        values = values / math.sqrt(norm)
-        lams.append(lam_k)
-        functions.append(TestFunction(grid=grid, values=values))
-    return StringSpectrum(tau=tau, lambdas=np.array(lams), eigenfunctions=functions)
+        lams.append(find_root_bracketed(end_value, lo, hi, tol_x=tol_x, tol_f=1e-16))
+    return StringSpectrum(tau=tau, lambdas=np.array(lams), n=n)
 
 
 def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
@@ -361,7 +450,7 @@ def negative_direction(tau: float) -> TestFunction:
         raise DomainError(
             f"tau={tau!r} does not exceed tau_star={tau_star!r}; no negative direction exists"
         )
-    psi = eigenvalues(tau, 1).eigenfunctions[0]
+    psi = eigenvalues(tau, 1).eigenfunction(1)
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

@@ -57,7 +57,7 @@ def test_c3_spectral_anchor():
     spec = eigenvalues(cc.tau_star, 1)
     lam_shoot = float(spec.lambdas[0])
     lam_dense = float(dense_eigenvalues(cc.tau_star, 1)[0])
-    psi = spec.eigenfunctions[0]
+    psi = spec.eigenfunction(1)
     scale = psi.values[psi.n // 2] / mu(0.0)
     sup = float(np.max(np.abs(psi.values - scale * mu(psi.grid))))
     ok = abs(lam_shoot - 1.0) <= 1e-4 and abs(lam_dense - 1.0) <= 1e-4 and sup <= 1e-3

@@ -135,7 +135,7 @@ _CRITICAL_ETA = variation.eta_from_psi(
 
 def _spectrum(tau):
     spec = eigenvalues(tau, 2)
-    return list(spec.lambdas) + [v for f in spec.eigenfunctions for v in f.values]
+    return list(spec.lambdas) + [v for k in (1, 2) for v in spec.eigenfunction(k).values]
 
 
 CALLS = {

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from soapfilm import spectrum
@@ -55,7 +55,7 @@ def test_shoot_matches_scalar_rk4_oracle(tau, n):
 
 @pytest.mark.parametrize("n", [256, 257, 1001, 2048])
 def test_every_sweep_and_end_value_builds_half_the_steps(monkeypatch, n):
-    # one _steps call per shot, per end value and per eigenfunction
+    # one _steps call per shot and per end value
     built = []
     calls = {"_shoot": 0, "_end": 0}
 
@@ -77,7 +77,7 @@ def test_every_sweep_and_end_value_builds_half_the_steps(monkeypatch, n):
     counting("_end", spectrum._end)
     eigenvalues(1.3, 3, n)
     assert set(built) == {(n + 1) // 2}
-    assert len(built) == calls["_shoot"] + calls["_end"] + 3
+    assert len(built) == calls["_shoot"] + calls["_end"]
 
 
 @pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
@@ -85,7 +85,8 @@ def test_eigenfunctions_match_scalar_rk4_trajectory(tau):
     # The eigenfunctions are rebuilt on [-tau, tau] from the half sweep; the
     # oracle steps over the whole interval at the same lambda_k.
     spec = eigenvalues(tau, 5)
-    for lam, psi in zip(spec.lambdas, spec.eigenfunctions):
+    for k, lam in enumerate(spec.lambdas, start=1):
+        psi = spec.eigenfunction(k)
         trajectory = np.array(rk4_sweep(tau, lam, 2048)[2])
         trajectory[-1] = 0.0
         want = trajectory / np.max(np.abs(trajectory))
@@ -145,8 +146,9 @@ def test_pairwise_end_value_matches_shoot(log_tau, lam, n):
 
 
 def test_eigenvalues_count_shots_and_end_values(monkeypatch):
-    # Node counts need a full sweep; the root solve reads only psi(tau). The
-    # bounds sit 14-36 % above the measured counts 7/40, 8/36 and 1/11.
+    # Node counts come from the block boundaries of one pairwise pass here,
+    # never from a full sweep; the root solve reads only psi(tau). The bounds
+    # sit 14-36 % above the measured counts 7/40, 8/36 and 1/11.
     counts = {}
 
     def counting(name, fn):
@@ -158,10 +160,86 @@ def test_eigenvalues_count_shots_and_end_values(monkeypatch):
 
     counting("_shoot", spectrum._shoot)
     counting("_end", spectrum._end)
+    counting("_sweep", spectrum._sweep)
+    counting("_blocks", spectrum._blocks)
     for tau, k, shots, ends in ((TAU_STAR, 5, 8, 51), (0.2, 5, 10, 43), (5.0, 1, 1, 15)):
-        counts.update(_shoot=0, _end=0)
+        counts.update(_shoot=0, _end=0, _sweep=0, _blocks=0)
         eigenvalues(tau, k)
         assert counts["_shoot"] <= shots and counts["_end"] <= ends, (tau, k, counts)
+        assert counts["_sweep"] == 0, (tau, k, counts)
+        assert counts["_blocks"] == counts["_shoot"] + counts["_end"], (tau, k, counts)
+
+
+def _sign_changes(psi):
+    positive = psi > 0.0
+    signs = positive[positive | (psi < 0.0)]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@given(
+    log_tau=st.floats(math.log(1e-3), math.log(300.0)),
+    n=st.sampled_from([256, 257, 1000, 1001, 2048]),
+    share=st.floats(0.0, 1.0, exclude_min=True),
+    k=st.integers(1, 5),
+    shift=st.sampled_from([None, -1e-13, 1e-13]),
+)
+def test_block_boundaries_count_the_nodes_of_a_full_sweep(log_tau, n, share, k, shift):
+    # Wherever shoot reads the count at the block boundaries, it must be the
+    # count over all n+1 nodes: at lambdas up to the bound, and on either
+    # side of an eigenvalue, where psi(tau) is all but zero.
+    tau = math.exp(log_tau)
+    dt = 2.0 * tau / n
+    if shift is None:
+        length = spectrum._longest_block(n // 2) * dt
+        lam = share * (math.pi / 4.0) ** 2 / (2.0 * length * length)
+    else:
+        try:
+            lam = eigenvalues(tau, k, n).lambdas[k - 1] * (1.0 + shift)
+        except DomainError:
+            assume(False)
+    assume(spectrum._boundaries_count_nodes(lam, dt, n))
+    ab = spectrum._coefficients(spectrum._samples(tau, dt, n))
+    psi = spectrum._sweep(spectrum._steps(ab, lam * dt * dt), n % 2)
+    assert spectrum._shoot(ab, lam, tau, dt, n)[1] == _sign_changes(psi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [0.2, 1.2, 5.0])
+def test_eigenvalues_take_no_full_sweep(monkeypatch, tau, k):
+    # The node counts come from the block boundaries; eigenfunctions, the
+    # only readers of every node, are swept on request.
+    def no_sweep(*args):
+        raise AssertionError("full prefix sweep")
+
+    monkeypatch.setattr(spectrum, "_sweep", no_sweep)
+    assert eigenvalues(tau, k).lambdas.size == k
+
+
+@given(
+    tau=st.floats(math.log(1e-3), math.log(800.0)).map(math.exp),
+    k=st.integers(1, 10),
+    n=st.sampled_from([256, 257, 300, 511, 1000, 1001, 2048]),
+)
+@example(tau=229.3649820054575, k=8, n=1001)
+@example(tau=58.572496141012124, k=7, n=257)
+@example(tau=117.01595612521703, k=8, n=511)
+@example(tau=59.82089361017262, k=8, n=300)
+def test_eigenvalues_raise_only_domain_errors(tau, k, n):
+    # Below 3/dt^2 the node count rises with lambda; up to RK4's stability
+    # bound 4/dt^2 it need not, and the bisection on it could fail.
+    try:
+        spec = eigenvalues(tau, k, n)
+    except DomainError:
+        return
+    assert spec.lambdas.size == k
+
+
+def test_eigenfunction_rejects_k_outside_the_spectrum():
+    spec = eigenvalues(1.2, 2, n=256)
+    assert spec.eigenfunction(2).n == 257
+    for k in (0, -1, 3, 1.5):
+        with pytest.raises(DomainError):
+            spec.eigenfunction(k)
 
 
 def test_import_does_not_load_scipy_linalg():
@@ -204,7 +282,7 @@ def test_unit_eigenvalue_at_critical_parameter():
     spec = eigenvalues(TAU_STAR, 1)
     np.testing.assert_allclose(spec.lambdas[0], 1.0, rtol=0.0, atol=1e-4)
     # The ground eigenfunction is the balance function mu up to scale.
-    psi = spec.eigenfunctions[0]
+    psi = spec.eigenfunction(1)
     center = psi.values[psi.n // 2]
     dev = np.max(np.abs(psi.values - center * mu(psi.grid)))
     assert dev <= 1e-3
@@ -243,7 +321,8 @@ def test_eigenfunction_structure():
     spec = eigenvalues(1.0, 5, n=1024)
     assert np.all(np.diff(spec.lambdas) > 0.0)
     assert np.all(np.array(spec.lambdas) > 0.0)
-    for k, psi in enumerate(spec.eigenfunctions, start=1):
+    for k in range(1, 6):
+        psi = spec.eigenfunction(k)
         interior = psi.values[1:-1]
         signs = np.sign(interior[np.abs(interior) > 1e-9])
         nodes = int(np.sum(signs[1:] * signs[:-1] < 0))
@@ -257,13 +336,12 @@ def test_eigenfunction_structure():
 
 def test_eigenfunctions_orthogonal_in_weighted_inner_product():
     spec = eigenvalues(1.5, 3, n=2048)
-    weight = 2.0 / np.cosh(spec.eigenfunctions[0].grid) ** 2
-    dx = spec.eigenfunctions[0].spacing
+    functions = [spec.eigenfunction(k) for k in (1, 2, 3)]
+    weight = 2.0 / np.cosh(functions[0].grid) ** 2
+    dx = functions[0].spacing
     for i in range(3):
         for j in range(i + 1, 3):
-            inner = composite_simpson(
-                weight * spec.eigenfunctions[i].values * spec.eigenfunctions[j].values, dx
-            )
+            inner = composite_simpson(weight * functions[i].values * functions[j].values, dx)
             assert abs(inner) <= 1e-6
 
 
@@ -291,7 +369,7 @@ def test_rayleigh_quotient_properties():
     spec = eigenvalues(1.0, 1, n=2048)
     lam1 = spec.lambdas[0]
     np.testing.assert_allclose(
-        rayleigh_quotient(spec.eigenfunctions[0]), lam1, rtol=1e-6, atol=0.0
+        rayleigh_quotient(spec.eigenfunction(1)), lam1, rtol=1e-6, atol=0.0
     )
     psi_mu = TestFunction.sample(mu, TAU_STAR, 2049)
     np.testing.assert_allclose(rayleigh_quotient(psi_mu), 1.0, rtol=0.0, atol=1e-4)
@@ -327,8 +405,8 @@ def test_eigenvalues_deterministic():
     a = eigenvalues(1.7, 3, n=1024)
     b = eigenvalues(1.7, 3, n=1024)
     assert np.array_equal(a.lambdas, b.lambdas)
-    for fa, fb in zip(a.eigenfunctions, b.eigenfunctions):
-        assert np.array_equal(fa.values, fb.values)
+    for k in (1, 2, 3):
+        assert np.array_equal(a.eigenfunction(k).values, b.eigenfunction(k).values)
 
 
 @pytest.mark.parametrize("tau", [10.0, 20.0, 50.0, 100.0])
