@@ -146,10 +146,9 @@ def _run_goldschmidt(args) -> Dict:
 
 def _run_spectrum(args) -> Dict:
     from . import spectrum
-    n = spectrum._DEFAULT_STEPS if args.n is None else args.n
-    result = spectrum.eigenvalues(args.tau, args.k, n)
+    result = spectrum.eigenvalues(args.tau, args.k)
     rows = [[args.tau, k + 1, float(lam)] for k, lam in enumerate(result.lambdas)]
-    inputs = {"tau": args.tau, "k": args.k, "n": n}
+    inputs = {"tau": args.tau, "k": args.k}
     return _record("spectrum", inputs, {"columns": ["tau", "k", "lambda"], "rows": rows})
 
 
@@ -226,7 +225,6 @@ _COMMANDS = {
     "spectrum": (_run_spectrum, "string eigenvalues on [-tau, tau]", [
         ("--tau", dict(type=float, required=True)),
         ("--k", dict(type=int, default=5, help="number of eigenvalues (default 5)")),
-        ("--n", dict(type=int)),
     ]),
     "force": (_run_force, "ring force over a range of half-distances", [
         ("--h-min", dict(type=float, required=True)),

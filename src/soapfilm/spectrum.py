@@ -4,31 +4,37 @@ The stability of a catenoid reduces to the eigenvalue problem
 
     psi'' + lambda * (2/cosh^2 s) * psi = 0,   psi(-tau) = psi(tau) = 0,
 
-whose first eigenvalue crosses 1 exactly at tau = tau_star. The primary
-solver is fixed-step RK4 with dt = 2*tau/n. Because the ODE is linear, each
-RK4 step is a 2x2 matrix on (psi, dt*psi'), whose entries are quadratics in
+whose first eigenvalue crosses 1 exactly at tau = tau_star. With x = tanh s
+and lambda = nu*(nu+1)/2 it is Legendre's equation of degree nu, for every
+lambda. From P_nu, Q_nu and their slopes at x = 0 (DLMF 14.5.1-14.5.4),
+the solutions even and odd about s = 0 are, up to positive factors,
+
+    psi_e = cos(pi*nu/2) * P_nu(x) - (2/pi) * sin(pi*nu/2) * Q_nu(x),
+    psi_o = (pi/2) * sin(pi*nu/2) * P_nu(x) + cos(pi*nu/2) * Q_nu(x),
+
+with P and Q the Ferrers functions; the Gamma ratios of 14.5 cancel. So
+lambda_k is exactly the root in nu of psi_e(tanh tau) for odd k and of
+psi_o(tanh tau) for even k, and eigenvalues solves these with `math` alone:
+P and Q as series in z = (1 - x)/2, the hypergeometric series in x^2 about
+s = 0 where z is large, and the recurrence in the degree where either
+series would cancel (see _characteristic). The signs of (psi_e, psi_o)
+count the eigenvalues below lambda mod 4, which brackets each root (see
+eigenvalues); no ODE is integrated.
+
+shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, for the
+eigenfunctions at the exact lambda_k. Because the ODE is linear, each RK4
+step is a 2x2 matrix on (psi, dt*psi'), whose entries are quadratics in
 mu = lambda*dt^2 with coefficients from the density at the step's node,
 midpoint and next node. The density is even, and the mirror image of a step
 is R*adj(M)*R with R = diag(1, -1), so only the ceil(n/2) steps over [0, tau]
 are ever formed: their product Q carries the even solution, started from
 (psi, dt*psi') = (1, 0) at s = 0, in its first column and the odd one, from
-(0, 1), in its second. The shot from s = -tau is then rebuilt exactly: it
-ends at psi(tau)/dt = 2*q00*q01 (for odd n the centre step over
-[-dt/2, dt/2] sits between the halves). One Horner pass in mu builds the
-step matrices, and pairwise products reduce them in O(n) work to at most 32
-blocks, whose left-to-right fold gives psi at the block boundaries and at
-tau. Each eigenvalue is bracketed by the Sturm node count. Zeros of psi lie
-at least pi/sqrt(2*lambda) apart; where that is four blocks or more, the
-boundaries give the count, and only beyond does a sweep form every prefix
-product by recursive doubling (log2(n/2) levels of batched 2x2 products) for
-psi at every node. The root
-solve on the bracket reads only psi(tau; lambda). Each eigenvalues call
-computes the coefficients once and shoots every lambda at most once; an
-eigenfunction costs one sweep, taken only when asked for. Its eigenvalues are
-the RK4 end value's roots to about 1e-14 relative (k <= 5, tau in
-[0.2, 300]), and the exact ones to RK4's O(dt^4) error (see eigenvalues).
-dense_eigenvalues solves the same problem as a finite-difference matrix
-eigenproblem and serves as an independent check.
+(0, 1), in its second. The shot from s = -tau is then rebuilt exactly (for
+odd n the centre step over [-dt/2, dt/2] sits between the halves). One
+Horner pass in mu builds the step matrices, and recursive doubling
+(log2(n/2) levels of batched 2x2 products) forms every prefix product for
+psi at every node. dense_eigenvalues solves the same problem as a
+finite-difference matrix eigenproblem and serves as an independent check.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -56,7 +62,18 @@ __all__ = [
 
 _MIN_STEPS = 256
 _DEFAULT_STEPS = 2048
-_BRACKET_CAP = 200
+# Euler's constant, and B_2j/(2j) for j = 1..6 in digamma's asymptotic series
+_EULER_GAMMA = 0.5772156649015329
+_DIGAMMA_TAIL = (1.0 / 12, -1.0 / 120, 1.0 / 252, -1.0 / 240, 1.0 / 132, -691.0 / 32760)
+# from x = tanh(tau) = sqrt(3) - 1 on, 2*sqrt(z) <= x: the series in z loses less
+_NEAR_ENDS = math.sqrt(3.0) - 1.0
+# largest nu*x or 2*nu*sqrt(z) summed as a series, which then loses at most
+# ~exp(12) ulps; beyond, the recurrence in the degree, up to degree 1e4, and
+# past that the series again, up to twice this loss
+_MAX_LOSS = 12.0
+_MAX_DEGREE = 1e4
+# the root solves stop on tol_x; any value that reaches this is a root
+_TINY = 1e-300
 # intervals of dense_eigenvalues' finite-difference matrix
 _DENSE_INTERVALS = 4096
 
@@ -158,99 +175,13 @@ def _sweep(steps: np.ndarray, odd: int) -> np.ndarray:
     return _rebuild(steps, odd, first, second, np.concatenate(([1.0], det)))
 
 
-_Block = Tuple[float, float, float, float]
-
-
-def _blocks(steps: np.ndarray, odd: int) -> List[_Block]:
-    """The steps over [x_0, tau] reduced by pairwise products to at most 32 blocks.
-
-    Each level multiplies neighbours and halves the stack, in O(n) work in
-    all; on an odd level the last matrix is first folded into the one before
-    it, so the last block is the longest (see _longest_block). Below 32
-    matrices a numpy call costs more than its work, so the blocks are
-    returned as float entries (a00, a01, a10, a11), first block first.
-    """
-    m = steps[:, :, odd:]
-    while m.shape[2] > 32:
-        if m.shape[2] % 2:
-            m[:, :, -2] = m[:, :, -1] @ m[:, :, -2]
-            m = m[:, :, :-1]
-        m = np.einsum("ijk,jlk->ilk", m[:, :, 1::2], m[:, :, 0::2])
-    return list(zip(*m.reshape(4, -1).tolist()))
-
-
-def _longest_block(count: int) -> int:
-    """The number of steps in the last, longest, of _blocks' products of count steps."""
-    longest, width = 1, 1
-    while count > 32:
-        longest += width * (1 + count % 2)
-        count //= 2
-        width *= 2
-    return longest
-
-
-def _fold_end(blocks: List[_Block], steps: np.ndarray, odd: int) -> float:
-    """psi(tau)/dt = (q00, q01)*C*(q01, q00), the first row of Q folded from the last block."""
-    q00, q01 = 1.0, 0.0
-    for a00, a01, a10, a11 in reversed(blocks):
-        q00, q01 = q00 * a00 + q01 * a10, q00 * a01 + q01 * a11
-    v0, v1 = _centre(steps, odd, q00, q01)
-    return q00 * v0 + q01 * v1
-
-
-def _end(steps: np.ndarray, odd: int) -> float:
-    """psi(tau)/dt alone, from _blocks' pass: O(n) work."""
-    return _fold_end(_blocks(steps, odd), steps, odd)
-
-
-def _boundary_shot(steps: np.ndarray, odd: int) -> np.ndarray:
-    """psi/dt of the shot at the block boundaries alone, from one pass of _blocks.
-
-    Folding the blocks left to right gives the prefix products at their
-    boundaries, from which _rebuild forms the shot; its last value is set
-    to the one _end returns, so a cached end value is _end's.
-    """
-    blocks = _blocks(steps, odd)
-    first, second, det = [1.0], [0.0], [1.0]
-    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
-    for a00, a01, a10, a11 in blocks:
-        p00, p01, p10, p11 = (
-            a00 * p00 + a01 * p10,
-            a00 * p01 + a01 * p11,
-            a10 * p00 + a11 * p10,
-            a10 * p01 + a11 * p11,
-        )
-        first.append(p00)
-        second.append(p01)
-        det.append(det[-1] * (a00 * a11 - a01 * a10))
-    psi = _rebuild(steps, odd, np.array(first), np.array(second), np.array(det))
-    psi[-1] = _fold_end(blocks, steps, odd)
-    return psi
-
-
-def _boundaries_count_nodes(lam: float, dt: float, n: int) -> bool:
-    """Whether the block boundaries alone give shoot's node count at lam.
-
-    rho <= 2, so by Sturm comparison the zeros of psi lie at least
-    pi/sqrt(2*lam) apart. A block at most a quarter of that long holds at most
-    one sign change, even with RK4's phase error (lam*dt^2 <= pi^2/32 there),
-    so the count over its two boundaries is the count over all its nodes.
-    """
-    length = _longest_block(n // 2) * dt
-    return 2.0 * lam * length * length <= (math.pi / 4.0) ** 2
-
-
 def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     """Integrate psi'' + lam*rho*psi = 0 from (psi, psi')(-tau) = (0, 1).
 
     Returns psi(tau) and the number of sign changes the solution makes at the
-    n+1 nodes after leaving the initial zero (the Sturm oscillation count
-    used to bracket eigenvalues). Fixed-step RK4, stepped over [0, tau] only
-    and rebuilt on [-tau, tau] from the two parity solutions; deterministic
-    for given (tau, lam, n). Where the zeros of psi lie at least four blocks
-    of the pairwise product apart (see _boundaries_count_nodes), the count is
-    read at the block boundaries of one O(n) pass (65 nodes at the default
-    n); otherwise a full prefix sweep gives psi at every node.
+    n+1 nodes after leaving the initial zero (the Sturm oscillation count).
+    Fixed-step RK4, stepped over [0, tau] only and rebuilt on [-tau, tau]
+    from the two parity solutions; deterministic for given (tau, lam, n).
     Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
     float, lam is finite and n >= 256, and where psi overflows (lam far
     beyond RK4's stability bound 4/dt^2, or far below 0).
@@ -258,14 +189,8 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     dt = _check_problem(tau, n)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    return _shoot(_coefficients(_samples(tau, dt, n)), lam, tau, dt, n)
-
-
-def _shoot(ab: np.ndarray, lam: float, tau: float, dt: float, n: int) -> Tuple[float, int]:
-    """shoot(tau, lam, n) from the coefficients ab of the step matrices."""
-    nodes = _boundary_shot if _boundaries_count_nodes(lam, dt, n) else _sweep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = nodes(_steps(ab, lam * dt * dt), n % 2)
+        psi = _sweep(_steps(_coefficients(_samples(tau, dt, n)), lam * dt * dt), n % 2)
     if not np.all(np.isfinite(psi)):
         raise DomainError(f"psi overflows at lambda={lam!r}, tau={tau!r}, n={n!r}")
     if lam <= 0.0:
@@ -282,7 +207,7 @@ def _shoot(ab: np.ndarray, lam: float, tau: float, dt: float, n: int) -> Tuple[f
 
 @dataclass
 class StringSpectrum:
-    """First eigenvalues of the string problem at n steps; eigenfunctions on request."""
+    """First eigenvalues of the string problem; eigenfunctions on request at n steps."""
 
     tau: float
     lambdas: np.ndarray
@@ -300,13 +225,18 @@ class StringSpectrum:
 
         Normalized to unit weighted norm (weight 2/cosh^2 s) with
         psi'(-tau) > 0; one full prefix sweep. Raises DomainError unless
-        1 <= k <= len(lambdas).
+        1 <= k <= len(lambdas), shoot accepts (tau, n), and lambda_k*dt^2 <= 3
+        with dt = 2*tau/n: RK4's phase per step reaches pi at
+        lambda*dt^2*rho = 6, short of its stability bound 8, so n steps
+        cannot resolve psi_k beyond.
         """
         if k not in range(1, self.lambdas.size + 1):
             raise DomainError(f"k must be in 1..{self.lambdas.size}, got {k!r}")
         tau, n = self.tau, self.n
         dt = _check_problem(tau, n)
         lam = float(self.lambdas[k - 1])
+        if lam * dt * dt > 3.0:
+            raise DomainError(f"{n} steps cannot resolve eigenfunction {k} at tau={tau!r}")
         # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
         values = _sweep(_steps(_coefficients(_samples(tau, dt, n)), lam * dt * dt), n % 2)
         values[-1] = 0.0
@@ -315,90 +245,235 @@ class StringSpectrum:
         return TestFunction(grid=grid, values=values / math.sqrt(norm))
 
 
-def _bracket_by_nodes(
-    shoot_once: Callable[[float], Tuple[float, int]], k: int, lam_hi: float
-) -> Tuple[float, float]:
-    """Shrink [lo, hi] until the node counts are exactly k-1 and k.
+def _digamma(x: float) -> float:
+    """psi(x) for x >= 1 to about 1e-15: recurrence up to 10, then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv = 1.0 / (x * x)
+    tail = 0.0
+    for b in reversed(_DIGAMMA_TAIL):
+        tail = tail * inv + b
+    return math.log(x) - 0.5 / x - tail * inv - shift
 
-    The node count is nondecreasing in lambda and jumps by one at each
-    eigenvalue, so bisection pins the k-th jump; the end values at such a
-    bracket have opposite signs.
+
+def _ferrers(tau: float, z: float, nu: float) -> Tuple[float, float]:
+    """The Ferrers P_nu and Q_nu at x = tanh(tau), as series in z = (1 - x)/2.
+
+    P = sum c_j z^j with c_j = (-nu)_j (nu+1)_j / (j!)^2, and
+    Q = P*(tau - gamma - digamma(nu+1)) + sum c_j H_j z^j with H_j the
+    harmonic numbers; atanh(x) = tau is passed exactly. Past the largest
+    term the ratio of terms falls, and below 1/2 the tail is under the last
+    term, which ends the sum at 1e-17 of the largest.
     """
-    lo, hi = 0.0, lam_hi
-    nodes_lo = 0
-    nodes_hi = shoot_once(hi)[1]
-    for _ in range(_BRACKET_CAP):
-        if nodes_lo == k - 1 and nodes_hi == k:
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        nodes_mid = shoot_once(mid)[1]
-        if nodes_mid <= k - 1:
-            lo, nodes_lo = mid, nodes_mid
-        else:
-            hi, nodes_hi = mid, nodes_mid
-    raise ConvergenceFailureError(f"could not isolate eigenvalue {k} by node count")
+    two_lam = nu * (nu + 1.0)  # (j - nu)(j + nu + 1) = j(j + 1) - two_lam
+    term, p, s, harmonic, peak, j = 1.0, 1.0, 0.0, 0.0, 1.0, 0.0
+    while True:
+        ratio = (j * (j + 1.0) - two_lam) / ((j + 1.0) * (j + 1.0)) * z
+        j += 1.0
+        term *= ratio
+        harmonic += 1.0 / j
+        p += term
+        size = term * harmonic
+        s += size
+        size = abs(size)
+        if size > peak:
+            peak = size
+        elif size <= 1e-17 * peak and -0.5 <= ratio <= 0.5:
+            return p, p * (tau - _EULER_GAMMA - _digamma(nu + 1.0)) + s
+
+
+def _parity_pair(nu: float, p: float, q: float) -> Tuple[float, float]:
+    """(psi_e, psi_o) from P_nu and Q_nu at one x.
+
+    cos and sin of pi*nu/2 come from nu - round(nu), which is exact, so they
+    keep their relative accuracy next to every integer nu.
+    """
+    m = round(nu)
+    r = (nu - m) * (0.5 * math.pi)
+    c, s = math.cos(r), math.sin(r)
+    cos, sin = ((c, s), (-s, c), (-c, -s), (s, -c))[m % 4]
+    return cos * p - sin * q / (0.5 * math.pi), 0.5 * math.pi * sin * p + cos * q
+
+
+def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float]:
+    """(psi_e, psi_o) from P and Q of degrees nu - m and nu - m + 1, m = floor(nu), raised to nu.
+
+    Both Ferrers functions satisfy (d+1) F_{d+1} = (2d+1) x F_d - d F_{d-1},
+    and for |x| < 1 they oscillate alike, so neither dominates and the
+    upward recurrence keeps their relative accuracy up to a factor that
+    grows like the number of steps. The two start degrees are below 2,
+    where the series in z lose nothing.
+    """
+    m = math.floor(nu)
+    d = nu - m
+    p0, q0 = _ferrers(tau, z, d)
+    p1, q1 = _ferrers(tau, z, d + 1.0)
+    for _ in range(m - 1):
+        d += 1.0
+        p0, p1 = p1, ((2.0 * d + 1.0) * x * p1 - d * p0) / (d + 1.0)
+        q0, q1 = q1, ((2.0 * d + 1.0) * x * q1 - d * q0) / (d + 1.0)
+    return _parity_pair(nu, p1, q1) if m else _parity_pair(nu, p0, q0)
+
+
+def _about_centre(x: float, nu: float) -> Tuple[float, float]:
+    """(psi_e, psi_o) at x = tanh(tau) from the series about s = 0, up to positive factors.
+
+    psi_e = 2F1(-nu/2, (nu+1)/2; 1/2; x^2) and
+    psi_o = x*2F1((1-nu)/2, nu/2+1; 3/2; x^2), summed as _ferrers sums.
+    """
+    a, b = 0.5 * nu * x, (0.5 * nu + 0.5) * x
+    even, odd, te, to, peak, j = 1.0, 1.0, 1.0, 1.0, 1.0, 0.0
+    while True:
+        # (j - nu/2)(j + (nu+1)/2) x^2 and (j + (1-nu)/2)(j + nu/2 + 1) x^2
+        re = (j * x - a) * (j * x + b) / ((j + 0.5) * (j + 1.0))
+        ro = (j * x + x - b) * (j * x + x + a) / ((j + 1.5) * (j + 1.0))
+        j += 1.0
+        te *= re
+        to *= ro
+        even += te
+        odd += to
+        size = abs(te) + abs(to)
+        if size > peak:
+            peak = size
+        elif size <= 1e-17 * peak and -0.75 <= re <= 0.75 and -0.75 <= ro <= 0.75:
+            return even, x * odd
+
+
+def _characteristic(tau: float) -> Callable[[float], Tuple[float, float]]:
+    """nu -> (psi_e, psi_o) at s = tau, for lambda = nu*(nu+1)/2.
+
+    Both series alternate once nu is large, the one in z like
+    J_0(2*nu*sqrt(z)) and the one in x^2 like cos(nu*x), so each loses about
+    exp(2*nu*sqrt(z)) or exp(nu*x) ulps in rounding. The one in z serves
+    where 2*sqrt(z) <= x, that is x >= sqrt(3) - 1, and the one in x^2
+    below: one form per tau keeps a root solve's values on one scale. Where
+    that loss would exceed exp(12), the upward recurrence in the degree
+    takes over, in floor(nu) steps, up to degree 1e4; it carries the Ferrers
+    scale, a positive multiple of the x^2 form's, so signs agree across the
+    switch. Beyond degree 1e4, at tau below ~1e-3 where nu*x stays near
+    k*pi/2, the series go on to a loss of exp(24), up to about 1e-8
+    relative, and DomainError is raised past it.
+    """
+    x = math.tanh(tau)
+    t = math.exp(-2.0 * tau)
+    z = t / (1.0 + t)
+    centre = x < _NEAR_ENDS
+    rate = x if centre else 2.0 * math.sqrt(z)
+
+    def psi(nu: float) -> Tuple[float, float]:
+        loss = nu * rate
+        if loss > _MAX_LOSS and nu <= _MAX_DEGREE:
+            return _recurrence(tau, x, z, nu)
+        if loss > 2.0 * _MAX_LOSS:
+            raise DomainError(
+                f"lambda = {0.5 * nu * (nu + 1.0)!r} is beyond the series' precision at tau={tau!r}"
+            )
+        if centre:
+            return _about_centre(x, nu)
+        return _parity_pair(nu, *_ferrers(tau, z, nu))
+
+    return psi
+
+
+def _degree(root: float) -> float:
+    """nu >= 0 with nu*(nu+1)/2 = root^2, without overflow or cancellation."""
+    return root * (4.0 * root / (math.hypot(1.0, math.sqrt(8.0) * root) + 1.0))
 
 
 def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectrum:
-    """First k_max Dirichlet eigenvalues by shooting; eigenfunctions on request.
+    """First k_max Dirichlet eigenvalues, the roots of the Legendre characteristic functions.
 
-    Isolates each lambda_k between node counts k-1 and k, then solves
-    psi(tau; lambda) = 0 on the bracket. The result's eigenfunction(k) sweeps
-    at lambda_k for the RK4 trajectory.
+    lambda_k = nu*(nu+1)/2 is the root in nu of psi_e(tau) for odd k and of
+    psi_o(tau) for even k (see the module docstring), solved by
+    find_root_bracketed on a bracket that holds no other root of the same
+    function. The brackets come from N, the number of eigenvalues below
+    lambda, which the signs of (psi_e, psi_o) give mod 4: (+, +), (-, +),
+    (-, -), (+, -) for N = 0, 1, 2, 3. N is known exactly at two kinds of
+    points:
+    - N = 0 below half of max(a^2, 1/(2*tau*tanh(tau))), a = pi/(sqrt(8)*tau).
+      Both are lower bounds on lambda_1: the first by Sturm comparison with
+      rho <= 2, the second because psi^2 <= (tau/2) * integral psi'^2 for
+      psi vanishing at both ends, while rho integrates to 4*tanh(tau).
+    - N = k between (k*a*cosh(tau))^2 and ((k+1)*a)^2 where k*cosh(tau) <
+      k+1: Sturm comparison with rho >= 2/cosh^2(tau) and rho <= 2 puts
+      lambda_k below the first and lambda_k+1 above the second.
+    From a point of known N, a step of at most 3 in nu crosses at most three
+    eigenvalues, because successive nu_k lie more than 1 apart (the tests
+    check this for k <= 8 and tau in [1e-2, 300]); so the signs there give
+    N itself. Bisection then narrows each bracket to counts k-2 or k-1 and
+    k or k+1 at its ends. n is used only by eigenfunction(k).
 
-    Accuracy: lambda_k is the discrete RK4 root to about 1e-14 relative; the
-    RK4 error is O(dt^4). At the default n, lambda_k is within 3e-10
-    relative of the exact eigenvalue for k <= 5 at the 20 exact Legendre
-    pins with tau from 0.19 to 2.51 (2.3e-10 measured, at k = 5, tau = 2.51;
-    2.4e-9 at k = 8), and the error grows with lambda_k*dt^2 beyond them.
+    Accuracy: lambda_k is within 1e-13 relative of the exact eigenvalue for
+    k <= 5 and tau in [0.05, 300] (the tests check this against 50-digit
+    mpmath roots of the same condition; measured at most 1e-14), and within
+    a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ 1e-3, where the
+    recurrence would take over 1e4 steps, k from 8 to 14 lose up to 1e-9.
 
-    Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
-    float, k_max >= 1 and n >= 256, where pi^2/(8 tau^2) (a lower bound on
-    lambda_1) overflows, and where lambda_{k_max} exceeds 3/dt^2: n steps
-    cannot resolve k_max eigenvalues at that tau.
+    Raises DomainError unless 0 < tau < inf, k_max >= 1 and n >= 256, where
+    the eigenvalues leave the float range (lambda_1 below the least normal
+    float from tau ~ 1e307, lambda_k_max beyond the largest float below
+    tau ~ 1e-154), and where no evaluation reaches that precision
+    (k_max >= 15 below tau ~ 2e-3).
     """
-    dt = _check_problem(tau, n)
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max!r}")
-    lam_floor = math.pi**2 / 8.0 / tau / tau  # <= lambda_1, because rho <= 2
-    if lam_floor == math.inf:
-        raise DomainError(f"the eigenvalues at tau={tau!r} exceed the float range")
-    ab = _coefficients(_samples(tau, dt, n))
-    # RK4's phase per step reaches pi at lam*dt^2*rho = 6, short of its
-    # stability bound 8; beyond, the node count falls with lambda.
-    lam_max = 3.0 / dt / dt
-    # tol_f is absolute and psi(tau) shrinks like tau: below tau = 0.2, psi in
-    # units of 5*tau solves lambda*tau^2 to one relative accuracy at any tau.
-    unit = min(1.0, 5.0 * tau)
+    if n < _MIN_STEPS:
+        raise DomainError(f"need at least {_MIN_STEPS} integration steps, got {n!r}")
+    a = math.pi / math.sqrt(8.0) / tau
+    root_floor = max(a, 1.0 / math.sqrt(2.0 * tau) / math.sqrt(math.tanh(tau)))
+    if not sys.float_info.min <= 0.5 * root_floor * root_floor < math.inf:
+        raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
+    # from tau = 1.32 on, cosh(tau) >= 2 and no k is separated this way
+    stretch = math.cosh(tau) if tau < 2.0 else math.inf
+    psi = _characteristic(tau)
+    seen: Dict[float, Tuple[float, float]] = {}
 
-    # The bisections for successive k retrace each other's midpoints, and the
-    # root solve evaluates bracket ends already shot: shoot each lambda once.
-    shot_at: Dict[float, Tuple[float, int]] = {}
+    def values(nu: float) -> Tuple[float, float]:
+        if nu not in seen:
+            seen[nu] = psi(nu)
+        return seen[nu]
 
-    def shoot_once(lam: float) -> Tuple[float, int]:
-        if lam not in shot_at:
-            shot_at[lam] = _shoot(ab, lam, tau, dt, n)
-        return shot_at[lam]
+    def count(nu: float, base: int) -> int:
+        """N at nu, from a count base that N exceeds by at most 3."""
+        even, odd = values(nu)
+        quadrant = 2 * (odd < 0.0) + ((even < 0.0) != (odd < 0.0))
+        return base + (quadrant - base) % 4
 
-    def end_value(lam: float) -> float:
-        if lam in shot_at:
-            return shot_at[lam][0] / unit
-        return dt * _end(_steps(ab, lam * dt * dt), n % 2) / unit
-
-    # Doubling from the largest power of two below the bound skips only
-    # lambdas with no nodes, so the ceiling is the one doubling from 1 finds.
-    lam_hi = min(math.ldexp(1.0, math.frexp(max(1.0, lam_floor))[1] - 1), lam_max)
-    while shoot_once(lam_hi)[1] < k_max:
-        if lam_hi == lam_max:
-            raise DomainError(f"{n} steps cannot resolve {k_max} eigenvalues at tau={tau!r}")
-        lam_hi = min(2.0 * lam_hi, lam_max)
-
+    lo, n_lo = _degree(root_floor * math.sqrt(0.5)), 0
+    hi, n_hi = lo, 0
     lams = []
     for k in range(1, k_max + 1):
-        lo, hi = _bracket_by_nodes(shoot_once, k, lam_hi)
-        # about half the solves end on tol_x, so it scales with lambda_k's floor
-        tol_x = 1e-15 * max(lo, lam_floor)
-        lams.append(find_root_bracketed(end_value, lo, hi, tol_x=tol_x, tol_f=1e-16))
+        while n_hi < k:
+            if k * stretch < k + 1:
+                hi, n_hi = _degree(0.5 * a * (k * stretch + k + 1)), k
+            else:
+                # nu_1 ~ 1/tau at large tau, so its bracket grows from lo geometrically
+                hi = lo + (min(3.0, 15.0 * lo) if k == 1 else 3.0)
+                n_hi = count(hi, n_lo)
+            if n_hi < k:
+                lo, n_lo = hi, n_hi
+        while n_lo < k - 2 or n_hi > k + 1:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                raise ConvergenceFailureError(f"could not isolate eigenvalue {k} at tau={tau!r}")
+            n_mid = count(mid, n_lo)
+            if n_mid < k:
+                lo, n_lo = mid, n_mid
+            else:
+                hi, n_hi = mid, n_mid
+        side = 1 - k % 2  # psi_e for odd k, psi_o for even k
+        # nu_k > k - 1 by the gaps: tol_x stays a few ulps of the root or more
+        tol_x = 1e-15 * max(lo, k - 1.0)
+        nu = find_root_bracketed(lambda nu: values(nu)[side], lo, hi, tol_x=tol_x, tol_f=_TINY)
+        lams.append(0.5 * nu * (nu + 1.0))
+        if n_hi == k:
+            lo, n_lo = hi, n_hi
+    if lams[-1] == math.inf:
+        raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
     return StringSpectrum(tau=tau, lambdas=np.array(lams), n=n)
 
 

@@ -279,3 +279,50 @@ def _bisect_to_floats(f, lo, hi):
             lo = mid
         else:
             hi = mid
+
+
+def _tanh_exactly(tau):
+    """tanh(tau) as an mpf carrying 1 - tanh(tau) ~ 2 exp(-2 tau) to 40 digits.
+
+    At 50 digits the mpmath functions then form 1 - x from it without
+    cancellation: the subtraction of two close mpfs is exact.
+    """
+    with mpmath.workdps(40 + int(2.0 * tau / math.log(10.0))):
+        return mpmath.tanh(mpmath.mpf(tau))
+
+
+def legendre_characteristic(tau, nu):
+    """(psi_e, psi_o) at s = tau, lambda = nu(nu+1)/2, from mpmath's Ferrers functions.
+
+    psi_e = cos(pi nu/2) P_nu(x) - (2/pi) sin(pi nu/2) Q_nu(x) and
+    psi_o = (pi/2) sin(pi nu/2) P_nu(x) + cos(pi nu/2) Q_nu(x), x = tanh(tau),
+    with legenp/legenq of type 2 at 50 digits; mpf values. psi_e is even in
+    s and psi_o odd, so lambda is a Dirichlet eigenvalue on [-tau, tau]
+    exactly where one of them vanishes.
+    """
+    x = _tanh_exactly(tau)
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+        p = mpmath.legenp(nu, 0, x, type=2)
+        q = mpmath.legenq(nu, 0, x, type=2)
+        cos, sin = mpmath.cospi(nu / 2), mpmath.sinpi(nu / 2)
+        return cos * p - 2 / mpmath.pi * sin * q, mpmath.pi / 2 * sin * p + cos * q
+
+
+def string_eigenvalue(tau, k, guess):
+    """The exact eigenvalue nearest guess among the roots of k's characteristic function.
+
+    psi_e(tau) for odd k, psi_o(tau) for even k (legendre_characteristic),
+    solved for nu by mpmath's secant from nu(guess) at 50 digits; returns
+    the float nearest nu(nu+1)/2. The guess fixes which root: this checks
+    a value, not that it is the k-th.
+    """
+    nu0 = (math.sqrt(1.0 + 8.0 * guess) - 1.0) / 2.0
+    with mpmath.workdps(50):
+        nu = mpmath.findroot(
+            lambda nu: legendre_characteristic(tau, nu)[1 - k % 2],
+            (mpmath.mpf(nu0), mpmath.mpf(nu0) * (1 + mpmath.mpf(10) ** -9)),
+            solver="secant",
+            tol=mpmath.mpf(10) ** -40,
+        )
+        return float(nu * (nu + 1) / 2)

@@ -20,7 +20,7 @@ from soapfilm.extremals import (
     solve_branches,
 )
 from soapfilm.grids import TestFunction
-from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction
+from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import (
     area_along_direction,
     eta_from_psi,
@@ -30,7 +30,7 @@ from soapfilm.variation import (
     third_variation,
 )
 
-from oracles import richardson_diff, smooth_test_profiles
+from oracles import richardson_diff, smooth_test_profiles, string_eigenvalue
 
 
 def _verdict(ok, label, detail):
@@ -55,16 +55,16 @@ def test_c2_goldschmidt_constant():
 def test_c3_spectral_anchor():
     cc = critical_constants()
     spec = eigenvalues(cc.tau_star, 1)
-    lam_shoot = float(spec.lambdas[0])
+    lam_1 = float(spec.lambdas[0])
     lam_dense = float(dense_eigenvalues(cc.tau_star, 1)[0])
     psi = spec.eigenfunction(1)
     scale = psi.values[psi.n // 2] / mu(0.0)
     sup = float(np.max(np.abs(psi.values - scale * mu(psi.grid))))
-    ok = abs(lam_shoot - 1.0) <= 1e-4 and abs(lam_dense - 1.0) <= 1e-4 and sup <= 1e-3
+    ok = abs(lam_1 - 1.0) <= 1e-13 and abs(lam_dense - 1.0) <= 1e-4 and sup <= 1e-3
     _verdict(
         ok,
         "C3 spectral anchor",
-        f"lambda1 shoot={lam_shoot:.8f}, dense={lam_dense:.8f}, |psi1-c*mu|={sup:.2e}",
+        f"lambda1-1={lam_1 - 1.0:.1e}, dense={lam_dense:.8f}, |psi1-c*mu|={sup:.2e}",
     )
 
 
@@ -201,7 +201,13 @@ def test_c10_oracle_equivalence_and_orders():
         lams = eigenvalues(tau, 5).lambdas
         dense = dense_eigenvalues(tau, 5)
         worst_spec = max(worst_spec, float(np.max(np.abs(lams - dense) / dense)))
-    spectral_ok = worst_spec <= 1e-4
+    # not at tau_star, where nu_1 = 1 and mpmath's Q_nu takes a slow limit; C3 pins it
+    worst_exact = max(
+        abs(lam / string_eigenvalue(tau, k, lam) - 1.0)
+        for tau in (0.5, 2.0)
+        for k, lam in enumerate(eigenvalues(tau, 5).lambdas, start=1)
+    )
+    spectral_ok = worst_spec <= 1e-4 and worst_exact <= 1e-13
 
     # Declared Richardson checks, one representative per quantity.
     def q_at(n):
@@ -220,7 +226,8 @@ def test_c10_oracle_equivalence_and_orders():
 
     a_ratio = area_err(257) / area_err(513)
 
-    lam_errs = [abs(eigenvalues(cc.tau_star, 1, n=n).lambdas[0] - 1.0) for n in (512, 1024)]
+    # lambda_1 = 1 exactly at tau_star: RK4's end value there is its error
+    lam_errs = [abs(shoot(cc.tau_star, 1.0, n)[0]) for n in (512, 1024)]
     lam_ratio = lam_errs[0] / lam_errs[1]
 
     lower4, _ = solve_branches(0.4)
@@ -262,7 +269,8 @@ def test_c10_oracle_equivalence_and_orders():
     _verdict(
         ok,
         "C10 oracle equivalence",
-        f"shoot vs dense rel={worst_spec:.2e}; Richardson q={q_ratio:.2f}, "
+        f"eigenvalues vs dense rel={worst_spec:.2e}, vs mpmath {worst_exact:.1e}; "
+        f"Richardson q={q_ratio:.2f}, "
         f"area={a_ratio:.2f}, lambda={lam_ratio:.2f}, discrete={d_ratio:.2f}; "
         f"gradient vs FD rel={worst_grad:.2e}",
     )

@@ -92,7 +92,7 @@ def test_goldschmidt_csv(capsys):
 
 
 def test_spectrum_csv(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--tau", "2.0", "--k", "3", "--n", "512", "--format", "csv")
+    code, out, _ = run_cli(capsys, "spectrum", "--tau", "2.0", "--k", "3", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "tau,k,lambda"
@@ -103,7 +103,7 @@ def test_spectrum_csv(capsys):
 
 
 def test_spectrum_json_table(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--tau", "1.0", "--k", "2", "--n", "512")
+    code, out, _ = run_cli(capsys, "spectrum", "--tau", "1.0", "--k", "2")
     assert code == 0
     results = json.loads(out)["results"]
     assert results["columns"] == ["tau", "k", "lambda"]
@@ -205,7 +205,6 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "solve")[0] == 2
     assert run_cli(capsys, "spectrum", "--tau", "-2")[0] == 2
     assert run_cli(capsys, "spectrum", "--tau", "1.0", "--k", "0")[0] == 2
-    assert run_cli(capsys, "spectrum", "--tau", "1.0", "--n", "10")[0] == 2
     assert run_cli(capsys, "force", "--h-min", "0.2", "--h-max", "0.1")[0] == 2
     assert run_cli(capsys, "force", "--h-min", "0.2", "--steps", "0")[0] == 2
     assert run_cli(capsys, "minimize", "--h", "0.4", "--n", "16")[0] == 2
@@ -282,10 +281,15 @@ def test_init_is_checked_against_the_presets(capsys):
     assert run_cli(capsys, "minimize", "--h", "0.4", "--init", "CYLINDER")[:2] == (2, "")
 
 
-def test_spectrum_echoes_the_default_n(capsys):
+def test_spectrum_takes_no_step_count(capsys):
+    # The eigenvalues are the exact roots, so a step count would change no
+    # output: the record's inputs are tau and k, and --n is no flag.
     code, out, _ = run_cli(capsys, "spectrum", "--tau", "1.2", "--k", "1")
     assert code == 0
-    assert json.loads(out)["inputs"]["n"] == 2048
+    assert json.loads(out)["inputs"] == {"tau": 1.2, "k": 1}
+    code, out, err = run_cli(capsys, "spectrum", "--tau", "1.2", "--n", "512")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --n 512" in err
 
 
 # Help and parser-error bytes at COLUMNS=80, as the full eight-parser build
@@ -333,9 +337,9 @@ GOLDEN = [
     (["goldschmidt", "-h"], 0,
      "usage: soapfilm goldschmidt [-h] [--format {json,csv}] [--out OUT]\n" + _OPTIONS + _OUTPUT_FLAGS, ""),
     (["spectrum", "-h"], 0,
-     "usage: soapfilm spectrum [-h] --tau TAU [--k K] [--n N] [--format {json,csv}]\n"
+     "usage: soapfilm spectrum [-h] --tau TAU [--k K] [--format {json,csv}]\n"
      "                         [--out OUT]\n" + _OPTIONS
-     + "  --tau TAU\n  --k K                number of eigenvalues (default 5)\n  --n N\n" + _OUTPUT_FLAGS, ""),
+     + "  --tau TAU\n  --k K                number of eigenvalues (default 5)\n" + _OUTPUT_FLAGS, ""),
     (["force", "-h"], 0,
      "usage: soapfilm force [-h] --h-min H_MIN [--h-max H_MAX] [--steps STEPS]\n"
      "                      [--format {json,csv}] [--out OUT]\n" + _OPTIONS + _RANGE_FLAGS, ""),

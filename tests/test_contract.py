@@ -38,11 +38,11 @@ from soapfilm.rootfind import find_root_bracketed
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import mu, mu_prime
 
-# 1e-150, 1e4 and 1e6 are string half-intervals where shooting at the default
-# n runs into the float range (lambda ~ 1/tau^2) and RK4's stability bound;
-# at 1e-200 the bound pi^2/(8 tau^2) <= lambda_1 itself overflows, while the
-# step 2*tau/n is still a normal float; 8.9e307 is a half-distance whose 2h
-# is still finite.
+# 1e-150, 1e4 and 1e6 are string half-intervals where an eigenfunction at the
+# default n runs into the float range (lambda ~ 1/tau^2) and RK4's resolution
+# bound; at 1e-200 the bound pi^2/(8 tau^2) <= lambda_1 itself overflows,
+# while the step 2*tau/n is still a normal float; 8.9e307 is a half-distance
+# whose 2h is still finite.
 EDGES = [
     math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 8.9e307, 1e-150, 1e-200,
     1e4, 1e6,
@@ -219,8 +219,8 @@ def test_edge_input_gives_allowed_value_or_domain_error(name, x):
 
 @pytest.mark.parametrize("tau", [1e-150, 1e-50, 1e-9])
 def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
-    # Below tau ~ 1.5e-8 the density rounds to 2 at every sample, so the RK4
-    # problem depends on lambda only through lambda*dt^2.
+    # lambda_k tau^2 = (k pi)^2/8 (1 + O(tau^2)): below tau ~ 1e-8 the
+    # correction is below the rounding.
     reference = eigenvalues(1e-8, 5).lambdas * 1e-16
     scaled = eigenvalues(tau, 5).lambdas * tau * tau
     assert max(abs(scaled / reference - 1.0)) <= 1e-12
