@@ -13,9 +13,9 @@ that use arrays import the modules that need numpy.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import energetics, extremals
@@ -41,12 +41,18 @@ def _scalar_token(value) -> str:
 
 
 def _render_json(value, indent: int = 0) -> str:
+    # floats first: they are most of a record's leaves; strings and keys are
+    # escaped as json.dumps escapes them
+    if type(value) is float:
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
         lines = [
-            f'{pad}  {json.dumps(key)}: {_render_json(item, indent + 2)}'
+            f"{pad}  {encode_basestring_ascii(key)}: {_render_json(item, indent + 2)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
@@ -56,11 +62,9 @@ def _render_json(value, indent: int = 0) -> str:
         if any(isinstance(item, (list, tuple, dict)) for item in value):
             lines = [f"{pad}  {_render_json(item, indent + 2)}" for item in value]
             return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
-        return "[" + ", ".join(_render_json(item) for item in value) + "]"
+        return "[" + ", ".join(map(_render_json, value)) + "]"
     if value is None:
         return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
     return _scalar_token(value)
 
 
@@ -244,38 +248,46 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser, holding only argv[0]'s subparser when argv[0] names one.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    for flag, options in _COMMANDS[name][2]:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    That build names every subcommand in its metavar, so its top-level usage
-    line is the full build's; the full build (help, no or unknown command)
-    leaves metavar unset, so its errors keep naming the argument `command`.
-    """
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full build: the top-level parser with every subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="soapfilm",
         description="Catenoid analysis of the soap film spanning two coaxial unit rings.",
     )
-    names = list(_COMMANDS)
-    if argv and argv[0] in _COMMANDS:
-        metavar = "{" + ",".join(names) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-        names = [argv[0]]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        _, help_text, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv parsed by argv[0]'s parser alone when it names a subcommand.
+
+    That parser is the one the full build holds for it, so its help, errors
+    and namespace are the full build's. The top-level help, no or an unknown
+    command, and arguments that parser leaves over (an error at the top
+    level) go to the full build.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog="soapfilm " + argv[0])
+        _add_arguments(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -233,16 +233,29 @@ def discrete_area(p: Profile) -> float:
     """Discretized area: segment slopes and midpoint radii, summed exactly.
 
     Agrees with the continuum area of a smooth profile to O(n^-2); a constant
-    profile gives 4*pi*h exactly.
+    profile gives 4*pi*h exactly. Raises DomainError where the area, or a
+    product formed on the way to it, overflows the float range.
     """
     dx = p.spacing
-    return _area(_segments(p.y, dx), dx)
+    with np.errstate(over="ignore"):
+        area = _area(_segments(p.y, dx), dx)
+    if not math.isfinite(area):
+        raise DomainError("the discrete area overflows the float range")
+    return area
 
 
 def discrete_gradient(p: Profile) -> np.ndarray:
-    """Exact gradient of discrete_area in the interior radii; zero at the ends."""
+    """Exact gradient of discrete_area in the interior radii; zero at the ends.
+
+    Raises DomainError where an entry, or a product formed on the way to it,
+    overflows the float range.
+    """
     dx = p.spacing
-    return _gradient(_segments(p.y, dx), dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _gradient(_segments(p.y, dx), dx)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("the discrete gradient overflows the float range")
+    return g
 
 
 def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
-from .extremals import Extremal, _lower_branch, area_closed_form, critical_constants
+from .extremals import Extremal, _lower_branch, _Record, area_closed_form, critical_constants
 from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
@@ -82,13 +82,10 @@ def goldschmidt_constant() -> float:
     return h_g
 
 
-@dataclass(frozen=True)
-class ForceSample:
+class ForceSample(_Record, namedtuple("ForceSample", "h force dforce_dh")):
     """Ring force at one half-distance, with its closed-form slope."""
 
-    h: float
-    force: float
-    dforce_dh: float
+    __slots__ = ()
 
 
 def force(h: float) -> ForceSample:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
@@ -135,27 +136,54 @@ def critical_constants() -> CriticalConstants:
     return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
 
 
-@dataclass(frozen=True)
-class Extremal:
-    """One catenoid solution: y(x) = c cosh(x / c) on [-h, h] with c = h/tau."""
+class _Record(tuple):
+    """Base of the immutable records: named tuples equal only within their class.
 
-    h: float
-    tau: float
-    c: float
-    branch: Branch
+    Instances keep a dataclass's repr, field-wise equality and hash without
+    its per-instance set-up; assigning to a field raises AttributeError, and
+    _make and _replace build through the class, so they validate as it does.
+    """
 
-    def __post_init__(self) -> None:
-        if not (self.h > 0.0 and self.tau > 0.0 and self.c > 0.0):
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
+    """One catenoid solution: y(x) = c cosh(x / c) on [-h, h] with c = h/tau.
+
+    Raises DomainError unless h, tau and c are positive, c*cosh(h/c) = 1 to
+    within 1e-10 in its log, h/c = tau to within 1e-9 relative, and tau lies
+    on the named branch's side of tau_star (to within 1e-9).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, h: float, tau: float, c: float, branch: Branch) -> Extremal:
+        if not (h > 0.0 and tau > 0.0 and c > 0.0):
             raise DomainError("h, tau, c must all be positive")
         # log(c*cosh(h/c)), which stays finite where cosh(h/c) overflows
-        residual = math.log(self.c) + _log_cosh(self.h / self.c)
+        residual = math.log(c) + _log_cosh(h / c)
         if not abs(residual) <= 1e-10:
             raise DomainError(f"boundary condition violated: log(c*cosh(h/c)) = {residual!r}")
+        if not abs(h / c / tau - 1.0) <= 1e-9:
+            raise DomainError(f"tau = {tau!r} differs from h/c = {h / c!r}")
         tau_star = critical_constants().tau_star
-        if self.branch is Branch.LOWER and self.tau > tau_star + 1e-9:
+        if branch is Branch.LOWER and tau > tau_star + 1e-9:
             raise DomainError("lower-branch parameter exceeds tau_star")
-        if self.branch is Branch.UPPER and self.tau < tau_star - 1e-9:
+        if branch is Branch.UPPER and tau < tau_star - 1e-9:
             raise DomainError("upper-branch parameter is below tau_star")
+        return tuple.__new__(cls, (h, tau, c, branch))
 
 
 def _solve_branch(log_h: float, lo: float, hi: float) -> float:

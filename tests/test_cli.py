@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import soapfilm.energetics
 import soapfilm.extremals
-from soapfilm.cli import _build_parser, _range_points, main
+from soapfilm.cli import _COMMANDS, _build_parser, _parse, _range_points, _render_json, main
 from soapfilm.errors import NoExtremalError
 from soapfilm.extremals import critical_constants
 
@@ -384,15 +384,74 @@ def test_repeated_and_abbreviated_flags_print_as_the_canonical_argv(argv, canoni
     assert out == run_cli(capsys, *canonical)[1]
 
 
-def _parse(parser, argv, capsys):
+def _outcome(parse, argv, capsys):
     try:
-        result = vars(parser.parse_args(argv))
+        result = vars(parse(argv))
     except SystemExit as exc:
         result = exc.code
     return result, capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [g[0] for g in GOLDEN] + [s[0] for s in SPELLINGS], ids=lambda v: " ".join(v) or "(none)")
+# beyond GOLDEN and SPELLINGS: an argv the subcommand's parser leaves over
+# (main then re-parses with the full build), an inline value, and values
+# that look like negative numbers or flags
+PARITY = [g[0] for g in GOLDEN] + [s[0] for s in SPELLINGS] + [
+    ["spectrum", "--tau", "1.2", "--n", "512"],
+    ["solve", "--h=0.3"],
+    ["solve", "--h", "-1"],
+    ["solve", "--h", "-inf"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY, ids=lambda v: " ".join(v) or "(none)")
 def test_one_subparser_build_parses_as_the_full_build(argv, capsys, monkeypatch):
+    # same namespace, or same exit code, stdout and stderr
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse(_build_parser(argv), argv, capsys) == _parse(_build_parser([]), argv, capsys)
+    assert _outcome(_parse, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
+
+
+def _parsers_built(argv, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code = main(argv)
+    capsys.readouterr()
+    return code, built
+
+
+WELL_FORMED = [
+    ["solve", "--h", "0.4"],
+    ["critical"],
+    ["goldschmidt"],
+    ["spectrum", "--tau", "1.0", "--k", "1"],
+    ["force", "--h-min", "0.3"],
+    ["sweep", "--h-min", "0.2", "--h-max", "0.3", "--steps", "2"],
+    ["minimize", "--h", "0.8", "--n", "64"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda v: v[0])
+def test_a_named_subcommand_builds_one_parser(argv, capsys, monkeypatch):
+    assert _parsers_built(argv, capsys, monkeypatch) == (0, [f"soapfilm {argv[0]}"])
+
+
+@pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 2), (["bogus"], 2)], ids=["-h", "(none)", "bogus"])
+def test_help_and_unknown_commands_build_every_parser(argv, code, capsys, monkeypatch):
+    full = ["soapfilm"] + [f"soapfilm {name}" for name in _COMMANDS]
+    assert _parsers_built(argv, capsys, monkeypatch) == (code, full)
+
+
+@given(st.text())
+def test_strings_render_as_json_dumps_renders_them(text):
+    assert _render_json(text) == json.dumps(text)
+    assert _render_json({text: text}) == "{\n  " + json.dumps(text) + ": " + json.dumps(text) + "\n}"
+
+
+@given(st.floats())
+def test_floats_render_with_17_digits(x):
+    assert _render_json(x) == _render_json(np.float64(x)) == format(x, ".17g")

@@ -1,10 +1,10 @@
 """The error contract: DomainError means bad input, and nothing else escapes.
 
-Every scalar-path function, every spectrum and variation function, the grid
-plumbing (composite_simpson, sampled_derivative, TestFunction,
-area_quadrature), Profile and minimize (from each starting profile), over
-the edges of the float domain,
-returns a value its docstring allows or raises DomainError
+Every scalar-path function and the Extremal constructor, every spectrum and
+variation function, the grid plumbing (check_uniform_grid, composite_simpson,
+sampled_derivative, TestFunction, area_quadrature), Profile, discrete_area,
+discrete_gradient and minimize (from each starting profile), over the edges
+of the float domain, returns a value its docstring allows or raises DomainError
 (or NoExtremalError, the problem's own outcome above h*). An allowed value is
 finite, or the inf/NaN the docstring names. A numpy warning fails the test
 too (the suite turns warnings into errors). The source scan pins the other
@@ -22,10 +22,19 @@ import pytest
 import soapfilm
 from soapfilm import errors
 from soapfilm import variation
-from soapfilm.direct_min import InitPreset, Outcome, Profile, minimize
+from soapfilm.direct_min import (
+    InitPreset,
+    Outcome,
+    Profile,
+    discrete_area,
+    discrete_gradient,
+    minimize,
+)
 from soapfilm.energetics import area_quadrature, force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import (
+    Branch,
+    Extremal,
     area_closed_form,
     critical_extremal,
     phi,
@@ -33,7 +42,7 @@ from soapfilm.extremals import (
     small_h_asymptotics,
     solve_branches,
 )
-from soapfilm.grids import TestFunction, composite_simpson, sampled_derivative
+from soapfilm.grids import TestFunction, check_uniform_grid, composite_simpson, sampled_derivative
 from soapfilm.rootfind import find_root_bracketed
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import mu, mu_prime
@@ -110,6 +119,37 @@ def _profile_radius(x):
     return list(Profile(h=1.0, grid=np.linspace(-1.0, 1.0, 64), y=y).y)
 
 
+def _discrete(call, h=None, x=1.0):
+    """call on the profile over h*[-1, 1] (or [-0.3, 0.3]) with x at one interior node."""
+    with np.errstate(all="ignore"):
+        grid = np.linspace(-0.3, 0.3, 9) if h is None else h * np.linspace(-1.0, 1.0, 9)
+    y = np.ones(9)
+    y[3] = x
+    return list(np.ravel(call(Profile(h=0.3 if h is None else h, grid=grid, y=y))))
+
+
+def _uniform(grid):
+    with np.errstate(all="ignore"):
+        grid = grid()
+    return [check_uniform_grid(grid)]
+
+
+def _with_node(x):
+    grid = np.linspace(-1.0, 1.0, 9)
+    grid[4] = x
+    return grid
+
+
+def _extremal(branch, field):
+    """The catenoid of that branch at h = 0.4 with x in one field."""
+    def call(x):
+        e = solve_branches(0.4)[branch is Branch.UPPER]
+        fields = {"h": e.h, "tau": e.tau, "c": e.c, field: x}
+        e = Extremal(branch=branch, **fields)
+        return [e.h, e.tau, e.c]
+    return call
+
+
 def _direction(e, n=17):
     """eta for psi = cos(pi s/(2 tau)), one arch over the extremal's [-tau, tau]."""
     psi = TestFunction.sample(lambda s: np.cos(0.5 * math.pi * s / e.tau), e.tau, n)
@@ -179,6 +219,16 @@ CALLS = {
         lambda e: _report(variation.taylor_probe(e, _direction(e, 65), [-1e-3, 1e-3]))
     ),
     "taylor_probe(t)": lambda x: _report(variation.taylor_probe(_CRITICAL, _CRITICAL_ETA, [-x, x])),
+    **{
+        f"Extremal({branch.value}, {field})": _extremal(branch, field)
+        for branch in Branch for field in ("h", "tau", "c")
+    },
+    "check_uniform_grid(span)": lambda x: _uniform(lambda: x * np.linspace(-1.0, 1.0, 9)),
+    "check_uniform_grid(node)": lambda x: _uniform(lambda: _with_node(x)),
+    "discrete_area(h)": lambda x: _discrete(discrete_area, h=x),
+    "discrete_area(y)": lambda x: _discrete(discrete_area, x=x),
+    "discrete_gradient(h)": lambda x: _discrete(discrete_gradient, h=x),
+    "discrete_gradient(y)": lambda x: _discrete(discrete_gradient, x=x),
     "Profile(h)": _profile,
     "Profile(y)": _profile_radius,
     **{f"minimize({init})": _minimize(init) for init in [p.value for p in InitPreset]},

@@ -108,6 +108,15 @@ def test_force_sign_and_value():
     np.testing.assert_allclose(fs.force, -2.0 * math.tau * 0.3 / lower.tau, rtol=1e-12)
 
 
+def test_force_sample_is_an_immutable_record():
+    fs = force(0.3)
+    assert repr(fs) == f"ForceSample(h=0.3, force={fs.force!r}, dforce_dh={fs.dforce_dh!r})"
+    assert fs == force(0.3) and hash(fs) == hash(force(0.3))
+    assert fs != force(0.4) and fs != (fs.h, fs.force, fs.dforce_dh)
+    with pytest.raises(AttributeError):
+        fs.force = 0.0
+
+
 def test_force_matches_area_slope():
     def closed_area(h):
         return area_closed_form(solve_branches(h)[0])

@@ -188,6 +188,32 @@ def test_extremal_validates_inputs():
     lower, _ = solve_branches(0.4)
     with pytest.raises(DomainError):
         Extremal(h=0.4, tau=lower.tau, c=lower.c, branch=Branch.UPPER)
+    # tau must be h/c, on either branch
+    with pytest.raises(DomainError, match="differs from h/c"):
+        Extremal(h=0.4, tau=2.0 * lower.tau, c=lower.c, branch=Branch.LOWER)
+    with pytest.raises(DomainError, match="differs from h/c"):
+        Extremal(h=0.4, tau=math.inf, c=lower.c, branch=Branch.UPPER)
+
+
+def test_extremal_is_an_immutable_record():
+    lower, upper = solve_branches(0.4)
+    again = Extremal(h=0.4, tau=lower.tau, c=lower.c, branch=Branch.LOWER)
+    assert repr(lower) == (
+        f"Extremal(h=0.4, tau={lower.tau!r}, c={lower.c!r}, branch=<Branch.LOWER: 'lower'>)"
+    )
+    assert lower == again and hash(lower) == hash(again)
+    assert lower != upper and not lower == upper
+    # equal only to an Extremal, as a dataclass is
+    fields = (lower.h, lower.tau, lower.c, lower.branch)
+    assert lower != fields and fields != lower and not lower == fields
+    for name in ("h", "tau", "c", "branch", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lower, name, 1.0)
+    assert lower == again
+    # a copy with one field replaced is checked like a new one
+    assert lower._replace(h=0.4) == lower
+    with pytest.raises(DomainError):
+        lower._replace(tau=upper.tau)
 
 
 @pytest.mark.parametrize("field", ["h", "tau", "c"])
