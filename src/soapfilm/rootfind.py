@@ -5,9 +5,9 @@ parameter, eigenvalue refinement, the Goldschmidt constant) is solved through
 `find_root_bracketed`. Each iteration proposes a point: the Newton point of
 the bracket end where |f| is smaller when the caller supplies the slope, and
 the secant point of the two most recent evaluations otherwise. The point is
-kept at least tol_x/2 from the end or evaluation it expands about (Brent's
-minimal step), so that a root next to it gets bracketed, then projected as
-in the ITP method
+kept at least tol_x/2, and at least one float, from the end or evaluation
+it expands about (Brent's minimal step), so that a root next to it gets
+bracketed, then projected as in the ITP method
 (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around the bracket
 midpoint that shrinks so the bracket reaches tol_x within 4 evaluations of
 bisection's count; a point outside the bracket is replaced by the midpoint.
@@ -123,6 +123,9 @@ def find_root_bracketed(
             s = x2 - f2 * (x2 - x1) / (f2 - f1) if f2 != f1 else mid
         if -least < s - x2 < least:
             s = x2 + copysign(least, mid - x2)
+            if s == x2:
+                # tol_x/2 is under half an ulp of x2: step to the next float
+                s = math.nextafter(x2, mid)
         d = s - mid
         if d > r or d < -r:
             s = mid + copysign(r, d)

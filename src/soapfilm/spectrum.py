@@ -21,20 +21,13 @@ series would cancel (see _characteristic). The signs of (psi_e, psi_o)
 count the eigenvalues below lambda mod 4, which brackets each root (see
 eigenvalues); no ODE is integrated.
 
-shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, for the
-eigenfunctions at the exact lambda_k. Because the ODE is linear, each RK4
-step is a 2x2 matrix on (psi, dt*psi'), whose entries are quadratics in
-mu = lambda*dt^2 with coefficients from the density at the step's node,
-midpoint and next node. The density is even, and the mirror image of a step
-is R*adj(M)*R with R = diag(1, -1), so only the ceil(n/2) steps over [0, tau]
-are ever formed: their product Q carries the even solution, started from
-(psi, dt*psi') = (1, 0) at s = 0, in its first column and the odd one, from
-(0, 1), in its second. The shot from s = -tau is then rebuilt exactly (for
-odd n the centre step over [-dt/2, dt/2] sits between the halves). One
-Horner pass in mu builds the step matrices, and recursive doubling
-(log2(n/2) levels of batched 2x2 products) forms every prefix product for
-psi at every node. dense_eigenvalues solves the same problem as a
-finite-difference matrix eigenproblem and serves as an independent check.
+shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, and
+StringSpectrum.eigenfunction takes the same forward sweep at the exact
+lambda_k. Because the ODE is linear, each RK4 step is a 2x2 matrix on
+(psi, dt*psi'), and recursive doubling forms every prefix product, so psi
+comes out at every node in log2(n) batched passes (see _trajectory).
+dense_eigenvalues solves the same problem as a finite-difference matrix
+eigenproblem and serves as an independent check.
 """
 
 from __future__ import annotations
@@ -90,89 +83,33 @@ def _check_problem(tau: float, n: int) -> float:
     return dt
 
 
-def _samples(tau: float, dt: float, n: int) -> np.ndarray:
-    """rho on the half-step grid of [0, tau], from s = -dt/2 for odd n.
+def _trajectory(tau: float, lam: float, n: int) -> np.ndarray:
+    """psi/dt at the n+1 nodes of [-tau, tau] for (psi, dt*psi')(-tau) = (0, 1).
 
-    Index 2j is a node, 2j+1 its midpoint; the ceil(n/2) steps are those of
-    the full grid's nodes -tau + i*dt that end in [0, tau]. For odd n the
-    first is the centre step over [-dt/2, dt/2].
+    Each RK4 step is a 2x2 matrix on (psi, dt*psi'), whose entries are
+    quadratics in q = lam*dt^2*rho at the step's node (q0), midpoint (qh) and
+    next node (q1). Recursive doubling (log2(n) levels of batched 2x2
+    products) turns the n step matrices into the prefix products M_j...M_0
+    in place; their (0, 1) entries are the shot at nodes 1..n.
     """
-    return _density(0.5 * dt * np.arange(-(n % 2), n + 1))
-
-
-def _coefficients(rho: np.ndarray) -> np.ndarray:
-    """[a, b] such that the RK4 step matrices are [[1, 1], [0, 1]] + mu*(a + mu*b).
-
-    RK4 run on the two basis vectors of (psi, dt*psi') makes each entry a
-    quadratic in mu = lam*dt^2, with the density at the step's node (r0),
-    midpoint (rh) and next node (r1); the step index is the last axis.
-    Swapping r0 and r1 swaps the diagonal entries: the mirror image of a step
-    M is R*adj(M)*R with R = diag(1, -1).
-    """
-    r0, rh, r1 = rho[0:-1:2], rho[1::2], rho[2::2]
-    a = np.array([[r0 + 2.0 * rh, rh], [r0 + 4.0 * rh + r1, 2.0 * rh + r1]]) / -6.0
-    b = [[r0 * rh / 24.0, 0.0 * rh], [rh * (r0 + r1) / 12.0, rh * r1 / 24.0]]
-    return np.array([a, b])
-
-
-def _steps(ab: np.ndarray, mu: float) -> np.ndarray:
-    """The step matrices, as [:, :, i], for mu = lam*dt^2: one Horner pass."""
-    m = ab[1] * mu
-    m += ab[0]
-    m *= mu
-    m[0] += 1.0  # the (0, 0) and (0, 1) entries
-    m[1, 1] += 1.0
-    return m
-
-
-def _centre(steps: np.ndarray, odd: int, q00: float, q01: float) -> Tuple[float, float]:
-    """C*(q01, q00) for the centre step C = steps[:, :, 0] (the identity for even n).
-
-    (q01, q00) is the state at -x_0 of the shot from -tau, so this is its
-    state at x_0; x_0 = 0 for even n and dt/2 for odd n.
-    """
-    if not odd:
-        return q01, q00
-    (c00, c01), (c10, c11) = steps[:, :, 0].tolist()
-    return c00 * q01 + c01 * q00, c10 * q01 + c11 * q00
-
-
-def _rebuild(
-    steps: np.ndarray, odd: int, first: np.ndarray, second: np.ndarray, det: np.ndarray
-) -> np.ndarray:
-    """psi/dt of the shot from -tau at -x_j and x_j, from Q_j's first row and det.
-
-    first[j], second[j] and det[j] belong to the prefix product Q_j of the
-    steps over [x_0, x_j], with Q_0 = I. With (q00, q01) the first row of the
-    last product Q, the left half's product is R*adj(Q)*R, so the shot reaches
-    x_0 in the state v = C*(q01, q00). Hence psi/dt is Q_j[0]*v at x_j and
-    (q01*Q_j[0, 0] - q00*Q_j[0, 1])/det Q_j at -x_j; x_0 = 0 appears once.
-    """
-    q00, q01 = float(first[-1]), float(second[-1])
-    v0, v1 = _centre(steps, odd, q00, q01)
-    left = (q01 * first - q00 * second) / det
-    return np.concatenate((left[1 - odd :][::-1], v0 * first + v1 * second))
-
-
-def _sweep(steps: np.ndarray, odd: int) -> np.ndarray:
-    """psi/dt at the n+1 nodes for (psi, dt*psi')(-tau) = (0, 1).
-
-    steps holds the ceil(n/2) step matrices of _samples' grid. Recursive
-    doubling turns those over [x_0, tau] into the prefix products
-    Q_j = M_{j-1}...M_0 in place. Their first rows hold psi/dt at x_j for the
-    solutions started from (1, 0) and (0, 1) at x_0 (the even and the odd
-    solution when n is even); _rebuild gives the shot at every node.
-    """
-    m = steps[:, :, odd:]
-    det = np.cumprod(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    dt = 2.0 * tau / n
+    q = (lam * dt * dt) * _density(0.5 * dt * np.arange(-n, n + 1))
+    q0, qh, q1 = q[0:-1:2], q[1::2], q[2::2]
+    m = np.array(
+        [
+            [1.0 - (q0 + 2.0 * qh) / 6.0 + q0 * qh / 24.0, 1.0 - qh / 6.0],
+            [
+                qh * (q0 + q1) / 12.0 - (q0 + 4.0 * qh + q1) / 6.0,
+                1.0 - (2.0 * qh + q1) / 6.0 + qh * q1 / 24.0,
+            ],
+        ]
+    )
     span = 1
-    while span < m.shape[2]:
+    while span < n:
         # m[:, :, i] <- m[:, :, i] @ m[:, :, i - span] for every i >= span
         m[:, :, span:] = np.einsum("ijk,jlk->ilk", m[:, :, span:], m[:, :, :-span])
         span *= 2
-    first = np.concatenate(([1.0], m[0, 0]))
-    second = np.concatenate(([0.0], m[0, 1]))
-    return _rebuild(steps, odd, first, second, np.concatenate(([1.0], det)))
+    return np.concatenate(([0.0], m[0, 1]))
 
 
 def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
@@ -180,25 +117,20 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
 
     Returns psi(tau) and the number of sign changes the solution makes at the
     n+1 nodes after leaving the initial zero (the Sturm oscillation count).
-    Fixed-step RK4, stepped over [0, tau] only and rebuilt on [-tau, tau]
-    from the two parity solutions; deterministic for given (tau, lam, n).
-    Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
+    Fixed-step RK4, one forward sweep over the n steps of [-tau, tau];
+    deterministic for given (tau, lam, n). For lam <= 0 every step matrix is
+    entrywise non-negative, so psi > 0 after the first step and the count is
+    0. Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
     float, lam is finite and n >= 256, and where psi overflows (lam far
     beyond RK4's stability bound 4/dt^2, or far below 0).
     """
     dt = _check_problem(tau, n)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = _sweep(_steps(_coefficients(_samples(tau, dt, n)), lam * dt * dt), n % 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = _trajectory(tau, lam, n)
     if not np.all(np.isfinite(psi)):
         raise DomainError(f"psi overflows at lambda={lam!r}, tau={tau!r}, n={n!r}")
-    if lam <= 0.0:
-        # Every step matrix is then entrywise non-negative, so psi > 0 after
-        # the first step. The rebuilt left half, a difference of the two
-        # parity solutions, would read noise there once they grow like
-        # exp(sqrt(-2*lam)*s).
-        return dt * float(psi[-1]), 0
     # Exact zeros carry no sign and are skipped.
     positive = psi > 0.0
     signs = positive[positive | (psi < 0.0)]
@@ -224,11 +156,11 @@ class StringSpectrum:
         """psi_k at the n+1 nodes of [-tau, tau]: the RK4 trajectory at lambda_k.
 
         Normalized to unit weighted norm (weight 2/cosh^2 s) with
-        psi'(-tau) > 0; one full prefix sweep. Raises DomainError unless
-        1 <= k <= len(lambdas), shoot accepts (tau, n), and lambda_k*dt^2 <= 3
-        with dt = 2*tau/n: RK4's phase per step reaches pi at
-        lambda*dt^2*rho = 6, short of its stability bound 8, so n steps
-        cannot resolve psi_k beyond.
+        psi'(-tau) > 0; one forward sweep from -tau, as in shoot. Raises
+        DomainError unless 1 <= k <= len(lambdas), shoot accepts (tau, n),
+        and lambda_k*dt^2 <= 3 with dt = 2*tau/n: RK4's phase per step
+        reaches pi at lambda*dt^2*rho = 6, short of its stability bound 8,
+        so n steps cannot resolve psi_k beyond.
         """
         if k not in range(1, self.lambdas.size + 1):
             raise DomainError(f"k must be in 1..{self.lambdas.size}, got {k!r}")
@@ -238,7 +170,7 @@ class StringSpectrum:
         if lam * dt * dt > 3.0:
             raise DomainError(f"{n} steps cannot resolve eigenfunction {k} at tau={tau!r}")
         # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
-        values = _sweep(_steps(_coefficients(_samples(tau, dt, n)), lam * dt * dt), n % 2)
+        values = _trajectory(tau, lam, n)
         values[-1] = 0.0
         grid = np.linspace(-tau, tau, n + 1)
         norm = composite_simpson(_density(grid) * values * values, dt)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import soapfilm
@@ -117,3 +118,15 @@ def test_every_public_name_is_used_in_src_or_listed_as_uncalled():
     assert set(UNCALLED) <= public
     assert sorted(public - used - set(UNCALLED)) == []
     assert sorted(used & set(UNCALLED)) == []
+
+
+def test_every_benchmark_span_resolves_on_the_package():
+    # The traced benchmark run exits 2 on a spanned name that is gone; a
+    # rename in src/ fails here first.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SPANNED and spans.COUNTED
+    for module_name, attr, _ in spans.SPANNED + spans.COUNTED:
+        assert callable(getattr(importlib.import_module(module_name), attr))

@@ -146,6 +146,32 @@ def test_newton_end_game_closes_the_bracket_in_one_evaluation():
     assert (f(last)[0] > 0.0) != (f(before)[0] > 0.0)
 
 
+@pytest.mark.parametrize(
+    "f, lo, hi, root",
+    [
+        (lambda x: (math.sin(x), math.cos(x)), 3.0, 3.5, math.pi),
+        (lambda x: (x**3 - 10.0, 3.0 * x * x), 2.0, 3.0, 10.0 ** (1.0 / 3.0)),
+    ],
+    ids=["sin", "cube"],
+)
+def test_minimal_step_under_half_an_ulp_takes_the_next_float(f, lo, hi, root):
+    # At tol_x = 1e-16, x2 + tol_x/2 rounds back to x2 near either root, and
+    # the solve fell back to bisection: 46 and 54 evaluations, against 6 and
+    # 7 at 2e-15. The next float toward the midpoint is the minimal step.
+    counts = []
+    for tol_x in (2e-15, 1e-16):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return f(x)
+
+        x = find_root_bracketed(counted, lo, hi, tol_x=tol_x, tol_f=1e-300, slope=True)
+        assert abs(x - root) <= 2.0 * math.ulp(root)
+        counts.append(len(seen))
+    assert counts[1] == counts[0] <= 7
+
+
 def test_midpoint_of_a_bracket_near_the_float_limit_stays_finite():
     # 0.5 * (a + b) overflowed to inf here, outside the bracket.
     root = find_root_bracketed(

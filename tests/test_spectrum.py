@@ -46,13 +46,12 @@ def test_shoot_hits_zero_at_critical_unit_eigenvalue():
 
 
 @pytest.mark.parametrize("n", [256, 257, 1000, 1001, 2048])
-@pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
+@pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0, 300.0, 1e4])
 def test_shoot_matches_scalar_rk4_oracle(tau, n):
-    # The oracle steps over all of [-tau, tau]; shoot over [0, tau] only. n =
-    # 1000 is not a power of two, so the last doubling level is partial, and
-    # for odd n the centre step straddles s = 0. Below lam = 0 the parity
-    # solutions grow like exp(sqrt(-2 lam) s), and the rebuilt left half, a
-    # difference of the two, must not read noise as nodes.
+    # n = 1000 is not a power of two, so the last doubling level is partial.
+    # Below lam = 0 the solution grows like exp(sqrt(-2 lam) s) and must not
+    # be read as having nodes. At tau = 300 and 1e4 the density underflows
+    # over most of the grid, and psi grows linearly there.
     for lam in (-100.0, -1.0, 0.0, 1.0, 30.0, 700.0, 3000.0):
         end_ref, nodes_ref, trajectory = rk4_sweep(tau, lam, n)
         end, nodes = shoot(tau, lam, n)
@@ -62,30 +61,31 @@ def test_shoot_matches_scalar_rk4_oracle(tau, n):
 
 
 @pytest.mark.parametrize("n", [256, 257, 1001, 2048])
-def test_every_sweep_builds_half_the_steps(monkeypatch, n):
-    # one _steps call per shot and per eigenfunction, over [0, tau] only
+def test_every_sweep_builds_n_steps(monkeypatch, n):
+    # one n-step sweep over [-tau, tau] per shot and per eigenfunction
     built = []
-    original = spectrum._steps
+    original = spectrum._trajectory
 
-    def recording_steps(ab, mu):
-        m = original(ab, mu)
-        built.append(m.shape[2])
-        return m
+    def recording_trajectory(tau, lam, n):
+        psi = original(tau, lam, n)
+        built.append(psi.size - 1)
+        return psi
 
-    monkeypatch.setattr(spectrum, "_steps", recording_steps)
+    monkeypatch.setattr(spectrum, "_trajectory", recording_trajectory)
     shoot(1.3, 7.0, n)
     eigenvalues(1.3, 3, n).eigenfunction(3)
-    assert built == [(n + 1) // 2] * 2
+    assert built == [n] * 2
 
 
+@pytest.mark.parametrize("n", [257, 1001, 2048])
 @pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
-def test_eigenfunctions_match_scalar_rk4_trajectory(tau):
-    # The eigenfunctions are rebuilt on [-tau, tau] from the half sweep; the
-    # oracle steps over the whole interval at the same lambda_k.
-    spec = eigenvalues(tau, 5)
+def test_eigenfunctions_match_scalar_rk4_trajectory(tau, n):
+    # The oracle steps over the whole interval at the same lambda_k, one
+    # scalar RK4 step at a time.
+    spec = eigenvalues(tau, 5, n)
     for k, lam in enumerate(spec.lambdas, start=1):
         psi = spec.eigenfunction(k)
-        trajectory = np.array(rk4_sweep(tau, lam, 2048)[2])
+        trajectory = np.array(rk4_sweep(tau, lam, n)[2])
         trajectory[-1] = 0.0
         want = trajectory / np.max(np.abs(trajectory))
         got = psi.values / np.max(np.abs(psi.values))
@@ -177,7 +177,7 @@ def test_eigenvalues_run_no_rk4_pass(monkeypatch, tau):
     def no_rk4(*args):
         raise AssertionError("RK4 pass")
 
-    for name in ("_samples", "_coefficients", "_steps", "_sweep"):
+    for name in ("_trajectory", "shoot"):
         monkeypatch.setattr(spectrum, name, no_rk4)
     assert eigenvalues(tau, 5).lambdas.size == 5
 
