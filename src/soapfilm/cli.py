@@ -89,16 +89,7 @@ def _emit(record: Dict, fmt: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _record(command: str, inputs: Dict, results: Dict) -> Dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
-def _run_solve(args) -> Dict:
+def _run_solve(args) -> Tuple[Dict, Dict]:
     inputs = {"h": args.h}
     cc = extremals.critical_constants()
     try:
@@ -109,7 +100,7 @@ def _run_solve(args) -> Dict:
             "h_star": cc.h_star,
             "goldschmidt_area": math.tau,
         }
-        return _record("solve", inputs, results)
+        return inputs, results
     if lower.tau == upper.tau:
         results = {
             "outcome": "Critical",
@@ -120,7 +111,7 @@ def _run_solve(args) -> Dict:
             "third_variation": math.tau * lower.tau**4 / (3.0 * lower.h),
             "verdict": "critical: no extremum",
         }
-        return _record("solve", inputs, results)
+        return inputs, results
     results = {
         "outcome": "Subcritical",
         "tau1": lower.tau,
@@ -132,28 +123,24 @@ def _run_solve(args) -> Dict:
         "verdict_lower": "local minimum",
         "verdict_upper": "saddle: no extremum",
     }
-    return _record("solve", inputs, results)
+    return inputs, results
 
 
-def _run_critical(args) -> Dict:
+def _run_critical(args) -> Tuple[Dict, Dict]:
     cc = extremals.critical_constants()
-    return _record("critical", {}, {"tau_star": cc.tau_star, "h_star": cc.h_star})
+    return {}, {"tau_star": cc.tau_star, "h_star": cc.h_star}
 
 
-def _run_goldschmidt(args) -> Dict:
-    return _record(
-        "goldschmidt",
-        {},
-        {"h_goldschmidt": energetics.goldschmidt_constant(), "disk_area": math.tau},
-    )
+def _run_goldschmidt(args) -> Tuple[Dict, Dict]:
+    return {}, {"h_goldschmidt": energetics.goldschmidt_constant(), "disk_area": math.tau}
 
 
-def _run_spectrum(args) -> Dict:
+def _run_spectrum(args) -> Tuple[Dict, Dict]:
     from . import spectrum
     result = spectrum.eigenvalues(args.tau, args.k)
     rows = [[args.tau, k + 1, float(lam)] for k, lam in enumerate(result.lambdas)]
     inputs = {"tau": args.tau, "k": args.k}
-    return _record("spectrum", inputs, {"columns": ["tau", "k", "lambda"], "rows": rows})
+    return inputs, {"columns": ["tau", "k", "lambda"], "rows": rows}
 
 
 def _range_points(args) -> List[float]:
@@ -171,7 +158,7 @@ def _range_points(args) -> List[float]:
     return [(i * step if step else i / div * delta) + h_min for i in range(div)] + [h_max]
 
 
-def _run_force(args) -> Dict:
+def _run_force(args) -> Tuple[Dict, Dict]:
     points = _range_points(args)
     rows = []
     for h in points:
@@ -181,10 +168,10 @@ def _run_force(args) -> Dict:
         except NoExtremalError:
             rows.append([h, None, None])
     inputs = {"h_min": points[0], "h_max": points[-1], "steps": len(points)}
-    return _record("force", inputs, {"columns": ["h", "force", "dforce_dh"], "rows": rows})
+    return inputs, {"columns": ["h", "force", "dforce_dh"], "rows": rows}
 
 
-def _run_sweep(args) -> Dict:
+def _run_sweep(args) -> Tuple[Dict, Dict]:
     points = _range_points(args)
     rows = []
     for h in points:
@@ -199,27 +186,28 @@ def _run_sweep(args) -> Dict:
         rows.append([h, lower.tau, upper.tau, area1, area2, force])
     inputs = {"h_min": points[0], "h_max": points[-1], "steps": len(points)}
     columns = ["h", "tau1", "tau2", "area1", "area2", "force"]
-    return _record("sweep", inputs, {"columns": columns, "rows": rows})
+    return inputs, {"columns": columns, "rows": rows}
 
 
-def _run_minimize(args) -> Dict:
+def _run_minimize(args) -> Tuple[Dict, Dict]:
     from . import direct_min
     inputs = {"h": args.h, "n": args.n, "init": args.init}
     try:
         report = direct_min.minimize(args.h, args.n, args.init)
     except NoExtremalError as exc:
         results = {"outcome": "NoExtremal", "h_star": exc.h_star}
-        return _record("minimize", inputs, results)
+        return inputs, results
     results = {
         "outcome": report.outcome.value,
         "final_area": report.final_area,
         "iterations": report.iterations,
         "min_y": report.min_y,
     }
-    return _record("minimize", inputs, results)
+    return inputs, results
 
 
-# name -> (handler, help, arguments); every subcommand also takes --format and --out
+# name -> (handler, help, arguments); every subcommand also takes --format and
+# --out. A handler returns the record's inputs and results.
 _COMMANDS = {
     "solve": (_run_solve, "both catenoid branches at one half-distance", [
         ("--h", dict(type=float, required=True)),
@@ -291,12 +279,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        record = _COMMANDS[args.command][0](args)
+        inputs, results = _COMMANDS[args.command][0](args)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+    }
     _emit(record, args.format, args.out)
     return 0

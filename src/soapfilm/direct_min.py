@@ -94,7 +94,7 @@ class Profile:
         if self.grid.shape != self.y.shape:
             raise DomainError("grid and y must have the same shape")
         check_uniform_grid(self.grid)
-        slack = 1e-12 * max(1.0, self.h)
+        slack = 1e-12 * self.h
         if abs(self.grid[0] + self.h) > slack or abs(self.grid[-1] - self.h) > slack:
             raise DomainError(f"grid must span [-{self.h}, {self.h}]")
         if self.y[0] != 1.0 or self.y[-1] != 1.0:
@@ -309,7 +309,7 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
         )
 
     if isinstance(init, Profile):
-        if abs(init.h - h) > 1e-12 * max(1.0, h) or init.n != n:
+        if abs(init.h - h) > 1e-12 * h or init.n != n:
             raise DomainError("initial profile does not match the requested h and n")
         grid, y = init.grid.copy(), init.y.copy()
     else:

@@ -274,13 +274,13 @@ def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray
     """Evaluate the catenoid radius y(x) = c cosh(x / c).
 
     Accepts a scalar or an array of positions; every position must lie in
-    [-h, h] (up to roundoff slack; NaN is rejected). Where cosh(x/c)
-    overflows (the upper extremal below h ~ 6e-306), c*cosh(x/c) is formed
-    from logs.
+    [-h, h] up to a roundoff slack of 1e-12*h (NaN is rejected). Where
+    cosh(x/c) overflows (the upper extremal below h ~ 6e-306), c*cosh(x/c)
+    is formed from logs.
     """
     import numpy as np
     arr = np.asarray(x, dtype=float)
-    slack = 1e-12 * max(1.0, e.h)
+    slack = 1e-12 * e.h
     if not np.all(np.abs(arr) <= e.h + slack):
         raise DomainError(f"position outside [-{e.h}, {e.h}]")
     u = arr / e.c

@@ -24,8 +24,8 @@ def check_uniform_grid(grid: np.ndarray) -> float:
     """Validate a strictly increasing uniform grid; return its spacing.
 
     Raises DomainError unless the grid is one-dimensional with at least 3
-    points, strictly increasing (so not NaN), uniform to within 1e-14, and
-    its span grid[-1] - grid[0] is finite.
+    points, strictly increasing (so not NaN), uniform to within 1e-14 times
+    its largest |node|, and its span grid[-1] - grid[0] is finite.
     """
     if grid.ndim != 1 or grid.size < 3:
         raise DomainError("grid must be one-dimensional with at least 3 points")
@@ -34,7 +34,7 @@ def check_uniform_grid(grid: np.ndarray) -> float:
         dx = (grid[-1] - grid[0]) / (grid.size - 1)
     if not (np.all(steps > 0.0) and dx < math.inf):
         raise DomainError("grid must be strictly increasing with a finite span")
-    scale = max(1.0, abs(grid[0]), abs(grid[-1]))
+    scale = max(abs(grid[0]), abs(grid[-1]))
     if np.max(np.abs(steps - dx)) > 1e-14 * scale:
         raise DomainError("grid spacing is not uniform to within 1e-14")
     return float(dx)
@@ -90,7 +90,7 @@ class TestFunction:
     samples must be exactly 0.0 so that boundary terms drop out of every
     integration by parts without residue. Raises DomainError unless there
     are at least 16 samples, all finite, on a grid that check_uniform_grid
-    accepts and that is symmetric to within 1e-14.
+    accepts and that is symmetric to within 1e-14 times its largest |node|.
     """
 
     # Not a test case despite the Test* name; keeps pytest collection quiet.
@@ -107,7 +107,7 @@ class TestFunction:
         if self.n < 16:
             raise DomainError(f"need at least 16 samples, got {self.n}")
         a = self.grid[-1]
-        if abs(self.grid[0] + a) > 1e-14 * max(1.0, abs(a)):
+        if abs(self.grid[0] + a) > 1e-14 * max(abs(self.grid[0]), abs(a)):
             raise DomainError("grid must span a symmetric interval [-a, a]")
         check_uniform_grid(self.grid)
         if self.values[0] != 0.0 or self.values[-1] != 0.0:

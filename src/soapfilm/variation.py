@@ -9,7 +9,9 @@ on [-tau, tau] with Dirichlet ends (a positive prefactor is dropped; the
 sign and zero set carry the content, and taylor_probe recovers the raw
 second t-derivative for calibration). mu(s) = 1 - s tanh(s) solves the
 associated Euler equation, vanishes exactly at +-tau_star, and factorizes Q
-as a perfect square for tau <= tau_star.
+as a perfect square for tau <= tau_star. The probes along a direction
+(area_along_direction, taylor_probe, third_variation) take it as psi and
+form eta through eta_from_psi.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -138,10 +140,11 @@ def q_form_factored(psi: TestFunction) -> float:
 def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
     """Map a direction psi(s) on [-tau, tau] to eta(x) = psi(x/C) cosh(x/C).
 
-    Raises DomainError where cosh overflows on the grid (tau above about 710,
-    the upper extremal below h ~ 6e-306).
+    Raises DomainError unless psi's halfwidth is tau to within 1e-12
+    relative, and where cosh overflows on the grid (tau above about 710, the
+    upper extremal below h ~ 6e-306).
     """
-    if abs(psi.halfwidth - e.tau) > 1e-12:
+    if not abs(psi.halfwidth - e.tau) <= 1e-12 * e.tau:
         raise DomainError(
             f"psi spans [-{psi.halfwidth}, {psi.halfwidth}] but the extremal has tau={e.tau}"
         )
@@ -154,60 +157,39 @@ def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
     return TestFunction(grid=x, values=values)
 
 
-def _require_matching_interval(e: Extremal, eta: TestFunction) -> None:
-    if abs(eta.halfwidth - e.h) > 1e-12 * max(1.0, e.h):
-        raise DomainError(
-            f"eta spans [-{eta.halfwidth}, {eta.halfwidth}] but the extremal has h={e.h}"
-        )
+def area_along_direction(e: Extremal, psi: TestFunction, t: float) -> float:
+    """Area of the perturbed surface y + t*eta, eta = eta_from_psi(psi, e).
 
-
-def area_along_direction(e: Extremal, eta: TestFunction, t: float) -> float:
-    """Area of the perturbed surface y + t*eta, by quadrature on eta's grid.
-
-    Raises DomainError unless t is finite, and where area_quadrature does
-    (y + t*eta not positive, or overflowing).
+    The quadrature runs on eta's grid. Raises DomainError unless t is
+    finite, and where eta_from_psi and area_quadrature do (y + t*eta not
+    positive, or overflowing).
     """
-    _require_matching_interval(e, eta)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
+    eta = eta_from_psi(psi, e)
     with np.errstate(over="ignore"):
         y = profile(e, eta.grid) + t * eta.values
     return area_quadrature(eta.grid, y)
 
 
-def _psi_from_eta(eta: TestFunction, e: Extremal) -> TestFunction:
-    s = eta.grid / e.c
-    values = eta.values / np.cosh(s)
-    values[0] = 0.0
-    values[-1] = 0.0
-    return TestFunction(grid=s, values=values)
-
-
-def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> VariationReport:
+def taylor_probe(e: Extremal, psi: TestFunction, t_max: float) -> VariationReport:
     """Sample S[y + t*eta] and extract the first three Taylor coefficients.
 
-    t_values fixes the probe scale: the stencil step is max|t|/8, so all
-    evaluations stay inside the given range. The set must be symmetric about
-    0. raw_d2 and raw_d3 divide the stencil derivatives by 2! and 3!; the
-    first derivative is checked against zero (these are extremals) and
-    reported; above 1e-4*max(1, S) it is a DomainError (eta too coarse).
-    Non-finite t_values, and a step whose cube is not a normal float
-    (max|t| outside about [2.3e-102, 4.5e103]), are DomainErrors too.
+    eta = eta_from_psi(psi, e), and the stencil step is t_max/8, so every
+    evaluation keeps |t| <= 3*t_max/8. q_form is q_form(psi) itself. raw_d2
+    and raw_d3 divide the stencil derivatives by 2! and 3!; the first
+    derivative is checked against zero (these are extremals) and reported;
+    above 1e-4*max(1, S) it is a DomainError (psi too coarse). A step whose
+    cube is not a normal float (t_max outside about [2.3e-102, 4.5e103],
+    NaN included) is a DomainError too, as is whatever eta_from_psi rejects.
     """
-    _require_matching_interval(e, eta)
-    t_arr = np.sort(np.asarray(list(t_values), dtype=float))
-    if not np.all(np.isfinite(t_arr)):
-        raise DomainError("t_values must be finite")
-    if t_arr.size == 0 or t_arr[-1] <= 0.0:
-        raise DomainError("t_values must contain positive entries")
-    t_max = float(np.max(np.abs(t_arr)))
-    if np.max(np.abs(t_arr + t_arr[::-1])) > 1e-12 * t_max:
-        raise DomainError("t_values must be symmetric about 0")
-
     delta = t_max / 8.0
     if not sys.float_info.min <= delta * delta * delta < math.inf:
         raise DomainError(f"stencil step {delta!r}: its cube is not a normal float")
-    f = {k: area_along_direction(e, eta, k * delta) for k in range(-3, 4)}
+    eta = eta_from_psi(psi, e)
+    y = profile(e, eta.grid)
+    with np.errstate(over="ignore"):
+        f = {k: area_quadrature(eta.grid, y + k * delta * eta.values) for k in range(-3, 4)}
 
     raw_d1 = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * delta)
     second = (-f[-2] + 16.0 * f[-1] - 30.0 * f[0] + 16.0 * f[1] - f[2]) / (12.0 * delta * delta)
@@ -219,7 +201,6 @@ def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> V
     if not abs(raw_d1) <= 1e-4 * max(1.0, f[0]):
         raise DomainError(f"first variation {raw_d1!r} not negligible on an extremal")
 
-    psi = _psi_from_eta(eta, e)
     q = q_form(psi)
     dpsi = sampled_derivative(psi.values, psi.spacing)
     scale = composite_simpson(dpsi * dpsi, psi.spacing)
@@ -240,15 +221,16 @@ def taylor_probe(e: Extremal, eta: TestFunction, t_values: Sequence[float]) -> V
     )
 
 
-def third_variation(e: Extremal, eta: TestFunction) -> float:
-    """Cubic Taylor coefficient of S[y + t*eta], by quadrature.
+def third_variation(e: Extremal, psi: TestFunction) -> float:
+    """Cubic Taylor coefficient of S[y + t*eta], eta = eta_from_psi(psi, e).
 
     Evaluates pi * integral of eta'^2/(1+y'^2)^(3/2) * (eta - y y' eta'/(1+y'^2))
     with y and y' analytic on the catenoid and eta' from centered differences.
     Equal to taylor_probe's raw_d3 up to discretization error. Raises
-    DomainError where the integrand overflows (steep eta at tiny h).
+    DomainError where eta_from_psi does, and where the integrand overflows
+    (steep eta at tiny h).
     """
-    _require_matching_interval(e, eta)
+    eta = eta_from_psi(psi, e)
     x = eta.grid
     s = x / e.c
     deta = sampled_derivative(eta.values, eta.spacing)

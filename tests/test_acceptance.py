@@ -21,14 +21,7 @@ from soapfilm.extremals import (
 )
 from soapfilm.grids import TestFunction
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
-from soapfilm.variation import (
-    area_along_direction,
-    eta_from_psi,
-    mu,
-    q_form,
-    taylor_probe,
-    third_variation,
-)
+from soapfilm.variation import area_along_direction, mu, q_form, taylor_probe, third_variation
 
 from oracles import richardson_diff, smooth_test_profiles, string_eigenvalue
 
@@ -73,15 +66,14 @@ def test_c4_third_variation():
     e = critical_extremal()
     closed = math.tau * cc.tau_star**4 / (3.0 * cc.h_star)
     psi = TestFunction.sample(mu, cc.tau_star, 8193)
-    eta = eta_from_psi(psi, e)
-    quad = third_variation(e, eta)
-    rep = taylor_probe(e, eta, [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03])
+    quad = third_variation(e, psi)
+    rep = taylor_probe(e, psi, 0.03)
     rel_quad = abs(quad - closed) / closed
     rel_probe = abs(rep.raw_d3 - closed) / closed
 
     t_vals = np.logspace(-3, -1, 9)
-    a0 = area_along_direction(e, eta, 0.0)
-    gaps = np.array([area_along_direction(e, eta, float(t)) - a0 for t in t_vals])
+    a0 = area_along_direction(e, psi, 0.0)
+    gaps = np.array([area_along_direction(e, psi, float(t)) - a0 for t in t_vals])
     slope = np.polyfit(np.log(t_vals), np.log(gaps), 1)[0]
 
     ok = rel_quad <= 1e-4 and rel_probe <= 1e-3 and abs(slope - 3.0) <= 0.1

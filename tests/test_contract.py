@@ -151,9 +151,8 @@ def _extremal(branch, field):
 
 
 def _direction(e, n=17):
-    """eta for psi = cos(pi s/(2 tau)), one arch over the extremal's [-tau, tau]."""
-    psi = TestFunction.sample(lambda s: np.cos(0.5 * math.pi * s / e.tau), e.tau, n)
-    return variation.eta_from_psi(psi, e)
+    """psi = cos(pi s/(2 tau)), one arch over the extremal's [-tau, tau]."""
+    return TestFunction.sample(lambda s: np.cos(0.5 * math.pi * s / e.tau), e.tau, n)
 
 
 def _on_branches(call):
@@ -168,9 +167,7 @@ def _report(report):
 
 _CRITICAL = critical_extremal()
 # 4*mu, the Jacobi direction: its eta reaches 4, so t*eta overflows at t = 1e308
-_CRITICAL_ETA = variation.eta_from_psi(
-    TestFunction.sample(lambda s: 4.0 * mu(s), _CRITICAL.tau, 65), _CRITICAL
-)
+_CRITICAL_PSI = TestFunction.sample(lambda s: 4.0 * mu(s), _CRITICAL.tau, 65)
 
 
 def _spectrum(tau):
@@ -207,18 +204,18 @@ CALLS = {
     "negative_direction": lambda x: list(negative_direction(x).values),
     "q_form": lambda x: [variation.q_form(TestFunction.sample(np.cos, x, 17))],
     "q_form_factored": lambda x: [variation.q_form_factored(TestFunction.sample(np.cos, x, 17))],
-    "eta_from_psi": _on_branches(lambda e: _direction(e).values),
+    "eta_from_psi": _on_branches(lambda e: variation.eta_from_psi(_direction(e), e).values),
     "third_variation": _on_branches(lambda e: variation.third_variation(e, _direction(e))),
     "area_along_direction(h)": _on_branches(
         lambda e: variation.area_along_direction(e, _direction(e), 1e-3)
     ),
     "area_along_direction(t)": lambda x: [
-        variation.area_along_direction(_CRITICAL, _CRITICAL_ETA, x)
+        variation.area_along_direction(_CRITICAL, _CRITICAL_PSI, x)
     ],
     "taylor_probe(h)": _on_branches(
-        lambda e: _report(variation.taylor_probe(e, _direction(e, 65), [-1e-3, 1e-3]))
+        lambda e: _report(variation.taylor_probe(e, _direction(e, 65), 1e-3))
     ),
-    "taylor_probe(t)": lambda x: _report(variation.taylor_probe(_CRITICAL, _CRITICAL_ETA, [-x, x])),
+    "taylor_probe(t)": lambda x: _report(variation.taylor_probe(_CRITICAL, _CRITICAL_PSI, x)),
     **{
         f"Extremal({branch.value}, {field})": _extremal(branch, field)
         for branch in Branch for field in ("h", "tau", "c")
@@ -265,6 +262,46 @@ def test_edge_input_gives_allowed_value_or_domain_error(name, x):
     named = NAMED.get((name, repr(x)))
     for value in values:
         assert math.isfinite(value) or (named is not None and _same(value, named)), (name, x, values)
+
+
+def _nearby_profile(h):
+    """A flat profile on [-h', h'] with h' one part in 1e9 above h."""
+    wide = h * (1.0 + 1e-9)
+    return Profile(h=wide, grid=np.linspace(-wide, wide, 64), y=np.ones(64))
+
+
+# Interval and grid checks are relative to the scale at hand: a tolerance
+# floored at 1 accepts each of these at h = 1e-20 (the Profile's area would
+# read 1e7 times the film's 4*pi*h), and the profile 1e-9 away from
+# minimize's h at the smallest h it takes.
+MISMATCHES = {
+    "check_uniform_grid": lambda: check_uniform_grid(np.array([0.0, 1e-20, 5e-20, 6e-20])),
+    "TestFunction": lambda: TestFunction(np.linspace(-3e-20, 3.2e-20, 17), np.zeros(17)),
+    "profile": lambda: profile(solve_branches(1e-20)[0], 9e-13),
+    "Profile": lambda: Profile(h=1e-20, grid=np.linspace(-1e-13, 1e-13, 65), y=np.ones(65)),
+    "eta_from_psi": lambda: variation.eta_from_psi(
+        TestFunction.sample(np.cos, 2e-20, 17), solve_branches(1e-20)[0]
+    ),
+    "minimize": lambda: minimize(3.2e-6, 64, _nearby_profile(3.2e-6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHES))
+def test_a_mismatch_at_a_tiny_scale_is_a_domain_error(name):
+    with pytest.raises(DomainError):
+        MISMATCHES[name]()
+
+
+def test_matching_inputs_at_a_tiny_scale_are_accepted():
+    h = 1e-20
+    grid = h * np.linspace(-1.0, 1.0, 65)
+    assert check_uniform_grid(grid) == h / 32.0
+    area = discrete_area(Profile(h=h, grid=grid, y=np.ones(65)))
+    assert abs(area / (2.0 * math.tau * h) - 1.0) <= 1e-15
+    for e in solve_branches(h):
+        eta = variation.eta_from_psi(_direction(e), e)
+        assert np.all(np.isfinite(profile(e, eta.grid)))
+        assert math.isfinite(variation.third_variation(e, _direction(e)))
 
 
 @pytest.mark.parametrize("tau", [1e-150, 1e-50, 1e-9])

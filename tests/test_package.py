@@ -45,12 +45,13 @@ TWO_PI config riccati_residual rayleigh_quotient
 
 # Public names that no code in src/ calls. The paper's results and the
 # checks a reader runs on them: critical_extremal, small_h_asymptotics,
-# eta_from_psi, q_form_factored, taylor_probe, third_variation,
+# area_along_direction, q_form_factored, taylor_probe, third_variation,
 # discrete_area, discrete_gradient. Names the benchmark times or checks
 # against: phi, shoot, dense_eigenvalues.
 UNCALLED = """
-critical_extremal small_h_asymptotics eta_from_psi q_form_factored taylor_probe
-third_variation discrete_area discrete_gradient phi shoot dense_eigenvalues
+critical_extremal small_h_asymptotics area_along_direction q_form_factored
+taylor_probe third_variation discrete_area discrete_gradient phi shoot
+dense_eigenvalues
 """.split()
 
 

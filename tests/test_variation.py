@@ -119,17 +119,15 @@ def test_eta_from_psi_rejects_mismatched_interval():
 def test_area_along_direction_at_zero_is_area():
     lower, _ = solve_branches(0.4)
     psi = _sine_psi(lower.tau, n=4097)
-    eta = eta_from_psi(psi, lower)
-    a0 = area_along_direction(lower, eta, 0.0)
+    a0 = area_along_direction(lower, psi, 0.0)
     np.testing.assert_allclose(a0, 4.883793201931079, rtol=1e-6, atol=0.0)
 
 
 def test_area_along_direction_rejects_pinched_profile():
     lower, _ = solve_branches(0.4)
     psi = _sine_psi(lower.tau, n=513)
-    eta = eta_from_psi(psi, lower)
     with pytest.raises(DomainError):
-        area_along_direction(lower, eta, -5.0)
+        area_along_direction(lower, psi, -5.0)
 
 
 def test_probe_first_derivative_vanishes_on_extremals():
@@ -138,29 +136,28 @@ def test_probe_first_derivative_vanishes_on_extremals():
     for branch in (0, 1):
         e = solve_branches(0.4)[branch]
         psi = _sine_psi(e.tau, n=8193)
-        eta = eta_from_psi(psi, e)
-        report = taylor_probe(e, eta, [-0.05, -0.02, -0.01, 0.01, 0.02, 0.05])
-        a0 = area_along_direction(e, eta, 0.0)
+        report = taylor_probe(e, psi, 0.05)
+        a0 = area_along_direction(e, psi, 0.0)
         assert abs(report.raw_d1) <= 1e-6 * a0
 
 
 def test_probe_classifies_branches():
     lower, upper = solve_branches(0.4)
     psi1 = _sine_psi(lower.tau, n=2049)
-    rep1 = taylor_probe(lower, eta_from_psi(psi1, lower), [-0.04, -0.02, 0.02, 0.04])
+    rep1 = taylor_probe(lower, psi1, 0.04)
     assert rep1.classification is Classification.POSITIVE_DEFINITE_SAMPLE
     assert rep1.q_form > 0.0
 
     psi2 = negative_direction(upper.tau)
-    rep2 = taylor_probe(upper, eta_from_psi(psi2, upper), [-0.04, -0.02, 0.02, 0.04])
+    rep2 = taylor_probe(upper, psi2, 0.04)
     assert rep2.classification is Classification.NEGATIVE_DIRECTION
     assert rep2.q_form < 0.0
 
 
 def test_probe_zero_direction_on_null_perturbation():
     lower, _ = solve_branches(0.4)
-    eta = TestFunction.sample(lambda x: np.zeros_like(x), lower.h, 257)
-    rep = taylor_probe(lower, eta, [-0.2, -0.1, 0.1, 0.2])
+    psi = TestFunction.sample(lambda s: np.zeros_like(s), lower.tau, 257)
+    rep = taylor_probe(lower, psi, 0.2)
     assert rep.classification is Classification.ZERO_DIRECTION
     assert rep.q_form == 0.0
     # The stencils divide float roundoff by delta^2 and delta^3, so "zero"
@@ -169,20 +166,27 @@ def test_probe_zero_direction_on_null_perturbation():
     assert abs(rep.raw_d3) <= 1e-9
 
 
-def test_probe_requires_symmetric_positive_t():
+def test_probe_requires_a_positive_finite_t_max():
     lower, _ = solve_branches(0.4)
     psi = _sine_psi(lower.tau, n=257)
-    eta = eta_from_psi(psi, lower)
+    for t_max in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            taylor_probe(lower, psi, t_max)
+    # a psi grid too coarse for the extremal: the first variation is not ~0
     with pytest.raises(DomainError):
-        taylor_probe(lower, eta, [0.0, 0.1])
-    with pytest.raises(DomainError):
-        taylor_probe(lower, eta, [-0.2, 0.1])
-    with pytest.raises(DomainError):
-        taylor_probe(lower, eta, [-0.1])
-    # an eta grid too coarse for the extremal: the first variation is not ~0
-    coarse = eta_from_psi(_sine_psi(lower.tau, n=33), lower)
-    with pytest.raises(DomainError):
-        taylor_probe(lower, coarse, [-0.1, 0.1])
+        taylor_probe(lower, _sine_psi(lower.tau, n=33), 0.1)
+
+
+def test_probe_q_form_is_q_form_of_the_callers_psi():
+    lower, upper = solve_branches(0.4)
+    e = critical_extremal()
+    cases = [
+        (e, TestFunction.sample(mu, e.tau, 2049)),
+        (lower, _sine_psi(lower.tau)),
+        (upper, negative_direction(upper.tau)),
+    ]
+    for extremal, psi in cases:
+        assert taylor_probe(extremal, psi, 0.03).q_form == q_form(psi)
 
 
 def test_quadratic_coefficient_proportional_to_q_form():
@@ -198,8 +202,7 @@ def test_quadratic_coefficient_proportional_to_q_form():
             for k, c in enumerate(coeffs)
         )
         psi = TestFunction.sample(fn, lower.tau, 2049)
-        eta = eta_from_psi(psi, lower)
-        rep = taylor_probe(lower, eta, [-0.02, -0.01, 0.01, 0.02])
+        rep = taylor_probe(lower, psi, 0.02)
         ratios.append(rep.raw_d2 / rep.q_form)
     ratios = np.array(ratios)
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-3, atol=0.0)
@@ -209,8 +212,7 @@ def test_quadratic_coefficient_proportional_to_q_form():
 def test_third_variation_closed_form_at_critical():
     e = critical_extremal()
     psi = TestFunction.sample(mu, TAU_STAR, 8193)
-    eta = eta_from_psi(psi, e)
-    gamma = third_variation(e, eta)
+    gamma = third_variation(e, psi)
     np.testing.assert_allclose(gamma, THIRD_VARIATION_CRITICAL, rtol=1e-4, atol=0.0)
     np.testing.assert_allclose(gamma, 6.54595, rtol=0.0, atol=1e-4)
 
@@ -218,15 +220,14 @@ def test_third_variation_closed_form_at_critical():
 def test_third_variation_matches_cubic_probe_coefficient():
     e = critical_extremal()
     psi = TestFunction.sample(mu, TAU_STAR, 8193)
-    eta = eta_from_psi(psi, e)
-    rep = taylor_probe(e, eta, [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03])
-    np.testing.assert_allclose(rep.raw_d3, third_variation(e, eta), rtol=1e-3, atol=0.0)
+    rep = taylor_probe(e, psi, 0.03)
+    np.testing.assert_allclose(rep.raw_d3, third_variation(e, psi), rtol=1e-3, atol=0.0)
 
 
 def test_third_variation_zero_on_null_perturbation():
     e = critical_extremal()
-    eta = TestFunction.sample(lambda x: np.zeros_like(x), e.h, 257)
-    assert third_variation(e, eta) == 0.0
+    psi = TestFunction.sample(lambda s: np.zeros_like(s), e.tau, 257)
+    assert third_variation(e, psi) == 0.0
 
 
 def test_critical_area_grows_both_ways():
@@ -236,11 +237,10 @@ def test_critical_area_grows_both_ways():
     # at cubic order (even part is quartic-small) while odd part dominates.
     e = critical_extremal()
     psi = TestFunction.sample(mu, TAU_STAR, 4097)
-    eta = eta_from_psi(psi, e)
     t = 0.02
-    g0 = area_along_direction(e, eta, 0.0)
-    gp = area_along_direction(e, eta, t)
-    gm = area_along_direction(e, eta, -t)
+    g0 = area_along_direction(e, psi, 0.0)
+    gp = area_along_direction(e, psi, t)
+    gm = area_along_direction(e, psi, -t)
     odd = 0.5 * (gp - gm)
     even = 0.5 * (gp + gm) - g0
     gamma = THIRD_VARIATION_CRITICAL
