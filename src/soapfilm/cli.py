@@ -7,15 +7,17 @@ byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
 exit 0 with the outcome encoded in the record. The library functions check
 their own arguments: any DomainError, from them or from the CLI's range
 checks, exits 2 with its message; other failures exit 1. Only the handlers
-that use arrays import the modules that need numpy.
+that use arrays import the modules that need numpy, and only help texts and
+parser errors import and build argparse: a well-formed argv is read straight
+from the command table.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import energetics, extremals
@@ -206,8 +208,8 @@ def _run_minimize(args) -> Tuple[Dict, Dict]:
     return inputs, results
 
 
-# name -> (handler, help, arguments); every subcommand also takes --format and
-# --out. A handler returns the record's inputs and results.
+# name -> (handler, help, arguments); every subcommand also takes the
+# _OUTPUT_FLAGS. A handler returns the record's inputs and results.
 _COMMANDS = {
     "solve": (_run_solve, "both catenoid branches at one half-distance", [
         ("--h", dict(type=float, required=True)),
@@ -234,42 +236,67 @@ _COMMANDS = {
         ("--init", dict(default="cylinder")),
     ]),
 }
+_OUTPUT_FLAGS = [
+    ("--format", dict(choices=("json", "csv"), default="json")),
+    ("--out", dict(help="output path (default: stdout)")),
+]
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    for flag, options in _COMMANDS[name][2]:
-        parser.add_argument(flag, **options)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The full build: the top-level parser with every subcommand's parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="soapfilm",
         description="Catenoid analysis of the soap film spanning two coaxial unit rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + _OUTPUT_FLAGS:
+            subparser.add_argument(flag, **options)
     return parser
 
 
-def _parse(argv: List[str]) -> argparse.Namespace:
-    """argv parsed by argv[0]'s parser alone when it names a subcommand.
+def _scan(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace of a well-formed argv, read from the command table.
 
-    That parser is the one the full build holds for it, so its help, errors
-    and namespace are the full build's. The top-level help, no or an unknown
-    command, and arguments that parser leaves over (an error at the top
-    level) go to the full build.
+    Well-formed: a subcommand, then `--flag value` pairs of its own flags
+    spelled in full, each value not starting with "-", converting with the
+    flag's type and within its choices, and every required flag present.
+    argparse reads such an argv to this same namespace; None for any other.
     """
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog="soapfilm " + argv[0])
-        _add_arguments(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = dict(_COMMANDS[argv[0]][2] + _OUTPUT_FLAGS)
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        try:
+            value = option.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0])
+    for flag, option in options.items():
+        if option.get("required") and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, option.get("default")))
+    return args
+
+
+def _parse(argv: List[str]):
+    """argv read from the command table when it is well-formed, else by argparse.
+
+    The full build is the reference: it prints every help text and every
+    parser error, and it reads a well-formed argv to the namespace _scan does.
+    """
+    args = _scan(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

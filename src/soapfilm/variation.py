@@ -140,15 +140,17 @@ def q_form_factored(psi: TestFunction) -> float:
 def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
     """Map a direction psi(s) on [-tau, tau] to eta(x) = psi(x/C) cosh(x/C).
 
-    Raises DomainError unless psi's halfwidth is tau to within 1e-12
-    relative, and where cosh overflows on the grid (tau above about 710, the
-    upper extremal below h ~ 6e-306).
+    eta's grid is psi's scaled by h/tau, so it ends at +-h to rounding
+    whatever c's last digits (Extremal holds h/c = tau to 1e-9 only), and
+    profile takes it. Raises DomainError unless psi's halfwidth is tau to
+    within 1e-12 relative, and where cosh overflows on the grid (tau above
+    about 710, the upper extremal below h ~ 6e-306).
     """
     if not abs(psi.halfwidth - e.tau) <= 1e-12 * e.tau:
         raise DomainError(
             f"psi spans [-{psi.halfwidth}, {psi.halfwidth}] but the extremal has tau={e.tau}"
         )
-    x = psi.grid * e.c
+    x = psi.grid * (e.h / e.tau)
     with np.errstate(over="ignore", invalid="ignore"):
         values = psi.values * np.cosh(psi.grid)
     if not np.all(np.isfinite(values)):
@@ -179,9 +181,10 @@ def taylor_probe(e: Extremal, psi: TestFunction, t_max: float) -> VariationRepor
     evaluation keeps |t| <= 3*t_max/8. q_form is q_form(psi) itself. raw_d2
     and raw_d3 divide the stencil derivatives by 2! and 3!; the first
     derivative is checked against zero (these are extremals) and reported;
-    above 1e-4*max(1, S) it is a DomainError (psi too coarse). A step whose
-    cube is not a normal float (t_max outside about [2.3e-102, 4.5e103],
-    NaN included) is a DomainError too, as is whatever eta_from_psi rejects.
+    above 1e-4*S, at every scale of h, it is a DomainError (psi too coarse).
+    A step whose cube is not a normal float (t_max outside about
+    [2.3e-102, 4.5e103], NaN included) is a DomainError too, as is whatever
+    eta_from_psi rejects.
     """
     delta = t_max / 8.0
     if not sys.float_info.min <= delta * delta * delta < math.inf:
@@ -198,7 +201,7 @@ def taylor_probe(e: Extremal, psi: TestFunction, t_max: float) -> VariationRepor
     ) / delta**3
     # coarse grids leave O(dx^2) noise in the sampled areas, so this guard
     # only catches gross mismatches; tests pin the tight 1e-6*S bound
-    if not abs(raw_d1) <= 1e-4 * max(1.0, f[0]):
+    if not abs(raw_d1) <= 1e-4 * f[0]:
         raise DomainError(f"first variation {raw_d1!r} not negligible on an extremal")
 
     q = q_form(psi)

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soapfilm.energetics
 import soapfilm.extremals
+from soapfilm import cli
 from soapfilm.cli import _COMMANDS, _build_parser, _parse, _range_points, _render_json, main
 from soapfilm.errors import NoExtremalError
 from soapfilm.extremals import critical_constants
@@ -293,8 +294,9 @@ def test_spectrum_takes_no_step_count(capsys):
 
 
 # Help and parser-error bytes at COLUMNS=80, as the full eight-parser build
-# printed them (Python 3.11's argparse wording). main builds only the named
-# subcommand's parser; these catch any drift of that build from the full one.
+# prints them (Python 3.11's argparse wording). main reads a well-formed argv
+# from the command table and sends every other one, these included, to that
+# build; these catch any drift of the argv it sends there.
 _USAGE = (
     "usage: soapfilm [-h]\n"
     "                {solve,critical,goldschmidt,spectrum,force,sweep,minimize} ...\n"
@@ -385,27 +387,75 @@ def test_repeated_and_abbreviated_flags_print_as_the_canonical_argv(argv, canoni
 
 
 def _outcome(parse, argv, capsys):
+    # NaN-aware: each value by its repr, since nan != nan
     try:
-        result = vars(parse(argv))
+        result = {key: repr(value) for key, value in vars(parse(argv)).items()}
     except SystemExit as exc:
         result = exc.code
     return result, capsys.readouterr()
 
 
-# beyond GOLDEN and SPELLINGS: an argv the subcommand's parser leaves over
-# (main then re-parses with the full build), an inline value, and values
-# that look like negative numbers or flags
-PARITY = [g[0] for g in GOLDEN] + [s[0] for s in SPELLINGS] + [
+WELL_FORMED = [
+    ["solve", "--h", "0.4"],
+    ["critical"],
+    ["goldschmidt"],
+    ["spectrum", "--tau", "1.0", "--k", "1"],
+    ["force", "--h-min", "0.3"],
+    ["sweep", "--h-min", "0.2", "--h-max", "0.3", "--steps", "2"],
+    ["minimize", "--h", "0.8", "--n", "64"],
+]
+
+# beyond GOLDEN, SPELLINGS and WELL_FORMED: a flag of another subcommand, an
+# inline value, and values that look like negative numbers or flags
+PARITY = [g[0] for g in GOLDEN] + [s[0] for s in SPELLINGS] + WELL_FORMED + [
     ["spectrum", "--tau", "1.2", "--n", "512"],
     ["solve", "--h=0.3"],
     ["solve", "--h", "-1"],
     ["solve", "--h", "-inf"],
+    ["solve", "--h", "nan", "--out", "", "--format", "csv"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARITY, ids=lambda v: " ".join(v) or "(none)")
-def test_one_subparser_build_parses_as_the_full_build(argv, capsys, monkeypatch):
+def test_the_scan_parses_as_the_full_build(argv, capsys, monkeypatch):
     # same namespace, or same exit code, stdout and stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(_parse, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
+
+
+_VALUES = st.sampled_from(
+    ["", "-", "-1", "-inf", "nan", " 0.4", "1_0", "0x10", "abc", "xml", "csv", "0.4", "2"]
+)
+
+# values that each type converts
+_TAKES = {float: ("0.4", "nan"), int: ("2", "1_0"), None: ("csv",)}
+
+
+@st.composite
+def _drawn_argv(draw):
+    """A subcommand, then tokens from its vocabulary in any order: its own
+    flags in full, each with a value its type takes, and often a few odd
+    ones: flags exact, abbreviated or =-joined with any value, and flags or
+    values left without a partner. Repeated flags come from the lists."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    options = _COMMANDS[name][2] + cli._OUTPUT_FLAGS
+    flag = st.sampled_from([f for f, _ in options] + ["--fo", "--ta", "--st", "--h", "--n", "-h"])
+    pair = st.sampled_from([(f, v) for f, option in options for v in _TAKES[option.get("type")]])
+    odd = st.one_of(
+        st.tuples(flag, _VALUES),
+        st.tuples(st.builds("{}={}".format, flag, _VALUES)),
+        st.tuples(flag),
+        st.tuples(_VALUES),
+    )
+    groups = draw(st.lists(pair, max_size=4)) + draw(st.lists(odd, max_size=2))
+    return [name] + [text for group in draw(st.permutations(groups)) for text in group]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_drawn_argv())
+@example(argv=["solve", "--h", "-inf"])
+@example(argv=["solve", "--h", "0.3", "--h", "nan"])
+def test_drawn_argv_parse_as_the_full_build(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert _outcome(_parse, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
 
@@ -424,24 +474,21 @@ def _parsers_built(argv, capsys, monkeypatch):
     return code, built
 
 
-WELL_FORMED = [
-    ["solve", "--h", "0.4"],
-    ["critical"],
-    ["goldschmidt"],
-    ["spectrum", "--tau", "1.0", "--k", "1"],
-    ["force", "--h-min", "0.3"],
-    ["sweep", "--h-min", "0.2", "--h-max", "0.3", "--steps", "2"],
-    ["minimize", "--h", "0.8", "--n", "64"],
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda v: v[0])
+def test_a_well_formed_argv_builds_no_parser(argv, capsys, monkeypatch):
+    assert _parsers_built(argv, capsys, monkeypatch) == (0, [])
+
+
+# help, no or an unknown command, and malformed argv naming a subcommand:
+# a bad value, an inline value, an abbreviated flag
+FULL_BUILD = [
+    (["-h"], 0), ([], 2), (["bogus"], 2),
+    (["solve", "--h", "abc"], 2), (["solve", "--h=0.4"], 0), (["spectrum", "--ta", "1.0"], 0),
 ]
 
 
-@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda v: v[0])
-def test_a_named_subcommand_builds_one_parser(argv, capsys, monkeypatch):
-    assert _parsers_built(argv, capsys, monkeypatch) == (0, [f"soapfilm {argv[0]}"])
-
-
-@pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 2), (["bogus"], 2)], ids=["-h", "(none)", "bogus"])
-def test_help_and_unknown_commands_build_every_parser(argv, code, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code", FULL_BUILD, ids=[" ".join(f[0]) or "(none)" for f in FULL_BUILD])
+def test_every_other_argv_builds_every_parser(argv, code, capsys, monkeypatch):
     full = ["soapfilm"] + [f"soapfilm {name}" for name in _COMMANDS]
     assert _parsers_built(argv, capsys, monkeypatch) == (code, full)
 

@@ -304,6 +304,24 @@ def test_matching_inputs_at_a_tiny_scale_are_accepted():
         assert math.isfinite(variation.third_variation(e, _direction(e)))
 
 
+# The constructor holds h/c = tau to 1e-9 and the boundary condition to 1e-10
+# in its log, so it accepts the lower catenoid at h = 0.4 with tau or c one
+# part in 1e10 off; every probe takes such an extremal's own psi grid.
+@pytest.mark.parametrize("field, factor", [(f, 1.0 + d) for f in ("tau", "c") for d in (1e-10, -1e-10)])
+def test_the_probes_take_every_extremal_the_constructor_accepts(field, factor):
+    lower = solve_branches(0.4)[0]
+    fields = {"h": lower.h, "tau": lower.tau, "c": lower.c}
+    fields[field] *= factor
+    e = Extremal(branch=Branch.LOWER, **fields)
+    psi = _direction(e, 257)
+    values = [
+        variation.third_variation(e, psi),
+        variation.area_along_direction(e, psi, 1e-3),
+        *_report(variation.taylor_probe(e, psi, 1e-3)),
+    ]
+    assert all(math.isfinite(v) for v in values), values
+
+
 @pytest.mark.parametrize("tau", [1e-150, 1e-50, 1e-9])
 def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
     # lambda_k tau^2 = (k pi)^2/8 (1 + O(tau^2)): below tau ~ 1e-8 the

@@ -1,8 +1,9 @@
-"""numpy is imported only by code that uses arrays.
+"""numpy is imported only by code that uses arrays, argparse only by help and errors.
 
 The package resolves its public names on first use, so the scalar API and
 the scalar CLI subcommands run in a fresh interpreter without numpy, while
-the array paths still import it on demand.
+the array paths still import it on demand. The CLI reads a well-formed argv
+from its command table and imports argparse for any other.
 """
 
 import os
@@ -12,6 +13,7 @@ import pytest
 from soapfilm.extremals import critical_constants
 
 from fresh import loads
+from test_cli import WELL_FORMED
 
 SCALAR_API = (
     "import soapfilm; soapfilm.critical_constants(); "
@@ -21,9 +23,9 @@ SCALAR_API = (
 )
 
 
-def _cli(argv):
+def _cli(argv, code=0):
     argv = argv + ["--out", os.devnull]
-    return f"from soapfilm import cli; assert cli.main({argv!r}) == 0"
+    return f"from soapfilm import cli; assert cli.main({argv!r}) == {code}"
 
 
 def test_scalar_api_loads_no_numpy():
@@ -61,3 +63,12 @@ def test_scalar_subcommand_loads_no_numpy(argv):
 )
 def test_array_subcommand_imports_numpy_on_demand(argv):
     assert loads(_cli(argv), "numpy")
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
+def test_a_well_formed_argv_loads_no_argparse(argv):
+    assert not loads(_cli(argv), "argparse")
+
+
+def test_an_argv_argparse_reads_loads_it():
+    assert loads(_cli(["solve", "--h", "abc"], code=2), "argparse")

@@ -177,6 +177,18 @@ def test_probe_requires_a_positive_finite_t_max():
         taylor_probe(lower, _sine_psi(lower.tau, n=33), 0.1)
 
 
+@pytest.mark.parametrize("h", [0.4, 1e-3, 1e-5])
+def test_probe_first_variation_guard_is_relative_at_every_scale(h):
+    # raw_d1/S is about 2e-3 on 17 samples and 1.6e-5 on 257 at each of these
+    # h, so a bound relative to S rejects the first and takes the second at
+    # every scale; one floored at 1 took the coarse psi below h ~ 0.08
+    lower, _ = solve_branches(h)
+    with pytest.raises(DomainError, match="first variation"):
+        taylor_probe(lower, _sine_psi(lower.tau, n=17), 1e-3 * h)
+    report = taylor_probe(lower, _sine_psi(lower.tau, n=257), 1e-3 * h)
+    assert report.classification is Classification.POSITIVE_DEFINITE_SAMPLE
+
+
 def test_probe_q_form_is_q_form_of_the_callers_psi():
     lower, upper = solve_branches(0.4)
     e = critical_extremal()
