@@ -13,9 +13,12 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Names resolve on first use (PEP 562); the first four modules never import numpy.
-_MODULES = ("errors", "rootfind", "extremals", "energetics",
-            "grids", "spectrum", "variation", "direct_min")
+# Names resolve on first use (PEP 562), searched in this order. The first
+# four modules never import numpy and are returned alone; spectrum imports it
+# only in its array functions, so its names resolve without it. Any other
+# module name, as `from soapfilm import spectrum` asks, imports every module.
+_MODULES = ("errors", "rootfind", "extremals", "energetics", "spectrum",
+            "grids", "variation", "direct_min")
 
 
 def __getattr__(name):

@@ -6,8 +6,8 @@ with 17 significant digits, so re-running a command reproduces the output
 byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
 exit 0 with the outcome encoded in the record. The library functions check
 their own arguments: any DomainError, from them or from the CLI's range
-checks, exits 2 with its message; other failures exit 1. Only the handlers
-that use arrays import the modules that need numpy, and only help texts and
+checks, exits 2 with its message; other failures exit 1. Only the minimize
+handler imports the modules that need numpy, and only help texts and
 parser errors import and build argparse: a well-formed argv is read straight
 from the command table.
 """
@@ -138,9 +138,9 @@ def _run_goldschmidt(args) -> Tuple[Dict, Dict]:
 
 
 def _run_spectrum(args) -> Tuple[Dict, Dict]:
-    from . import spectrum
-    result = spectrum.eigenvalues(args.tau, args.k)
-    rows = [[args.tau, k + 1, float(lam)] for k, lam in enumerate(result.lambdas)]
+    from .spectrum import eigenvalues
+    result = eigenvalues(args.tau, args.k)
+    rows = [[args.tau, k + 1, lam] for k, lam in enumerate(result.lambdas)]
     inputs = {"tau": args.tau, "k": args.k}
     return inputs, {"columns": ["tau", "k", "lambda"], "rows": rows}
 

@@ -11,6 +11,8 @@ bracketed, then projected as in the ITP method
 (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around the bracket
 midpoint that shrinks so the bracket reaches tol_x within 4 evaluations of
 bisection's count; a point outside the bracket is replaced by the midpoint.
+Newton's minimal step is exempt from the ball: once Newton has converged it
+crosses the root and closes the bracket, even one whose far end never moved.
 The iteration uses no randomness and no global state, so repeated calls
 with the same inputs return bit-identical results. Any input the solver
 cannot work on, a bracket included, is a DomainError.
@@ -60,7 +62,9 @@ def find_root_bracketed(
     Returns:
         A point x with lo <= x <= hi satisfying |f(x)| <= tol_f or lying in a
         residual bracket of width <= tol_x, give or take the rounding of its
-        ends where the evaluation bound ends the search.
+        ends where the evaluation bound ends the search, and <= 2*tol_x if
+        a Newton end-game step failed to cross the root (a slope at odds
+        with f).
 
     Raises:
         DomainError: lo < hi fails or an end is not finite (NaN included), a
@@ -115,7 +119,10 @@ def find_root_bracketed(
         # next to it gets bracketed (Brent's minimal step), then within r of
         # the midpoint: the next bracket is at most tol_x * p wide. Once
         # Newton has reached the root to f's rounding, the minimal step is
-        # its end-game: it crosses the root and closes a bracket tol_x/2 wide.
+        # its end-game: it crosses the root and closes a bracket tol_x/2 wide,
+        # so it skips the ball while the bracket is within its bound. Should
+        # it not cross, r < 0 from then on makes every step bisect, and the
+        # last bracket is at most 2 * tol_x wide.
         r, p = tol_x * p - 0.5 * w, 0.5 * p
         if slope:
             s = x2 - f2 / d2 if d2 != 0.0 else mid
@@ -126,9 +133,11 @@ def find_root_bracketed(
             if s == x2:
                 # tol_x/2 is under half an ulp of x2: step to the next float
                 s = math.nextafter(x2, mid)
+            if slope and r >= 0.0:
+                r = math.inf
         d = s - mid
         if d > r or d < -r:
-            s = mid + copysign(r, d)
+            s = mid + copysign(r, d) if r > 0.0 else mid
         x = s if a < s < b else mid
         if slope:
             fx, dx = f(x)

@@ -14,12 +14,14 @@ the solutions even and odd about s = 0 are, up to positive factors,
 
 with P and Q the Ferrers functions; the Gamma ratios of 14.5 cancel. So
 lambda_k is exactly the root in nu of psi_e(tanh tau) for odd k and of
-psi_o(tanh tau) for even k, and eigenvalues solves these with `math` alone:
+psi_o(tanh tau) for even k. eigenvalues evaluates them with `math` alone:
 P and Q as series in z = (1 - x)/2, the hypergeometric series in x^2 about
 s = 0 where z is large, and the recurrence in the degree where either
 series would cancel (see _characteristic). The signs of (psi_e, psi_o)
-count the eigenvalues below lambda mod 4, which brackets each root (see
-eigenvalues); no ODE is integrated.
+count the eigenvalues below lambda mod 4, which brackets each root, and
+each lambda_k is solved as the root of the pair's unwrapped angle less
+k*pi/2, a Pruefer phase nearly linear in nu (see eigenvalues). No ODE is
+integrated, and numpy is not imported.
 
 shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, and
 StringSpectrum.eigenfunction takes the same forward sweep at the exact
@@ -35,15 +37,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from .errors import ConvergenceFailureError, DomainError
 from .extremals import critical_constants
-from .grids import TestFunction, composite_simpson
 from .rootfind import find_root_bracketed
-from .variation import _density, q_form
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .grids import TestFunction
 
 __all__ = [
     "StringSpectrum",
@@ -55,9 +58,7 @@ __all__ = [
 
 _MIN_STEPS = 256
 _DEFAULT_STEPS = 2048
-# Euler's constant, and B_2j/(2j) for j = 1..6 in digamma's asymptotic series
 _EULER_GAMMA = 0.5772156649015329
-_DIGAMMA_TAIL = (1.0 / 12, -1.0 / 120, 1.0 / 252, -1.0 / 240, 1.0 / 132, -691.0 / 32760)
 # from x = tanh(tau) = sqrt(3) - 1 on, 2*sqrt(z) <= x: the series in z loses less
 _NEAR_ENDS = math.sqrt(3.0) - 1.0
 # largest nu*x or 2*nu*sqrt(z) summed as a series, which then loses at most
@@ -65,8 +66,9 @@ _NEAR_ENDS = math.sqrt(3.0) - 1.0
 # past that the series again, up to twice this loss
 _MAX_LOSS = 12.0
 _MAX_DEGREE = 1e4
-# the root solves stop on tol_x; any value that reaches this is a root
-_TINY = 1e-300
+_HALF_PI = 0.5 * math.pi
+# the rounding unit eps relative to an angle of pi/2
+_ANGLE_ULP = _HALF_PI * sys.float_info.epsilon
 # intervals of dense_eigenvalues' finite-difference matrix
 _DENSE_INTERVALS = 4096
 
@@ -92,6 +94,11 @@ def _trajectory(tau: float, lam: float, n: int) -> np.ndarray:
     products) turns the n step matrices into the prefix products M_j...M_0
     in place; their (0, 1) entries are the shot at nodes 1..n.
     """
+    # Deferred with grids and variation: eigenvalues computes with math alone.
+    import numpy as np
+
+    from .variation import _density
+
     dt = 2.0 * tau / n
     q = (lam * dt * dt) * _density(0.5 * dt * np.arange(-n, n + 1))
     q0, qh, q1 = q[0:-1:2], q[1::2], q[2::2]
@@ -124,6 +131,8 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     float, lam is finite and n >= 256, and where psi overflows (lam far
     beyond RK4's stability bound 4/dt^2, or far below 0).
     """
+    import numpy as np
+
     dt = _check_problem(tau, n)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
@@ -139,17 +148,20 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
 
 @dataclass
 class StringSpectrum:
-    """First eigenvalues of the string problem; eigenfunctions on request at n steps."""
+    """First eigenvalues of the string problem; eigenfunctions on request at n steps.
+
+    lambdas is a tuple of floats, positive and strictly increasing.
+    """
 
     tau: float
-    lambdas: np.ndarray
+    lambdas: Tuple[float, ...]
     n: int
 
     def __post_init__(self) -> None:
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
-        if np.any(self.lambdas <= 0.0):
+        self.lambdas = lambdas = tuple(map(float, self.lambdas))
+        if not all(lam > 0.0 for lam in lambdas):
             raise DomainError("string eigenvalues must be positive")
-        if np.any(np.diff(self.lambdas) <= 0.0):
+        if not all(a < b for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("string eigenvalues must be strictly increasing")
 
     def eigenfunction(self, k: int) -> TestFunction:
@@ -162,11 +174,16 @@ class StringSpectrum:
         reaches pi at lambda*dt^2*rho = 6, short of its stability bound 8,
         so n steps cannot resolve psi_k beyond.
         """
-        if k not in range(1, self.lambdas.size + 1):
-            raise DomainError(f"k must be in 1..{self.lambdas.size}, got {k!r}")
+        import numpy as np
+
+        from .grids import TestFunction, composite_simpson
+        from .variation import _density
+
+        if k not in range(1, len(self.lambdas) + 1):
+            raise DomainError(f"k must be in 1..{len(self.lambdas)}, got {k!r}")
         tau, n = self.tau, self.n
         dt = _check_problem(tau, n)
-        lam = float(self.lambdas[k - 1])
+        lam = self.lambdas[k - 1]
         if lam * dt * dt > 3.0:
             raise DomainError(f"{n} steps cannot resolve eigenfunction {k} at tau={tau!r}")
         # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
@@ -184,9 +201,11 @@ def _digamma(x: float) -> float:
         shift += 1.0 / x
         x += 1.0
     inv = 1.0 / (x * x)
-    tail = 0.0
-    for b in reversed(_DIGAMMA_TAIL):
-        tail = tail * inv + b
+    # B_2j/(2j) for j = 6 down to 1, by Horner's rule
+    tail = (
+        (((-691.0 / 32760 * inv + 1.0 / 132) * inv - 1.0 / 240) * inv + 1.0 / 252) * inv
+        - 1.0 / 120
+    ) * inv + 1.0 / 12
     return math.log(x) - 0.5 / x - tail * inv - shift
 
 
@@ -217,20 +236,21 @@ def _ferrers(tau: float, z: float, nu: float) -> Tuple[float, float]:
 
 
 def _parity_pair(nu: float, p: float, q: float) -> Tuple[float, float]:
-    """(psi_e, psi_o) from P_nu and Q_nu at one x.
+    """(psi_e, (2/pi)*psi_o) from P_nu and Q_nu at one x: (P, (2/pi)*Q) turned by pi*nu/2.
 
     cos and sin of pi*nu/2 come from nu - round(nu), which is exact, so they
     keep their relative accuracy next to every integer nu.
     """
     m = round(nu)
-    r = (nu - m) * (0.5 * math.pi)
+    r = (nu - m) * _HALF_PI
     c, s = math.cos(r), math.sin(r)
     cos, sin = ((c, s), (-s, c), (-c, -s), (s, -c))[m % 4]
-    return cos * p - sin * q / (0.5 * math.pi), 0.5 * math.pi * sin * p + cos * q
+    q /= _HALF_PI
+    return cos * p - sin * q, sin * p + cos * q
 
 
 def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float]:
-    """(psi_e, psi_o) from P and Q of degrees nu - m and nu - m + 1, m = floor(nu), raised to nu.
+    """(psi_e, (2/pi)*psi_o) from P and Q of degrees nu - m, nu - m + 1 raised to nu, m = floor(nu).
 
     Both Ferrers functions satisfy (d+1) F_{d+1} = (2d+1) x F_d - d F_{d-1},
     and for |x| < 1 they oscillate alike, so neither dominates and the
@@ -250,10 +270,11 @@ def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float
 
 
 def _about_centre(x: float, nu: float) -> Tuple[float, float]:
-    """(psi_e, psi_o) at x = tanh(tau) from the series about s = 0, up to positive factors.
+    """(psi_e, sqrt(2*lambda)*psi_o) at x = tanh(tau) from the series about s = 0.
 
     psi_e = 2F1(-nu/2, (nu+1)/2; 1/2; x^2) and
-    psi_o = x*2F1((1-nu)/2, nu/2+1; 3/2; x^2), summed as _ferrers sums.
+    psi_o = x*2F1((1-nu)/2, nu/2+1; 3/2; x^2), summed as _ferrers sums:
+    psi_e(0) = 1 and psi_o'(0) = 1.
     """
     a, b = 0.5 * nu * x, (0.5 * nu + 0.5) * x
     even, odd, te, to, peak, j = 1.0, 1.0, 1.0, 1.0, 1.0, 0.0
@@ -270,23 +291,28 @@ def _about_centre(x: float, nu: float) -> Tuple[float, float]:
         if size > peak:
             peak = size
         elif size <= 1e-17 * peak and -0.75 <= re <= 0.75 and -0.75 <= ro <= 0.75:
-            return even, x * odd
+            return even, math.sqrt(nu) * math.sqrt(nu + 1.0) * x * odd
 
 
 def _characteristic(tau: float) -> Callable[[float], Tuple[float, float]]:
-    """nu -> (psi_e, psi_o) at s = tau, for lambda = nu*(nu+1)/2.
+    """nu -> (psi_e, w*psi_o) at s = tau, for lambda = nu*(nu+1)/2.
 
-    Both series alternate once nu is large, the one in z like
-    J_0(2*nu*sqrt(z)) and the one in x^2 like cos(nu*x), so each loses about
-    exp(2*nu*sqrt(z)) or exp(nu*x) ulps in rounding. The one in z serves
-    where 2*sqrt(z) <= x, that is x >= sqrt(3) - 1, and the one in x^2
-    below: one form per tau keeps a root solve's values on one scale. Where
-    that loss would exceed exp(12), the upward recurrence in the degree
-    takes over, in floor(nu) steps, up to degree 1e4; it carries the Ferrers
-    scale, a positive multiple of the x^2 form's, so signs agree across the
-    switch. Beyond degree 1e4, at tau below ~1e-3 where nu*x stays near
-    k*pi/2, the series go on to a loss of exp(24), up to about 1e-8
-    relative, and DomainError is raised past it.
+    w makes the pair's angle nearly linear in nu: w = 2/pi on the Ferrers
+    scale, where the angle is pi*nu/2 + arg(P + i*(2/pi)*Q), and
+    w = sqrt(2*lambda) on the x^2 form's, where psi_e(0) = psi_o'(0) = 1 and
+    the angle is about sqrt(2*lambda) times the Liouville length
+    gd(tau) = integral of sqrt(rho/2). Both series alternate once nu is
+    large, the one in z like J_0(2*nu*sqrt(z)) and the one in x^2 like
+    cos(nu*x), so each loses about exp(2*nu*sqrt(z)) or exp(nu*x) ulps in
+    rounding. The one in z serves where 2*sqrt(z) <= x, that is
+    x >= sqrt(3) - 1, and the one in x^2 below: one form per tau keeps a
+    root solve's values on one scale. Where that loss would exceed exp(12),
+    the upward recurrence in the degree takes over, in floor(nu) steps, up
+    to degree 1e4; it carries the Ferrers scale, whose psi_e and psi_o are
+    positive multiples of the x^2 form's, so signs agree across the switch.
+    Beyond degree 1e4, at tau below ~1e-3 where nu*x stays near k*pi/2, the
+    series go on to a loss of exp(24), up to about 1e-8 relative, and
+    DomainError is raised past it.
     """
     x = math.tanh(tau)
     t = math.exp(-2.0 * tau)
@@ -318,12 +344,15 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     """First k_max Dirichlet eigenvalues, the roots of the Legendre characteristic functions.
 
     lambda_k = nu*(nu+1)/2 is the root in nu of psi_e(tau) for odd k and of
-    psi_o(tau) for even k (see the module docstring), solved by
-    find_root_bracketed on a bracket that holds no other root of the same
-    function. The brackets come from N, the number of eigenvalues below
-    lambda, which the signs of (psi_e, psi_o) give mod 4: (+, +), (-, +),
-    (-, -), (+, -) for N = 0, 1, 2, 3. N is known exactly at two kinds of
-    points:
+    psi_o(tau) for even k (see the module docstring). N, the number of
+    eigenvalues below lambda, is given mod 4 by the signs of (psi_e, psi_o):
+    (+, +), (-, +), (-, -), (+, -) for N = 0, 1, 2, 3. So the angle of
+    (psi_e, w*psi_o) unwrapped by N (see _characteristic for w) is k*pi/2
+    exactly at lambda_k, and find_root_bracketed solves it less k*pi/2 by
+    secant steps: its sign is that of N >= k on any positive scale, and it
+    is nearly linear in nu (a Pruefer angle, as in SLEIGN2: Bailey, Everitt
+    & Zettl, ACM TOMS 27(2), 2001). The brackets come from N, known exactly
+    at two kinds of points:
     - N = 0 below half of max(a^2, 1/(2*tau*tanh(tau))), a = pi/(sqrt(8)*tau).
       Both are lower bounds on lambda_1: the first by Sturm comparison with
       rho <= 2, the second because psi^2 <= (tau/2) * integral psi'^2 for
@@ -339,9 +368,9 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
 
     Accuracy: lambda_k is within 1e-13 relative of the exact eigenvalue for
     k <= 5 and tau in [0.05, 300] (the tests check this against 50-digit
-    mpmath roots of the same condition; measured at most 1e-14), and within
-    a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ 1e-3, where the
-    recurrence would take over 1e4 steps, k from 8 to 14 lose up to 1e-9.
+    mpmath roots of the same condition; measured at most 1.3e-14), and
+    within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ 1e-3, where
+    the recurrence would take over 1e4 steps, k from 8 to 14 lose up to 1e-9.
 
     Raises DomainError unless 0 < tau < inf, k_max >= 1 and n >= 256, where
     the eigenvalues leave the float range (lambda_1 below the least normal
@@ -364,18 +393,26 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     psi = _characteristic(tau)
     seen: Dict[float, Tuple[float, float]] = {}
 
-    def values(nu: float) -> Tuple[float, float]:
+    def count(nu: float, base: int) -> Tuple[int, float, float]:
+        """N at nu, from a count base that N exceeds by at most 3, and the pair at nu."""
         if nu not in seen:
             seen[nu] = psi(nu)
-        return seen[nu]
-
-    def count(nu: float, base: int) -> int:
-        """N at nu, from a count base that N exceeds by at most 3."""
-        even, odd = values(nu)
+        even, odd = seen[nu]
         quadrant = 2 * (odd < 0.0) + ((even < 0.0) != (odd < 0.0))
-        return base + (quadrant - base) % 4
+        return base + (quadrant - base) % 4, even, odd
+
+    def residual(nu: float) -> float:
+        """The pair's unwrapped angle at nu less k*pi/2: negative exactly while N < k."""
+        n_nu, even, odd = count(nu, n_lo)
+        # the angle past the start of quadrant n_nu, and the part of it still ahead
+        past, ahead = (abs(odd), abs(even)) if n_nu % 2 == 0 else (abs(even), abs(odd))
+        if n_nu >= k:
+            return (n_nu - k) * _HALF_PI + math.atan2(past, ahead)
+        return -((k - n_nu - 1) * _HALF_PI + math.atan2(ahead, past))
 
     lo, n_lo = _degree(root_floor * math.sqrt(0.5)), 0
+    # below every nu_k: root_floor^2 is itself a lower bound on lambda_1
+    nu_floor = _degree(root_floor)
     hi, n_hi = lo, 0
     lams = []
     for k in range(1, k_max + 1):
@@ -385,28 +422,32 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
             else:
                 # nu_1 ~ 1/tau at large tau, so its bracket grows from lo geometrically
                 hi = lo + (min(3.0, 15.0 * lo) if k == 1 else 3.0)
-                n_hi = count(hi, n_lo)
+                n_hi = count(hi, n_lo)[0]
             if n_hi < k:
                 lo, n_lo = hi, n_hi
         while n_lo < k - 2 or n_hi > k + 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 raise ConvergenceFailureError(f"could not isolate eigenvalue {k} at tau={tau!r}")
-            n_mid = count(mid, n_lo)
+            n_mid = count(mid, n_lo)[0]
             if n_mid < k:
                 lo, n_lo = mid, n_mid
             else:
                 hi, n_hi = mid, n_mid
-        side = 1 - k % 2  # psi_e for odd k, psi_o for even k
-        # nu_k > k - 1 by the gaps: tol_x stays a few ulps of the root or more
-        tol_x = 1e-15 * max(lo, k - 1.0)
-        nu = find_root_bracketed(lambda nu: values(nu)[side], lo, hi, tol_x=tol_x, tol_f=_TINY)
+        # nu_k > nu_min (k - 1 by the gaps): tol_x stays a few ulps of the
+        # root or more. tol_f is the residual's rounding floor: an ulp of nu
+        # moves it by eps*nu times its slope, about pi/2 on the Ferrers scale
+        # and k*pi/(2*nu) on the x^2 form's, and the pair's rounding adds as
+        # much again. An iterate within it is the root to an ulp or two.
+        nu_min = max(lo, k - 1.0, nu_floor)
+        tol_f = 2.0 * min(k, nu_min) * _ANGLE_ULP
+        nu = find_root_bracketed(residual, lo, hi, tol_x=1e-15 * nu_min, tol_f=tol_f)
         lams.append(0.5 * nu * (nu + 1.0))
         if n_hi == k:
             lo, n_lo = hi, n_hi
     if lams[-1] == math.inf:
         raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
-    return StringSpectrum(tau=tau, lambdas=np.array(lams), n=n)
+    return StringSpectrum(tau=tau, lambdas=lams, n=n)
 
 
 def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
@@ -423,7 +464,10 @@ def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
     """
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.
+    import numpy as np
     from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+    from .variation import _density
 
     ds = _check_problem(tau, _DENSE_INTERVALS)
     if k_max < 1:
@@ -452,6 +496,8 @@ def negative_direction(tau: float) -> TestFunction:
     exactly when tau exceeds tau_star. Raises DomainError unless
     tau_star < tau and eigenvalues(tau, 1) accepts tau.
     """
+    from .variation import q_form
+
     tau_star = critical_constants().tau_star
     if tau <= tau_star + 1e-9:
         raise DomainError(

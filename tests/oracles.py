@@ -322,6 +322,23 @@ def legendre_characteristic(tau, nu):
         return cos * p - 2 / mpmath.pi * sin * q, mpmath.pi / 2 * sin * p + cos * q
 
 
+def characteristic_pair(tau, nu, ferrers):
+    """(psi_e, w*psi_o) from legendre_characteristic on one of the library's two scales.
+
+    The Ferrers scale with w = 2/pi, or the x^2 form's, psi_e(0) = 1 and
+    psi_o'(0) = 1, with w = sqrt(nu(nu+1)). DLMF 14.5.1-14.5.4 give the
+    Ferrers psi_e(0) = G/sqrt(pi) and psi_o'(0) = sqrt(pi)/G, with
+    G = Gamma(nu/2 + 1/2)/Gamma(nu/2 + 1); mpf values.
+    """
+    even, odd = legendre_characteristic(tau, nu)
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+        if ferrers:
+            return even, 2 / mpmath.pi * odd
+        g = mpmath.gamma(nu / 2 + 0.5) / mpmath.gamma(nu / 2 + 1) / mpmath.sqrt(mpmath.pi)
+        return even / g, mpmath.sqrt(nu * (nu + 1)) * g * odd
+
+
 def string_eigenvalue(tau, k, guess):
     """The exact eigenvalue nearest guess among the roots of k's characteristic function.
 

@@ -326,9 +326,9 @@ def test_the_probes_take_every_extremal_the_constructor_accepts(field, factor):
 def test_tiny_interval_spectrum_scales_as_one_over_tau_squared(tau):
     # lambda_k tau^2 = (k pi)^2/8 (1 + O(tau^2)): below tau ~ 1e-8 the
     # correction is below the rounding.
-    reference = eigenvalues(1e-8, 5).lambdas * 1e-16
-    scaled = eigenvalues(tau, 5).lambdas * tau * tau
-    assert max(abs(scaled / reference - 1.0)) <= 1e-12
+    reference = [lam * 1e-16 for lam in eigenvalues(1e-8, 5).lambdas]
+    scaled = [lam * tau * tau for lam in eigenvalues(tau, 5).lambdas]
+    assert max(abs(s / r - 1.0) for s, r in zip(scaled, reference)) <= 1e-12
 
 
 def test_eigenvalues_beyond_the_float_range_are_a_domain_error():

@@ -1,9 +1,10 @@
 """numpy is imported only by code that uses arrays, argparse only by help and errors.
 
-The package resolves its public names on first use, so the scalar API and
-the scalar CLI subcommands run in a fresh interpreter without numpy, while
-the array paths still import it on demand. The CLI reads a well-formed argv
-from its command table and imports argparse for any other.
+The package resolves its public names on first use, so the scalar API, the
+string eigenvalues and every CLI subcommand but minimize run in a fresh
+interpreter without numpy, while the array paths still import it on demand.
+The CLI reads a well-formed argv from its command table and imports
+argparse for any other.
 """
 
 import os
@@ -21,6 +22,7 @@ SCALAR_API = (
     "soapfilm.area_closed_form(lower); soapfilm.area_closed_form(upper); "
     "soapfilm.force(0.3); soapfilm.goldschmidt_constant(); soapfilm.phi(1.0)"
 )
+EIGENVALUES = "import soapfilm; soapfilm.eigenvalues(1.2, 3)"
 
 
 def _cli(argv, code=0):
@@ -30,6 +32,10 @@ def _cli(argv, code=0):
 
 def test_scalar_api_loads_no_numpy():
     assert not loads(SCALAR_API, "numpy")
+
+
+def test_eigenvalues_load_no_numpy():
+    assert not loads(EIGENVALUES, "numpy")
 
 
 def test_cli_import_loads_no_numpy():
@@ -46,6 +52,7 @@ def test_cli_import_loads_no_numpy():
         ["goldschmidt"],
         ["force", "--h-min", "0.1", "--h-max", "0.7", "--steps", "7"],
         ["sweep", "--h-min", "0.05", "--h-max", "0.66", "--steps", "12"],
+        ["spectrum", "--tau", "1.2", "--k", "2"],
     ],
     ids=" ".join,
 )
@@ -55,10 +62,7 @@ def test_scalar_subcommand_loads_no_numpy(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["spectrum", "--tau", "1.2", "--k", "2"],
-        ["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"],
-    ],
+    [["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"]],
     ids=lambda argv: argv[0],
 )
 def test_array_subcommand_imports_numpy_on_demand(argv):

@@ -90,6 +90,13 @@ def test_dir_lists_the_public_names_and_all():
     assert loads(code, "numpy")
 
 
+def test_a_module_name_past_the_first_four_imports_every_module():
+    # The traced benchmark rebinds the functions it spans in the modules
+    # already imported, after `from soapfilm import ..., spectrum`.
+    assert loads("from soapfilm import spectrum", "soapfilm.direct_min")
+    assert not loads("import soapfilm.spectrum", "soapfilm.direct_min")
+
+
 def test_submodule_names_resolve_to_the_submodules():
     for name in ("cli", *(module.__name__.rpartition(".")[2] for module in MODULES)):
         assert getattr(soapfilm, name) is importlib.import_module(f"soapfilm.{name}")

@@ -146,6 +146,49 @@ def test_newton_end_game_closes_the_bracket_in_one_evaluation():
     assert (f(last)[0] > 0.0) != (f(before)[0] > 0.0)
 
 
+def test_newton_end_game_closes_a_one_sided_bracket():
+    # From [1, 2] the Newton iterates approach sqrt(2) from above, and the
+    # end 1.0 never moves: the seventh evaluation lands on sqrt(2) to
+    # rounding, and the eighth crosses it. The ball
+    # around the midpoint of [1, 1.414...] once pulled the end-game step to
+    # sqrt(2) - 0.139, and the solve took 10 evaluations.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    root = find_root_bracketed(f, 1.0, 2.0, tol_x=1e-12, tol_f=1e-300, slope=True)
+    assert abs(root - math.sqrt(2.0)) <= 1e-12
+    assert len(seen) <= 8
+    last, before = seen[-1], seen[-2]
+    assert (last * last > 2.0) != (before * before > 2.0)
+
+
+@settings(max_examples=200)
+@given(
+    root=st.floats(0.0, 1.0),
+    log_slope=st.floats(-6.0, 20.0),
+    log_tol_x=st.floats(-15.0, -3.0),
+)
+@example(root=0.9646329473090614, log_slope=17.522, log_tol_x=-8.1707)
+@example(root=0.928945601200017, log_slope=16.266, log_tol_x=-3.1081)
+def test_a_slope_at_odds_with_f_costs_at_most_a_doubled_bracket(root, log_slope, log_tol_x):
+    # A wrong slope makes Newton claim convergence far from the root; its
+    # end-game steps then fail to cross it. The evaluation bound holds, and
+    # the last bracket is at most 2 * tol_x wide, so x is within tol_x.
+    slope, tol_x = 10.0**log_slope, 10.0**log_tol_x
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - root, slope
+
+    x = find_root_bracketed(f, 0.0, 1.0, tol_x=tol_x, tol_f=1e-300, slope=True)
+    assert len(seen) - 2 <= math.ceil(math.log2(1.0 / tol_x)) + N0
+    assert abs(x - root) <= tol_x * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize(
     "f, lo, hi, root",
     [

@@ -21,6 +21,7 @@ from soapfilm.variation import mu
 from fresh import loads
 from oracles import (
     TAU_STAR,
+    characteristic_pair,
     discrete_eigenvalue,
     legendre_characteristic,
     legendre_pins,
@@ -111,17 +112,54 @@ def test_eigenvalues_meet_their_accuracy_contract_on_legendre_pins(tau, k, lam):
     assert abs(got - lam) <= 1e-13 * lam
 
 
-@pytest.mark.parametrize("tau, nu", [(0.3, 2.5), (TAU_STAR, 1.3), (2.0, 4.7), (30.0, 0.1)])
+# (tau, nu) on both scales: the series about s = 0 below tanh(tau) = 0.732,
+# where psi_e(0) = psi_o'(0) = 1, and the Ferrers form above
+CHARACTERISTIC_POINTS = [(0.3, 2.5), (TAU_STAR, 1.3), (2.0, 4.7), (30.0, 0.1)]
+
+
+@pytest.mark.parametrize("tau, nu", CHARACTERISTIC_POINTS)
 def test_characteristic_functions_match_mpmath(tau, nu):
-    # Up to positive factors: the series about s = 0 below tanh(tau) = 0.732
-    # carries psi_e(0) = 1, the Ferrers form Gamma ratios.
-    want = legendre_characteristic(tau, nu)
+    # Positive multiples of psi_e and psi_o, so the signs are mpmath's; on
+    # the library's scale, the values too.
     got = spectrum._characteristic(tau)(nu)
-    for g, w in zip(got, want):
+    for g, w in zip(got, legendre_characteristic(tau, nu)):
         assert (g > 0.0) == (w > 0)
-    if math.tanh(tau) >= math.sqrt(3.0) - 1.0:
-        scale = float(abs(want[0]) + abs(want[1]))
-        assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-14 * scale
+    want = characteristic_pair(tau, nu, math.tanh(tau) >= math.sqrt(3.0) - 1.0)
+    scale = float(abs(want[0]) + abs(want[1]))
+    assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("tau, nu", CHARACTERISTIC_POINTS)
+def test_characteristic_angle_matches_mpmath(tau, nu):
+    # The eigenvalue solve reads the angle of (psi_e, w*psi_o).
+    even, odd = spectrum._characteristic(tau)(nu)
+    want = characteristic_pair(tau, nu, math.tanh(tau) >= math.sqrt(3.0) - 1.0)
+    assert abs(math.atan2(odd, even) - math.atan2(float(want[1]), float(want[0]))) <= 1e-14
+
+
+@settings(max_examples=60)
+@given(
+    log_tau=st.floats(math.log(1e-2), math.log(300.0)),
+    k=st.integers(1, 8),
+)
+@example(log_tau=math.log(1e-2), k=8)
+@example(log_tau=math.log(300.0), k=8)
+def test_the_phase_residual_is_negative_exactly_below_each_root(log_tau, k):
+    # Each root solve starts from a bracket where the residual is < 0 at lo
+    # and >= 0 at hi: its sign is that of N >= k, whatever the pair's scale.
+    ends = []
+    solve = spectrum.find_root_bracketed
+
+    def recording(f, lo, hi, **tols):
+        ends.append((f(lo), f(hi)))
+        return solve(f, lo, hi, **tols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "find_root_bracketed", recording)
+        eigenvalues(math.exp(log_tau), k)
+    assert len(ends) == k
+    for at_lo, at_hi in ends:
+        assert at_lo < 0.0 <= at_hi
 
 
 @settings(max_examples=40)
@@ -159,15 +197,15 @@ def _evaluations(monkeypatch):
 
 def test_eigenvalues_take_few_evaluations(monkeypatch):
     # Each nu is evaluated once. The bounds sit 20-25 % above the worst
-    # measured on these 40 tau, 12, 22 and 45 evaluations for k = 1, 2, 5;
-    # over the benchmark's tau band [0.2, 5], 8.9 per eigenvalue on average.
+    # measured on these 40 tau, 8, 13 and 33 evaluations for k = 1, 2, 5;
+    # over the benchmark's tau band [0.2, 5], 5.8 per eigenvalue on average.
     calls = _evaluations(monkeypatch)
     for i in range(40):
         tau = math.exp(math.log(1e-2) + math.log(3e4) * i / 39)
         for k in (1, 2, 5):
             calls.clear()
             eigenvalues(tau, k)
-            assert len(calls) <= {1: 15, 2: 27, 5: 55}[k], (tau, k, len(calls))
+            assert len(calls) <= {1: 10, 2: 16, 5: 40}[k], (tau, k, len(calls))
             assert len(set(calls)) == len(calls)
 
 
@@ -179,7 +217,7 @@ def test_eigenvalues_run_no_rk4_pass(monkeypatch, tau):
 
     for name in ("_trajectory", "shoot"):
         monkeypatch.setattr(spectrum, name, no_rk4)
-    assert eigenvalues(tau, 5).lambdas.size == 5
+    assert len(eigenvalues(tau, 5).lambdas) == 5
 
 
 @given(
@@ -191,7 +229,7 @@ def test_successive_degrees_lie_more_than_one_apart(log_tau, k):
     # eigenvalues marches nu in steps of at most 3 and reads the count mod 4,
     # which is safe while nu_k+1 - nu_k > 1 (1.0000016 measured at tau =
     # 300). The lambdas are checked against mpmath and RK4 in other tests.
-    lams = eigenvalues(math.exp(log_tau), k + 1).lambdas
+    lams = np.array(eigenvalues(math.exp(log_tau), k + 1).lambdas)
     nu = (np.sqrt(1.0 + 8.0 * lams) - 1.0) / 2.0
     assert nu[k] - nu[k - 1] > 1.0
 
@@ -229,8 +267,17 @@ def test_eigenvalues_raise_only_domain_errors(tau, k):
         spec = eigenvalues(tau, k)
     except DomainError:
         return
-    assert spec.lambdas.size == k
-    assert np.all(np.isfinite(spec.lambdas)) and np.all(spec.lambdas > 0.0)
+    assert len(spec.lambdas) == k
+    assert all(0.0 < lam < math.inf for lam in spec.lambdas)
+
+
+def test_lambdas_are_a_tuple_of_positive_increasing_floats():
+    spec = eigenvalues(1.2, 3)
+    assert type(spec.lambdas) is tuple and all(type(lam) is float for lam in spec.lambdas)
+    assert spectrum.StringSpectrum(1.2, np.array([1.0, 2.0]), 256).lambdas == (1.0, 2.0)
+    for bad in ([0.0, 1.0], [-1.0], [math.nan], [1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(DomainError):
+            spectrum.StringSpectrum(1.2, bad, 256)
 
 
 def test_eigenfunction_rejects_k_outside_the_spectrum():
