@@ -13,10 +13,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Names resolve on first use (PEP 562), searched in this order. The first
-# four modules never import numpy and are returned alone; spectrum imports it
-# only in its array functions, so its names resolve without it. Any other
-# module name, as `from soapfilm import spectrum` asks, imports every module.
+# Names resolve on first use (PEP 562), searched in this order. No module
+# imports numpy when it loads: the functions that use arrays import it
+# themselves. The first four modules are returned alone. Any other
+# module name, as `from soapfilm import spectrum` asks, imports every module,
+# so that the traced benchmark finds every module it spans in sys.modules.
 _MODULES = ("errors", "rootfind", "extremals", "energetics", "spectrum",
             "grids", "variation", "direct_min")
 

@@ -14,7 +14,8 @@ Below the critical half-distance the relaxation lands on the stable catenoid;
 above it the waist hits the floor (the discrete stand-in for the two-disk
 configuration) and the run reports a collapse. Its area is that of the two
 end cones, 2*pi*sqrt(1 + dx^2) for grid spacing dx, just over the disks'
-2*pi on a fine grid.
+2*pi on a fine grid. The functions that use arrays import numpy themselves,
+so it loads on the first array call, not with the module.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from .errors import DomainError
 from .extremals import profile as catenoid_profile
 from .extremals import solve_branches
 from .grids import check_uniform_grid
 from .spectrum import negative_direction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Profile",
@@ -66,7 +68,7 @@ _MAX_ITER = 100_000
 _BACKTRACK_CAP = 60
 
 # slopes m, stretches w and midpoint radii ybar of the n - 1 segments
-Segments = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Segments = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 # size of the perturbation added to the unstable branch by the
 # UPPER_PERTURBED preset
@@ -87,8 +89,9 @@ class Profile:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.h < np.inf:
+        if not 0.0 < self.h < math.inf:
             raise DomainError(f"half-distance must be positive and finite, got {self.h!r}")
+        import numpy as np
         self.grid = np.asarray(self.grid, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if self.grid.shape != self.y.shape:
@@ -138,11 +141,13 @@ class MinimizeReport:
 
 def _segments(y: np.ndarray, dx: float) -> Segments:
     """Per-segment slope m, stretch w = sqrt(1 + m^2) and midpoint radius ybar."""
+    import numpy as np
     m = np.diff(y) / dx
     return m, np.sqrt(1.0 + m * m), 0.5 * (y[:-1] + y[1:])
 
 
 def _area(seg: Segments, dx: float) -> float:
+    import numpy as np
     _, w, ybar = seg
     return math.tau * dx * float(np.sum(ybar * w))
 
@@ -155,6 +160,7 @@ def _area_decrease(dy: np.ndarray, seg: Segments, seg_new: Segments, dx: float) 
     Expanding the difference segment by segment in the (exactly computed)
     displacement dy keeps full relative precision however small the step.
     """
+    import numpy as np
     (m1, w1, _), (m2, w2, ybar2) = seg, seg_new
     dybar = 0.5 * (dy[:-1] + dy[1:])
     dm = np.diff(dy) / dx
@@ -163,6 +169,7 @@ def _area_decrease(dy: np.ndarray, seg: Segments, seg_new: Segments, dx: float) 
 
 
 def _gradient(seg: Segments, dx: float) -> np.ndarray:
+    import numpy as np
     m, w, ybar = seg
     t = ybar * m / w
     g = np.zeros(m.size + 1)
@@ -178,18 +185,22 @@ def _ldl_solve(
     Given pivots, the factorization takes them instead of eliminating diag.
     """
     d, e, x = diag.tolist() if pivots is None else pivots, off.tolist(), rhs.tolist()
-    for i in range(len(d)):
-        if i:
-            lower = e[i - 1] / d[i - 1]
-            if pivots is None:
-                d[i] -= lower * e[i - 1]
-            x[i] -= lower * x[i - 1]
-            e[i - 1] = lower
-        if not d[i] > 0.0:
+    piv, last = d[0], x[0]
+    if not piv > 0.0:
+        return None
+    for i in range(1, len(d)):
+        upper = e[i - 1]
+        lower = upper / piv
+        if pivots is None:
+            d[i] = d[i] - lower * upper
+        piv = d[i]
+        if not piv > 0.0:
             return None
-    x[-1] /= d[-1]
+        x[i] = last = x[i] - lower * last
+        e[i - 1] = lower
+    x[-1] = last = last / piv
     for i in range(len(d) - 2, -1, -1):
-        x[i] = x[i] / d[i] - e[i] * x[i + 1]
+        x[i] = last = x[i] / d[i] - e[i] * last
     return x
 
 
@@ -198,6 +209,7 @@ def _newton_step(y: np.ndarray, seg: Segments, g: np.ndarray, eps: float, dx: fl
 
     The active radii are those within eps of the floor that g pushes down.
     """
+    import numpy as np
     m, w, ybar = seg
     c = math.tau * ybar / (dx * w**3)
     q = math.tau * m / w
@@ -236,6 +248,7 @@ def discrete_area(p: Profile) -> float:
     profile gives 4*pi*h exactly. Raises DomainError where the area, or a
     product formed on the way to it, overflows the float range.
     """
+    import numpy as np
     dx = p.spacing
     with np.errstate(over="ignore"):
         area = _area(_segments(p.y, dx), dx)
@@ -250,6 +263,7 @@ def discrete_gradient(p: Profile) -> np.ndarray:
     Raises DomainError where an entry, or a product formed on the way to it,
     overflows the float range.
     """
+    import numpy as np
     dx = p.spacing
     with np.errstate(over="ignore", invalid="ignore"):
         g = _gradient(_segments(p.y, dx), dx)
@@ -259,6 +273,7 @@ def discrete_gradient(p: Profile) -> np.ndarray:
 
 
 def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray:
+    import numpy as np
     if preset is InitPreset.CYLINDER:
         return np.ones_like(grid)
     lower, upper = solve_branches(h)
@@ -299,7 +314,7 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     alone exceeds the gradient tolerance, and on a grid coarser than the
     ring radius the end cones are no stand-in for the disks.
     """
-    if not 0.0 < 2.0 * h < np.inf:
+    if not 0.0 < 2.0 * h < math.inf:
         raise DomainError(f"half-distance must be positive with 2*h finite, got {h!r}")
     if n < 64:
         raise DomainError(f"need at least 64 samples, got {n!r}")
@@ -307,6 +322,7 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
         raise DomainError(
             f"grid spacing 2h/(n-1) must be in [{_DX_MIN!r}, {_DX_MAX!r}]; h={h!r}, n={n!r}"
         )
+    import numpy as np
 
     if isinstance(init, Profile):
         if abs(init.h - h) > 1e-12 * h or init.n != n:

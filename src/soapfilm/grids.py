@@ -4,18 +4,20 @@ All integrals in the library run composite Simpson on uniform grids and all
 sampled derivatives are centered differences (second-order one-sided at the
 endpoints), so that every quadrature-based quantity converges at a clean
 O(n^-2) rate dominated by the differentiation error. Keeping both in one
-place makes Richardson checks of that rate meaningful.
+place makes Richardson checks of that rate meaningful. The functions import
+numpy themselves, so it loads on the first array call, not with the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TestFunction", "composite_simpson", "sampled_derivative", "check_uniform_grid"]
 
@@ -27,6 +29,7 @@ def check_uniform_grid(grid: np.ndarray) -> float:
     points, strictly increasing (so not NaN), uniform to within 1e-14 times
     its largest |node|, and its span grid[-1] - grid[0] is finite.
     """
+    import numpy as np
     if grid.ndim != 1 or grid.size < 3:
         raise DomainError("grid must be one-dimensional with at least 3 points")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -48,6 +51,7 @@ def composite_simpson(values: np.ndarray, dx: float) -> float:
     Raises DomainError where the result is not finite: a sample or dx is
     NaN or infinite, or the sum overflows.
     """
+    import numpy as np
     values = np.asarray(values, dtype=float)
     m = values.size - 1
     if m < 4:
@@ -72,6 +76,7 @@ def sampled_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     NaN or infinite, a quotient overflows, or dx is so small that the end
     stencils' dx^2 underflows to 0.
     """
+    import numpy as np
     values = np.asarray(values, dtype=float)
     if not (values.size >= 3 and 0.0 < dx < math.inf):
         raise DomainError(f"need at least 3 samples and 0 < dx < inf, got dx={dx!r}")
@@ -100,6 +105,7 @@ class TestFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.shape != self.values.shape:
@@ -137,6 +143,7 @@ class TestFunction:
         """
         if not 0.0 < 2.0 * halfwidth < math.inf:
             raise DomainError(f"need 0 < 2*halfwidth < inf, got halfwidth={halfwidth!r}")
+        import numpy as np
         grid = np.linspace(-halfwidth, halfwidth, n)
         values = np.asarray(fn(grid), dtype=float).copy()
         values[0] = 0.0

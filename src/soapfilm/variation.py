@@ -11,7 +11,8 @@ second t-derivative for calibration). mu(s) = 1 - s tanh(s) solves the
 associated Euler equation, vanishes exactly at +-tau_star, and factorizes Q
 as a perfect square for tau <= tau_star. The probes along a direction
 (area_along_direction, taylor_probe, third_variation) take it as psi and
-form eta through eta_from_psi.
+form eta through eta_from_psi. The functions import numpy themselves, so it
+loads on the first array call, not with the module.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .energetics import area_quadrature
 from .errors import DomainError
 from .extremals import Extremal, critical_constants, profile
 from .grids import TestFunction, composite_simpson, sampled_derivative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Classification",
@@ -72,6 +74,7 @@ def mu(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
     Elementwise over any float input: +-inf give -inf, NaN gives NaN.
     """
+    import numpy as np
     arr = np.asarray(s, dtype=float)
     out = 1.0 - arr * np.tanh(arr)
     if arr.ndim == 0:
@@ -85,6 +88,7 @@ def mu_prime(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     Elementwise over any float input: s/cosh(s)^2 takes its limit 0 where
     cosh(s)^2 overflows, so +-inf give -+1; NaN gives NaN.
     """
+    import numpy as np
     arr = np.asarray(s, dtype=float)
     with np.errstate(over="ignore"):
         cosh_sq = np.cosh(arr) ** 2
@@ -97,6 +101,7 @@ def mu_prime(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 def _density(s):
     """The string density 2/cosh^2 s, elementwise; 0 where cosh^2 overflows."""
+    import numpy as np
     with np.errstate(over="ignore"):
         return 2.0 / np.cosh(s) ** 2
 
@@ -107,6 +112,7 @@ def q_form(psi: TestFunction) -> float:
     Raises DomainError where the integrand overflows (psi'^2 on a grid as
     fine as 1e-306), as composite_simpson does.
     """
+    import numpy as np
     dpsi = sampled_derivative(psi.values, psi.spacing)
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = dpsi * dpsi - _density(psi.grid) * psi.values * psi.values
@@ -124,6 +130,7 @@ def q_form_factored(psi: TestFunction) -> float:
     tau_star = critical_constants().tau_star
     if psi.halfwidth > tau_star + 1e-12:
         raise DomainError(f"factored form needs halfwidth <= {tau_star}, got {psi.halfwidth!r}")
+    import numpy as np
     s = psi.grid
     dpsi = sampled_derivative(psi.values, psi.spacing)
     m = mu(s)
@@ -150,6 +157,7 @@ def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
         raise DomainError(
             f"psi spans [-{psi.halfwidth}, {psi.halfwidth}] but the extremal has tau={e.tau}"
         )
+    import numpy as np
     x = psi.grid * (e.h / e.tau)
     with np.errstate(over="ignore", invalid="ignore"):
         values = psi.values * np.cosh(psi.grid)
@@ -168,6 +176,7 @@ def area_along_direction(e: Extremal, psi: TestFunction, t: float) -> float:
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
+    import numpy as np
     eta = eta_from_psi(psi, e)
     with np.errstate(over="ignore"):
         y = profile(e, eta.grid) + t * eta.values
@@ -189,6 +198,7 @@ def taylor_probe(e: Extremal, psi: TestFunction, t_max: float) -> VariationRepor
     delta = t_max / 8.0
     if not sys.float_info.min <= delta * delta * delta < math.inf:
         raise DomainError(f"stencil step {delta!r}: its cube is not a normal float")
+    import numpy as np
     eta = eta_from_psi(psi, e)
     y = profile(e, eta.grid)
     with np.errstate(over="ignore"):
@@ -233,6 +243,7 @@ def third_variation(e: Extremal, psi: TestFunction) -> float:
     DomainError where eta_from_psi does, and where the integrand overflows
     (steep eta at tiny h).
     """
+    import numpy as np
     eta = eta_from_psi(psi, e)
     x = eta.grid
     s = x / e.c

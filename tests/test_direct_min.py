@@ -325,3 +325,42 @@ def test_laplacian_pivots_survive_weights_spread_over_20_decades():
         assert abs(Fraction(value) - want) <= Fraction(1e-15) * want
     for value, want in zip(_ldl_solve(diag, off, rhs, got), exact):
         assert abs(Fraction(value) - want) <= Fraction(1e-14) * abs(want)
+
+
+def _ldl_reference(d, e, x, eliminate):
+    """LDL^T of a symmetric tridiagonal matrix in the textbook order, in place."""
+    for i in range(len(d)):
+        if i:
+            lower = e[i - 1] / d[i - 1]
+            if eliminate:
+                d[i] -= lower * e[i - 1]
+            x[i] -= lower * x[i - 1]
+            e[i - 1] = lower
+        if not d[i] > 0.0:
+            return None
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = x[i] / d[i] - e[i] * x[i + 1]
+    return x
+
+
+_ENTRY = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*(st.lists(_ENTRY, min_size=k, max_size=k) for k in (n, n - 1, n, n)))
+))
+def test_ldl_solve_matches_the_textbook_recurrence_bit_for_bit(rows):
+    diag, off, rhs, pivots = rows
+    # as drawn (often indefinite), and made diagonally dominant (definite)
+    bands = [0.0, *map(abs, off), 0.0]
+    dominant = [abs(v) + bands[i] + bands[i + 1] + 1.0 for i, v in enumerate(diag)]
+    for d in (diag, dominant):
+        want = _ldl_reference(list(d), list(off), list(rhs), eliminate=True)
+        got = _ldl_solve(np.array(d), np.array(off), np.array(rhs))
+        assert got is None if want is None else [v.hex() for v in got] == [v.hex() for v in want]
+    assert got is not None
+    given_pivots = [abs(p) + 1.0 for p in pivots]
+    want = _ldl_reference(list(given_pivots), list(off), list(rhs), eliminate=False)
+    got = _ldl_solve(np.array(diag), np.array(off), np.array(rhs), given_pivots)
+    assert [v.hex() for v in got] == [v.hex() for v in want]

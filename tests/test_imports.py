@@ -1,9 +1,10 @@
 """numpy is imported only by code that uses arrays, argparse only by help and errors.
 
-The package resolves its public names on first use, so the scalar API, the
+No module of the package imports numpy when it loads: the functions that use
+arrays import it themselves. So importing any module, the scalar API, the
 string eigenvalues and every CLI subcommand but minimize run in a fresh
-interpreter without numpy, while the array paths still import it on demand.
-The CLI reads a well-formed argv from its command table and imports
+interpreter without numpy (or scipy), while numpy loads on the first array
+call. The CLI reads a well-formed argv from its command table and imports
 argparse for any other.
 """
 
@@ -24,6 +25,35 @@ SCALAR_API = (
 )
 EIGENVALUES = "import soapfilm; soapfilm.eigenvalues(1.2, 3)"
 
+MODULE_IMPORTS = [
+    "import soapfilm.grids, soapfilm.variation, soapfilm.direct_min",
+    # the benchmark's import line, which imports every module
+    "from soapfilm import cli, energetics, extremals, spectrum",
+    "from soapfilm import *",
+]
+
+# the imports, then the first call, of each array entry point
+ARRAY_CALLS = {
+    "composite_simpson": (
+        "from soapfilm import composite_simpson",
+        "assert composite_simpson([1.0] * 5, 0.25) == 1.0",
+    ),
+    "q_form": (
+        "from soapfilm import TestFunction, q_form",
+        "assert q_form(TestFunction.sample(lambda s: 1.0 - s * s, 1.0, 65)) > 0.0",
+    ),
+    "discrete_area": (
+        "import math; from soapfilm import Profile, discrete_area",
+        "grid = [-0.3 + 0.6 * i / 63 for i in range(64)]; "
+        "area = discrete_area(Profile(h=0.3, grid=grid, y=[1.0] * 64)); "
+        "assert abs(area - 4.0 * math.pi * 0.3) < 1e-12",
+    ),
+    "minimize": (
+        "from soapfilm import minimize",
+        "assert minimize(0.3, 64, 'cylinder').outcome.value == 'Converged'",
+    ),
+}
+
 
 def _cli(argv, code=0):
     argv = argv + ["--out", os.devnull]
@@ -40,6 +70,18 @@ def test_eigenvalues_load_no_numpy():
 
 def test_cli_import_loads_no_numpy():
     assert not loads("from soapfilm import cli", "numpy")
+
+
+@pytest.mark.parametrize("module", ["numpy", "scipy"])
+@pytest.mark.parametrize("code", MODULE_IMPORTS)
+def test_importing_the_modules_loads_no_numpy(code, module):
+    assert not loads(code, module)
+
+
+@pytest.mark.parametrize("imports, call", ARRAY_CALLS.values(), ids=ARRAY_CALLS.keys())
+def test_the_first_array_call_loads_numpy(imports, call):
+    assert not loads(imports, "numpy")
+    assert loads(f"{imports}; {call}", "numpy")
 
 
 @pytest.mark.parametrize(
@@ -67,6 +109,10 @@ def test_scalar_subcommand_loads_no_numpy(argv):
 )
 def test_array_subcommand_imports_numpy_on_demand(argv):
     assert loads(_cli(argv), "numpy")
+
+
+def test_a_rejected_minimize_argument_exits_before_numpy_loads():
+    assert not loads(_cli(["minimize", "--h", "nan", "--n", "64"], code=2), "numpy")
 
 
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
