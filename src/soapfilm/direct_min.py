@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from .errors import DomainError
 from .extremals import profile as catenoid_profile
-from .extremals import solve_branches
+from .extremals import _Record, solve_branches
 from .grids import check_uniform_grid
 from .spectrum import negative_direction
 
@@ -75,36 +75,36 @@ Segments = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 _KICK = 1e-3
 
 
-@dataclass
-class Profile:
+class Profile(_Record, namedtuple("Profile", "h grid y")):
     """A sampled film radius on a uniform grid over [-h, h].
 
     Endpoint radii are exactly 1 (the rings); interior radii stay at or above
     the descent floor so every Profile is a valid minimization state.
     """
 
-    h: float
-    grid: np.ndarray
-    y: np.ndarray
-    n: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.h < math.inf:
-            raise DomainError(f"half-distance must be positive and finite, got {self.h!r}")
+    def __new__(cls, h: float, grid: np.ndarray, y: np.ndarray) -> Profile:
+        if not 0.0 < h < math.inf:
+            raise DomainError(f"half-distance must be positive and finite, got {h!r}")
         import numpy as np
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.grid.shape != self.y.shape:
+        grid = np.asarray(grid, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if grid.shape != y.shape:
             raise DomainError("grid and y must have the same shape")
-        check_uniform_grid(self.grid)
-        slack = 1e-12 * self.h
-        if abs(self.grid[0] + self.h) > slack or abs(self.grid[-1] - self.h) > slack:
-            raise DomainError(f"grid must span [-{self.h}, {self.h}]")
-        if self.y[0] != 1.0 or self.y[-1] != 1.0:
+        check_uniform_grid(grid)
+        slack = 1e-12 * h
+        if abs(grid[0] + h) > slack or abs(grid[-1] - h) > slack:
+            raise DomainError(f"grid must span [-{h}, {h}]")
+        if y[0] != 1.0 or y[-1] != 1.0:
             raise DomainError("endpoint radii must be exactly 1")
-        if not np.all((self.y[1:-1] >= _FLOOR) & (self.y[1:-1] < np.inf)):
+        if not np.all((y[1:-1] >= _FLOOR) & (y[1:-1] < np.inf)):
             raise DomainError(f"interior radii must be finite and >= {_FLOOR}")
-        self.n = int(self.y.size)
+        return tuple.__new__(cls, (h, grid, y))
+
+    @property
+    def n(self) -> int:
+        return self.y.size
 
     @property
     def spacing(self) -> float:
@@ -128,15 +128,12 @@ class Outcome(enum.Enum):
     ITERATION_LIMIT = "IterationLimit"
 
 
-@dataclass
-class MinimizeReport:
+class MinimizeReport(
+    _Record, namedtuple("MinimizeReport", "outcome final_area iterations final_profile min_y")
+):
     """Result of one descent run."""
 
-    outcome: Outcome
-    final_area: float
-    iterations: int
-    final_profile: Profile
-    min_y: float
+    __slots__ = ()
 
 
 def _segments(y: np.ndarray, dx: float) -> Segments:

@@ -16,6 +16,10 @@ take Newton steps, each from a closed-form bracket: h cosh(h) below tau_1,
 tau_star below tau_2, and above them the fold offsets of the quadratic
 log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the fold, iterates
 of tau -> log(2 tau / h), which stay above tau_2.
+
+_Record, the base of CriticalConstants, Extremal and every other record in
+the package, makes each an immutable named tuple that validates whenever it
+is built, by _replace too.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import enum
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from .errors import DomainError, NoExtremalError
@@ -101,23 +104,46 @@ def phi(tau: float) -> float:
     return math.cosh(tau) / tau
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
+class _Record(tuple):
+    """Base of the immutable records: named tuples equal only within their class.
+
+    A record is the tuple of its fields, with a field-wise repr, equality and
+    hash, and equals no tuple of another class. Assigning to a field or to
+    any other name raises AttributeError, and _make and _replace build
+    through the class, so they validate as it does.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class CriticalConstants(_Record, namedtuple("CriticalConstants", "tau_star h_star")):
     """The critical parameter tau_star and half-distance h_star.
 
     tau_star is the root of 1 - tau tanh(tau); h_star = tau_star/cosh(tau_star)
     is the largest ring half-distance still spanned by a catenoid.
     """
 
-    tau_star: float
-    h_star: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        residual = abs(1.0 - self.tau_star * math.tanh(self.tau_star))
+    def __new__(cls, tau_star: float, h_star: float) -> CriticalConstants:
+        residual = abs(1.0 - tau_star * math.tanh(tau_star))
         if not residual <= 1e-12:
             raise DomainError(f"tau_star residual {residual} exceeds 1e-12")
-        if not abs(self.h_star - self.tau_star / math.cosh(self.tau_star)) <= 1e-12:
+        if not abs(h_star - tau_star / math.cosh(tau_star)) <= 1e-12:
             raise DomainError("h_star inconsistent with tau_star")
+        return tuple.__new__(cls, (tau_star, h_star))
 
 
 @functools.cache
@@ -134,29 +160,6 @@ def critical_constants() -> CriticalConstants:
 
     tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-15, tol_f=1e-16, slope=True)
     return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
-
-
-class _Record(tuple):
-    """Base of the immutable records: named tuples equal only within their class.
-
-    Instances keep a dataclass's repr, field-wise equality and hash without
-    its per-instance set-up; assigning to a field raises AttributeError, and
-    _make and _replace build through the class, so they validate as it does.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
 
 class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):

@@ -1,5 +1,8 @@
 """Uniform-grid plumbing: sampled test functions, quadrature, derivatives.
 
+A TestFunction is an immutable record (extremals._Record) of its grid and
+values, checked whenever it is built.
+
 All integrals in the library run composite Simpson on uniform grids and all
 sampled derivatives are centered differences (second-order one-sided at the
 endpoints), so that every quadrature-based quantity converges at a clean
@@ -11,10 +14,11 @@ numpy themselves, so it loads on the first array call, not with the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError
+from .extremals import _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,8 +91,7 @@ def sampled_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     return slope
 
 
-@dataclass
-class TestFunction:
+class TestFunction(_Record, namedtuple("TestFunction", "grid values")):
     """A perturbation direction sampled on a symmetric uniform grid.
 
     Admissible directions vanish at both endpoints of [-a, a]; the endpoint
@@ -98,28 +101,27 @@ class TestFunction:
     accepts and that is symmetric to within 1e-14 times its largest |node|.
     """
 
+    __slots__ = ()
     # Not a test case despite the Test* name; keeps pytest collection quiet.
     __test__ = False
 
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __new__(cls, grid: np.ndarray, values: np.ndarray) -> TestFunction:
         import numpy as np
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.shape != self.values.shape:
+        grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if grid.shape != values.shape:
             raise DomainError("grid and values must have the same shape")
-        if self.n < 16:
-            raise DomainError(f"need at least 16 samples, got {self.n}")
-        a = self.grid[-1]
-        if abs(self.grid[0] + a) > 1e-14 * max(abs(self.grid[0]), abs(a)):
+        if values.size < 16:
+            raise DomainError(f"need at least 16 samples, got {values.size}")
+        check_uniform_grid(grid)
+        a = grid[-1]
+        if abs(grid[0] + a) > 1e-14 * max(abs(grid[0]), abs(a)):
             raise DomainError("grid must span a symmetric interval [-a, a]")
-        check_uniform_grid(self.grid)
-        if self.values[0] != 0.0 or self.values[-1] != 0.0:
+        if values[0] != 0.0 or values[-1] != 0.0:
             raise DomainError("endpoint values must be exactly zero")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise DomainError("sampled values must be finite")
+        return tuple.__new__(cls, (grid, values))
 
     @property
     def n(self) -> int:

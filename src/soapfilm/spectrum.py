@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from .errors import ConvergenceFailureError, DomainError
-from .extremals import critical_constants
+from .extremals import _Record, critical_constants
 from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
@@ -146,23 +146,21 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     return dt * float(psi[-1]), int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-@dataclass
-class StringSpectrum:
+class StringSpectrum(_Record, namedtuple("StringSpectrum", "tau lambdas n")):
     """First eigenvalues of the string problem; eigenfunctions on request at n steps.
 
     lambdas is a tuple of floats, positive and strictly increasing.
     """
 
-    tau: float
-    lambdas: Tuple[float, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.lambdas = lambdas = tuple(map(float, self.lambdas))
+    def __new__(cls, tau: float, lambdas: Tuple[float, ...], n: int) -> StringSpectrum:
+        lambdas = tuple(map(float, lambdas))
         if not all(lam > 0.0 for lam in lambdas):
             raise DomainError("string eigenvalues must be positive")
         if not all(a < b for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("string eigenvalues must be strictly increasing")
+        return tuple.__new__(cls, (tau, lambdas, n))
 
     def eigenfunction(self, k: int) -> TestFunction:
         """psi_k at the n+1 nodes of [-tau, tau]: the RK4 trajectory at lambda_k.

@@ -20,12 +20,12 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Union
 
 from .energetics import area_quadrature
 from .errors import DomainError
-from .extremals import Extremal, critical_constants, profile
+from .extremals import Extremal, _Record, critical_constants, profile
 from .grids import TestFunction, composite_simpson, sampled_derivative
 
 if TYPE_CHECKING:
@@ -53,8 +53,9 @@ class Classification(enum.Enum):
     NEGATIVE_DIRECTION = "NegativeDirection"
 
 
-@dataclass(frozen=True)
-class VariationReport:
+class VariationReport(
+    _Record, namedtuple("VariationReport", "q_form raw_d1 raw_d2 raw_d3 classification")
+):
     """q_form value and raw t-derivatives of S along one direction.
 
     raw_d1 is the numeric first derivative (vanishes on extremals up to
@@ -62,11 +63,7 @@ class VariationReport:
     coefficients, i.e. the second and third t-derivatives over 2! and 3!.
     """
 
-    q_form: float
-    raw_d1: float
-    raw_d2: float
-    raw_d3: float
-    classification: Classification
+    __slots__ = ()
 
 
 def mu(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:

@@ -9,7 +9,7 @@ of the float domain, returns a value its docstring allows or raises DomainError
 finite, or the inf/NaN the docstring names. A numpy warning fails the test
 too (the suite turns warnings into errors). The source scan pins the other
 half: every raise in the library names one of the five types of
-soapfilm.errors.
+soapfilm.errors. A second scan checks that no module imports dataclasses.
 """
 
 import ast
@@ -277,6 +277,10 @@ def _nearby_profile(h):
 MISMATCHES = {
     "check_uniform_grid": lambda: check_uniform_grid(np.array([0.0, 1e-20, 5e-20, 6e-20])),
     "TestFunction": lambda: TestFunction(np.linspace(-3e-20, 3.2e-20, 17), np.zeros(17)),
+    # a grid of the right size and span but not one-dimensional
+    "TestFunction(2-D)": lambda: TestFunction(
+        np.linspace(-1.0, 1.0, 20).reshape(4, 5), np.zeros((4, 5))
+    ),
     "profile": lambda: profile(solve_branches(1e-20)[0], 9e-13),
     "Profile": lambda: Profile(h=1e-20, grid=np.linspace(-1e-13, 1e-13, 65), y=np.ones(65)),
     "eta_from_psi": lambda: variation.eta_from_psi(
@@ -382,17 +386,23 @@ def test_errors_are_the_five_contract_types():
     ]
 
 
-def test_every_raise_names_a_library_error():
+def _source_nodes():
+    """(file name, node) for every AST node of every module in the package."""
     package = pathlib.Path(soapfilm.__file__).parent
-    found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Raise):
-                continue
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(node)
-            if name not in errors.__all__:
-                found.append((path.name, name))
+            yield path.name, node
+
+
+def test_every_raise_names_a_library_error():
+    found = []
+    for file, node in _source_nodes():
+        if not isinstance(node, ast.Raise):
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else ast.unparse(node)
+        if name not in errors.__all__:
+            found.append((file, name))
     # the interpreter exit in __main__, the AttributeError that PEP 562 asks
     # of the package's __getattr__ for an unknown name, and the serializer's
     # two TypeErrors, which only a programming error in the CLI can reach
@@ -402,6 +412,21 @@ def test_every_raise_names_a_library_error():
         ("cli.py", "TypeError"),
         ("cli.py", "TypeError"),
     ]
+
+
+def test_no_module_imports_dataclasses():
+    # the records derive from extremals._Record; dataclasses would bring
+    # inspect, ast and dis into every import of the package
+    found = []
+    for file, node in _source_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [(file, m) for m in modules if m.partition(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def test_area_where_the_slope_squared_overflows():

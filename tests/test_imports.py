@@ -5,7 +5,8 @@ arrays import it themselves. So importing any module, the scalar API, the
 string eigenvalues and every CLI subcommand but minimize run in a fresh
 interpreter without numpy (or scipy), while numpy loads on the first array
 call. The CLI reads a well-formed argv from its command table and imports
-argparse for any other.
+argparse for any other. No import or scalar call loads dataclasses, or the
+inspect it brings: the records are named tuples.
 """
 
 import os
@@ -75,6 +76,12 @@ def test_cli_import_loads_no_numpy():
 @pytest.mark.parametrize("module", ["numpy", "scipy"])
 @pytest.mark.parametrize("code", MODULE_IMPORTS)
 def test_importing_the_modules_loads_no_numpy(code, module):
+    assert not loads(code, module)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("code", [SCALAR_API, EIGENVALUES, *MODULE_IMPORTS])
+def test_imports_and_scalar_calls_load_no_dataclasses(code, module):
     assert not loads(code, module)
 
 

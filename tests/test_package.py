@@ -1,9 +1,16 @@
-"""The package's public names: each module's __all__, gathered once."""
+"""The package's public names: each module's __all__, gathered once.
+
+The records among them are immutable named tuples, equal only within their
+class, that validate on every construction.
+"""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+
+import numpy as np
+import pytest
 
 import soapfilm
 from soapfilm import (
@@ -16,6 +23,8 @@ from soapfilm import (
     spectrum,
     variation,
 )
+from soapfilm.errors import DomainError
+from soapfilm.extremals import _Record
 
 from fresh import loads
 
@@ -138,3 +147,54 @@ def test_every_benchmark_span_resolves_on_the_package():
     assert spans.SPANNED and spans.COUNTED
     for module_name, attr, _ in spans.SPANNED + spans.COUNTED:
         assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def _direction():
+    """The lower catenoid at h = 0.4 and one arch cos(pi s/(2 tau)) over its [-tau, tau]."""
+    lower = soapfilm.solve_branches(0.4)[0]
+    arch = lambda s: np.cos(0.5 * np.pi * s / lower.tau)
+    return lower, soapfilm.TestFunction.sample(arch, lower.tau, 257)
+
+
+def _profile():
+    return soapfilm.Profile(h=0.3, grid=np.linspace(-0.3, 0.3, 64), y=np.ones(64))
+
+
+# An instance of each public record and, for those that validate, one field
+# value that the constructor, and so _replace, rejects.
+RECORDS = {
+    "CriticalConstants": (soapfilm.critical_constants, {"h_star": 0.5}),
+    "Extremal": (lambda: soapfilm.solve_branches(0.4)[0], {"tau": 2.0}),
+    "ForceSample": (lambda: soapfilm.force(0.3), None),
+    "StringSpectrum": (lambda: soapfilm.eigenvalues(1.2, 2), {"lambdas": (2.0, 1.0)}),
+    "TestFunction": (lambda: _direction()[1], {"values": np.ones(257)}),
+    "VariationReport": (lambda: soapfilm.taylor_probe(*_direction(), 1e-3), None),
+    "Profile": (_profile, {"y": np.zeros(64)}),
+    "MinimizeReport": (lambda: soapfilm.minimize(0.3, 64, _profile()), None),
+}
+
+
+def test_the_records_are_the_public_record_types():
+    public = {name for name in soapfilm.__all__ if isinstance(getattr(soapfilm, name), type)}
+    assert {name for name in public if issubclass(getattr(soapfilm, name), _Record)} == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_is_an_immutable_tuple_that_validates(name):
+    build, bad = RECORDS[name]
+    record = build()
+    cls = getattr(soapfilm, name)
+    assert type(record) is cls and isinstance(record, tuple)
+    for field in (*cls._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+    # equal only to a record of its class, never to the plain tuple
+    fields = tuple(record)
+    assert record != fields and fields != record and not record == fields
+    # positional, keyword and _replace construction give an equal record
+    assert cls(*fields) == record
+    assert cls(**record._asdict()) == record
+    assert record._replace() == record
+    if bad is not None:
+        with pytest.raises(DomainError):
+            record._replace(**bad)
