@@ -11,9 +11,11 @@ solving 1 - tau tanh(tau) = 0, so the problem has two solutions for
 h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
 and none beyond it. Either branch parameter is one bracketed solve of
 log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold. Its
-slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so the solves
-take Newton steps, each from a closed-form bracket: h cosh(h) below tau_1,
-tau_star below tau_2, and above them the fold offsets of the quadratic
+slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so each solve
+is a Newton loop of its own that evaluates both inline; find_root_bracketed,
+with its callback per evaluation, solves here only for tau_star. Each
+starts from a closed-form bracket: h cosh(h) below tau_1, tau_star below
+tau_2, and above them the fold offsets of the quadratic
 log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the fold, iterates
 of tau -> log(2 tau / h), which stay above tau_2.
 
@@ -30,7 +32,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from .errors import DomainError, NoExtremalError
+from .errors import ConvergenceFailureError, DomainError, NoExtremalError
 from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
@@ -74,12 +76,16 @@ _FOLD_MARGIN = 1.0 / 64.0
 # of U, which beat the fold end there.
 _FAR_FROM_FOLD = 0.5
 
+# _solve_branch's evaluations after the ends: bisection alone closes any
+# closed-form bracket, at most 677 wide, within 60.
+_BRANCH_BUDGET = 100
+
 
 def _log_cosh(t: float) -> float:
     """log(cosh(t)) for t >= 0, finite wherever t is.
 
-    _solve_branch's g writes the same sum inline: it runs about 11 times per
-    solve_branches, and a call there would cost about 4 % of the solve.
+    _solve_branch writes the same sum inline: g runs about 11 times per
+    solve_branches, and a call there would add about half again to each.
     """
     return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2
 
@@ -104,13 +110,25 @@ def phi(tau: float) -> float:
     return math.cosh(tau) / tau
 
 
+def _same(x, y) -> bool:
+    """Field equality as in a tuple, where arrays are equal by shape and value."""
+    if x is y:
+        return True
+    sx, sy = getattr(x, "shape", None), getattr(y, "shape", None)
+    if sx is None and sy is None:
+        return bool(x == y)
+    # a float is shape (); == on unequal shapes would broadcast or raise
+    return (sx or ()) == (sy or ()) and bool((x == y).all())
+
+
 class _Record(tuple):
     """Base of the immutable records: named tuples equal only within their class.
 
     A record is the tuple of its fields, with a field-wise repr, equality and
-    hash, and equals no tuple of another class. Assigning to a field or to
-    any other name raises AttributeError, and _make and _replace build
-    through the class, so they validate as it does.
+    hash, and equals no tuple of another class. Array fields are equal where
+    their shapes and values are, and make the record unhashable. Assigning
+    to a field or to any other name raises AttributeError, and _make and
+    _replace build through the class, so they validate as it does.
     """
 
     __slots__ = ()
@@ -120,7 +138,7 @@ class _Record(tuple):
         return cls(*fields)
 
     def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        return type(other) is type(self) and all(map(_same, self, other))
 
     def __ne__(self, other):
         return not self == other
@@ -194,20 +212,60 @@ def _solve_branch(log_h: float, lo: float, hi: float) -> float:
 
     g forms neither 1/h nor cosh(tau), so it cannot overflow at tiny h. Its
     slope t*tanh(t) - 1 = -mu(t) costs nothing beyond e = exp(-2t), which g
-    forms anyway, so every step is a Newton step. tol_x is about one ulp of
-    u, since h*phi(tau) - 1 moves by tau per unit of u. tol_f is g's
-    rounding floor, one ulp of the O(1) terms that cancel in it: an iterate
-    that meets it is at the root to within g's noise, and near the fold,
-    where g is flat, the bracket shrinks as far as that noise allows.
+    forms anyway, so every step is a Newton step. Both are written inline: a
+    call per evaluation, as a generic root finder makes, costs more than g.
+    tol_x = 1e-15 is about one ulp of u, since h*phi(tau) - 1 moves by tau
+    per unit of u. tol_f = 2.3e-16 is g's rounding floor, one ulp of the O(1)
+    terms that cancel in it: an iterate that meets it is at the root to
+    within g's noise, and near the fold, where g is flat, the bracket shrinks
+    as far as that noise allows.
+
+    g'' = t*tanh(t) + t**2 sech(t)**2 > 0: the tangent lies below g, so each
+    Newton point lands where g >= 0, and every later one between its
+    iterate and the root. Newton thus needs no safeguard ball, as a generic
+    solver does; bisection only replaces a point outside the bracket (a first
+    step from the g < 0 side, or rounding). The solve stops on |g| <= tol_f,
+    on a bracket tol_x wide or down to adjacent floats, or on a Newton point
+    that rounds to its iterate: where an ulp of u exceeds tol_x (u near -690
+    at h = 1e-300), Newton lands on the root's float and stays there. Raises
+    ConvergenceFailureError where g does not change sign over [lo, hi] or
+    the budget runs out: either is a bug in the closed-form brackets.
     """
-
-    def g(u: float) -> Tuple[float, float]:
-        # _log_cosh(t) - u + log_h, inlined (see _log_cosh)
-        t = math.exp(u)
-        e = math.exp(-2.0 * t)
-        return t + math.log1p(e) - _LOG_2 - u + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
-
-    return math.exp(find_root_bracketed(g, lo, hi, tol_x=1e-15, tol_f=2.3e-16, slope=True))
+    exp, log1p, log_2 = math.exp, math.log1p, _LOG_2
+    # g = _log_cosh(t) - u + log_h and its slope, inlined (see _log_cosh)
+    t = exp(lo)
+    e = exp(-2.0 * t)
+    fa, da = t + log1p(e) - log_2 - lo + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
+    t = exp(hi)
+    e = exp(-2.0 * t)
+    fb, db = t + log1p(e) - log_2 - hi + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ConvergenceFailureError(f"g({lo!r}) = {fa!r} and g({hi!r}) = {fb!r} share a sign")
+    a, b = lo, hi
+    # Newton starts from the end where |g| is smaller
+    x, gx, dx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
+    for _ in range(_BRANCH_BUDGET):
+        w = b - a
+        mid = a + 0.5 * w
+        if w <= 1e-15 or not a < mid < b:
+            return exp(mid)
+        s = x - gx / dx if dx != 0.0 else mid
+        if s == x:
+            return exp(x)
+        if not a < s < b:
+            s = mid
+        t = exp(s)
+        e = exp(-2.0 * t)
+        x, gx, dx = s, t + log1p(e) - log_2 - s + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
+        if -2.3e-16 <= gx <= 2.3e-16:
+            return exp(x)
+        if (gx > 0.0) == (fa > 0.0):
+            a = x
+        else:
+            b = x
+    raise ConvergenceFailureError(
+        f"branch solve missed tolerance after {_BRANCH_BUDGET} steps; bracket [{a!r}, {b!r}]"
+    )
 
 
 def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, float, float]]]:

@@ -1,13 +1,15 @@
 """Deterministic bracketed scalar root finding.
 
-Every transcendental equation in the library (branch parameters, the critical
-parameter, eigenvalue refinement, the Goldschmidt constant) is solved through
-`find_root_bracketed`. Each iteration proposes a point: the Newton point of
-the bracket end where |f| is smaller when the caller supplies the slope, and
-the secant point of the two most recent evaluations otherwise. The point is
-kept at least tol_x/2, and at least one float, from the end or evaluation
-it expands about (Brent's minimal step), so that a root next to it gets
-bracketed, then projected as in the ITP method
+The critical parameter, eigenvalue refinement and the Goldschmidt constant
+are solved through `find_root_bracketed`. The branch parameters are not:
+their equation is convex, so extremals._solve_branch runs a plain bracketed
+Newton loop with the function written inline, which costs less than this
+solver's callback and safeguards. Each iteration here proposes a point: the
+Newton point of the bracket end where |f| is smaller when the caller
+supplies the slope, and the secant point of the two most recent evaluations
+otherwise. The point is kept at least tol_x/2, and at least one float, from
+the end or evaluation it expands about (Brent's minimal step), so that a
+root next to it gets bracketed, then projected as in the ITP method
 (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around the bracket
 midpoint that shrinks so the bracket reaches tol_x within 4 evaluations of
 bisection's count; a point outside the bracket is replaced by the midpoint.

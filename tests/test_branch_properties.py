@@ -1,14 +1,16 @@
 """Properties of the branch solves and the ring force over their whole domain."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from soapfilm import energetics, extremals
-from soapfilm.errors import DomainError, NoExtremalError
+from soapfilm.errors import ConvergenceFailureError, DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, critical_constants, solve_branches
+from soapfilm.rootfind import find_root_bracketed
 
 from oracles import H_STAR, TAU_STAR, richardson_diff
 
@@ -95,6 +97,19 @@ def test_force_solves_branches_once(h):
     assert taus == [solve_branches(h)[0].tau]
 
 
+@pytest.mark.parametrize("h", [1e-300, 0.01, 0.3, H_STAR - 1e-10])
+def test_branch_solves_make_no_generic_root_finder_call(monkeypatch, h):
+    critical_constants()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_root_bracketed called")
+
+    for module in (extremals, energetics):
+        monkeypatch.setattr(module, "find_root_bracketed", refuse)
+    solve_branches(h)
+    energetics.force(h)
+
+
 def _g(u, log_h):
     """The branch equation log(h*cosh(t)/t), t = e^u, as the solver forms it."""
     t = math.exp(u)
@@ -138,6 +153,74 @@ def test_closed_form_brackets_contain_the_root(h):
     lower, upper = solve_branches(h)
     assert lo1 <= math.log(lower.tau) <= hi1
     assert lo2 <= math.log(upper.tau) <= hi2
+
+
+def _g_and_slope(u, log_h):
+    """_g and its slope t*tanh(t) - 1, formed as the solver forms them."""
+    t = math.exp(u)
+    e = math.exp(-2.0 * t)
+    return _g(u, log_h), t * (1.0 - e) / (1.0 + e) - 1.0
+
+
+# The branch solves' tolerances in u and in g.
+_TOL_X, _TOL_F = 1e-15, 2.3e-16
+
+_BANDS = {
+    "bulk": st.floats(0.01, H_STAR - 1e-4),
+    "tiny": _log_uniform(1e-307, 1e-2),
+    "fold": _log_uniform(1e-12, 1e-4).map(lambda d: H_STAR - d),
+}
+
+# Most ulps by which (tau_1, tau_2) of the branch solve and of
+# find_root_bracketed differ on the same bracket, over 10**6 h per band; the
+# 5 is from h near 0.55, where tau_2's bracket changes form. Near the fold,
+# where g is flat, any u within its rounding is a root: there the two agree
+# to within the u over which g moves by 2 tol_f (at most 0.85 tol_f seen).
+_ULPS = {"bulk": (1, 5), "tiny": (0, 8)}
+
+
+def _solve_in_u(log_h, lo, hi):
+    """The branch solve's root u, whose exp it returns, and that tau."""
+    args = []
+
+    def exp(x):
+        args.append(x)
+        return math.exp(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremals, "math", SimpleNamespace(exp=exp, log1p=math.log1p))
+        tau = extremals._solve_branch(log_h, lo, hi)
+    assert tau == math.exp(args[-1])
+    return args[-1], tau
+
+
+@pytest.mark.parametrize("band", sorted(_BANDS))
+@given(data=st.data())
+def test_branch_solve_agrees_with_the_generic_root_finder(band, data):
+    h = data.draw(_BANDS[band])
+    if not h < critical_constants().h_star - 1e-12:
+        return
+    for i, (log_h, lo, hi) in enumerate(_brackets(h)):
+        u, tau = _solve_in_u(log_h, lo, hi)
+        g = lambda x: _g_and_slope(x, log_h)
+        root = find_root_bracketed(g, lo, hi, tol_x=_TOL_X, tol_f=_TOL_F, slope=True)
+        oracle = math.exp(root)
+        if band == "fold":
+            assert abs(u - root) * abs(g(root)[1]) <= 2.0 * _TOL_F
+        else:
+            assert abs(tau - oracle) <= _ULPS[band][i] * math.ulp(oracle)
+        # the root finder's contract: |g| <= tol_f, or g changes sign
+        # within tol_x of u, give or take its rounding
+        reach = _TOL_X + 4.0 * math.ulp(u)
+        assert abs(_g(u, log_h)) <= _TOL_F or (_g(u - reach, log_h) > 0.0) != (
+            _g(u + reach, log_h) > 0.0
+        )
+
+
+def test_a_bracket_without_a_sign_change_is_a_library_bug():
+    # g > 0 over all of tau in [e**2, e**3] at h = 0.3
+    with pytest.raises(ConvergenceFailureError):
+        extremals._solve_branch(math.log(0.3), 2.0, 3.0)
 
 
 @given(st.one_of(st.just(math.nan), st.floats(max_value=0.0)))

@@ -198,3 +198,37 @@ def test_a_record_is_an_immutable_tuple_that_validates(name):
     if bad is not None:
         with pytest.raises(DomainError):
             record._replace(**bad)
+
+
+def _bypass(record, **fields):
+    """The record with fields replaced, skipping the checks _replace runs."""
+    return tuple.__new__(type(record), tuple({**record._asdict(), **fields}.values()))
+
+
+def _unequal_variants(record):
+    """Copies of a record whose array (a nested record's, too) is shorter or off in one entry."""
+    if isinstance(record, soapfilm.MinimizeReport):
+        return [_bypass(record, final_profile=p) for p in _unequal_variants(record.final_profile)]
+    field = "values" if isinstance(record, soapfilm.TestFunction) else "y"
+    values = getattr(record, field)
+    changed = values.copy()
+    changed[1] += 1e-3
+    return [_bypass(record, **{field: values[:-1]}), _bypass(record, **{field: changed})]
+
+
+# The records with array fields, each built twice from fresh arrays.
+ARRAY_RECORDS = {
+    "TestFunction": lambda: soapfilm.TestFunction.sample(np.cos, np.pi / 2, 17),
+    "Profile": _profile,
+    "MinimizeReport": lambda: soapfilm.minimize(0.3, 64, _profile()),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_are_equal_by_shape_and_value(name):
+    first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert first == second and not first != second
+    for other in _unequal_variants(first):
+        assert first != other and not first == other and other != first
+    with pytest.raises(TypeError):
+        hash(first)
