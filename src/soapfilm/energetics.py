@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
 from .extremals import Extremal, _lower_branch, _Record, area_closed_form, critical_constants
@@ -61,7 +61,7 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
 def goldschmidt_constant() -> float:
     """Half-distance where the stable catenoid's area equals the disks' 2*pi.
 
-    One bracketed Newton solve of area_closed_form(lower(h)) = 2*pi on
+    One bracketed secant solve of area_closed_form(lower(h)) = 2*pi on
     [0.1, h_star], cached after the first call. The slope of the area is
     dS/dh = -F(h) = 4*pi*h/tau_1: the ring force is minus the slope of the
     area. Below the returned value the film beats the two flat disks; above
@@ -70,14 +70,11 @@ def goldschmidt_constant() -> float:
     1e-10 (a bug, not a domain outcome).
     """
 
-    def excess(h: float) -> Tuple[float, float]:
-        lower = _lower_branch(h)[0]
-        return area_closed_form(lower) - math.tau, 2.0 * math.tau * h / lower.tau
+    def excess(h: float) -> float:
+        return area_closed_form(_lower_branch(h)[0]) - math.tau
 
-    h_g = find_root_bracketed(
-        excess, 0.1, critical_constants().h_star, tol_x=1e-15, tol_f=1e-15, slope=True
-    )
-    if not abs(excess(h_g)[0]) <= 1e-10:
+    h_g = find_root_bracketed(excess, 0.1, critical_constants().h_star, tol_x=1e-15, tol_f=1e-15)
+    if not abs(excess(h_g)) <= 1e-10:
         raise ConvergenceFailureError("threshold solve did not reach the disk area")
     return h_g
 

@@ -12,12 +12,13 @@ h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
 and none beyond it. Either branch parameter is one bracketed solve of
 log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold. Its
 slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so each solve
-is a Newton loop of its own that evaluates both inline; find_root_bracketed,
-with its callback per evaluation, solves here only for tau_star. Each
-starts from a closed-form bracket: h cosh(h) below tau_1, tau_star below
-tau_2, and above them the fold offsets of the quadratic
-log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the fold, iterates
-of tau -> log(2 tau / h), which stay above tau_2.
+is a Newton loop of its own that evaluates both inline; the secant solver
+find_root_bracketed, with its callback per evaluation, solves here only
+for tau_star, the root of mu. Each branch solve starts from a closed-form
+bracket: h cosh(h) below tau_1, tau_star below tau_2, and above them the
+fold offsets of the quadratic log(h/h_star) + tau_star**2 (u - u*)**2 / 2
+or, far from the fold, iterates of tau -> log(2 tau / h), which stay above
+tau_2.
 
 _Record, the base of CriticalConstants, Extremal and every other record in
 the package, makes each an immutable named tuple that validates whenever it
@@ -172,11 +173,9 @@ def critical_constants() -> CriticalConstants:
     compute, but they produce identical values.
     """
 
-    def g(tau: float) -> Tuple[float, float]:
-        tanh = math.tanh(tau)
-        return 1.0 - tau * tanh, -(tanh + tau * (1.0 - tanh * tanh))
-
-    tau_star = find_root_bracketed(g, 1.0, 1.5, tol_x=1e-15, tol_f=1e-16, slope=True)
+    tau_star = find_root_bracketed(
+        lambda tau: 1.0 - tau * math.tanh(tau), 1.0, 1.5, tol_x=1e-15, tol_f=1e-16
+    )
     return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
 
 

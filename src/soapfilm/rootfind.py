@@ -4,26 +4,22 @@ The critical parameter, eigenvalue refinement and the Goldschmidt constant
 are solved through `find_root_bracketed`. The branch parameters are not:
 their equation is convex, so extremals._solve_branch runs a plain bracketed
 Newton loop with the function written inline, which costs less than this
-solver's callback and safeguards. Each iteration here proposes a point: the
-Newton point of the bracket end where |f| is smaller when the caller
-supplies the slope, and the secant point of the two most recent evaluations
-otherwise. The point is kept at least tol_x/2, and at least one float, from
-the end or evaluation it expands about (Brent's minimal step), so that a
-root next to it gets bracketed, then projected as in the ITP method
-(Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball around the bracket
-midpoint that shrinks so the bracket reaches tol_x within 4 evaluations of
-bisection's count; a point outside the bracket is replaced by the midpoint.
-Newton's minimal step is exempt from the ball: once Newton has converged it
-crosses the root and closes the bracket, even one whose far end never moved.
-The iteration uses no randomness and no global state, so repeated calls
-with the same inputs return bit-identical results. Any input the solver
-cannot work on, a bracket included, is a DomainError.
+solver's callback and safeguards. Each iteration here proposes the secant
+point of the two most recent evaluations. The point is kept at least
+tol_x/2, and at least one float, from the latest evaluation (Brent's
+minimal step), so that a root next to it gets bracketed, then projected as
+in the ITP method (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball
+around the bracket midpoint that shrinks so the bracket reaches tol_x
+within 4 evaluations of bisection's count; a point outside the bracket is
+replaced by the midpoint. The iteration uses no randomness and no global
+state, so repeated calls with the same inputs return bit-identical results.
+Any input the solver cannot work on, a bracket included, is a DomainError.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple, Union
+from typing import Callable
 
 from .errors import DomainError, MaxIterationsError
 
@@ -37,42 +33,35 @@ _MAX_WIDTH = 2.0**98
 
 
 def find_root_bracketed(
-    f: Callable[[float], Union[float, Tuple[float, float]]],
+    f: Callable[[float], float],
     lo: float,
     hi: float,
     *,
     tol_x: float,
     tol_f: float,
-    slope: bool = False,
 ) -> float:
     """Locate a root of f inside the sign-changing bracket [lo, hi].
 
     f is evaluated at lo, then at hi, then at each iterate.
 
     Args:
-        f: continuous scalar function; with slope set, it returns the pair
-            (f(x), f'(x)) instead of f(x).
+        f: continuous scalar function.
         lo, hi: finite ends with lo < hi where f has opposite signs, or is 0
             at one end.
         tol_x: stop once the bracket width is at most this; hi - lo may be
             at most 2**98 times tol_x. f is evaluated at most
             ceil(log2((hi - lo)/tol_x)) + 4 times after the ends.
         tol_f: stop once |f| at the iterate is at most this.
-        slope: f returns its slope too; propose the Newton point instead
-            of the secant point.
 
     Returns:
         A point x with lo <= x <= hi satisfying |f(x)| <= tol_f or lying in a
         residual bracket of width <= tol_x, give or take the rounding of its
-        ends where the evaluation bound ends the search, and <= 2*tol_x if
-        a Newton end-game step failed to cross the root (a slope at odds
-        with f).
+        ends where the evaluation bound ends the search.
 
     Raises:
         DomainError: lo < hi fails or an end is not finite (NaN included), a
             tolerance is not positive, the bracket is too wide for tol_x, f
-            has the same sign at both ends, or f returned a non-finite value
-            or slope.
+            has the same sign at both ends, or f returned a non-finite value.
         MaxIterationsError: the evaluation budget ran out before either
             tolerance was met; the width bound rules this out, so it is a bug.
     """
@@ -84,14 +73,10 @@ def find_root_bracketed(
     if not widths <= _MAX_WIDTH:
         raise DomainError(f"bracket [{lo!r}, {hi!r}] is wider than 2**98 tol_x = {tol_x!r}")
     a, b = lo, hi
-    if slope:
-        fa, da = f(a)
-        fb, db = f(b)
-    else:
-        fa, fb, da, db = f(a), f(b), 0.0, 0.0
-    # inf - inf and NaN - NaN are NaN: zero exactly where all four are finite
-    if not (fa - fa) + (fb - fb) + (da - da) + (db - db) == 0.0:
-        raise DomainError(f"f returned a non-finite value or slope at an end of [{a!r}, {b!r}]")
+    fa, fb = f(a), f(b)
+    # inf - inf and NaN - NaN are NaN: zero exactly where both are finite
+    if not (fa - fa) + (fb - fb) == 0.0:
+        raise DomainError(f"f returned a non-finite value at an end of [{a!r}, {b!r}]")
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -99,10 +84,9 @@ def find_root_bracketed(
     if (fa > 0.0) == (fb > 0.0):
         raise DomainError(f"f({a!r}) = {fa!r} and f({b!r}) = {fb!r} share a sign")
 
-    # The secant's two most recent evaluations; Newton expands about x2, the
-    # bracket end where |f| is smaller.
+    # the secant's two most recent evaluations
     x1, f1 = a, fa
-    x2, f2, d2 = (a, fa, da) if slope and abs(fa) < abs(fb) else (b, fb, db)
+    x2, f2 = b, fb
     least = 0.5 * tol_x
     copysign = math.copysign
 
@@ -117,52 +101,32 @@ def find_root_bracketed(
         if not (a < mid < b):
             # The bracket has collapsed to adjacent floats; no refinement left.
             return mid
-        # The Newton or secant point, at least tol_x/2 from x2 so that a root
-        # next to it gets bracketed (Brent's minimal step), then within r of
-        # the midpoint: the next bracket is at most tol_x * p wide. Once
-        # Newton has reached the root to f's rounding, the minimal step is
-        # its end-game: it crosses the root and closes a bracket tol_x/2 wide,
-        # so it skips the ball while the bracket is within its bound. Should
-        # it not cross, r < 0 from then on makes every step bisect, and the
-        # last bracket is at most 2 * tol_x wide.
+        # The secant point, at least tol_x/2 from x2 so that a root next to
+        # it gets bracketed (Brent's minimal step), then within r of the
+        # midpoint: the next bracket is at most tol_x * p wide.
         r, p = tol_x * p - 0.5 * w, 0.5 * p
-        if slope:
-            s = x2 - f2 / d2 if d2 != 0.0 else mid
-        else:
-            s = x2 - f2 * (x2 - x1) / (f2 - f1) if f2 != f1 else mid
+        s = x2 - f2 * (x2 - x1) / (f2 - f1) if f2 != f1 else mid
         if -least < s - x2 < least:
             s = x2 + copysign(least, mid - x2)
             if s == x2:
                 # tol_x/2 is under half an ulp of x2: step to the next float
                 s = math.nextafter(x2, mid)
-            if slope and r >= 0.0:
-                r = math.inf
         d = s - mid
         if d > r or d < -r:
             s = mid + copysign(r, d) if r > 0.0 else mid
         x = s if a < s < b else mid
-        if slope:
-            fx, dx = f(x)
-            if not (fx - fx) + (dx - dx) == 0.0:
-                raise DomainError(f"f({x!r}) returned a non-finite value {fx!r} or slope {dx!r}")
-        else:
-            fx = f(x)
-            if not fx - fx == 0.0:
-                raise DomainError(f"f({x!r}) returned a non-finite value {fx!r}")
+        fx = f(x)
+        if not fx - fx == 0.0:
+            raise DomainError(f"f({x!r}) returned a non-finite value {fx!r}")
         if -tol_f <= fx <= tol_f:
             return x
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
         else:
-            b, fb = x, fx
-        if not slope:
-            x1, f1 = x2, f2
-            x2, f2 = x, fx
-        elif (fx > 0.0) == (f2 > 0.0) or abs(fx) < abs(f2):
-            # x replaced x2 as a bracket end, or beats it at the other end
-            x2, f2, d2 = x, fx, dx
+            b = x
+        x1, f1 = x2, f2
+        x2, f2 = x, fx
 
     raise MaxIterationsError(
         f"no root to tolerance after {_MAX_ITER} evaluations; residual bracket [{a}, {b}]"
     )
-

@@ -454,11 +454,14 @@ def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
     Discretizing -psi'' = lambda*rho*psi on 4096 intervals and scaling by
     rho^(-1/2) gives a symmetric tridiagonal standard problem; the smallest
     k_max eigenvalues come from a direct tridiagonal solver. Apart from the
-    density itself, no code is shared with the shooting route. Its bisection
-    stops at an absolute 1e-13 (eps*||A|| grows like cosh^2 tau). Raises
-    DomainError where it fails (tau ~200 to ~354, and below tau ~1e-74, where
-    the eigenvalues' rounding exceeds 1e-13) or the matrix entries overflow
-    (1/rho beyond, the squared step near tau = 1e308).
+    density itself, no code is shared with the shooting route. The matrix
+    is formed without the 1/ds^2 factor, whose square would overflow at
+    small tau, and its eigenvalues mu = lambda*ds^2 are divided by ds twice.
+    The bisection stops at an absolute 1e-13 in lambda (eps*||A|| grows like
+    cosh^2 tau). Raises DomainError where it fails (tau ~200 to ~354), where
+    the matrix entries overflow (1/rho beyond tau ~354) and where the
+    eigenvalues leave the float range (lambda_k_max beyond the largest float
+    below tau ~1e-154, as in eigenvalues).
     """
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.
@@ -474,16 +477,26 @@ def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
     rho = _density(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_sqrt = 1.0 / np.sqrt(rho)
-        diag = 2.0 / (ds * ds * rho)
+        diag = 2.0 / rho
     if not np.all(np.isfinite(diag)):
         raise DomainError(f"the matrix entries overflow at tau={tau!r}")
-    off = -inv_sqrt[:-1] * inv_sqrt[1:] / (ds * ds)
+    off = -inv_sqrt[:-1] * inv_sqrt[1:]
     try:
-        return eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, k_max - 1), tol=1e-13
+        mu = eigh_tridiagonal(
+            diag,
+            off,
+            eigvals_only=True,
+            select="i",
+            select_range=(0, k_max - 1),
+            tol=1e-13 * ds * ds,
         )
     except LinAlgError as exc:
         raise DomainError(f"tridiagonal bisection fails at tau={tau!r}: {exc}") from None
+    with np.errstate(over="ignore"):
+        lams = mu / ds / ds
+    if not np.all(np.isfinite(lams)):
+        raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
+    return lams
 
 
 def negative_direction(tau: float) -> TestFunction:

@@ -3,7 +3,7 @@
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, Taylor series summed to convergence, simple finite
 differences, plain Simpson sums, a scalar step-by-step RK4 loop, and
-40-digit mpmath roots. None of it calls into soapfilm internals.
+40- and 50-digit mpmath roots. None of it calls into soapfilm internals.
 """
 
 import functools
@@ -229,6 +229,25 @@ def mpmath_constants():
 
         h_g = mpmath.findroot(area_excess, (mpmath.mpf(0.5), mpmath.mpf(0.55)), solver="anderson")
         return float(tau_star), float(tau_star / mpmath.cosh(tau_star)), float(h_g)
+
+
+def branch_root(log_h, lo, hi):
+    """The root of g(u) = log(h*cosh(e^u)) - u in [lo, hi] at 50 digits.
+
+    log h is taken as the float log_h exactly, as a branch solve is handed
+    it; mpmath's Anderson-Bjorck iteration keeps the bracket. Returns
+    (u, tau = e^u, g'(u) = tau*tanh(tau) - 1), each the float nearest its
+    50-digit value.
+    """
+    with mpmath.workdps(50):
+        log_h = mpmath.mpf(log_h)
+        u = mpmath.findroot(
+            lambda u: mpmath.log(mpmath.cosh(mpmath.exp(u))) - u + log_h,
+            (mpmath.mpf(lo), mpmath.mpf(hi)),
+            solver="anderson",
+        )
+        tau = mpmath.exp(u)
+        return float(u), float(tau), float(tau * mpmath.tanh(tau) - 1)
 
 
 # Frozen values produced by the helpers above.

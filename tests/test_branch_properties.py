@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from soapfilm import energetics, extremals
 from soapfilm.errors import ConvergenceFailureError, DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, critical_constants, solve_branches
-from soapfilm.rootfind import find_root_bracketed
 
-from oracles import H_STAR, TAU_STAR, richardson_diff
+from oracles import H_STAR, TAU_STAR, branch_root, richardson_diff
 
 # Closest approach to the fold that is still resolved as two branches.
 _FOLD_MARGIN = 2e-12
@@ -155,13 +154,6 @@ def test_closed_form_brackets_contain_the_root(h):
     assert lo2 <= math.log(upper.tau) <= hi2
 
 
-def _g_and_slope(u, log_h):
-    """_g and its slope t*tanh(t) - 1, formed as the solver forms them."""
-    t = math.exp(u)
-    e = math.exp(-2.0 * t)
-    return _g(u, log_h), t * (1.0 - e) / (1.0 + e) - 1.0
-
-
 # The branch solves' tolerances in u and in g.
 _TOL_X, _TOL_F = 1e-15, 2.3e-16
 
@@ -171,12 +163,15 @@ _BANDS = {
     "fold": _log_uniform(1e-12, 1e-4).map(lambda d: H_STAR - d),
 }
 
-# Most ulps by which (tau_1, tau_2) of the branch solve and of
-# find_root_bracketed differ on the same bracket, over 10**6 h per band; the
-# 5 is from h near 0.55, where tau_2's bracket changes form. Near the fold,
-# where g is flat, any u within its rounding is a root: there the two agree
-# to within the u over which g moves by 2 tol_f (at most 0.85 tol_f seen).
-_ULPS = {"bulk": (1, 5), "tiny": (0, 8)}
+# Most ulps by which (tau_1, tau_2) of the branch solve miss the exact root
+# (oracles.branch_root). Bulk: 67 and 68 over 220 000 h, 160 000 of them in
+# the band's top 2e-5, which holds the maxima: there |g'| is 0.021, and the
+# residual |g| <= 1.15 tol_f seen there allows at most 70. Tiny: 16 and 8
+# over 210 000 h; at tau_2 ~ 700 g's rounding is far above tol_f, so there
+# the miss is an ulp count, not a residual. Near the fold, where g is flat,
+# any u within its rounding is a root: there the miss is bounded by the u
+# over which g moves by 2 tol_f (at most 1.82 tol_f over 160 000 h).
+_ULPS = {"bulk": (70, 70), "tiny": (16, 8)}
 
 
 def _solve_in_u(log_h, lo, hi):
@@ -196,19 +191,17 @@ def _solve_in_u(log_h, lo, hi):
 
 @pytest.mark.parametrize("band", sorted(_BANDS))
 @given(data=st.data())
-def test_branch_solve_agrees_with_the_generic_root_finder(band, data):
+def test_branch_solve_matches_exact_roots(band, data):
     h = data.draw(_BANDS[band])
     if not h < critical_constants().h_star - 1e-12:
         return
     for i, (log_h, lo, hi) in enumerate(_brackets(h)):
         u, tau = _solve_in_u(log_h, lo, hi)
-        g = lambda x: _g_and_slope(x, log_h)
-        root = find_root_bracketed(g, lo, hi, tol_x=_TOL_X, tol_f=_TOL_F, slope=True)
-        oracle = math.exp(root)
+        root, exact, slope = branch_root(log_h, lo, hi)
         if band == "fold":
-            assert abs(u - root) * abs(g(root)[1]) <= 2.0 * _TOL_F
+            assert abs(u - root) * abs(slope) <= 2.0 * _TOL_F
         else:
-            assert abs(tau - oracle) <= _ULPS[band][i] * math.ulp(oracle)
+            assert abs(tau - exact) <= _ULPS[band][i] * math.ulp(exact)
         # the root finder's contract: |g| <= tol_f, or g changes sign
         # within tol_x of u, give or take its rounding
         reach = _TOL_X + 4.0 * math.ulp(u)

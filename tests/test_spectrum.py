@@ -465,6 +465,18 @@ def test_dense_solver_at_large_tau(tau):
     np.testing.assert_allclose(dense, eigenvalues(tau, 3).lambdas, rtol=1e-3, atol=0.0)
 
 
+@pytest.mark.parametrize("tau", [1e-74, 1e-100, 1e-150])
+def test_dense_solver_at_tiny_tau(tau):
+    # lambda_k ~ (k*pi/2/tau)^2/2 here, so an absolute 1e-13 in lambda is far
+    # below the rounding of a matrix scaled by 1/ds^2: stebz does not
+    # converge on it below tau ~1e-74. The 4096-interval discretization is
+    # 2e-7 off.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dense = dense_eigenvalues(tau, 2)
+    np.testing.assert_allclose(dense, eigenvalues(tau, 2).lambdas, rtol=1e-6, atol=0.0)
+
+
 def test_dense_solver_rejects_bad_input():
     with pytest.raises(DomainError):
         dense_eigenvalues(-1.0, 3)
