@@ -120,6 +120,66 @@ def test_non_finite_value_is_a_domain_error(bad, where):
         find_root_bracketed(f, -1.0, 2.0, **TOLS)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [4, 6])
+def test_non_finite_value_at_a_later_iterate_stops_the_solve(bad, n):
+    # f is non-finite at its n-th evaluation, the (n - 2)-th iterate; no
+    # iterate before it meets tol_f = 1e-300, and none after it is taken.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return bad if len(seen) == n else x * x - 2.0
+
+    with pytest.raises(DomainError):
+        find_root_bracketed(f, 1.0, 2.0, tol_x=1e-12, tol_f=1e-300)
+    assert len(seen) == n
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bound", [(1.4, 1.5, 7), (1.0, 2.0, 9), (0.0, 1e6, 32)], ids=["near", "unit", "wide"]
+)
+def test_end_game_closes_the_bracket_with_a_minimal_step(lo, hi, bound):
+    # No iterate meets tol_f = 1e-300, so the solve must end on a bracket:
+    # the secant steps reach sqrt(2) to within tol_x/2, and the minimal step
+    # of tol_x/2, rounded to the floats near sqrt(2), crosses it. From [0, 1e6] the secant points creep up the
+    # parabola and the shrinking ball around the midpoint pulls them in:
+    # 32 evaluations against bisection's 60.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 2.0
+
+    root = find_root_bracketed(f, lo, hi, tol_x=1e-12, tol_f=1e-300)
+    assert abs(root - math.sqrt(2.0)) <= 0.5e-12
+    assert len(seen) <= bound
+    last, before = seen[-1], seen[-2]
+    assert 0.0 < abs(last - before) <= 0.5e-12 + math.ulp(last)
+    assert (f(last) > 0.0) != (f(before) > 0.0)
+
+
+@settings(max_examples=200)
+@given(
+    root=st.floats(0.0, 1.0),
+    log_slope=st.floats(-6.0, 20.0),
+    log_tol_x=st.floats(-15.0, -3.0),
+)
+def test_a_line_of_any_slope_is_solved_to_within_tol_x(root, log_slope, log_tol_x):
+    # The returned point lies in the last bracket, at most tol_x wide, or
+    # meets tol_f; a line's root is bracketed wherever its sign changes.
+    slope, tol_x = 10.0**log_slope, 10.0**log_tol_x
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return slope * (x - root)
+
+    x = find_root_bracketed(f, 0.0, 1.0, tol_x=tol_x, tol_f=1e-300)
+    assert len(seen) - 2 <= math.ceil(math.log2(1.0 / tol_x)) + N0
+    assert abs(x - root) <= tol_x
+
+
 @pytest.mark.parametrize(
     "f, lo, hi, root",
     [
