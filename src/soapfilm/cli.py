@@ -87,8 +87,8 @@ def _emit(record: Dict, fmt: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(out, "wb") as handle:
+            handle.write(text.encode("utf-8"))
 
 
 def _run_solve(args) -> Tuple[Dict, Dict]:

@@ -1,21 +1,20 @@
 """Areas, the collapsed-film threshold, and the force between the rings.
 
 The two-disk (collapsed) configuration has total area 2*pi for unit rings.
-goldschmidt_constant finds the half-distance at which the stable catenoid's
-area crosses that value; force evaluates the attraction F = -4*pi*h/tau_1
-the film exerts on the rings, together with its h-derivative in closed form.
+goldschmidt_constant gives the half-distance at which the stable catenoid's
+area crosses that value, sqrt(W_0(1/e)) in closed form; force evaluates the
+attraction F = -4*pi*h/tau_1 the film exerts on the rings, together with its
+h-derivative in closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceFailureError, DomainError, NoExtremalError
-from .extremals import Extremal, _lower_branch, _Record, area_closed_form, critical_constants
-from .rootfind import find_root_bracketed
+from .errors import DomainError, NoExtremalError
+from .extremals import Extremal, _lower_branch, _Record, critical_constants
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,26 +56,25 @@ def area_quadrature(grid: np.ndarray, y: np.ndarray) -> float:
     return composite_simpson(integrand, dx)
 
 
-@functools.cache
 def goldschmidt_constant() -> float:
     """Half-distance where the stable catenoid's area equals the disks' 2*pi.
 
-    One bracketed secant solve of area_closed_form(lower(h)) = 2*pi on
-    [0.1, h_star], cached after the first call. The slope of the area is
-    dS/dh = -F(h) = 4*pi*h/tau_1: the ring force is minus the slope of the
-    area. Below the returned value the film beats the two flat disks; above
-    it the disks win even though the catenoid persists up to h_star. Raises
-    ConvergenceFailureError if the solved area misses 2*pi by more than
-    1e-10 (a bug, not a domain outcome).
+    In closed form h_G = sqrt(W_0(1/e)), W_0 the principal Lambert W
+    (DLMF 4.13). On the lower catenoid c = 1/cosh(tau_1) and h = tau_1*c, so
+    its area is 2*pi*(tanh(tau) + tau/cosh^2(tau)) at tau = tau_1. Equal to
+    2*pi, it gives 2*tau = 1 + exp(-2*tau), that is cosh(tau_G) =
+    tau_G*exp(tau_G); so h_G = exp(-tau_G) and h_G^2*exp(h_G^2) = 1/e.
+    w = W_0(1/e) solves w + ln(w) + 1 = 0: six Newton steps from 0.28 reach
+    its float, and h_G = sqrt(w) (exp(-tau_G) lands an ulp low). The slope
+    of the area is dS/dh = -F(h) = 4*pi*h/tau_1: the ring force is minus the
+    slope of the area. Below the returned value the film beats the two flat
+    disks; above it the disks win even though the catenoid persists up to
+    h_star.
     """
-
-    def excess(h: float) -> float:
-        return area_closed_form(_lower_branch(h)[0]) - math.tau
-
-    h_g = find_root_bracketed(excess, 0.1, critical_constants().h_star, tol_x=1e-15, tol_f=1e-15)
-    if not abs(excess(h_g)) <= 1e-10:
-        raise ConvergenceFailureError("threshold solve did not reach the disk area")
-    return h_g
+    w = 0.28
+    for _ in range(6):
+        w -= (w + math.log(w) + 1.0) / (1.0 + 1.0 / w)
+    return math.sqrt(w)
 
 
 class ForceSample(_Record, namedtuple("ForceSample", "h force dforce_dh")):

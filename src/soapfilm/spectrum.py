@@ -30,6 +30,10 @@ lambda_k. Because the ODE is linear, each RK4 step is a 2x2 matrix on
 comes out at every node in log2(n) batched passes (see _trajectory).
 dense_eigenvalues solves the same problem as a finite-difference matrix
 eigenproblem and serves as an independent check.
+
+negative_direction solves no eigenproblem: the Jacobi operator
+-d^2/ds^2 - 2/cosh^2 s of the form Q has the one-soliton potential, whose
+Dirichlet ground state is elementary (Poeschl & Teller 1933).
 """
 
 from __future__ import annotations
@@ -502,19 +506,54 @@ def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
 def negative_direction(tau: float) -> TestFunction:
     """A direction with negative quadratic form, available once tau > tau_star.
 
-    Returns the normalized ground eigenfunction psi_1(.; tau) at the default
-    step count; its form value is lambda_1 - 1 by the normalization, negative
-    exactly when tau exceeds tau_star. Raises DomainError unless
-    tau_star < tau and eigenvalues(tau, 1) accepts tau.
+    The Dirichlet ground state of -d^2/ds^2 - 2/cosh^2 s on [-tau, tau]:
+    psi = cosh(kappa*s) - tanh(s)*sinh(kappa*s)/kappa at energy -kappa^2,
+    kappa in (0, 1) the root of tanh(tau)*tanh(kappa*tau) = kappa, which
+    exists exactly when tau > tau_star. Newton steps from kappa = 1 fall
+    monotonically to it (the function is concave), and 1 - kappa comes from
+    the root condition without cancellation. With a = |s| the samples are
+    exp(-kappa*a) + (kappa - tanh a)*exp(kappa*a)*(-expm1(-2*kappa*a))/(2*kappa),
+    where (kappa - tanh a)*exp(kappa*a) = 2*exp((kappa - 2)*a)/(1 + exp(-2a))
+    - exp(log(1 - kappa) + kappa*a): nothing overflows, and the samples keep
+    their accuracy where kappa rounds to 1 (tau ~ 19 on). They lie on the
+    2049 nodes of [-tau, tau], scaled to unit weighted norm (weight
+    2/cosh^2 s). Raises DomainError unless tau_star + 1e-9 < tau and 2*tau
+    is finite, and ConvergenceFailureError if q_form(psi) is not negative.
     """
-    from .variation import q_form
+    import numpy as np
+
+    from .grids import TestFunction, composite_simpson
+    from .variation import _density, q_form
 
     tau_star = critical_constants().tau_star
-    if tau <= tau_star + 1e-9:
+    if not tau > tau_star + 1e-9:
         raise DomainError(
             f"tau={tau!r} does not exceed tau_star={tau_star!r}; no negative direction exists"
         )
-    psi = eigenvalues(tau, 1).eigenfunction(1)
+    dt = _check_problem(tau, _DEFAULT_STEPS)
+    u = math.exp(-2.0 * tau)
+    tanh_tau = math.tanh(tau)
+    kappa = 1.0
+    while True:
+        t = math.exp(-2.0 * kappa * tau)
+        # the slope in kappa: tau*tanh(tau)/cosh^2(kappa*tau) - 1
+        slope = 4.0 * tau * tanh_tau * t / (1.0 + t) ** 2 - 1.0
+        step = kappa - (tanh_tau * (1.0 - t) / (1.0 + t) - kappa) / slope
+        if not step < kappa:
+            break
+        kappa = step
+    # 1 - kappa = (1 - tanh(tau)) + tanh(tau)*(1 - tanh(kappa*tau))
+    gap = 2.0 * u / (1.0 + u) + tanh_tau * 2.0 * t / (1.0 + t)
+    grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
+    a = np.abs(grid)
+    # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
+    lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
+    if gap > 0.0:
+        lead -= np.exp(math.log(gap) + kappa * a)
+    values = np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
+    values[0] = values[-1] = 0.0
+    norm = composite_simpson(_density(grid) * values * values, dt)
+    psi = TestFunction(grid=grid, values=values / math.sqrt(norm))
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

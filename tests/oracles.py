@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, Taylor series summed to convergence, simple finite
-differences, plain Simpson sums, a scalar step-by-step RK4 loop, and
-40- and 50-digit mpmath roots. None of it calls into soapfilm internals.
+differences, plain Simpson sums, a scalar step-by-step RK4 loop, a Sturm
+count bisection, and 40- and 50-digit mpmath roots and closed forms. None
+of it calls into soapfilm internals.
 """
 
 import functools
@@ -229,6 +230,67 @@ def mpmath_constants():
 
         h_g = mpmath.findroot(area_excess, (mpmath.mpf(0.5), mpmath.mpf(0.55)), solver="anderson")
         return float(tau_star), float(tau_star / mpmath.cosh(tau_star)), float(h_g)
+
+
+@functools.cache
+def lambert_goldschmidt():
+    """h_G = sqrt(W_0(1/e)), W_0 the principal Lambert W, as the double nearest its 50-digit value."""
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.lambertw(1 / mpmath.e)))
+
+
+def jacobi_ground_energy(tau, intervals=4000):
+    """Lowest Dirichlet eigenvalue of -d^2/ds^2 - 2/cosh^2 s on [-tau, tau], by finite differences.
+
+    The 3-point Laplacian on equal steps ds makes a symmetric tridiagonal
+    matrix, diagonal 2/ds^2 - 2/cosh^2 s and off-diagonal -1/ds^2; its
+    lowest eigenvalue, which carries an O(ds^2) error, is bisected on the
+    Sturm count (the negative pivots of the matrix less x) between the
+    Gershgorin bounds -2 and 4/ds^2.
+    """
+    ds = 2.0 * tau / intervals
+    inv = 1.0 / (ds * ds)
+    diag = [2.0 * inv - _string_density(-tau + i * ds) for i in range(1, intervals)]
+
+    def below(x):
+        """The number of eigenvalues below x, less 1/2."""
+        count, pivot = 0, 1.0
+        for i, d in enumerate(diag):
+            pivot = d - x - (inv * inv / pivot if i else 0.0)
+            if pivot == 0.0:
+                pivot = -1e-300
+            count += pivot < 0.0
+        return count - 0.5
+
+    return bisect60(below, -2.0, 4.0 * inv)
+
+
+def soliton_ground_state(tau, grid):
+    """cosh(k s) - tanh(s) sinh(k s)/k at the float nodes grid, scaled to unit weighted norm.
+
+    k in (0, 1) is the root of tanh(tau) tanh(k tau) = k, by mpmath's
+    Anderson-Bjorck iteration on [0.05, 1], and the scale is the plain
+    Simpson sum of (2/cosh^2 s) psi^2 on the same nodes; all at 50 digits
+    and more, as the samples near +-tau cancel about tau/ln(10) of them.
+    Returns (k, the samples) as floats; the end samples are exactly 0.
+    """
+    with mpmath.workdps(50 + int(tau)):
+        t = mpmath.tanh(mpmath.mpf(tau))
+        k = mpmath.findroot(
+            lambda k: t * mpmath.tanh(k * tau) - k,
+            (mpmath.mpf(0.05), mpmath.mpf(1)),
+            solver="anderson",
+        )
+        s = [mpmath.mpf(float(x)) for x in grid]
+        psi = [mpmath.cosh(k * x) - mpmath.tanh(x) * mpmath.sinh(k * x) / k for x in s]
+        psi[0] = psi[-1] = mpmath.mpf(0)
+        weighted = [2 / mpmath.cosh(x) ** 2 * p * p for x, p in zip(s, psi)]
+        dx = (s[-1] - s[0]) / (len(s) - 1)
+        norm = dx / 3 * (
+            weighted[0] + 4 * mpmath.fsum(weighted[1:-1:2])
+            + 2 * mpmath.fsum(weighted[2:-1:2]) + weighted[-1]
+        )
+        return float(k), np.array([float(p / mpmath.sqrt(norm)) for p in psi])
 
 
 def branch_root(log_h, lo, hi):

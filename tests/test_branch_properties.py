@@ -1,6 +1,7 @@
 """Properties of the branch solves and the ring force over their whole domain."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -96,17 +97,31 @@ def test_force_solves_branches_once(h):
     assert taus == [solve_branches(h)[0].tau]
 
 
-@pytest.mark.parametrize("h", [1e-300, 0.01, 0.3, H_STAR - 1e-10])
-def test_branch_solves_make_no_generic_root_finder_call(monkeypatch, h):
-    critical_constants()
+def _refuse_root_finder(monkeypatch):
+    """Make find_root_bracketed raise wherever a soapfilm module binds it."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("find_root_bracketed called")
 
-    for module in (extremals, energetics):
-        monkeypatch.setattr(module, "find_root_bracketed", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("soapfilm") and hasattr(module, "find_root_bracketed"):
+            monkeypatch.setattr(module, "find_root_bracketed", refuse)
+
+
+@pytest.mark.parametrize("h", [1e-300, 0.01, 0.3, H_STAR - 1e-10])
+def test_branch_solves_make_no_generic_root_finder_call(monkeypatch, h):
+    critical_constants()
+    _refuse_root_finder(monkeypatch)
     solve_branches(h)
     energetics.force(h)
+
+
+def test_goldschmidt_constant_makes_no_root_finder_call(monkeypatch):
+    # sqrt(W_0(1/e)) by its own six Newton steps: energetics does not even
+    # import the root finder
+    assert not hasattr(energetics, "find_root_bracketed")
+    _refuse_root_finder(monkeypatch)
+    assert energetics.goldschmidt_constant() == 0.5276973969625716
 
 
 def _g(u, log_h):

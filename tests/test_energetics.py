@@ -20,7 +20,7 @@ from soapfilm.extremals import (
 )
 from soapfilm.spectrum import eigenvalues
 
-from oracles import H_STAR, R_AT_1, central_diff, mpmath_constants
+from oracles import H_STAR, R_AT_1, central_diff, lambert_goldschmidt, mpmath_constants
 
 
 def _catenoid_samples(e, n):
@@ -87,7 +87,8 @@ def test_scaled_area_values():
 def test_goldschmidt_constant():
     h_g = goldschmidt_constant()
     np.testing.assert_allclose(h_g, 0.5277, rtol=0.0, atol=1e-4)
-    np.testing.assert_allclose(h_g, mpmath_constants()[2], rtol=2e-15, atol=0.0)
+    # the closed form sqrt(W_0(1/e)) rounds to the root of the area condition
+    assert h_g == lambert_goldschmidt() == mpmath_constants()[2]
     assert h_g < critical_constants().h_star
     lower, _ = solve_branches(h_g)
     np.testing.assert_allclose(area_closed_form(lower), math.tau, rtol=0.0, atol=1e-10)

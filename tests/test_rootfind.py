@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soapfilm import energetics, extremals
+from soapfilm import extremals
 from soapfilm.errors import DomainError
 from soapfilm.rootfind import find_root_bracketed
 
@@ -311,8 +311,7 @@ def _evaluations(monkeypatch, call):
 
         return solve(g, lo, hi, **tols)
 
-    for module in (extremals, energetics):
-        monkeypatch.setattr(module, "find_root_bracketed", counting)
+    monkeypatch.setattr(extremals, "find_root_bracketed", counting)
     code, lines = extremals._solve_branch.__code__, _branch_g_lines()
 
     def in_branch_solve(frame, event, arg):
@@ -330,13 +329,13 @@ def _evaluations(monkeypatch, call):
 
 
 # caller -> (call, bound). Bounds are the counts once measured with every
-# solve in find_root_bracketed, the two constants by Newton steps, plus
-# 25 %: 6, 11, 7, 8 and 47 (the last over the lower-branch solves at its
-# iterates and its own solve). The constants now take secant steps, 7 and
-# 54 evaluations. The branch solves' own Newton loop makes 11, 6 and 8: at
-# 1e-300 u_1 is near -690, where an ulp (1.1e-13) exceeds tol_x, and Newton
-# lands on u_1's float at once; the next Newton point rounds back to it,
-# which ends the solve without a minimal step across it.
+# solve in find_root_bracketed, the constant by Newton steps, plus 25 %:
+# 6, 11, 7 and 8. critical_constants now takes secant steps, 7 evaluations.
+# The branch solves' own Newton loop makes 11, 6 and 8: at 1e-300 u_1 is
+# near -690, where an ulp (1.1e-13) exceeds tol_x, and Newton lands on u_1's
+# float at once; the next Newton point rounds back to it, which ends the
+# solve without a minimal step across it. goldschmidt_constant solves no
+# equation of the problem: it takes Newton steps on the Lambert W equation.
 CALLERS = {
     "critical_constants": (lambda: extremals.critical_constants.__wrapped__(), 7),
     "solve_branches(0.3)": (lambda: extremals.solve_branches(0.3), 13),
@@ -345,7 +344,6 @@ CALLERS = {
         lambda: extremals.solve_branches(extremals.critical_constants().h_star - 1e-10),
         10,
     ),
-    "goldschmidt_constant": (lambda: energetics.goldschmidt_constant.__wrapped__(), 58),
 }
 
 

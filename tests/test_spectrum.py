@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soapfilm import spectrum
@@ -16,17 +16,19 @@ from soapfilm.spectrum import (
     negative_direction,
     shoot,
 )
-from soapfilm.variation import mu
+from soapfilm.variation import mu, q_form
 
 from fresh import loads
 from oracles import (
     TAU_STAR,
     characteristic_pair,
     discrete_eigenvalue,
+    jacobi_ground_energy,
     legendre_characteristic,
     legendre_pins,
     rayleigh_quotient,
     rk4_sweep,
+    soliton_ground_state,
     string_eigenvalue,
 )
 
@@ -439,7 +441,65 @@ def test_negative_direction_below_unit_eigenvalue():
     weight = 2.0 / np.cosh(psi.grid) ** 2
     norm = composite_simpson(weight * psi.values**2, psi.spacing)
     np.testing.assert_allclose(norm, 1.0, rtol=0.0, atol=1e-8)
-    np.testing.assert_allclose(rayleigh_quotient(psi), 0.4315727457719324, rtol=1e-5)
+    # psi solves the Jacobi equation psi'' + (2/cosh^2 s) psi = kappa^2 psi,
+    # so with unit weighted norm integral psi'^2 = 1 - kappa^2 * integral
+    # psi^2: the string Rayleigh quotient lies below 1 by kappa^2 times the
+    # plain norm, and above lambda_1 = 0.43157, which psi_1 alone attains.
+    kappa = soliton_ground_state(2.0, psi.grid)[0]
+    plain = composite_simpson(psi.values**2, psi.spacing)
+    dx2 = psi.spacing**2
+    np.testing.assert_allclose(rayleigh_quotient(psi), 1.0 - kappa**2 * plain, rtol=0.0, atol=dx2)
+    np.testing.assert_allclose(q_form(psi), -(kappa**2) * plain, rtol=0.0, atol=dx2)
+    assert eigenvalues(2.0, 1).lambdas[0] < rayleigh_quotient(psi) < 1.0
+
+
+@pytest.mark.parametrize("tau", [1.3, 2.0, 5.0, 10.0])
+def test_negative_direction_energy_matches_finite_differences(tau):
+    # the form per plain norm is the ground energy -kappa^2 up to the O(dx^2)
+    # error of the sampled derivative (measured at most 0.71*dx^2); the
+    # oracle's own error on 4 000 intervals is about 0.05*dx^2
+    psi = negative_direction(tau)
+    ratio = q_form(psi) / composite_simpson(psi.values**2, psi.spacing)
+    assert abs(ratio - jacobi_ground_energy(tau)) <= psi.spacing**2
+
+
+@pytest.mark.parametrize("tau", [TAU_STAR + 1e-3, 1.21, 1.3, 2.0, 5.0, 10.0, 18.5, 19.0, 20.0, 30.0])
+def test_negative_direction_samples_match_mpmath(tau):
+    # kappa rounds to 1 from tau ~ 19 on, where 1 - kappa and the products
+    # with exp(kappa*|s|) come from the root condition and from logs;
+    # measured at most 4e-16
+    psi = negative_direction(tau)
+    want = soliton_ground_state(tau, psi.grid)[1]
+    assert np.max(np.abs(psi.values - want)) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(log_tau=st.floats(math.log(1e-3), math.log(300.0)))
+@example(log_tau=math.log(TAU_STAR + 2e-9))
+@example(log_tau=math.log(TAU_STAR - 2e-9))
+@example(log_tau=math.log(300.0))
+def test_negative_direction_exists_exactly_below_unit_eigenvalue(log_tau):
+    # Jacobi's index duality: the form has a negative direction on
+    # [-tau, tau] exactly where the string's lambda_1 falls below 1
+    tau = math.exp(log_tau)
+    assume(abs(tau - TAU_STAR) > 1e-9)
+    below = eigenvalues(tau, 1).lambdas[0] < 1.0
+    try:
+        psi = negative_direction(tau)
+    except DomainError:
+        assert not below
+    else:
+        assert below and q_form(psi) < 0.0
+
+
+def test_negative_direction_solves_no_string_eigenproblem(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("string eigenproblem solved")
+
+    for name in ("eigenvalues", "_trajectory", "shoot"):
+        monkeypatch.setattr(spectrum, name, refuse)
+    monkeypatch.setattr(spectrum.StringSpectrum, "eigenfunction", refuse)
+    assert q_form(negative_direction(2.0)) < 0.0
 
 
 def test_negative_direction_requires_supercritical_tau():

@@ -59,7 +59,7 @@ def test_q_form_signs_by_interval_width():
             c * np.sin((k + 1) * np.pi * (s + 0.8) / 1.6) for k, c in enumerate(coeffs)
         )
         assert q_form(TestFunction.sample(fn, 0.8, 513)) > 0.0
-    # Wide interval: the ground direction of the string problem is negative.
+    # Wide interval: the ground state of the Jacobi operator is negative.
     psi_neg = negative_direction(2.0)
     assert q_form(psi_neg) < 0.0
 
