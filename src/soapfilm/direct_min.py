@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .extremals import profile as catenoid_profile
 from .extremals import _Record, solve_branches
 from .grids import check_uniform_grid
@@ -306,15 +306,15 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
-    Raises DomainError unless 0 < 2h < inf, n >= 64 and 1e-7 <= dx <= 1,
-    whatever the starting profile: on a finer grid the rounding of the radii
-    alone exceeds the gradient tolerance, and on a grid coarser than the
-    ring radius the end cones are no stand-in for the disks.
+    Raises DomainError unless 0 < 2h < inf, n is an integer >= 64 and
+    1e-7 <= dx <= 1, whatever the starting profile: on a finer grid the
+    rounding of the radii alone exceeds the gradient tolerance, and on a
+    grid coarser than the ring radius the end cones are no stand-in for the
+    disks.
     """
     if not 0.0 < 2.0 * h < math.inf:
         raise DomainError(f"half-distance must be positive with 2*h finite, got {h!r}")
-    if n < 64:
-        raise DomainError(f"need at least 64 samples, got {n!r}")
+    n = _count("n", n, 64)
     if not _DX_MIN <= 2.0 * h / (n - 1) <= _DX_MAX:
         raise DomainError(
             f"grid spacing 2h/(n-1) must be in [{_DX_MIN!r}, {_DX_MAX!r}]; h={h!r}, n={n!r}"

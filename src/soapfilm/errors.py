@@ -1,14 +1,17 @@
 """Exception types shared across the library.
 
-DomainError means bad input; MaxIterationsError and ConvergenceFailureError
-mean the library failed; NoExtremalError is the problem's outcome above h_star.
+DomainError means bad input; ConvergenceFailureError means the library
+failed; NoExtremalError is the problem's outcome above h_star. _count turns
+a count argument that is not one into a DomainError.
 """
+
+import operator
+from typing import Optional
 
 __all__ = [
     "SoapFilmError",
     "DomainError",
     "NoExtremalError",
-    "MaxIterationsError",
     "ConvergenceFailureError",
 ]
 
@@ -36,9 +39,21 @@ class NoExtremalError(SoapFilmError):
         )
 
 
-class MaxIterationsError(SoapFilmError):
-    """An iteration budget was exhausted before a tolerance was met."""
-
-
 class ConvergenceFailureError(SoapFilmError):
     """A search that must succeed for well-posed inputs did not; signals a bug."""
+
+
+def _count(name: str, value, least: int, most: Optional[int] = None) -> int:
+    """value as operator.index reads it, if that is an integer in least..most.
+
+    ints, bools and numpy integers pass; anything else, a float or a string
+    included, and any count out of range raise DomainError.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least or (most is not None and count > most):
+        span = f"at least {least}" if most is None else f"in {least}..{most}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return count

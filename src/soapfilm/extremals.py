@@ -12,13 +12,12 @@ h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
 and none beyond it. Either branch parameter is one bracketed solve of
 log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold. Its
 slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so each solve
-is a Newton loop of its own that evaluates both inline; the secant solver
-find_root_bracketed, with its callback per evaluation, solves here only
-for tau_star, the root of mu. Each branch solve starts from a closed-form
-bracket: h cosh(h) below tau_1, tau_star below tau_2, and above them the
-fold offsets of the quadratic log(h/h_star) + tau_star**2 (u - u*)**2 / 2
-or, far from the fold, iterates of tau -> log(2 tau / h), which stay above
-tau_2.
+is a Newton loop of its own that evaluates both inline, and tau_star, the
+root of mu, is three Newton steps taken when the module loads. Each branch
+solve starts from a closed-form bracket: h cosh(h) below tau_1, tau_star
+below tau_2, and above them the fold offsets of the quadratic
+log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the fold, iterates
+of tau -> log(2 tau / h), which stay above tau_2.
 
 _Record, the base of CriticalConstants, Extremal and every other record in
 the package, makes each an immutable named tuple that validates whenever it
@@ -28,13 +27,11 @@ is built, by _replace too.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
-from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -165,18 +162,25 @@ class CriticalConstants(_Record, namedtuple("CriticalConstants", "tau_star h_sta
         return tuple.__new__(cls, (tau_star, h_star))
 
 
-@functools.cache
-def critical_constants() -> CriticalConstants:
-    """Solve for the critical constants once; later calls reuse the result.
+def _solve_critical() -> CriticalConstants:
+    """Three Newton steps on mu(tau) = 1 - tau*tanh(tau) from 1.2.
 
-    The cache is initialize-once/read-many: concurrent first calls may both
-    compute, but they produce identical values.
+    mu'' = -2*mu*sech(tau)**2 vanishes at the root, so the steps converge
+    cubically: the third leaves unchanged the float nearest the root.
     """
+    tau = 1.2
+    for _ in range(3):
+        tanh = math.tanh(tau)
+        tau += (1.0 - tau * tanh) / (tanh + tau * (1.0 - tanh * tanh))
+    return CriticalConstants(tau_star=tau, h_star=tau / math.cosh(tau))
 
-    tau_star = find_root_bracketed(
-        lambda tau: 1.0 - tau * math.tanh(tau), 1.0, 1.5, tol_x=1e-15, tol_f=1e-16
-    )
-    return CriticalConstants(tau_star=tau_star, h_star=tau_star / math.cosh(tau_star))
+
+_CRITICAL = _solve_critical()
+
+
+def critical_constants() -> CriticalConstants:
+    """The critical constants, solved once when the module loads."""
+    return _CRITICAL
 
 
 class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
@@ -198,7 +202,7 @@ class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
             raise DomainError(f"boundary condition violated: log(c*cosh(h/c)) = {residual!r}")
         if not abs(h / c / tau - 1.0) <= 1e-9:
             raise DomainError(f"tau = {tau!r} differs from h/c = {h / c!r}")
-        tau_star = critical_constants().tau_star
+        tau_star = _CRITICAL.tau_star
         if branch is Branch.LOWER and tau > tau_star + 1e-9:
             raise DomainError("lower-branch parameter exceeds tau_star")
         if branch is Branch.UPPER and tau < tau_star - 1e-9:
@@ -280,7 +284,7 @@ def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, floa
     """
     if not h >= _H_MIN:
         raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
-    cc = critical_constants()
+    cc = _CRITICAL
     if abs(h - cc.h_star) <= _CRITICAL_TOL:
         return Extremal(h=h, tau=cc.tau_star, c=h / cc.tau_star, branch=Branch.LOWER), None
     if h > cc.h_star:
@@ -326,7 +330,7 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
 
 def critical_extremal() -> Extremal:
     """The degenerate catenoid at the critical half-distance."""
-    cc = critical_constants()
+    cc = _CRITICAL
     return Extremal(h=cc.h_star, tau=cc.tau_star, c=cc.h_star / cc.tau_star, branch=Branch.LOWER)
 
 
@@ -376,7 +380,7 @@ def small_h_asymptotics(h: float) -> Tuple[float, float]:
     branches are far apart and the ratios are meaningful; raises DomainError
     otherwise, and below h = 1e-307 as solve_branches does.
     """
-    cc = critical_constants()
+    cc = _CRITICAL
     if not (0.0 < h < cc.h_star / 10.0):
         raise DomainError(f"asymptotic regime needs 0 < h < {cc.h_star / 10.0}, got {h!r}")
     lower, upper = solve_branches(h)

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .extremals import _Record
 
 if TYPE_CHECKING:
@@ -141,10 +141,12 @@ class TestFunction(_Record, namedtuple("TestFunction", "grid values")):
 
         The clamp removes the roundoff residue of functions that vanish at the
         endpoints only up to floating-point error. Raises DomainError unless
-        0 < 2*halfwidth < inf, and wherever the constructor does.
+        0 < 2*halfwidth < inf and n is an integer >= 16, and wherever the
+        constructor does.
         """
         if not 0.0 < 2.0 * halfwidth < math.inf:
             raise DomainError(f"need 0 < 2*halfwidth < inf, got halfwidth={halfwidth!r}")
+        n = _count("n", n, 16)
         import numpy as np
         grid = np.linspace(-halfwidth, halfwidth, n)
         values = np.asarray(fn(grid), dtype=float).copy()

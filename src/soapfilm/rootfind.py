@@ -1,19 +1,20 @@
 """Deterministic bracketed scalar root finding.
 
-The critical parameter, eigenvalue refinement and the Goldschmidt constant
-are solved through `find_root_bracketed`. The branch parameters are not:
-their equation is convex, so extremals._solve_branch runs a plain bracketed
-Newton loop with the function written inline, which costs less than this
-solver's callback and safeguards. Each iteration here proposes the secant
-point of the two most recent evaluations. The point is kept at least
-tol_x/2, and at least one float, from the latest evaluation (Brent's
-minimal step), so that a root next to it gets bracketed, then projected as
-in the ITP method (Oliveira & Takahashi, ACM TOMS 47(1), 2021) onto a ball
-around the bracket midpoint that shrinks so the bracket reaches tol_x
-within 4 evaluations of bisection's count; a point outside the bracket is
-replaced by the midpoint. The iteration uses no randomness and no global
-state, so repeated calls with the same inputs return bit-identical results.
-Any input the solver cannot work on, a bracket included, is a DomainError.
+`find_root_bracketed` refines the string eigenvalues. The scalar solves do
+without it: the branch equation is convex, so extremals._solve_branch runs
+a plain bracketed Newton loop with the function written inline, which costs
+less than this solver's callback and safeguards, and tau_star and the
+Goldschmidt constant are a few Newton steps each. Each iteration here
+proposes the secant point of the two most recent evaluations. The point is
+kept at least tol_x/2, and at least one float, from the latest evaluation
+(Brent's minimal step), so that a root next to it gets bracketed, then
+projected as in the ITP method (Oliveira & Takahashi, ACM TOMS 47(1), 2021)
+onto a ball around the bracket midpoint that shrinks so the bracket reaches
+tol_x within 4 evaluations of bisection's count; a point outside the
+bracket is replaced by the midpoint. The iteration uses no randomness and
+no global state, so repeated calls with the same inputs return
+bit-identical results. Any input the solver cannot work on, a bracket
+included, is a DomainError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import DomainError, MaxIterationsError
+from .errors import ConvergenceFailureError, DomainError
 
 __all__ = ["find_root_bracketed"]
 
@@ -62,7 +63,7 @@ def find_root_bracketed(
         DomainError: lo < hi fails or an end is not finite (NaN included), a
             tolerance is not positive, the bracket is too wide for tol_x, f
             has the same sign at both ends, or f returned a non-finite value.
-        MaxIterationsError: the evaluation budget ran out before either
+        ConvergenceFailureError: the evaluation budget ran out before either
             tolerance was met; the width bound rules this out, so it is a bug.
     """
     if not -math.inf < lo < hi < math.inf:
@@ -127,6 +128,6 @@ def find_root_bracketed(
         x1, f1 = x2, f2
         x2, f2 = x, fx
 
-    raise MaxIterationsError(
+    raise ConvergenceFailureError(
         f"no root to tolerance after {_MAX_ITER} evaluations; residual bracket [{a}, {b}]"
     )

@@ -43,7 +43,7 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
-from .errors import ConvergenceFailureError, DomainError
+from .errors import ConvergenceFailureError, DomainError, _count
 from .extremals import _Record, critical_constants
 from .rootfind import find_root_bracketed
 
@@ -81,8 +81,7 @@ def _check_problem(tau: float, n: int) -> float:
     """Validate the interval and the step count; return the step dt = 2*tau/n."""
     if not 0.0 < 2.0 * tau < math.inf:
         raise DomainError(f"half-interval must be positive with 2*tau finite, got {tau!r}")
-    if n < _MIN_STEPS:
-        raise DomainError(f"need at least {_MIN_STEPS} integration steps, got {n!r}")
+    n = _count("n", n, _MIN_STEPS)
     dt = 2.0 * tau / n
     if dt < sys.float_info.min:
         raise DomainError(f"step 2*tau/n = {dt!r} is subnormal at tau={tau!r}")
@@ -131,9 +130,9 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     Fixed-step RK4, one forward sweep over the n steps of [-tau, tau];
     deterministic for given (tau, lam, n). For lam <= 0 every step matrix is
     entrywise non-negative, so psi > 0 after the first step and the count is
-    0. Raises DomainError unless 0 < 2*tau < inf, dt = 2*tau/n is a normal
-    float, lam is finite and n >= 256, and where psi overflows (lam far
-    beyond RK4's stability bound 4/dt^2, or far below 0).
+    0. Raises DomainError unless 0 < 2*tau < inf, n is an integer >= 256,
+    dt = 2*tau/n is a normal float and lam is finite, and where psi
+    overflows (lam far beyond RK4's stability bound 4/dt^2, or far below 0).
     """
     import numpy as np
 
@@ -150,50 +149,57 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     return dt * float(psi[-1]), int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-class StringSpectrum(_Record, namedtuple("StringSpectrum", "tau lambdas n")):
-    """First eigenvalues of the string problem; eigenfunctions on request at n steps.
+class StringSpectrum(_Record, namedtuple("StringSpectrum", "tau lambdas")):
+    """First eigenvalues of the string problem; eigenfunctions on request at 2048 steps.
 
     lambdas is a tuple of floats, positive and strictly increasing.
     """
 
     __slots__ = ()
 
-    def __new__(cls, tau: float, lambdas: Tuple[float, ...], n: int) -> StringSpectrum:
+    def __new__(cls, tau: float, lambdas: Tuple[float, ...]) -> StringSpectrum:
         lambdas = tuple(map(float, lambdas))
         if not all(lam > 0.0 for lam in lambdas):
             raise DomainError("string eigenvalues must be positive")
         if not all(a < b for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("string eigenvalues must be strictly increasing")
-        return tuple.__new__(cls, (tau, lambdas, n))
+        return tuple.__new__(cls, (tau, lambdas))
 
     def eigenfunction(self, k: int) -> TestFunction:
-        """psi_k at the n+1 nodes of [-tau, tau]: the RK4 trajectory at lambda_k.
+        """psi_k at the 2049 nodes of [-tau, tau]: the RK4 trajectory at lambda_k.
 
         Normalized to unit weighted norm (weight 2/cosh^2 s) with
-        psi'(-tau) > 0; one forward sweep from -tau, as in shoot. Raises
-        DomainError unless 1 <= k <= len(lambdas), shoot accepts (tau, n),
-        and lambda_k*dt^2 <= 3 with dt = 2*tau/n: RK4's phase per step
-        reaches pi at lambda*dt^2*rho = 6, short of its stability bound 8,
-        so n steps cannot resolve psi_k beyond.
+        psi'(-tau) > 0; one forward sweep of 2048 steps from -tau, as in
+        shoot. Raises DomainError unless 1 <= k <= len(lambdas), shoot
+        accepts tau, and lambda_k*dt^2 <= 3 with dt = 2*tau/2048: RK4's
+        phase per step reaches pi at lambda*dt^2*rho = 6, short of its
+        stability bound 8, so 2048 steps cannot resolve psi_k beyond.
         """
-        import numpy as np
-
-        from .grids import TestFunction, composite_simpson
-        from .variation import _density
-
         if k not in range(1, len(self.lambdas) + 1):
             raise DomainError(f"k must be in 1..{len(self.lambdas)}, got {k!r}")
-        tau, n = self.tau, self.n
-        dt = _check_problem(tau, n)
+        tau = self.tau
+        dt = _check_problem(tau, _DEFAULT_STEPS)
         lam = self.lambdas[k - 1]
         if lam * dt * dt > 3.0:
-            raise DomainError(f"{n} steps cannot resolve eigenfunction {k} at tau={tau!r}")
+            raise DomainError(
+                f"{_DEFAULT_STEPS} steps cannot resolve eigenfunction {k} at tau={tau!r}"
+            )
         # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
-        values = _trajectory(tau, lam, n)
-        values[-1] = 0.0
-        grid = np.linspace(-tau, tau, n + 1)
-        norm = composite_simpson(_density(grid) * values * values, dt)
-        return TestFunction(grid=grid, values=values / math.sqrt(norm))
+        return _unit_direction(tau, dt, lambda grid: _trajectory(tau, lam, _DEFAULT_STEPS))
+
+
+def _unit_direction(tau: float, dt: float, values_at: Callable) -> TestFunction:
+    """values_at(grid) on the 2049 nodes of [-tau, tau], ends zeroed, at unit weighted norm."""
+    import numpy as np
+
+    from .grids import TestFunction, composite_simpson
+    from .variation import _density
+
+    grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
+    values = values_at(grid)
+    values[0] = values[-1] = 0.0
+    norm = composite_simpson(_density(grid) * values * values, dt)
+    return TestFunction(grid=grid, values=values / math.sqrt(norm))
 
 
 def _digamma(x: float) -> float:
@@ -342,7 +348,7 @@ def _degree(root: float) -> float:
     return root * (4.0 * root / (math.hypot(1.0, math.sqrt(8.0) * root) + 1.0))
 
 
-def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectrum:
+def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     """First k_max Dirichlet eigenvalues, the roots of the Legendre characteristic functions.
 
     lambda_k = nu*(nu+1)/2 is the root in nu of psi_e(tau) for odd k and of
@@ -366,7 +372,7 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     eigenvalues, because successive nu_k lie more than 1 apart (the tests
     check this for k <= 8 and tau in [1e-2, 300]); so the signs there give
     N itself. Bisection then narrows each bracket to counts k-2 or k-1 and
-    k or k+1 at its ends. n is used only by eigenfunction(k).
+    k or k+1 at its ends.
 
     Accuracy: lambda_k is within 1e-13 relative of the exact eigenvalue for
     k <= 5 and tau in [0.05, 300] (the tests check this against 50-digit
@@ -374,18 +380,15 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
     within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ 1e-3, where
     the recurrence would take over 1e4 steps, k from 8 to 14 lose up to 1e-9.
 
-    Raises DomainError unless 0 < tau < inf, k_max >= 1 and n >= 256, where
-    the eigenvalues leave the float range (lambda_1 below the least normal
-    float from tau ~ 1e307, lambda_k_max beyond the largest float below
-    tau ~ 1e-154), and where no evaluation reaches that precision
+    Raises DomainError unless 0 < tau < inf and k_max is an integer >= 1,
+    where the eigenvalues leave the float range (lambda_1 below the least
+    normal float from tau ~ 1e307, lambda_k_max beyond the largest float
+    below tau ~ 1e-154), and where no evaluation reaches that precision
     (k_max >= 15 below tau ~ 2e-3).
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
-    if k_max < 1:
-        raise DomainError(f"k_max must be at least 1, got {k_max!r}")
-    if n < _MIN_STEPS:
-        raise DomainError(f"need at least {_MIN_STEPS} integration steps, got {n!r}")
+    k_max = _count("k_max", k_max, 1)
     a = math.pi / math.sqrt(8.0) / tau
     root_floor = max(a, 1.0 / math.sqrt(2.0 * tau) / math.sqrt(math.tanh(tau)))
     if not sys.float_info.min <= 0.5 * root_floor * root_floor < math.inf:
@@ -449,7 +452,7 @@ def eigenvalues(tau: float, k_max: int, n: int = _DEFAULT_STEPS) -> StringSpectr
             lo, n_lo = hi, n_hi
     if lams[-1] == math.inf:
         raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
-    return StringSpectrum(tau=tau, lambdas=lams, n=n)
+    return StringSpectrum(tau=tau, lambdas=lams)
 
 
 def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
@@ -462,11 +465,14 @@ def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
     is formed without the 1/ds^2 factor, whose square would overflow at
     small tau, and its eigenvalues mu = lambda*ds^2 are divided by ds twice.
     The bisection stops at an absolute 1e-13 in lambda (eps*||A|| grows like
-    cosh^2 tau). Raises DomainError where it fails (tau ~200 to ~354), where
-    the matrix entries overflow (1/rho beyond tau ~354) and where the
+    cosh^2 tau). Raises DomainError unless k_max is an integer from 1 to
+    the matrix's 4095 rows, where the bisection fails (tau ~200 to ~354),
+    where the matrix entries overflow (1/rho beyond tau ~354) and where the
     eigenvalues leave the float range (lambda_k_max beyond the largest float
     below tau ~1e-154, as in eigenvalues).
     """
+    ds = _check_problem(tau, _DENSE_INTERVALS)
+    k_max = _count("k_max", k_max, 1, _DENSE_INTERVALS - 1)
     # Deferred: scipy.linalg is most of the import time of the package, and
     # only this oracle needs it.
     import numpy as np
@@ -474,9 +480,6 @@ def dense_eigenvalues(tau: float, k_max: int) -> np.ndarray:
 
     from .variation import _density
 
-    ds = _check_problem(tau, _DENSE_INTERVALS)
-    if k_max < 1:
-        raise DomainError(f"k_max must be at least 1, got {k_max!r}")
     s = np.linspace(-tau, tau, _DENSE_INTERVALS + 1)[1:-1]
     rho = _density(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -522,8 +525,7 @@ def negative_direction(tau: float) -> TestFunction:
     """
     import numpy as np
 
-    from .grids import TestFunction, composite_simpson
-    from .variation import _density, q_form
+    from .variation import q_form
 
     tau_star = critical_constants().tau_star
     if not tau > tau_star + 1e-9:
@@ -544,16 +546,16 @@ def negative_direction(tau: float) -> TestFunction:
         kappa = step
     # 1 - kappa = (1 - tanh(tau)) + tanh(tau)*(1 - tanh(kappa*tau))
     gap = 2.0 * u / (1.0 + u) + tanh_tau * 2.0 * t / (1.0 + t)
-    grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
-    a = np.abs(grid)
-    # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
-    lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
-    if gap > 0.0:
-        lead -= np.exp(math.log(gap) + kappa * a)
-    values = np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
-    values[0] = values[-1] = 0.0
-    norm = composite_simpson(_density(grid) * values * values, dt)
-    psi = TestFunction(grid=grid, values=values / math.sqrt(norm))
+
+    def samples(grid: np.ndarray) -> np.ndarray:
+        a = np.abs(grid)
+        # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
+        lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
+        if gap > 0.0:
+            lead -= np.exp(math.log(gap) + kappa * a)
+        return np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
+
+    psi = _unit_direction(tau, dt, samples)
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

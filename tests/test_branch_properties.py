@@ -124,6 +124,16 @@ def test_goldschmidt_constant_makes_no_root_finder_call(monkeypatch):
     assert energetics.goldschmidt_constant() == 0.5276973969625716
 
 
+def test_critical_constants_make_no_root_finder_call(monkeypatch):
+    # tau_star by its own three Newton steps, taken once when extremals
+    # loads: extremals does not even import the root finder
+    assert not hasattr(extremals, "find_root_bracketed")
+    _refuse_root_finder(monkeypatch)
+    assert critical_constants() is critical_constants()
+    assert not hasattr(critical_constants, "cache_clear")
+    assert not hasattr(critical_constants, "__wrapped__")
+
+
 def _g(u, log_h):
     """The branch equation log(h*cosh(t)/t), t = e^u, as the solver forms it."""
     t = math.exp(u)

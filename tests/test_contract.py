@@ -8,8 +8,9 @@ of the float domain, returns a value its docstring allows or raises DomainError
 (or NoExtremalError, the problem's own outcome above h*). An allowed value is
 finite, or the inf/NaN the docstring names. A numpy warning fails the test
 too (the suite turns warnings into errors). The source scan pins the other
-half: every raise in the library names one of the five types of
-soapfilm.errors. A second scan checks that no module imports dataclasses.
+half: every raise in the library names one of the four types of
+soapfilm.errors. Every count argument that is not an integer in its range
+is a DomainError too, raised before numpy or scipy sees it. A second scan checks that no module imports dataclasses.
 """
 
 import ast
@@ -376,12 +377,45 @@ def test_minimize_just_above_the_grid_spacing_bound_converges(init):
     assert abs(report.final_area - exact) <= 1e-12 * exact
 
 
-def test_errors_are_the_five_contract_types():
+# Each count argument, with the least value it takes: 16, 64 and 256 samples
+# or steps, 1 eigenvalue. A float, even one above that least value or NaN, a
+# numeric string and an integer below it are each a DomainError.
+COUNTS = {
+    "shoot(n)": lambda n: shoot(1.0, 1.0, n),
+    "eigenvalues(k_max)": lambda k: eigenvalues(1.0, k),
+    "dense_eigenvalues(k_max)": lambda k: dense_eigenvalues(1.0, k),
+    "minimize(n)": lambda n: minimize(0.4, n, "cylinder"),
+    "TestFunction.sample(n)": lambda n: TestFunction.sample(np.cos, 1.0, n),
+}
+NOT_COUNTS = [2.5, 300.5, math.nan, "64", 0, -1]
+
+
+@pytest.mark.parametrize("count", NOT_COUNTS, ids=repr)
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_a_count_that_is_not_one_is_a_domain_error(name, count):
+    with pytest.raises(DomainError):
+        COUNTS[name](count)
+
+
+def test_dense_k_max_beyond_the_matrix_rows_is_a_domain_error():
+    # the matrix has 4095 rows; k_max = 4095 itself takes seconds
+    with pytest.raises(DomainError):
+        dense_eigenvalues(1.0, 4096)
+
+
+def test_numpy_integers_and_bools_are_counts():
+    assert eigenvalues(1.0, np.int64(2)) == eigenvalues(1.0, 2)
+    assert eigenvalues(1.0, True) == eigenvalues(1.0, 1)
+    assert shoot(1.0, 1.0, np.int32(300)) == shoot(1.0, 1.0, 300)
+    assert len(dense_eigenvalues(1.0, np.uint8(2))) == 2
+    assert TestFunction.sample(np.cos, 1.0, np.int64(17)).n == 17
+
+
+def test_errors_are_the_four_contract_types():
     assert errors.__all__ == [
         "SoapFilmError",
         "DomainError",
         "NoExtremalError",
-        "MaxIterationsError",
         "ConvergenceFailureError",
     ]
 

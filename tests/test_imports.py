@@ -6,7 +6,8 @@ string eigenvalues and every CLI subcommand but minimize run in a fresh
 interpreter without numpy (or scipy), while numpy loads on the first array
 call. The CLI reads a well-formed argv from its command table and imports
 argparse for any other. No import or scalar call loads dataclasses, or the
-inspect it brings: the records are named tuples.
+inspect it brings: the records are named tuples. Only the spectrum
+subcommand loads the generic root finder.
 """
 
 import os
@@ -107,6 +108,26 @@ def test_the_first_array_call_loads_numpy(imports, call):
 )
 def test_scalar_subcommand_loads_no_numpy(argv):
     assert not loads(_cli(argv), "numpy")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical"],
+        ["solve", "--h", "0.3"],
+        ["goldschmidt"],
+        ["force", "--h-min", "0.1", "--h-max", "0.7", "--steps", "7"],
+        ["sweep", "--h-min", "0.05", "--h-max", "0.66", "--steps", "12"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scalar_subcommand_loads_no_root_finder(argv):
+    # tau_star, the branches and h_G are Newton steps of their own
+    assert not loads(_cli(argv), "soapfilm.rootfind")
+
+
+def test_spectrum_subcommand_loads_the_root_finder():
+    assert loads(_cli(["spectrum", "--tau", "1.2", "--k", "2"]), "soapfilm.rootfind")
 
 
 @pytest.mark.parametrize(

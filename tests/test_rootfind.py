@@ -295,23 +295,13 @@ def _branch_g_lines():
     return found
 
 
-def _evaluations(monkeypatch, call):
-    """Root-finder and branch-solve evaluations the call makes, over all its solves.
+def _evaluations(call):
+    """Branch-solve evaluations the call makes, over all its solves.
 
     The branch solves evaluate g inline, so their evaluations are counted as
     executions of the lines that form it.
     """
     count = [0]
-    solve = find_root_bracketed
-
-    def counting(f, lo, hi, **tols):
-        def g(x):
-            count[0] += 1
-            return f(x)
-
-        return solve(g, lo, hi, **tols)
-
-    monkeypatch.setattr(extremals, "find_root_bracketed", counting)
     code, lines = extremals._solve_branch.__code__, _branch_g_lines()
 
     def in_branch_solve(frame, event, arg):
@@ -329,15 +319,14 @@ def _evaluations(monkeypatch, call):
 
 
 # caller -> (call, bound). Bounds are the counts once measured with every
-# solve in find_root_bracketed, the constant by Newton steps, plus 25 %:
-# 6, 11, 7 and 8. critical_constants now takes secant steps, 7 evaluations.
-# The branch solves' own Newton loop makes 11, 6 and 8: at 1e-300 u_1 is
-# near -690, where an ulp (1.1e-13) exceeds tol_x, and Newton lands on u_1's
-# float at once; the next Newton point rounds back to it, which ends the
-# solve without a minimal step across it. goldschmidt_constant solves no
-# equation of the problem: it takes Newton steps on the Lambert W equation.
+# solve in find_root_bracketed plus 25 %: 11, 7 and 8. The branch solves'
+# own Newton loop makes 11, 6 and 8: at 1e-300 u_1 is near -690, where an
+# ulp (1.1e-13) exceeds tol_x, and Newton lands on u_1's float at once; the
+# next Newton point rounds back to it, which ends the solve without a
+# minimal step across it. critical_constants and goldschmidt_constant
+# solve no equation when called: tau_star is three Newton steps taken when
+# extremals loads, and h_G Newton steps on the Lambert W equation.
 CALLERS = {
-    "critical_constants": (lambda: extremals.critical_constants.__wrapped__(), 7),
     "solve_branches(0.3)": (lambda: extremals.solve_branches(0.3), 13),
     "solve_branches(1e-300)": (lambda: extremals.solve_branches(1e-300), 8),
     "solve_branches(h* - 1e-10)": (
@@ -348,14 +337,13 @@ CALLERS = {
 
 
 @pytest.mark.parametrize("name", sorted(CALLERS))
-def test_evaluation_counts_per_caller(monkeypatch, name):
+def test_evaluation_counts_per_caller(name):
     call, bound = CALLERS[name]
-    extremals.critical_constants()
     # every caller solves at least once, evaluating at both ends
-    assert 2 <= _evaluations(monkeypatch, call) <= bound
+    assert 2 <= _evaluations(call) <= bound
 
 
-def test_branch_solves_over_the_bulk_average_at_most_13_evaluations(monkeypatch):
+def test_branch_solves_over_the_bulk_average_at_most_13_evaluations():
     # 200 h uniform below the fold band, as in the benchmark's bulk; measured
     # 11.2 evaluations per solve_branches (11.16 in the branch solves' own
     # loop), at least 4 of them at the ends of its two solves.
@@ -367,4 +355,4 @@ def test_branch_solves_over_the_bulk_average_at_most_13_evaluations(monkeypatch)
         for h in hs:
             extremals.solve_branches(h)
 
-    assert 4 * len(hs) <= _evaluations(monkeypatch, solve_all) <= 13 * len(hs)
+    assert 4 * len(hs) <= _evaluations(solve_all) <= 13 * len(hs)

@@ -65,7 +65,8 @@ def test_shoot_matches_scalar_rk4_oracle(tau, n):
 
 @pytest.mark.parametrize("n", [256, 257, 1001, 2048])
 def test_every_sweep_builds_n_steps(monkeypatch, n):
-    # one n-step sweep over [-tau, tau] per shot and per eigenfunction
+    # one n-step sweep over [-tau, tau] per shot, and one of 2048 steps per
+    # eigenfunction
     built = []
     original = spectrum._trajectory
 
@@ -76,16 +77,17 @@ def test_every_sweep_builds_n_steps(monkeypatch, n):
 
     monkeypatch.setattr(spectrum, "_trajectory", recording_trajectory)
     shoot(1.3, 7.0, n)
-    eigenvalues(1.3, 3, n).eigenfunction(3)
-    assert built == [n] * 2
+    eigenvalues(1.3, 3).eigenfunction(3)
+    assert built == [n, 2048]
 
 
-@pytest.mark.parametrize("n", [257, 1001, 2048])
 @pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
-def test_eigenfunctions_match_scalar_rk4_trajectory(tau, n):
+def test_eigenfunctions_match_scalar_rk4_trajectory(tau):
     # The oracle steps over the whole interval at the same lambda_k, one
-    # scalar RK4 step at a time.
-    spec = eigenvalues(tau, 5, n)
+    # scalar RK4 step at a time, over the 2048 steps an eigenfunction takes.
+    # test_shoot_matches_scalar_rk4_oracle covers other step counts.
+    n = 2048
+    spec = eigenvalues(tau, 5)
     for k, lam in enumerate(spec.lambdas, start=1):
         psi = spec.eigenfunction(k)
         trajectory = np.array(rk4_sweep(tau, lam, n)[2])
@@ -276,15 +278,15 @@ def test_eigenvalues_raise_only_domain_errors(tau, k):
 def test_lambdas_are_a_tuple_of_positive_increasing_floats():
     spec = eigenvalues(1.2, 3)
     assert type(spec.lambdas) is tuple and all(type(lam) is float for lam in spec.lambdas)
-    assert spectrum.StringSpectrum(1.2, np.array([1.0, 2.0]), 256).lambdas == (1.0, 2.0)
+    assert spectrum.StringSpectrum(1.2, np.array([1.0, 2.0])).lambdas == (1.0, 2.0)
     for bad in ([0.0, 1.0], [-1.0], [math.nan], [1.0, 1.0], [2.0, 1.0]):
         with pytest.raises(DomainError):
-            spectrum.StringSpectrum(1.2, bad, 256)
+            spectrum.StringSpectrum(1.2, bad)
 
 
 def test_eigenfunction_rejects_k_outside_the_spectrum():
-    spec = eigenvalues(1.2, 2, n=256)
-    assert spec.eigenfunction(2).n == 257
+    spec = eigenvalues(1.2, 2)
+    assert spec.eigenfunction(2).n == 2049
     for k in (0, -1, 3, 1.5):
         with pytest.raises(DomainError):
             spec.eigenfunction(k)
@@ -367,7 +369,7 @@ def test_eigenvalue_window_by_interval_width():
 
 
 def test_eigenfunction_structure():
-    spec = eigenvalues(1.0, 5, n=1024)
+    spec = eigenvalues(1.0, 5)
     assert np.all(np.diff(spec.lambdas) > 0.0)
     assert np.all(np.array(spec.lambdas) > 0.0)
     for k in range(1, 6):
@@ -384,7 +386,7 @@ def test_eigenfunction_structure():
 
 
 def test_eigenfunctions_orthogonal_in_weighted_inner_product():
-    spec = eigenvalues(1.5, 3, n=2048)
+    spec = eigenvalues(1.5, 3)
     functions = [spec.eigenfunction(k) for k in (1, 2, 3)]
     weight = 2.0 / np.cosh(functions[0].grid) ** 2
     dx = functions[0].spacing
@@ -396,7 +398,7 @@ def test_eigenfunctions_orthogonal_in_weighted_inner_product():
 
 def test_ground_eigenvalue_decreases_with_interval_width():
     taus = np.arange(0.4, 3.01, 0.2)
-    lams = [eigenvalues(float(t), 1, n=1024).lambdas[0] for t in taus]
+    lams = [eigenvalues(float(t), 1).lambdas[0] for t in taus]
     assert np.all(np.diff(lams) < 0.0)
 
 
@@ -416,7 +418,7 @@ def test_shooting_refines_at_fourth_order():
 
 
 def test_rayleigh_quotient_properties():
-    spec = eigenvalues(1.0, 1, n=2048)
+    spec = eigenvalues(1.0, 1)
     lam1 = spec.lambdas[0]
     np.testing.assert_allclose(
         rayleigh_quotient(spec.eigenfunction(1)), lam1, rtol=1e-6, atol=0.0
@@ -510,8 +512,8 @@ def test_negative_direction_requires_supercritical_tau():
 
 
 def test_eigenvalues_deterministic():
-    a = eigenvalues(1.7, 3, n=1024)
-    b = eigenvalues(1.7, 3, n=1024)
+    a = eigenvalues(1.7, 3)
+    b = eigenvalues(1.7, 3)
     assert np.array_equal(a.lambdas, b.lambdas)
     for k in (1, 2, 3):
         assert np.array_equal(a.eigenfunction(k).values, b.eigenfunction(k).values)
