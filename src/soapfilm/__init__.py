@@ -15,10 +15,12 @@ __version__ = "0.1.0"
 
 # Names resolve on first use (PEP 562), searched in this order. No module
 # imports numpy when it loads: the functions that use arrays import it
-# themselves. The first four modules are returned alone. Any other
-# module name, as `from soapfilm import spectrum` asks, imports every module,
-# so that the traced benchmark finds every module it spans in sys.modules.
-_MODULES = ("errors", "rootfind", "extremals", "energetics", "spectrum",
+# themselves. A scalar name is found before the search reaches rootfind,
+# which only the spectrum uses. The first four modules are returned alone.
+# Any other module name, as `from soapfilm import spectrum` asks, imports
+# every module, so that the traced benchmark finds every module it spans in
+# sys.modules.
+_MODULES = ("errors", "extremals", "energetics", "rootfind", "spectrum",
             "grids", "variation", "direct_min")
 
 

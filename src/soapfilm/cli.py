@@ -91,8 +91,15 @@ def _emit(record: Dict, fmt: str, out: Optional[str]) -> None:
             handle.write(text.encode("utf-8"))
 
 
+def _finite(flag: str, h: float) -> float:
+    # JSON has no token for inf or NaN
+    if not math.isfinite(h):
+        raise DomainError(f"{flag} must be finite, got {h!r}")
+    return h
+
+
 def _run_solve(args) -> Tuple[Dict, Dict]:
-    inputs = {"h": args.h}
+    inputs = {"h": _finite("--h", args.h)}
     cc = extremals.critical_constants()
     try:
         lower, upper = extremals.solve_branches(args.h)
@@ -146,8 +153,8 @@ def _run_spectrum(args) -> Tuple[Dict, Dict]:
 
 
 def _range_points(args) -> List[float]:
-    h_min = args.h_min
-    h_max = h_min if args.h_max is None else args.h_max
+    h_min = _finite("--h-min", args.h_min)
+    h_max = h_min if args.h_max is None else _finite("--h-max", args.h_max)
     if h_max < h_min:
         raise DomainError("--h-max must not be below --h-min")
     if args.steps < 1:

@@ -306,7 +306,7 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
-    Raises DomainError unless 0 < 2h < inf, n is an integer >= 64 and
+    Raises DomainError unless 0 < 2h < inf, n is an integer in 64..2**20 and
     1e-7 <= dx <= 1, whatever the starting profile: on a finer grid the
     rounding of the radii alone exceeds the gradient tolerance, and on a
     grid coarser than the ring radius the end cones are no stand-in for the

@@ -6,7 +6,6 @@ a count argument that is not one into a DomainError.
 """
 
 import operator
-from typing import Optional
 
 __all__ = [
     "SoapFilmError",
@@ -43,17 +42,18 @@ class ConvergenceFailureError(SoapFilmError):
     """A search that must succeed for well-posed inputs did not; signals a bug."""
 
 
-def _count(name: str, value, least: int, most: Optional[int] = None) -> int:
+def _count(name: str, value, least: int, most: int = 2**20) -> int:
     """value as operator.index reads it, if that is an integer in least..most.
 
     ints, bools and numpy integers pass; anything else, a float or a string
-    included, and any count out of range raise DomainError.
+    included, and any count out of range raise DomainError. The default
+    most, 2**20, keeps a count whose arrays grow with it from asking numpy
+    for more memory than any machine has.
     """
     try:
         count = operator.index(value)
     except TypeError:
         count = None
-    if count is None or count < least or (most is not None and count > most):
-        span = f"at least {least}" if most is None else f"in {least}..{most}"
-        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    if count is None or not least <= count <= most:
+        raise DomainError(f"{name} must be an integer in {least}..{most}, got {value!r}")
     return count

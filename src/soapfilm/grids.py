@@ -141,8 +141,8 @@ class TestFunction(_Record, namedtuple("TestFunction", "grid values")):
 
         The clamp removes the roundoff residue of functions that vanish at the
         endpoints only up to floating-point error. Raises DomainError unless
-        0 < 2*halfwidth < inf and n is an integer >= 16, and wherever the
-        constructor does.
+        0 < 2*halfwidth < inf and n is an integer in 16..2**20, and wherever
+        the constructor does.
         """
         if not 0.0 < 2.0 * halfwidth < math.inf:
             raise DomainError(f"need 0 < 2*halfwidth < inf, got halfwidth={halfwidth!r}")

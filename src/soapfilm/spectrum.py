@@ -23,11 +23,10 @@ each lambda_k is solved as the root of the pair's unwrapped angle less
 k*pi/2, a Pruefer phase nearly linear in nu (see eigenvalues). No ODE is
 integrated, and numpy is not imported.
 
-shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, and
-StringSpectrum.eigenfunction takes the same forward sweep at the exact
-lambda_k. Because the ODE is linear, each RK4 step is a 2x2 matrix on
-(psi, dt*psi'), and recursive doubling forms every prefix product, so psi
-comes out at every node in log2(n) batched passes (see _trajectory).
+shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n. Because the
+ODE is linear, each RK4 step is a 2x2 matrix on (psi, dt*psi'), and
+recursive doubling forms every prefix product, so psi comes out at every
+node in log2(n) batched passes (see _trajectory).
 dense_eigenvalues solves the same problem as a finite-difference matrix
 eigenproblem and serves as an independent check.
 
@@ -130,9 +129,10 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     Fixed-step RK4, one forward sweep over the n steps of [-tau, tau];
     deterministic for given (tau, lam, n). For lam <= 0 every step matrix is
     entrywise non-negative, so psi > 0 after the first step and the count is
-    0. Raises DomainError unless 0 < 2*tau < inf, n is an integer >= 256,
-    dt = 2*tau/n is a normal float and lam is finite, and where psi
-    overflows (lam far beyond RK4's stability bound 4/dt^2, or far below 0).
+    0. Raises DomainError unless 0 < 2*tau < inf, n is an integer in
+    256..2**20, dt = 2*tau/n is a normal float and lam is finite, and where
+    psi overflows (lam far beyond RK4's stability bound 4/dt^2, or far
+    below 0).
     """
     import numpy as np
 
@@ -150,7 +150,7 @@ def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
 
 
 class StringSpectrum(_Record, namedtuple("StringSpectrum", "tau lambdas")):
-    """First eigenvalues of the string problem; eigenfunctions on request at 2048 steps.
+    """First eigenvalues of the string problem.
 
     lambdas is a tuple of floats, positive and strictly increasing.
     """
@@ -164,42 +164,6 @@ class StringSpectrum(_Record, namedtuple("StringSpectrum", "tau lambdas")):
         if not all(a < b for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("string eigenvalues must be strictly increasing")
         return tuple.__new__(cls, (tau, lambdas))
-
-    def eigenfunction(self, k: int) -> TestFunction:
-        """psi_k at the 2049 nodes of [-tau, tau]: the RK4 trajectory at lambda_k.
-
-        Normalized to unit weighted norm (weight 2/cosh^2 s) with
-        psi'(-tau) > 0; one forward sweep of 2048 steps from -tau, as in
-        shoot. Raises DomainError unless 1 <= k <= len(lambdas), shoot
-        accepts tau, and lambda_k*dt^2 <= 3 with dt = 2*tau/2048: RK4's
-        phase per step reaches pi at lambda*dt^2*rho = 6, short of its
-        stability bound 8, so 2048 steps cannot resolve psi_k beyond.
-        """
-        if k not in range(1, len(self.lambdas) + 1):
-            raise DomainError(f"k must be in 1..{len(self.lambdas)}, got {k!r}")
-        tau = self.tau
-        dt = _check_problem(tau, _DEFAULT_STEPS)
-        lam = self.lambdas[k - 1]
-        if lam * dt * dt > 3.0:
-            raise DomainError(
-                f"{_DEFAULT_STEPS} steps cannot resolve eigenfunction {k} at tau={tau!r}"
-            )
-        # psi/dt, not psi: its weighted norm cannot underflow at tiny tau
-        return _unit_direction(tau, dt, lambda grid: _trajectory(tau, lam, _DEFAULT_STEPS))
-
-
-def _unit_direction(tau: float, dt: float, values_at: Callable) -> TestFunction:
-    """values_at(grid) on the 2049 nodes of [-tau, tau], ends zeroed, at unit weighted norm."""
-    import numpy as np
-
-    from .grids import TestFunction, composite_simpson
-    from .variation import _density
-
-    grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
-    values = values_at(grid)
-    values[0] = values[-1] = 0.0
-    norm = composite_simpson(_density(grid) * values * values, dt)
-    return TestFunction(grid=grid, values=values / math.sqrt(norm))
 
 
 def _digamma(x: float) -> float:
@@ -380,11 +344,11 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ 1e-3, where
     the recurrence would take over 1e4 steps, k from 8 to 14 lose up to 1e-9.
 
-    Raises DomainError unless 0 < tau < inf and k_max is an integer >= 1,
-    where the eigenvalues leave the float range (lambda_1 below the least
-    normal float from tau ~ 1e307, lambda_k_max beyond the largest float
-    below tau ~ 1e-154), and where no evaluation reaches that precision
-    (k_max >= 15 below tau ~ 2e-3).
+    Raises DomainError unless 0 < tau < inf and k_max is an integer in
+    1..2**20, where the eigenvalues leave the float range (lambda_1 below
+    the least normal float from tau ~ 1e307, lambda_k_max beyond the largest
+    float below tau ~ 1e-154), and where no evaluation reaches that
+    precision (k_max >= 15 below tau ~ 2e-3).
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
@@ -525,7 +489,8 @@ def negative_direction(tau: float) -> TestFunction:
     """
     import numpy as np
 
-    from .variation import q_form
+    from .grids import TestFunction, composite_simpson
+    from .variation import _density, q_form
 
     tau_star = critical_constants().tau_star
     if not tau > tau_star + 1e-9:
@@ -546,16 +511,16 @@ def negative_direction(tau: float) -> TestFunction:
         kappa = step
     # 1 - kappa = (1 - tanh(tau)) + tanh(tau)*(1 - tanh(kappa*tau))
     gap = 2.0 * u / (1.0 + u) + tanh_tau * 2.0 * t / (1.0 + t)
-
-    def samples(grid: np.ndarray) -> np.ndarray:
-        a = np.abs(grid)
-        # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
-        lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
-        if gap > 0.0:
-            lead -= np.exp(math.log(gap) + kappa * a)
-        return np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
-
-    psi = _unit_direction(tau, dt, samples)
+    grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
+    a = np.abs(grid)
+    # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
+    lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
+    if gap > 0.0:
+        lead -= np.exp(math.log(gap) + kappa * a)
+    values = np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
+    values[0] = values[-1] = 0.0
+    norm = composite_simpson(_density(grid) * values * values, dt)
+    psi = TestFunction(grid=grid, values=values / math.sqrt(norm))
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

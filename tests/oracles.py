@@ -93,6 +93,21 @@ def rayleigh_quotient(psi):
     return _simpson(dpsi * dpsi, dx) / _simpson(weight * values * values, dx)
 
 
+def exact_rayleigh_quotient(f, df, tau, n=2049):
+    """Integral of df^2 over integral (2/cosh^2 s) f^2 on n nodes of [-tau, tau].
+
+    df is f's exact derivative, not a sampled one, so plain Simpson's
+    O(dx^4) error is the quotient's only one. For f vanishing at both ends
+    the exact quotient bounds lambda_1 from above, with equality exactly for
+    the ground state.
+    """
+    grid = np.linspace(-tau, tau, n)
+    dx = 2.0 * tau / (n - 1)
+    values, slopes = f(grid), df(grid)
+    weight = 2.0 / np.cosh(grid) ** 2
+    return _simpson(slopes * slopes, dx) / _simpson(weight * values * values, dx)
+
+
 def richardson_diff(f, x, step):
     """Central difference at step and step/2, Richardson combined."""
     coarse = central_diff(f, x, step)

@@ -21,9 +21,9 @@ from soapfilm.extremals import (
 )
 from soapfilm.grids import TestFunction
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
-from soapfilm.variation import area_along_direction, mu, q_form, taylor_probe, third_variation
+from soapfilm.variation import area_along_direction, mu, mu_prime, q_form, taylor_probe, third_variation
 
-from oracles import richardson_diff, smooth_test_profiles, string_eigenvalue
+from oracles import exact_rayleigh_quotient, richardson_diff, smooth_test_profiles, string_eigenvalue
 
 
 def _verdict(ok, label, detail):
@@ -46,18 +46,26 @@ def test_c2_goldschmidt_constant():
 
 
 def test_c3_spectral_anchor():
+    # mu vanishes at +-tau_star, so its Rayleigh quotient R bounds lambda_1
+    # from above. Expanding mu in the eigenfunctions, R - lambda_1 is at
+    # least (lambda_2 - lambda_1) times the squared weighted distance of
+    # mu/|mu| from the ground state psi_1: R = lambda_1 puts psi_1 = mu.
     cc = critical_constants()
-    spec = eigenvalues(cc.tau_star, 1)
-    lam_1 = float(spec.lambdas[0])
+    lam_1, lam_2 = eigenvalues(cc.tau_star, 2).lambdas
     lam_dense = float(dense_eigenvalues(cc.tau_star, 1)[0])
-    psi = spec.eigenfunction(1)
-    scale = psi.values[psi.n // 2] / mu(0.0)
-    sup = float(np.max(np.abs(psi.values - scale * mu(psi.grid))))
-    ok = abs(lam_1 - 1.0) <= 1e-13 and abs(lam_dense - 1.0) <= 1e-4 and sup <= 1e-3
+    rq = exact_rayleigh_quotient(mu, mu_prime, cc.tau_star)
+    dist = math.sqrt(abs(rq - lam_1) / (lam_2 - lam_1))
+    ok = (
+        abs(lam_1 - 1.0) <= 1e-13
+        and abs(lam_dense - 1.0) <= 1e-4
+        and abs(rq - lam_1) <= 1e-12
+        and dist <= 1e-6
+    )
     _verdict(
         ok,
         "C3 spectral anchor",
-        f"lambda1-1={lam_1 - 1.0:.1e}, dense={lam_dense:.8f}, |psi1-c*mu|={sup:.2e}",
+        f"lambda1-1={lam_1 - 1.0:.1e}, dense={lam_dense:.8f}, R(mu)-lambda1={rq - lam_1:.1e}, "
+        f"|psi1-mu|<={dist:.1e}",
     )
 
 

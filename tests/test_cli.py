@@ -220,6 +220,26 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "minimize", "--h", h_star, "--n", "64", "--init", "upper_perturbed")[0] == 2
 
 
+# JSON has no token for inf or NaN, so a non-finite half-distance, which
+# float() reads from "inf", "1e400" or "nan", is rejected by its flag's name
+NON_FINITE = [
+    (["solve", "--h", "inf"], "--h"),
+    (["solve", "--h", "1e400"], "--h"),
+    (["solve", "--h", "nan"], "--h"),
+    (["force", "--h-min", "inf"], "--h-min"),
+    (["force", "--h-min", "0.1", "--h-max", "inf", "--steps", "3"], "--h-max"),
+    (["force", "--h-min", "nan", "--h-max", "0.3"], "--h-min"),
+    (["sweep", "--h-min", "0.1", "--h-max", "1e400", "--steps", "2"], "--h-max"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", NON_FINITE, ids=[" ".join(a) for a, _ in NON_FINITE])
+def test_a_non_finite_half_distance_exits_2_naming_its_flag(argv, flag, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {flag} must be finite, got ")
+
+
 def test_internal_errors_exit_1(capsys, monkeypatch):
     def boom():
         raise RuntimeError("induced failure")
@@ -458,6 +478,32 @@ def _drawn_argv(draw):
 def test_drawn_argv_parse_as_the_full_build(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert _outcome(_parse, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
+
+
+def _strict_json(text):
+    """json.loads, refusing the Infinity, -Infinity and NaN tokens Python reads beyond JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# beyond WELL_FORMED: the fold, a NoExtremal record, and ranges with blanks
+JSON_RECORDS = WELL_FORMED + [
+    ["solve", "--h", repr(critical_constants().h_star)],
+    ["solve", "--h", "0.7"],
+    ["force", "--h-min", "0.2", "--h-max", "0.7", "--steps", "3"],
+    ["sweep", "--h-min", "0.6", "--h-max", "0.7", "--steps", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_RECORDS, ids=" ".join)
+def test_every_record_is_strict_json(argv, capsys):
+    # GOLDEN's exits 0 print help texts, not records
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _strict_json(out)["command"] == argv[0]
 
 
 def _parsers_built(argv, capsys, monkeypatch):

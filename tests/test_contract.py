@@ -48,11 +48,11 @@ from soapfilm.rootfind import find_root_bracketed
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import mu, mu_prime
 
-# 1e-150, 1e4 and 1e6 are string half-intervals where an eigenfunction at the
-# default n runs into the float range (lambda ~ 1/tau^2) and RK4's resolution
-# bound; at 1e-200 the bound pi^2/(8 tau^2) <= lambda_1 itself overflows,
-# while the step 2*tau/n is still a normal float; 8.9e307 is a half-distance
-# whose 2h is still finite.
+# 1e-150 is a string half-interval whose eigenvalues (lambda ~ 1/tau^2) come
+# near the top of the float range, and 1e4 and 1e6 are ones where a shot at
+# the default n takes steps far wider than the density; at 1e-200 the bound
+# pi^2/(8 tau^2) <= lambda_1 itself overflows, while the step 2*tau/n is
+# still a normal float; 8.9e307 is a half-distance whose 2h is still finite.
 EDGES = [
     math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-306, 1e308, 8.9e307, 1e-150, 1e-200,
     1e4, 1e6,
@@ -171,11 +171,6 @@ _CRITICAL = critical_extremal()
 _CRITICAL_PSI = TestFunction.sample(lambda s: 4.0 * mu(s), _CRITICAL.tau, 65)
 
 
-def _spectrum(tau):
-    spec = eigenvalues(tau, 2)
-    return list(spec.lambdas) + [v for k in (1, 2) for v in spec.eigenfunction(k).values]
-
-
 CALLS = {
     "phi": lambda x: [phi(x)],
     "solve_branches": _branches,
@@ -187,7 +182,7 @@ CALLS = {
     "find_root_bracketed(hi)": lambda x: _root(-1.0, x),
     "shoot(tau)": lambda x: list(shoot(x, 1.0)),
     "shoot(lam)": lambda x: list(shoot(1.0, x)),
-    "eigenvalues": _spectrum,
+    "eigenvalues": lambda x: list(eigenvalues(x, 2).lambdas),
     "dense_eigenvalues": lambda x: list(dense_eigenvalues(x, 2)),
     "composite_simpson(values)": lambda x: [composite_simpson(_with(x), 0.1)],
     "composite_simpson(dx)": lambda x: [composite_simpson(_with(1.0), x)],
@@ -378,8 +373,10 @@ def test_minimize_just_above_the_grid_spacing_bound_converges(init):
 
 
 # Each count argument, with the least value it takes: 16, 64 and 256 samples
-# or steps, 1 eigenvalue. A float, even one above that least value or NaN, a
-# numeric string and an integer below it are each a DomainError.
+# or steps, 1 eigenvalue; and the most, 2**20 (4095 for dense_eigenvalues). A
+# float, even one above that least value or NaN, a numeric string and an
+# integer out of range are each a DomainError, raised before anything is
+# allocated or solved: 10**15 samples would not fit in memory.
 COUNTS = {
     "shoot(n)": lambda n: shoot(1.0, 1.0, n),
     "eigenvalues(k_max)": lambda k: eigenvalues(1.0, k),
@@ -387,7 +384,7 @@ COUNTS = {
     "minimize(n)": lambda n: minimize(0.4, n, "cylinder"),
     "TestFunction.sample(n)": lambda n: TestFunction.sample(np.cos, 1.0, n),
 }
-NOT_COUNTS = [2.5, 300.5, math.nan, "64", 0, -1]
+NOT_COUNTS = [2.5, 300.5, math.nan, "64", 0, -1, 2**20 + 1, 10**15]
 
 
 @pytest.mark.parametrize("count", NOT_COUNTS, ids=repr)

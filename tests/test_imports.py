@@ -6,8 +6,8 @@ string eigenvalues and every CLI subcommand but minimize run in a fresh
 interpreter without numpy (or scipy), while numpy loads on the first array
 call. The CLI reads a well-formed argv from its command table and imports
 argparse for any other. No import or scalar call loads dataclasses, or the
-inspect it brings: the records are named tuples. Only the spectrum
-subcommand loads the generic root finder.
+inspect it brings: the records are named tuples. Of the scalar API and the
+subcommands, only the spectrum loads the generic root finder.
 """
 
 import os
@@ -64,6 +64,11 @@ def _cli(argv, code=0):
 
 def test_scalar_api_loads_no_numpy():
     assert not loads(SCALAR_API, "numpy")
+
+
+def test_scalar_api_loads_no_root_finder():
+    # the package's name search finds every scalar name before rootfind
+    assert not loads(SCALAR_API, "soapfilm.rootfind")
 
 
 def test_eigenvalues_load_no_numpy():

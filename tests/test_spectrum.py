@@ -16,13 +16,14 @@ from soapfilm.spectrum import (
     negative_direction,
     shoot,
 )
-from soapfilm.variation import mu, q_form
+from soapfilm.variation import mu, mu_prime, q_form
 
 from fresh import loads
 from oracles import (
     TAU_STAR,
     characteristic_pair,
     discrete_eigenvalue,
+    exact_rayleigh_quotient,
     jacobi_ground_energy,
     legendre_characteristic,
     legendre_pins,
@@ -65,8 +66,7 @@ def test_shoot_matches_scalar_rk4_oracle(tau, n):
 
 @pytest.mark.parametrize("n", [256, 257, 1001, 2048])
 def test_every_sweep_builds_n_steps(monkeypatch, n):
-    # one n-step sweep over [-tau, tau] per shot, and one of 2048 steps per
-    # eigenfunction
+    # one n-step sweep over [-tau, tau] per shot
     built = []
     original = spectrum._trajectory
 
@@ -77,24 +77,7 @@ def test_every_sweep_builds_n_steps(monkeypatch, n):
 
     monkeypatch.setattr(spectrum, "_trajectory", recording_trajectory)
     shoot(1.3, 7.0, n)
-    eigenvalues(1.3, 3).eigenfunction(3)
-    assert built == [n, 2048]
-
-
-@pytest.mark.parametrize("tau", [0.2, TAU_STAR, 5.0])
-def test_eigenfunctions_match_scalar_rk4_trajectory(tau):
-    # The oracle steps over the whole interval at the same lambda_k, one
-    # scalar RK4 step at a time, over the 2048 steps an eigenfunction takes.
-    # test_shoot_matches_scalar_rk4_oracle covers other step counts.
-    n = 2048
-    spec = eigenvalues(tau, 5)
-    for k, lam in enumerate(spec.lambdas, start=1):
-        psi = spec.eigenfunction(k)
-        trajectory = np.array(rk4_sweep(tau, lam, n)[2])
-        trajectory[-1] = 0.0
-        want = trajectory / np.max(np.abs(trajectory))
-        got = psi.values / np.max(np.abs(psi.values))
-        assert np.max(np.abs(got - want)) <= 1e-12
+    assert built == [n]
 
 
 def test_legendre_pins_are_the_known_closed_forms():
@@ -284,14 +267,6 @@ def test_lambdas_are_a_tuple_of_positive_increasing_floats():
             spectrum.StringSpectrum(1.2, bad)
 
 
-def test_eigenfunction_rejects_k_outside_the_spectrum():
-    spec = eigenvalues(1.2, 2)
-    assert spec.eigenfunction(2).n == 2049
-    for k in (0, -1, 3, 1.5):
-        with pytest.raises(DomainError):
-            spec.eigenfunction(k)
-
-
 def test_import_does_not_load_scipy_linalg():
     assert not loads("import soapfilm", "scipy.linalg")
 
@@ -329,13 +304,12 @@ def test_non_finite_input_is_a_domain_error(call, bad):
 
 
 def test_unit_eigenvalue_at_critical_parameter():
-    spec = eigenvalues(TAU_STAR, 1)
-    np.testing.assert_allclose(spec.lambdas[0], 1.0, rtol=0.0, atol=1e-4)
-    # The ground eigenfunction is the balance function mu up to scale.
-    psi = spec.eigenfunction(1)
-    center = psi.values[psi.n // 2]
-    dev = np.max(np.abs(psi.values - center * mu(psi.grid)))
-    assert dev <= 1e-3
+    lam1 = eigenvalues(TAU_STAR, 1).lambdas[0]
+    np.testing.assert_allclose(lam1, 1.0, rtol=0.0, atol=1e-4)
+    # The ground eigenfunction is the balance function mu up to scale: mu
+    # vanishes at +-tau_star, and its Rayleigh quotient attains lambda_1
+    # (measured 1.5e-13 off, Simpson's error on 2049 nodes).
+    assert abs(exact_rayleigh_quotient(mu, mu_prime, TAU_STAR) - lam1) <= 1e-12
 
 
 def test_first_five_critical_eigenvalues_frozen():
@@ -368,34 +342,6 @@ def test_eigenvalue_window_by_interval_width():
     assert eigenvalues(2.0, 1).lambdas[0] < 1.0
 
 
-def test_eigenfunction_structure():
-    spec = eigenvalues(1.0, 5)
-    assert np.all(np.diff(spec.lambdas) > 0.0)
-    assert np.all(np.array(spec.lambdas) > 0.0)
-    for k in range(1, 6):
-        psi = spec.eigenfunction(k)
-        interior = psi.values[1:-1]
-        signs = np.sign(interior[np.abs(interior) > 1e-9])
-        nodes = int(np.sum(signs[1:] * signs[:-1] < 0))
-        assert nodes == k - 1
-        weight = 2.0 / np.cosh(psi.grid) ** 2
-        norm = composite_simpson(weight * psi.values**2, psi.spacing)
-        np.testing.assert_allclose(norm, 1.0, rtol=0.0, atol=1e-8)
-        d = np.diff(psi.values)
-        assert d[0] > 0.0
-
-
-def test_eigenfunctions_orthogonal_in_weighted_inner_product():
-    spec = eigenvalues(1.5, 3)
-    functions = [spec.eigenfunction(k) for k in (1, 2, 3)]
-    weight = 2.0 / np.cosh(functions[0].grid) ** 2
-    dx = functions[0].spacing
-    for i in range(3):
-        for j in range(i + 1, 3):
-            inner = composite_simpson(weight * functions[i].values * functions[j].values, dx)
-            assert abs(inner) <= 1e-6
-
-
 def test_ground_eigenvalue_decreases_with_interval_width():
     taus = np.arange(0.4, 3.01, 0.2)
     lams = [eigenvalues(float(t), 1).lambdas[0] for t in taus]
@@ -418,13 +364,13 @@ def test_shooting_refines_at_fourth_order():
 
 
 def test_rayleigh_quotient_properties():
-    spec = eigenvalues(1.0, 1)
-    lam1 = spec.lambdas[0]
-    np.testing.assert_allclose(
-        rayleigh_quotient(spec.eigenfunction(1)), lam1, rtol=1e-6, atol=0.0
-    )
+    # on the ground state mu at tau_star, the sampled quotient misses
+    # lambda_1 by its O(dx^2) derivative error (measured 8.1e-7 relative)
     psi_mu = TestFunction.sample(mu, TAU_STAR, 2049)
-    np.testing.assert_allclose(rayleigh_quotient(psi_mu), 1.0, rtol=0.0, atol=1e-4)
+    np.testing.assert_allclose(
+        rayleigh_quotient(psi_mu), eigenvalues(TAU_STAR, 1).lambdas[0], rtol=1e-6, atol=0.0
+    )
+    lam1 = eigenvalues(1.0, 1).lambdas[0]
     rng = np.random.default_rng(17)
     viol = 0
     for _ in range(200):
@@ -500,7 +446,6 @@ def test_negative_direction_solves_no_string_eigenproblem(monkeypatch):
 
     for name in ("eigenvalues", "_trajectory", "shoot"):
         monkeypatch.setattr(spectrum, name, refuse)
-    monkeypatch.setattr(spectrum.StringSpectrum, "eigenfunction", refuse)
     assert q_form(negative_direction(2.0)) < 0.0
 
 
@@ -515,8 +460,6 @@ def test_eigenvalues_deterministic():
     a = eigenvalues(1.7, 3)
     b = eigenvalues(1.7, 3)
     assert np.array_equal(a.lambdas, b.lambdas)
-    for k in (1, 2, 3):
-        assert np.array_equal(a.eigenfunction(k).values, b.eigenfunction(k).values)
 
 
 @pytest.mark.parametrize("tau", [10.0, 20.0, 50.0, 100.0])
@@ -561,17 +504,3 @@ def test_spectrum_where_cosh_overflows():
     np.testing.assert_allclose(spec.lambdas[1:], [1.0, 3.0, 6.0, 10.0], rtol=3e-3)
     with pytest.raises(DomainError):
         dense_eigenvalues(800.0, 1)
-
-
-def test_eigenfunction_keeps_the_rk4_resolution_bound():
-    # lambda_5 * dt^2 is about 9.5 at tau = 1000 and n = 2048, past RK4's 3:
-    # the eigenvalue is exact, but n steps cannot resolve its eigenfunction.
-    spec = eigenvalues(1000.0, 5)
-    dt = 2000.0 / 2048
-    assert spec.lambdas[0] * dt * dt <= 3.0 < spec.lambdas[4] * dt * dt
-    assert spec.eigenfunction(1).n == 2049
-    with pytest.raises(DomainError, match="cannot resolve"):
-        spec.eigenfunction(5)
-    # where 2*tau overflows, no grid exists
-    with pytest.raises(DomainError):
-        eigenvalues(1e307, 1).eigenfunction(1)
