@@ -157,6 +157,8 @@ def _range_points(args) -> List[float]:
     h_max = h_min if args.h_max is None else _finite("--h-max", args.h_max)
     if h_max < h_min:
         raise DomainError("--h-max must not be below --h-min")
+    if not math.isfinite(h_max - h_min):
+        raise DomainError(f"--h-max - --h-min overflows the float range: {h_max!r} - {h_min!r}")
     if args.steps < 1:
         raise DomainError("--steps must be at least 1")
     if args.steps == 1:

@@ -104,4 +104,4 @@ def _force(lower: Extremal) -> ForceSample:
     h, tau = lower.h, lower.tau
     tanh = math.tanh(tau)
     slope = 2.0 * math.tau * tanh / (1.0 - tau * tanh)
-    return ForceSample(h=h, force=-2.0 * math.tau * h / tau, dforce_dh=slope)
+    return ForceSample(h, -2.0 * math.tau * h / tau, slope)

@@ -82,8 +82,9 @@ _BRANCH_BUDGET = 100
 def _log_cosh(t: float) -> float:
     """log(cosh(t)) for t >= 0, finite wherever t is.
 
-    _solve_branch writes the same sum inline: g runs about 11 times per
-    solve_branches, and a call there would add about half again to each.
+    _solve_branch and Extremal.__new__ write the same sum inline: g runs
+    about 11 times per solve_branches and an Extremal is built twice, and
+    a call in either place costs more than the sum.
     """
     return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2
 
@@ -93,6 +94,11 @@ class Branch(enum.Enum):
 
     LOWER = "lower"
     UPPER = "upper"
+
+
+# The members as module names: a lookup through the enum class costs about
+# 0.1 us, and a build and its check would make three per Extremal
+_LOWER, _UPPER = Branch.LOWER, Branch.UPPER
 
 
 def phi(tau: float) -> float:
@@ -176,6 +182,9 @@ def _solve_critical() -> CriticalConstants:
 
 
 _CRITICAL = _solve_critical()
+_TAU_STAR, _H_STAR = _CRITICAL
+# u* = log(tau_star), the centre of both branch brackets (see _lower_branch)
+_U_STAR = math.log(_TAU_STAR)
 
 
 def critical_constants() -> CriticalConstants:
@@ -188,7 +197,9 @@ class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
 
     Raises DomainError unless h, tau and c are positive, c*cosh(h/c) = 1 to
     within 1e-10 in its log, h/c = tau to within 1e-9 relative, and tau lies
-    on the named branch's side of tau_star (to within 1e-9).
+    on the named branch's side of tau_star (to within 1e-9). The library
+    builds every Extremal positionally, which binds faster than keywords,
+    and through these same checks.
     """
 
     __slots__ = ()
@@ -196,16 +207,17 @@ class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
     def __new__(cls, h: float, tau: float, c: float, branch: Branch) -> Extremal:
         if not (h > 0.0 and tau > 0.0 and c > 0.0):
             raise DomainError("h, tau, c must all be positive")
-        # log(c*cosh(h/c)), which stays finite where cosh(h/c) overflows
-        residual = math.log(c) + _log_cosh(h / c)
+        # log(c*cosh(h/c)), which stays finite where cosh(h/c) overflows;
+        # log cosh inlined (see _log_cosh)
+        t = h / c
+        residual = math.log(c) + (t + math.log1p(math.exp(-2.0 * t)) - _LOG_2)
         if not abs(residual) <= 1e-10:
             raise DomainError(f"boundary condition violated: log(c*cosh(h/c)) = {residual!r}")
-        if not abs(h / c / tau - 1.0) <= 1e-9:
-            raise DomainError(f"tau = {tau!r} differs from h/c = {h / c!r}")
-        tau_star = _CRITICAL.tau_star
-        if branch is Branch.LOWER and tau > tau_star + 1e-9:
+        if not abs(t / tau - 1.0) <= 1e-9:
+            raise DomainError(f"tau = {tau!r} differs from h/c = {t!r}")
+        if branch is _LOWER and tau > _TAU_STAR + 1e-9:
             raise DomainError("lower-branch parameter exceeds tau_star")
-        if branch is Branch.UPPER and tau < tau_star - 1e-9:
+        if branch is _UPPER and tau < _TAU_STAR - 1e-9:
             raise DomainError("upper-branch parameter is below tau_star")
         return tuple.__new__(cls, (h, tau, c, branch))
 
@@ -271,31 +283,30 @@ def _solve_branch(log_h: float, lo: float, hi: float) -> float:
     )
 
 
-def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, float, float]]]:
+def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, float]]]:
     """solve_branches(h)[0], raising as it does, and the upper bracket's data.
 
-    The data are log(h), u* = log(tau_star), the fold offset delta and the
-    pad, or None where h is at the fold. Both brackets rest on g being
-    convex in u with g(u*) = log(h/h_star), g'(u*) = 0, g''(u*) = tau_star**2
-    and g''' > 0: then g(u* - delta) <= 0 <= g(u* + delta) for
+    The data are log(h), the fold offset delta and the pad, or None where h
+    is at the fold. Both brackets rest on g being convex in u with
+    g(u*) = log(h/h_star), g'(u*) = 0, g''(u*) = tau_star**2 and g''' > 0:
+    then g(u* - delta) <= 0 <= g(u* + delta) for
     tau_star**2 * delta**2 / 2 = log(h_star/h), so u_1 <= u* - delta and
     u_2 <= u* + delta. The pad widens every end past the rounding of u (2
     ulps of log h) and of g.
     """
     if not h >= _H_MIN:
         raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
-    cc = _CRITICAL
-    if abs(h - cc.h_star) <= _CRITICAL_TOL:
-        return Extremal(h=h, tau=cc.tau_star, c=h / cc.tau_star, branch=Branch.LOWER), None
-    if h > cc.h_star:
-        raise NoExtremalError(h, cc.h_star)
-    log_h, u_star = math.log(h), math.log(cc.tau_star)
-    delta = math.sqrt(2.0 * math.log(cc.h_star / h)) / cc.tau_star
+    if abs(h - _H_STAR) <= _CRITICAL_TOL:
+        return Extremal(h, _TAU_STAR, h / _TAU_STAR, _LOWER), None
+    if h > _H_STAR:
+        raise NoExtremalError(h, _H_STAR)
+    log_h = math.log(h)
+    delta = math.sqrt(2.0 * math.log(_H_STAR / h)) / _TAU_STAR
     pad = 4e-15 - 4.5e-16 * log_h
     # tau_1 = h*cosh(tau_1) > h*cosh(h)
     lo = math.log(h * math.cosh(h)) - pad
-    tau = _solve_branch(log_h, lo, u_star - (1.0 - _FOLD_MARGIN) * delta + pad)
-    return Extremal(h=h, tau=tau, c=h / tau, branch=Branch.LOWER), (log_h, u_star, delta, pad)
+    tau = _solve_branch(log_h, lo, _U_STAR - (1.0 - _FOLD_MARGIN) * delta + pad)
+    return Extremal(h, tau, h / tau, _LOWER), (log_h, delta, pad)
 
 
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
@@ -312,8 +323,8 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     """
     lower, fold = _lower_branch(h)
     if fold is None:
-        return lower, Extremal(h=h, tau=lower.tau, c=lower.c, branch=Branch.UPPER)
-    log_h, u_star, delta, pad = fold
+        return lower, Extremal(h, lower.tau, lower.c, _UPPER)
+    log_h, delta, pad = fold
     if delta > _FAR_FROM_FOLD:
         # cosh(tau) >= e^tau/2 puts tau_2 below 2*log(2/h) + 2 and below
         # U(tau) = log(2*tau/h) of any tau >= tau_2; U is increasing, so its
@@ -323,15 +334,14 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
             hi = math.log(2.0 * hi) - log_h
         hi = math.log(hi)
     else:
-        hi = u_star + (1.0 + _FOLD_MARGIN) * delta
-    tau2 = _solve_branch(log_h, u_star - pad, hi + pad)
-    return lower, Extremal(h=h, tau=tau2, c=h / tau2, branch=Branch.UPPER)
+        hi = _U_STAR + (1.0 + _FOLD_MARGIN) * delta
+    tau2 = _solve_branch(log_h, _U_STAR - pad, hi + pad)
+    return lower, Extremal(h, tau2, h / tau2, _UPPER)
 
 
 def critical_extremal() -> Extremal:
     """The degenerate catenoid at the critical half-distance."""
-    cc = _CRITICAL
-    return Extremal(h=cc.h_star, tau=cc.tau_star, c=cc.h_star / cc.tau_star, branch=Branch.LOWER)
+    return Extremal(_H_STAR, _TAU_STAR, _H_STAR / _TAU_STAR, _LOWER)
 
 
 def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -380,9 +390,8 @@ def small_h_asymptotics(h: float) -> Tuple[float, float]:
     branches are far apart and the ratios are meaningful; raises DomainError
     otherwise, and below h = 1e-307 as solve_branches does.
     """
-    cc = _CRITICAL
-    if not (0.0 < h < cc.h_star / 10.0):
-        raise DomainError(f"asymptotic regime needs 0 < h < {cc.h_star / 10.0}, got {h!r}")
+    if not (0.0 < h < _H_STAR / 10.0):
+        raise DomainError(f"asymptotic regime needs 0 < h < {_H_STAR / 10.0}, got {h!r}")
     lower, upper = solve_branches(h)
     tau2 = upper.tau
     if tau2 < _EXP_OVERFLOW:

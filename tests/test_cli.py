@@ -11,7 +11,7 @@ import soapfilm.energetics
 import soapfilm.extremals
 from soapfilm import cli
 from soapfilm.cli import _COMMANDS, _build_parser, _parse, _range_points, _render_json, main
-from soapfilm.errors import NoExtremalError
+from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import critical_constants
 
 from oracles import THIRD_VARIATION_CRITICAL, mpmath_constants
@@ -284,13 +284,26 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(-1e308, 1e308, 5)
 def test_range_points_are_numpy_linspace_bit_for_bit(a, b, n):
     a, b = min(a, b), max(a, b)
-    points = _range_points(argparse.Namespace(h_min=a, h_max=b, steps=n))
-    # numpy's own special cases are kept: a subnormal span whose step
-    # underflows to 0, and a span that overflows (the first point is 0*inf,
-    # NaN, which numpy warns about); so compare bit patterns
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = np.linspace(a, b, n)
+    args = argparse.Namespace(h_min=a, h_max=b, steps=n)
+    if not math.isfinite(b - a):
+        # numpy's first point would be 0*inf, NaN: the range is refused
+        with pytest.raises(DomainError, match="--h-max - --h-min overflows"):
+            _range_points(args)
+        return
+    points = _range_points(args)
+    # numpy's own special case is kept: a subnormal span whose step
+    # underflows to 0; so compare bit patterns
+    reference = np.linspace(a, b, n)
     assert np.array(points).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("command", ["force", "sweep"])
+@pytest.mark.parametrize("steps", ["1", "3"])
+def test_a_range_whose_span_overflows_exits_2_naming_both_flags(command, steps, capsys):
+    # finite ends 2e308 apart: the span is inf, and each point would be NaN
+    code, out, err = run_cli(capsys, command, "--h-min=-1e308", "--h-max", "1e308", "--steps", steps)
+    assert (code, out) == (2, "")
+    assert err == "usage error: --h-max - --h-min overflows the float range: 1e+308 - -1e+308\n"
 
 
 def test_init_is_checked_against_the_presets(capsys):

@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from soapfilm import extremals
+from soapfilm.cli import main
+from soapfilm.energetics import ForceSample, force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import (
     Branch,
@@ -223,3 +227,65 @@ def test_branch_solution_matches_independent_halving():
     lower, upper = solve_branches(h)
     np.testing.assert_allclose(lower.tau, oracle1, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(upper.tau, oracle2, rtol=0.0, atol=1e-10)
+
+
+# The library builds its records positionally, through the same checks as a
+# keyword build: a branch solve that returned a wrong tau is refused with
+# Extremal's message wherever the record is built. At h = 0.3 the true
+# roots lie on either side of tau_star, and moving either by 1e-6 relative
+# moves log(c*cosh(h/c)) by |mu(tau)|*1e-6, far past 1e-10.
+_H = 0.3
+_TAU1, _TAU2 = (e.tau for e in solve_branches(_H))
+_RESIDUAL = "boundary condition violated: log(c*cosh(h/c)) = "
+# case -> (what each successive branch solve returns, the message)
+BAD_SOLVES = {
+    "lower off its root": ([_TAU1 * (1.0 + 1e-6)], _RESIDUAL),
+    "upper off its root": ([_TAU1, _TAU2 * (1.0 + 1e-6)], _RESIDUAL),
+    "lower above tau_star": ([_TAU2], "lower-branch parameter exceeds tau_star"),
+    "upper below tau_star": ([_TAU1, _TAU1], "upper-branch parameter is below tau_star"),
+}
+
+
+def _patch_branch_solve(monkeypatch, case):
+    """Make the branch solves return the case's answers; its message."""
+    answers, message = BAD_SOLVES[case]
+    returned = iter(answers)
+    monkeypatch.setattr(extremals, "_solve_branch", lambda log_h, lo, hi: next(returned))
+    return message
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLVES))
+def test_a_wrong_branch_solve_is_refused_by_solve_branches(case, monkeypatch):
+    message = _patch_branch_solve(monkeypatch, case)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        solve_branches(_H)
+
+
+# force solves the lower branch alone
+@pytest.mark.parametrize("case", [case for case in sorted(BAD_SOLVES) if case.startswith("lower")])
+def test_a_wrong_branch_solve_is_refused_by_force(case, monkeypatch):
+    message = _patch_branch_solve(monkeypatch, case)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        force(_H)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLVES))
+def test_a_wrong_branch_solve_makes_cli_solve_exit_2(case, monkeypatch, capsys):
+    message = _patch_branch_solve(monkeypatch, case)
+    assert main(["solve", "--h", repr(_H)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {message}")
+
+
+@pytest.mark.parametrize("h", [1e-300, 0.01, _H, H_STAR - 1e-10, H_STAR])
+def test_library_records_equal_their_keyword_builds(h):
+    lower, upper = solve_branches(h)
+    # records equal only records of their own class
+    assert lower == Extremal(h=h, tau=lower.tau, c=lower.c, branch=Branch.LOWER)
+    assert upper == Extremal(h=h, tau=upper.tau, c=upper.c, branch=Branch.UPPER)
+    if h == H_STAR:
+        assert critical_extremal() == lower
+    else:
+        sample = force(h)
+        assert sample == ForceSample(h=h, force=sample.force, dforce_dh=sample.dforce_dh)
