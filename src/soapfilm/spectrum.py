@@ -18,10 +18,11 @@ psi_o(tanh tau) for even k. eigenvalues evaluates them with `math` alone:
 P and Q as series in z = (1 - x)/2, the hypergeometric series in x^2 about
 s = 0 where z is large, and the recurrence in the degree where either
 series would cancel (see _characteristic). The signs of (psi_e, psi_o)
-count the eigenvalues below lambda mod 4, which brackets each root, and
-each lambda_k is solved as the root of the pair's unwrapped angle less
-k*pi/2, a Pruefer phase nearly linear in nu (see eigenvalues). No ODE is
-integrated, and numpy is not imported.
+count the eigenvalues below lambda mod 4, which unwraps the pair's angle,
+and each lambda_k is solved as the root of that angle less k*pi/2, a
+Pruefer phase nearly linear in nu, bracketed by the previous root and a
+closed-form Sturm bound from the equation's Liouville normal form (see
+eigenvalues). No ODE is integrated, and numpy is not imported.
 
 shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n. Because the
 ODE is linear, each RK4 step is a 2x2 matrix on (psi, dt*psi'), and
@@ -43,7 +44,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from .errors import ConvergenceFailureError, DomainError, _count
-from .extremals import _Record, critical_constants
+from .extremals import _Record, _log_cosh, critical_constants
 from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
@@ -72,6 +73,10 @@ _MAX_DEGREE = 1e4
 _HALF_PI = 0.5 * math.pi
 # the rounding unit eps relative to an angle of pi/2
 _ANGLE_ULP = _HALF_PI * sys.float_info.epsilon
+# the upper bracket ends' margin past their bounds: 1e-3*pi/2 of the pair's
+# angle past the Sturm bound, 1e-3 relative past the tent's; both far above
+# the residual's worst rounding, exp(24) ulps of the series
+_PAD = 1e-3
 # intervals of dense_eigenvalues' finite-difference matrix
 _DENSE_INTERVALS = 4096
 
@@ -323,32 +328,46 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     exactly at lambda_k, and find_root_bracketed solves it less k*pi/2 by
     secant steps: its sign is that of N >= k on any positive scale, and it
     is nearly linear in nu (a Pruefer angle, as in SLEIGN2: Bailey, Everitt
-    & Zettl, ACM TOMS 27(2), 2001). The brackets come from N, known exactly
-    at two kinds of points:
-    - N = 0 below half of max(a^2, 1/(2*tau*tanh(tau))), a = pi/(sqrt(8)*tau).
-      Both are lower bounds on lambda_1: the first by Sturm comparison with
-      rho <= 2, the second because psi^2 <= (tau/2) * integral psi'^2 for
-      psi vanishing at both ends, while rho integrates to 4*tanh(tau).
-    - N = k between (k*a*cosh(tau))^2 and ((k+1)*a)^2 where k*cosh(tau) <
-      k+1: Sturm comparison with rho >= 2/cosh^2(tau) and rho <= 2 puts
-      lambda_k below the first and lambda_k+1 above the second.
-    From a point of known N, a step of at most 3 in nu crosses at most three
-    eigenvalues, because successive nu_k lie more than 1 apart (the tests
-    check this for k <= 8 and tau in [1e-2, 300]); so the signs there give
-    N itself. Bisection then narrows each bracket to counts k-2 or k-1 and
-    k or k+1 at its ends.
+    & Zettl, ACM TOMS 27(2), 2001).
+
+    Each root is bracketed in closed form. With x = tanh(s) = sin(phi),
+    u = sqrt(cos(phi))*psi solves -u'' - sec^2(phi)*u/4 = (nu + 1/2)^2*u on
+    [-gd(tau), gd(tau)], Legendre's equation in Liouville normal form (DLMF
+    14.5, 14.15; Olver, Asymptotics and Special Functions, ch. 6). The
+    potential is at most -1/4, so by Sturm comparison nu_k < k*c - 1/2,
+    c = pi/(2*gd(tau)). Root k is solved between the previous root and
+    (k + 1e-3)*c - 1/2; root 1 from the degree at half of
+    max(a^2, 1/(2*tau*tanh(tau))), a = pi/(sqrt(8)*tau), two lower bounds on
+    lambda_1: by Sturm comparison with rho <= 2, and because
+    psi^2 <= (tau/2) * integral psi'^2 for psi vanishing at both ends while
+    rho integrates to 4*tanh(tau). Above tau = 1, where c - 1/2 nears 1/2
+    but nu_1 ~ 1/tau, root 1 also stays below 1 + 1e-3 times the degree at
+    1/(4*log(cosh(tau)) - 2*tau*tanh(tau)), the Rayleigh quotient of the
+    tent 1 - |s|/tau with s*tanh(s) <= s*tanh(tau) (it cancels at small tau).
+
+    The residual is unwrapped from N = max(k - 2, 0), as N is k-2 or k-1 at
+    the previous root and, if nu_k+2 lies above the upper end, k or k+1
+    there. This is assumed. It is proven where the upper end is at most
+    k + 1, as nu_j > j - 1 (domain monotonicity against phi in
+    [-pi/2, pi/2], whose eigenfunctions are sqrt(cos(phi))*P_n(sin(phi))),
+    and where ((k+2)*c)^2 - cosh(tau)^2/4 >= ((k + 1e-3)*c)^2 (comparison
+    with the potential's lower bound). Neither covers a window of k from
+    tau ~ 4.36 on: 105..122 at tau = 4.5, 174..337 at 5, 474..2527 at 6. The
+    tests check the assumption for k <= 8 on tau in [1e-2, 300] and up to
+    k = 500 at tau = 4.5, 5 and 6.
 
     Accuracy: lambda_k is within 1e-13 relative of the exact eigenvalue for
     k <= 5 and tau in [0.05, 300] (the tests check this against 50-digit
     mpmath roots of the same condition; measured at most 1.3e-14), and
-    within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ 1e-3, where
-    the recurrence would take over 1e4 steps, k from 8 to 14 lose up to 1e-9.
+    within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ k*pi/2e4,
+    where the recurrence would take over 1e4 steps, k from 8 to 14 lose up
+    to 3e-9 and k = 15 up to 2e-8 (measured against 60-digit roots).
 
     Raises DomainError unless 0 < tau < inf and k_max is an integer in
     1..2**20, where the eigenvalues leave the float range (lambda_1 below
     the least normal float from tau ~ 1e307, lambda_k_max beyond the largest
     float below tau ~ 1e-154), and where no evaluation reaches that
-    precision (k_max >= 15 below tau ~ 2e-3).
+    precision (k_max >= 16 below tau ~ 2.5e-3).
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
@@ -357,52 +376,36 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     root_floor = max(a, 1.0 / math.sqrt(2.0 * tau) / math.sqrt(math.tanh(tau)))
     if not sys.float_info.min <= 0.5 * root_floor * root_floor < math.inf:
         raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
-    # from tau = 1.32 on, cosh(tau) >= 2 and no k is separated this way
-    stretch = math.cosh(tau) if tau < 2.0 else math.inf
+    # c = pi/(2*gd(tau)): nu_k < k*c - 1/2
+    c = _HALF_PI / (2.0 * math.atan(math.tanh(0.5 * tau)))
     psi = _characteristic(tau)
     seen: Dict[float, Tuple[float, float]] = {}
 
-    def count(nu: float, base: int) -> Tuple[int, float, float]:
-        """N at nu, from a count base that N exceeds by at most 3, and the pair at nu."""
+    def residual(nu: float) -> float:
+        """The pair's unwrapped angle at nu less k*pi/2: negative exactly while N < k."""
         if nu not in seen:
             seen[nu] = psi(nu)
         even, odd = seen[nu]
         quadrant = 2 * (odd < 0.0) + ((even < 0.0) != (odd < 0.0))
-        return base + (quadrant - base) % 4, even, odd
-
-    def residual(nu: float) -> float:
-        """The pair's unwrapped angle at nu less k*pi/2: negative exactly while N < k."""
-        n_nu, even, odd = count(nu, n_lo)
+        n_nu = base + (quadrant - base) % 4
         # the angle past the start of quadrant n_nu, and the part of it still ahead
         past, ahead = (abs(odd), abs(even)) if n_nu % 2 == 0 else (abs(even), abs(odd))
         if n_nu >= k:
             return (n_nu - k) * _HALF_PI + math.atan2(past, ahead)
         return -((k - n_nu - 1) * _HALF_PI + math.atan2(ahead, past))
 
-    lo, n_lo = _degree(root_floor * math.sqrt(0.5)), 0
     # below every nu_k: root_floor^2 is itself a lower bound on lambda_1
     nu_floor = _degree(root_floor)
-    hi, n_hi = lo, 0
+    lo = _degree(root_floor * math.sqrt(0.5))
     lams = []
     for k in range(1, k_max + 1):
-        while n_hi < k:
-            if k * stretch < k + 1:
-                hi, n_hi = _degree(0.5 * a * (k * stretch + k + 1)), k
-            else:
-                # nu_1 ~ 1/tau at large tau, so its bracket grows from lo geometrically
-                hi = lo + (min(3.0, 15.0 * lo) if k == 1 else 3.0)
-                n_hi = count(hi, n_lo)[0]
-            if n_hi < k:
-                lo, n_lo = hi, n_hi
-        while n_lo < k - 2 or n_hi > k + 1:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                raise ConvergenceFailureError(f"could not isolate eigenvalue {k} at tau={tau!r}")
-            n_mid = count(mid, n_lo)[0]
-            if n_mid < k:
-                lo, n_lo = mid, n_mid
-            else:
-                hi, n_hi = mid, n_mid
+        # N is k-2 or k-1 at the previous root and k or k+1 at the upper end
+        base = max(k - 2, 0)
+        hi = (k + _PAD) * c - 0.5
+        if k == 1 and tau > 1.0:
+            # the Rayleigh quotient of the tent 1 - |s|/tau bounds lambda_1 above
+            inverse = 4.0 * _log_cosh(tau) - 2.0 * tau * math.tanh(tau)
+            hi = min(hi, (1.0 + _PAD) * _degree(1.0 / math.sqrt(inverse)))
         # nu_k > nu_min (k - 1 by the gaps): tol_x stays a few ulps of the
         # root or more. tol_f is the residual's rounding floor: an ulp of nu
         # moves it by eps*nu times its slope, about pi/2 on the Ferrers scale
@@ -412,8 +415,7 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
         tol_f = 2.0 * min(k, nu_min) * _ANGLE_ULP
         nu = find_root_bracketed(residual, lo, hi, tol_x=1e-15 * nu_min, tol_f=tol_f)
         lams.append(0.5 * nu * (nu + 1.0))
-        if n_hi == k:
-            lo, n_lo = hi, n_hi
+        lo = nu
     if lams[-1] == math.inf:
         raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
     return StringSpectrum(tau=tau, lambdas=lams)

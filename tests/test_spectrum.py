@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -124,6 +126,21 @@ def test_characteristic_angle_matches_mpmath(tau, nu):
     assert abs(math.atan2(odd, even) - math.atan2(float(want[1]), float(want[0]))) <= 1e-14
 
 
+def _brackets(tau, k_max):
+    """eigenvalues(tau, k_max)'s degrees; each root solve's bracket and residual at its ends."""
+    ends = []
+    solve = spectrum.find_root_bracketed
+
+    def recording(f, lo, hi, **tols):
+        ends.append((lo, hi, f(lo), f(hi)))
+        return solve(f, lo, hi, **tols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "find_root_bracketed", recording)
+        lams = eigenvalues(tau, k_max).lambdas
+    return [(math.sqrt(1.0 + 8.0 * lam) - 1.0) / 2.0 for lam in lams], ends
+
+
 @settings(max_examples=60)
 @given(
     log_tau=st.floats(math.log(1e-2), math.log(300.0)),
@@ -134,18 +151,9 @@ def test_characteristic_angle_matches_mpmath(tau, nu):
 def test_the_phase_residual_is_negative_exactly_below_each_root(log_tau, k):
     # Each root solve starts from a bracket where the residual is < 0 at lo
     # and >= 0 at hi: its sign is that of N >= k, whatever the pair's scale.
-    ends = []
-    solve = spectrum.find_root_bracketed
-
-    def recording(f, lo, hi, **tols):
-        ends.append((f(lo), f(hi)))
-        return solve(f, lo, hi, **tols)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectrum, "find_root_bracketed", recording)
-        eigenvalues(math.exp(log_tau), k)
+    _, ends = _brackets(math.exp(log_tau), k)
     assert len(ends) == k
-    for at_lo, at_hi in ends:
+    for _, _, at_lo, at_hi in ends:
         assert at_lo < 0.0 <= at_hi
 
 
@@ -183,16 +191,16 @@ def _evaluations(monkeypatch):
 
 
 def test_eigenvalues_take_few_evaluations(monkeypatch):
-    # Each nu is evaluated once. The bounds sit 20-25 % above the worst
-    # measured on these 40 tau, 8, 13 and 33 evaluations for k = 1, 2, 5;
-    # over the benchmark's tau band [0.2, 5], 5.8 per eigenvalue on average.
+    # Each nu is evaluated once. The bounds sit 20-30 % above the worst
+    # measured on these 40 tau, 7, 12 and 29 evaluations for k = 1, 2, 5;
+    # on the benchmark's inputs (tau in [0.2, 5]), 5.2 per eigenvalue on average.
     calls = _evaluations(monkeypatch)
     for i in range(40):
         tau = math.exp(math.log(1e-2) + math.log(3e4) * i / 39)
         for k in (1, 2, 5):
             calls.clear()
             eigenvalues(tau, k)
-            assert len(calls) <= {1: 10, 2: 16, 5: 40}[k], (tau, k, len(calls))
+            assert len(calls) <= {1: 9, 2: 15, 5: 35}[k], (tau, k, len(calls))
             assert len(set(calls)) == len(calls)
 
 
@@ -213,12 +221,81 @@ def test_eigenvalues_run_no_rk4_pass(monkeypatch, tau):
 )
 @example(log_tau=math.log(300.0), k=1)
 def test_successive_degrees_lie_more_than_one_apart(log_tau, k):
-    # eigenvalues marches nu in steps of at most 3 and reads the count mod 4,
-    # which is safe while nu_k+1 - nu_k > 1 (1.0000016 measured at tau =
-    # 300). The lambdas are checked against mpmath and RK4 in other tests.
+    # A property of the spectrum (1.0000016 measured at tau = 300) that the
+    # root brackets no longer rely on: they come from a Sturm bound and are
+    # checked below. The lambdas are checked against mpmath and RK4 in other
+    # tests.
     lams = np.array(eigenvalues(math.exp(log_tau), k + 1).lambdas)
     nu = (np.sqrt(1.0 + 8.0 * lams) - 1.0) / 2.0
     assert nu[k] - nu[k - 1] > 1.0
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.5, 2.0, 20.0, 300.0])
+def test_sturm_bounds_lie_above_the_mpmath_roots(tau):
+    # In the Liouville normal form the potential is at most -1/4, so
+    # nu_k < k*pi/(2*gd(tau)) - 1/2: each upper bracket end less its pad.
+    # Above tau = 1 the tent 1 - |s|/tau bounds lambda_1 too.
+    c = math.pi / (2.0 * math.atan(math.sinh(tau)))
+    for k, lam in enumerate(eigenvalues(tau, 4).lambdas, start=1):
+        exact = string_eigenvalue(tau, k, lam)
+        assert (math.sqrt(1.0 + 8.0 * exact) - 1.0) / 2.0 < k * c - 0.5, k
+        if k == 1 and tau > 1.0:
+            log_cosh = tau + math.log1p(math.exp(-2.0 * tau)) - math.log(2.0)
+            assert exact < 1.0 / (4.0 * log_cosh - 2.0 * tau * math.tanh(tau))
+
+
+@settings(max_examples=60)
+@given(
+    log_tau=st.floats(math.log(1e-2), math.log(300.0)),
+    k=st.integers(1, 8),
+)
+@example(log_tau=math.log(1e-2), k=8)
+@example(log_tau=math.log(300.0), k=8)
+def test_each_upper_end_lies_below_the_root_after_next(log_tau, k):
+    # The residual is unwrapped from N = k - 2, which reads N right only up
+    # to k + 1: root k's upper end must lie below nu_k+2.
+    nu, ends = _brackets(math.exp(log_tau), k + 2)
+    for j, (lo, hi, _, _) in enumerate(ends[:k]):
+        assert lo < nu[j] < hi < nu[j + 2], (j + 1, lo, hi, nu)
+
+
+@pytest.mark.parametrize("tau", [4.5, 5.0, 6.0])
+def test_upper_ends_hold_where_no_proof_covers_them(tau):
+    # eigenvalues' two proofs of nu_k+2 > upper end leave 105 <= k <= 122 at
+    # tau = 4.5, 174 <= k <= 337 at 5 and 474 <= k <= 2527 at 6. RK4's node
+    # count, an independent scalar loop, then jumps from 499 to 500 across
+    # lambda_500 (mu = lambda*dt^2 <= 0.017, an RK4 error below 5*mu^2 =
+    # 1.5e-3 relative, against gaps of 4e-3), so no root before it was
+    # skipped.
+    nu, ends = _brackets(tau, 500)
+    assert all(end[1] < nu[j + 2] for j, end in enumerate(ends[:-2]))
+    lam, n = 0.5 * nu[-1] * (nu[-1] + 1.0), 2**15
+    delta = 5.0 * (lam * (2.0 * tau / n) ** 2) ** 2
+    assert rk4_sweep(tau, lam * (1.0 - delta), n)[1] == 499
+    assert rk4_sweep(tau, lam * (1.0 + delta), n)[1] == 500
+
+
+def test_the_series_precision_limit_is_a_domain_error():
+    # Root 16's upper bracket end (16 + 1e-3)*pi/(2*gd(tau)) - 1/2 passes
+    # degree 1e4, the recurrence's last, below tau = 2.51331e-3; there the
+    # series about s = 0 would lose exp(25) ulps. Root 15's would lose at
+    # most exp(23.6), so k_max = 15 is solved at every tau.
+    assert len(eigenvalues(2.5134e-3, 16).lambdas) == 16
+    with pytest.raises(DomainError, match="beyond the series' precision"):
+        eigenvalues(2.5132e-3, 16)
+    assert eigenvalues(1e-150, 15).lambdas[-1] < math.inf
+
+
+def test_eigenvalues_past_the_largest_float_are_a_domain_error():
+    # lambda_2 = (pi^2/gd(tau)^2 - 1/2 - O(tau^2))/2 overflows below
+    # tau = pi/sqrt(2*DBL_MAX), where lambda_1, and with it the check on
+    # the lower bound, is still finite: the last check before the return.
+    edge = math.pi / math.sqrt(2.0) / math.sqrt(sys.float_info.max)
+    assert eigenvalues(edge * (1.0 + 1e-9), 2).lambdas[1] < math.inf
+    below = edge * (1.0 - 1e-9)
+    assert eigenvalues(below, 1).lambdas[0] < math.inf
+    with pytest.raises(DomainError, match="leave the float range"):
+        eigenvalues(below, 2)
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.05, 0.2, 1.2, 5.0, 30.0, 100.0, 300.0])
@@ -240,7 +317,7 @@ def test_no_eigenvalue_is_skipped(tau):
 
 @given(
     tau=st.floats(math.log(5e-324), math.log(1e308)).map(math.exp),
-    k=st.integers(1, 10),
+    k=st.integers(1, 20),
 )
 @example(tau=5e-324, k=1)
 @example(tau=1e-150, k=10)
@@ -248,11 +325,15 @@ def test_no_eigenvalue_is_skipped(tau):
 @example(tau=1e307, k=5)
 @example(tau=1.1e307, k=1)
 @example(tau=1e308, k=1)
+@example(tau=2e-3, k=16)
+@example(tau=1e-153, k=50)
 def test_eigenvalues_raise_only_domain_errors(tau, k):
-    # From a subnormal tau to 1e308: a value or DomainError, no warning.
+    # From a subnormal tau to 1e308: a value or DomainError, no warning, and
+    # the error is eigenvalues' own, never a root solve's.
     try:
         spec = eigenvalues(tau, k)
-    except DomainError:
+    except DomainError as exc:
+        assert re.search("leave the float range|beyond the series' precision", str(exc))
         return
     assert len(spec.lambdas) == k
     assert all(0.0 < lam < math.inf for lam in spec.lambdas)
