@@ -6,10 +6,11 @@ with 17 significant digits, so re-running a command reproduces the output
 byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
 exit 0 with the outcome encoded in the record. The library functions check
 their own arguments: any DomainError, from them or from the CLI's range
-checks, exits 2 with its message; other failures exit 1. Only the minimize
-handler imports the modules that need numpy, and only help texts and
-parser errors import and build argparse: a well-formed argv is read straight
-from the command table.
+checks, exits 2 with its message; other failures, an --out path that cannot
+be written among them, exit 1 with theirs. Only the minimize handler imports
+the modules that need numpy, and only help texts and parser errors import
+and build argparse: a well-formed argv is read straight from the command
+table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import energetics, extremals
-from .errors import DomainError, NoExtremalError
+from .errors import DomainError, NoExtremalError, _count
 
 __all__ = ["main"]
 
@@ -159,12 +160,11 @@ def _range_points(args) -> List[float]:
         raise DomainError("--h-max must not be below --h-min")
     if not math.isfinite(h_max - h_min):
         raise DomainError(f"--h-max - --h-min overflows the float range: {h_max!r} - {h_min!r}")
-    if args.steps < 1:
-        raise DomainError("--steps must be at least 1")
-    if args.steps == 1:
+    steps = _count("--steps", args.steps, 1)
+    if steps == 1:
         return [h_min]
     # numpy.linspace's arithmetic, bit for bit: i/div*delta where step underflows
-    div, delta = args.steps - 1, h_max - h_min
+    div, delta = steps - 1, h_max - h_min
     step = delta / div
     return [(i * step if step else i / div * delta) + h_min for i in range(div)] + [h_max]
 
@@ -316,17 +316,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         inputs, results = _COMMANDS[args.command][0](args)
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+        }
+        _emit(record, args.format, args.out)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": inputs,
-        "results": results,
-    }
-    _emit(record, args.format, args.out)
     return 0

@@ -24,10 +24,8 @@ Pruefer phase nearly linear in nu, bracketed by the previous root and a
 closed-form Sturm bound from the equation's Liouville normal form (see
 eigenvalues). No ODE is integrated, and numpy is not imported.
 
-shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n. Because the
-ODE is linear, each RK4 step is a 2x2 matrix on (psi, dt*psi'), and
-recursive doubling forms every prefix product, so psi comes out at every
-node in log2(n) batched passes (see _trajectory).
+shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, one scalar
+step at a time; it is the RK4 oracle of the tests and imports no numpy.
 dense_eigenvalues solves the same problem as a finite-difference matrix
 eigenproblem and serves as an independent check.
 
@@ -92,66 +90,51 @@ def _check_problem(tau: float, n: int) -> float:
     return dt
 
 
-def _trajectory(tau: float, lam: float, n: int) -> np.ndarray:
-    """psi/dt at the n+1 nodes of [-tau, tau] for (psi, dt*psi')(-tau) = (0, 1).
-
-    Each RK4 step is a 2x2 matrix on (psi, dt*psi'), whose entries are
-    quadratics in q = lam*dt^2*rho at the step's node (q0), midpoint (qh) and
-    next node (q1). Recursive doubling (log2(n) levels of batched 2x2
-    products) turns the n step matrices into the prefix products M_j...M_0
-    in place; their (0, 1) entries are the shot at nodes 1..n.
-    """
-    # Deferred with grids and variation: eigenvalues computes with math alone.
-    import numpy as np
-
-    from .variation import _density
-
-    dt = 2.0 * tau / n
-    q = (lam * dt * dt) * _density(0.5 * dt * np.arange(-n, n + 1))
-    q0, qh, q1 = q[0:-1:2], q[1::2], q[2::2]
-    m = np.array(
-        [
-            [1.0 - (q0 + 2.0 * qh) / 6.0 + q0 * qh / 24.0, 1.0 - qh / 6.0],
-            [
-                qh * (q0 + q1) / 12.0 - (q0 + 4.0 * qh + q1) / 6.0,
-                1.0 - (2.0 * qh + q1) / 6.0 + qh * q1 / 24.0,
-            ],
-        ]
-    )
-    span = 1
-    while span < n:
-        # m[:, :, i] <- m[:, :, i] @ m[:, :, i - span] for every i >= span
-        m[:, :, span:] = np.einsum("ijk,jlk->ilk", m[:, :, span:], m[:, :, :-span])
-        span *= 2
-    return np.concatenate(([0.0], m[0, 1]))
-
-
 def shoot(tau: float, lam: float, n: int = _DEFAULT_STEPS) -> Tuple[float, int]:
     """Integrate psi'' + lam*rho*psi = 0 from (psi, psi')(-tau) = (0, 1).
 
     Returns psi(tau) and the number of sign changes the solution makes at the
     n+1 nodes after leaving the initial zero (the Sturm oscillation count).
-    Fixed-step RK4, one forward sweep over the n steps of [-tau, tau];
-    deterministic for given (tau, lam, n). For lam <= 0 every step matrix is
-    entrywise non-negative, so psi > 0 after the first step and the count is
-    0. Raises DomainError unless 0 < 2*tau < inf, n is an integer in
-    256..2**20, dt = 2*tau/n is a normal float and lam is finite, and where
-    psi overflows (lam far beyond RK4's stability bound 4/dt^2, or far
-    below 0).
+    Fixed-step RK4, one forward sweep over the n steps of [-tau, tau]; each
+    step is a 2x2 matrix on (psi, dt*psi'), whose entries are quadratics in
+    q = lam*dt^2*rho at the step's node (q0), midpoint (qh) and next node
+    (q1). Deterministic for given (tau, lam, n). For lam <= 0 every step
+    matrix is entrywise non-negative, so psi > 0 after the first step and
+    the count is 0. Raises DomainError unless 0 < 2*tau < inf, n is an
+    integer in 256..2**20, dt = 2*tau/n is a normal float and lam is finite,
+    and where psi overflows (lam far beyond RK4's stability bound 4/dt^2, or
+    far below 0).
     """
-    import numpy as np
-
     dt = _check_problem(tau, n)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = _trajectory(tau, lam, n)
-    if not np.all(np.isfinite(psi)):
+    scale = lam * dt * dt
+
+    def q(i: int) -> float:
+        # rho = 2/cosh^2 s = 8t/(1 + t)^2 at s = (i - n)*dt/2, t = exp(-2|s|) <= 1
+        t = math.exp(-2.0 * abs(0.5 * dt * (i - n)))
+        return scale * (8.0 * t / ((1.0 + t) * (1.0 + t)))
+
+    # psi/dt and psi' from (0, 1); sign is that of the last nonzero psi
+    psi, slope, sign, nodes = 0.0, 1.0, 0, 0
+    q0 = q(0)
+    for i in range(1, 2 * n, 2):
+        qh, q1 = q(i), q(i + 1)
+        psi, slope = (
+            (1.0 - (q0 + 2.0 * qh) / 6.0 + q0 * qh / 24.0) * psi + (1.0 - qh / 6.0) * slope,
+            (qh * (q0 + q1) / 12.0 - (q0 + 4.0 * qh + q1) / 6.0) * psi
+            + (1.0 - (2.0 * qh + q1) / 6.0 + qh * q1 / 24.0) * slope,
+        )
+        q0 = q1
+        # Exact zeros carry no sign and are skipped.
+        if psi:
+            step_sign = 1 if psi > 0.0 else -1
+            if step_sign == -sign:
+                nodes += 1
+            sign = step_sign
+    if not math.isfinite(psi):
         raise DomainError(f"psi overflows at lambda={lam!r}, tau={tau!r}, n={n!r}")
-    # Exact zeros carry no sign and are skipped.
-    positive = psi > 0.0
-    signs = positive[positive | (psi < 0.0)]
-    return dt * float(psi[-1]), int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return dt * psi, nodes
 
 
 class StringSpectrum(_Record, namedtuple("StringSpectrum", "tau lambdas")):

@@ -3,8 +3,8 @@
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, Taylor series summed to convergence, simple finite
 differences, plain Simpson sums, a scalar step-by-step RK4 loop, a Sturm
-count bisection, and 40- and 50-digit mpmath roots and closed forms. None
-of it calls into soapfilm internals.
+count bisection, and 40-, 50- and 60-digit mpmath roots and closed forms.
+None of it calls into soapfilm internals.
 """
 
 import functools
@@ -450,5 +450,33 @@ def string_eigenvalue(tau, k, guess):
             (mpmath.mpf(nu0), mpmath.mpf(nu0) * (1 + mpmath.mpf(10) ** -9)),
             solver="secant",
             tol=mpmath.mpf(10) ** -40,
+        )
+        return float(nu * (nu + 1) / 2)
+
+
+def centre_series_eigenvalue(tau, k, guess):
+    """string_eigenvalue from the hypergeometric series about s = 0, for small tau.
+
+    psi_e = 2F1(-nu/2, (nu+1)/2; 1/2; x^2) for odd k and
+    psi_o = x*2F1((1-nu)/2, nu/2+1; 3/2; x^2) for even k, x = tanh(tau), with
+    mpmath's hyp2f1 at 60 digits; the root in nu by mpmath's secant from
+    nu(guess), as in string_eigenvalue. Where nu*x stays bounded, that is
+    at small tau and large k, these converge where legenp/legenq do not.
+    """
+    nu0 = (math.sqrt(1.0 + 8.0 * guess) - 1.0) / 2.0
+    with mpmath.workdps(60):
+        x2 = mpmath.tanh(mpmath.mpf(tau)) ** 2
+        half = mpmath.mpf(1) / 2
+
+        def psi(nu):
+            if k % 2:
+                return mpmath.hyp2f1(-nu / 2, (nu + 1) / 2, half, x2)
+            return mpmath.hyp2f1((1 - nu) / 2, nu / 2 + 1, 3 * half, x2)
+
+        nu = mpmath.findroot(
+            psi,
+            (mpmath.mpf(nu0), mpmath.mpf(nu0) * (1 + mpmath.mpf(10) ** -9)),
+            solver="secant",
+            tol=mpmath.mpf(10) ** -50,
         )
         return float(nu * (nu + 1) / 2)

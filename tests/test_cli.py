@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,30 @@ def test_out_flag_writes_file(tmp_path, capsys):
     on_disk = path.read_text(encoding="utf-8")
     _, stdout_version, _ = run_cli(capsys, "critical")
     assert on_disk == stdout_version
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_out_exits_1_with_its_message(where, tmp_path, capsys):
+    path = tmp_path / "absent" / "record.json" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "solve", "--h", "0.3", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n")
+
+
+@pytest.mark.parametrize("command", ["force", "sweep"])
+@pytest.mark.parametrize("steps", [0, 2**20 + 1, 10**12])
+def test_a_step_count_out_of_range_exits_2_before_any_point_is_built(command, steps, capsys):
+    tracemalloc.start()
+    try:
+        argv = ["--h-min", "0.1", "--h-max", "0.2", "--steps", str(steps)]
+        code, out, err = run_cli(capsys, command, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --steps must be an integer in 1..1048576, got {steps}\n"
+    # a list of 2**20 floats alone would take 8 MB
+    assert peak < 2**20
 
 
 def test_csv_and_json_numbers_identical(capsys):

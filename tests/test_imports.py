@@ -3,11 +3,12 @@
 No module of the package imports numpy when it loads: the functions that use
 arrays import it themselves. So importing any module, the scalar API, the
 string eigenvalues and every CLI subcommand but minimize run in a fresh
-interpreter without numpy (or scipy), while numpy loads on the first array
-call. The CLI reads a well-formed argv from its command table and imports
-argparse for any other. No import or scalar call loads dataclasses, or the
-inspect it brings: the records are named tuples. Of the scalar API and the
-subcommands, only the spectrum loads the generic root finder.
+interpreter without numpy (or scipy), as does the RK4 oracle shoot, while
+numpy loads on the first array call. The CLI reads a well-formed argv from
+its command table and imports argparse for any other. No import or scalar
+call loads dataclasses, or the inspect it brings: the records are named
+tuples. Of the scalar API and the subcommands, only the spectrum loads the
+generic root finder.
 """
 
 import os
@@ -26,6 +27,7 @@ SCALAR_API = (
     "soapfilm.force(0.3); soapfilm.goldschmidt_constant(); soapfilm.phi(1.0)"
 )
 EIGENVALUES = "import soapfilm; soapfilm.eigenvalues(1.2, 3)"
+SHOOT = "from soapfilm.spectrum import shoot; shoot(1.3, 7.0)"
 
 MODULE_IMPORTS = [
     "import soapfilm.grids, soapfilm.variation, soapfilm.direct_min",
@@ -73,6 +75,11 @@ def test_scalar_api_loads_no_root_finder():
 
 def test_eigenvalues_load_no_numpy():
     assert not loads(EIGENVALUES, "numpy")
+
+
+def test_shoot_loads_no_numpy():
+    # RK4 steps one scalar at a time
+    assert not loads(SHOOT, "numpy")
 
 
 def test_cli_import_loads_no_numpy():
