@@ -98,7 +98,7 @@ class Profile(_Record, namedtuple("Profile", "h grid y")):
             raise DomainError(f"grid must span [-{h}, {h}]")
         if y[0] != 1.0 or y[-1] != 1.0:
             raise DomainError("endpoint radii must be exactly 1")
-        if not np.all((y[1:-1] >= _FLOOR) & (y[1:-1] < np.inf)):
+        if not ((y[1:-1] >= _FLOOR) & (y[1:-1] < np.inf)).all():
             raise DomainError(f"interior radii must be finite and >= {_FLOOR}")
         return tuple.__new__(cls, (h, grid, y))
 
@@ -139,14 +139,13 @@ class MinimizeReport(
 def _segments(y: np.ndarray, dx: float) -> Segments:
     """Per-segment slope m, stretch w = sqrt(1 + m^2) and midpoint radius ybar."""
     import numpy as np
-    m = np.diff(y) / dx
+    m = (y[1:] - y[:-1]) / dx
     return m, np.sqrt(1.0 + m * m), 0.5 * (y[:-1] + y[1:])
 
 
 def _area(seg: Segments, dx: float) -> float:
-    import numpy as np
     _, w, ybar = seg
-    return math.tau * dx * float(np.sum(ybar * w))
+    return math.tau * dx * float((ybar * w).sum())
 
 
 def _area_decrease(dy: np.ndarray, seg: Segments, seg_new: Segments, dx: float) -> float:
@@ -157,12 +156,11 @@ def _area_decrease(dy: np.ndarray, seg: Segments, seg_new: Segments, dx: float) 
     Expanding the difference segment by segment in the (exactly computed)
     displacement dy keeps full relative precision however small the step.
     """
-    import numpy as np
     (m1, w1, _), (m2, w2, ybar2) = seg, seg_new
     dybar = 0.5 * (dy[:-1] + dy[1:])
-    dm = np.diff(dy) / dx
+    dm = (dy[1:] - dy[:-1]) / dx
     terms = dybar * w1 + ybar2 * dm * (m1 + m2) / (w1 + w2)
-    return math.tau * dx * float(np.sum(terms))
+    return math.tau * dx * float(terms.sum())
 
 
 def _gradient(seg: Segments, dx: float) -> np.ndarray:
@@ -346,9 +344,9 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
         # the projected gradient y - P(y - g); floored radii pushed further
         # down by g are stationary under the projection P
         inner = y[1:-1]
-        eps = float(np.max(np.abs(inner - np.maximum(inner - g[1:-1], _FLOOR))))
+        eps = float(np.abs(inner - np.maximum(inner - g[1:-1], _FLOOR)).max())
         if eps <= _GRAD_TOL:
-            outcome = Outcome.COLLAPSED if np.min(inner) <= _COLLAPSE_AT else Outcome.CONVERGED
+            outcome = Outcome.COLLAPSED if inner.min() <= _COLLAPSE_AT else Outcome.CONVERGED
             break
 
         step = _newton_step(y, seg, g, eps, dx)
@@ -376,5 +374,5 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
         final_area=_area(seg, dx),
         iterations=steps,
         final_profile=Profile(h=h, grid=grid, y=y),
-        min_y=float(np.min(y)),
+        min_y=float(y.min()),
     )

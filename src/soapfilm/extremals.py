@@ -9,15 +9,17 @@ With tau = h / C the boundary condition becomes phi(tau) = cosh(tau) / tau
 = 1 / h. phi is strictly convex on tau > 0 with a single minimum at tau_star
 solving 1 - tau tanh(tau) = 0, so the problem has two solutions for
 h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
-and none beyond it. Either branch parameter is one bracketed solve of
+and none beyond it. Either branch parameter is one solve of
 log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold. Its
 slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so each solve
 is a Newton loop of its own that evaluates both inline, and tau_star, the
-root of mu, is three Newton steps taken when the module loads. Each branch
-solve starts from a closed-form bracket: h cosh(h) below tau_1, tau_star
-below tau_2, and above them the fold offsets of the quadratic
-log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the fold, iterates
-of tau -> log(2 tau / h), which stay above tau_2.
+root of mu, is three Newton steps taken when the module loads. The
+equation is convex in log(tau), so Newton from the side where it is
+positive converges monotonically. Each branch solve starts from an end of a
+closed-form bracket, whose other end it never evaluates: h cosh(h) below
+tau_1, tau_star below tau_2, and above them the fold offsets of the
+quadratic log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the
+fold, iterates of tau -> log(2 tau / h), which stay above tau_2.
 
 _Record, the base of CriticalConstants, Extremal and every other record in
 the package, makes each an immutable named tuple that validates whenever it
@@ -71,11 +73,13 @@ _LOG_2 = math.log(2.0)
 # this far from 1 so that g there stands well above its rounding.
 _FOLD_MARGIN = 1.0 / 64.0
 # Past this delta (h below about 0.55) the upper bracket ends on iterates
-# of U, which beat the fold end there.
+# of U, which beat the fold end there, and the lower solve starts from its
+# lower end; nearer the fold it starts from the inner one (see _lower_branch).
 _FAR_FROM_FOLD = 0.5
 
-# _solve_branch's evaluations after the ends: bisection alone closes any
-# closed-form bracket, at most 677 wide, within 60.
+# _solve_branch's evaluations: Newton from the convex side took at most 7
+# over 60 000 h, so the budget is a guard against a wrong start, not a
+# schedule.
 _BRANCH_BUDGET = 100
 
 
@@ -83,7 +87,7 @@ def _log_cosh(t: float) -> float:
     """log(cosh(t)) for t >= 0, finite wherever t is.
 
     _solve_branch and Extremal.__new__ write the same sum inline: g runs
-    about 11 times per solve_branches and an Extremal is built twice, and
+    about 9 times per solve_branches and an Extremal is built twice, and
     a call in either place costs more than the sum.
     """
     return t + math.log1p(math.exp(-2.0 * t)) - _LOG_2
@@ -222,64 +226,49 @@ class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
         return tuple.__new__(cls, (h, tau, c, branch))
 
 
-def _solve_branch(log_h: float, lo: float, hi: float) -> float:
-    """The root tau of g(u) = log(h*phi(tau)), u = log(tau), with u in [lo, hi].
+def _solve_branch(log_h: float, u: float, lo: float, hi: float) -> float:
+    """The root tau of g(u) = log(h*phi(tau)), u = log(tau), from u in [lo, hi].
 
     g forms neither 1/h nor cosh(tau), so it cannot overflow at tiny h. Its
     slope t*tanh(t) - 1 = -mu(t) costs nothing beyond e = exp(-2t), which g
     forms anyway, so every step is a Newton step. Both are written inline: a
     call per evaluation, as a generic root finder makes, costs more than g.
-    tol_x = 1e-15 is about one ulp of u, since h*phi(tau) - 1 moves by tau
-    per unit of u. tol_f = 2.3e-16 is g's rounding floor, one ulp of the O(1)
-    terms that cancel in it: an iterate that meets it is at the root to
-    within g's noise, and near the fold, where g is flat, the bracket shrinks
-    as far as that noise allows.
+    tol_f = 2.3e-16 is g's rounding floor, one ulp of the O(1) terms that
+    cancel in it: an iterate that meets it is at the root to within g's
+    noise.
 
     g'' = t*tanh(t) + t**2 sech(t)**2 > 0: the tangent lies below g, so each
     Newton point lands where g >= 0, and every later one between its
-    iterate and the root. Newton thus needs no safeguard ball, as a generic
-    solver does; bisection only replaces a point outside the bracket (a first
-    step from the g < 0 side, or rounding). The solve stops on |g| <= tol_f,
-    on a bracket tol_x wide or down to adjacent floats, or on a Newton point
-    that rounds to its iterate: where an ulp of u exceeds tol_x (u near -690
-    at h = 1e-300), Newton lands on the root's float and stays there. Raises
-    ConvergenceFailureError where g does not change sign over [lo, hi] or
-    the budget runs out: either is a bug in the closed-form brackets.
+    iterate and the root, on the same side. The loop is that monotone
+    Newton iteration and nothing else: the caller names the side by its
+    start u, where g > 0, or, on the lower branch near the fold, where
+    g < 0 and the first step crosses to g >= 0. It stops on |g| <= tol_f;
+    on g <= tol_f once an iterate had g > 0, since from the convex side g
+    can fall below 0 only by rounding; or on a Newton point that rounds to
+    its iterate: where an ulp of u exceeds g's rounding (u near -690 at
+    h = 1e-300, or tau_2 near 700), Newton lands on the root's float and
+    stays there. No end of [lo, hi] is evaluated. Raises
+    ConvergenceFailureError on an iterate outside [lo, hi] or on a spent
+    budget: either is a bug in the closed-form start or bracket.
     """
     exp, log1p, log_2 = math.exp, math.log1p, _LOG_2
-    # g = _log_cosh(t) - u + log_h and its slope, inlined (see _log_cosh)
-    t = exp(lo)
-    e = exp(-2.0 * t)
-    fa, da = t + log1p(e) - log_2 - lo + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
-    t = exp(hi)
-    e = exp(-2.0 * t)
-    fb, db = t + log1p(e) - log_2 - hi + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
-    if not (fa < 0.0 < fb or fb < 0.0 < fa):
-        raise ConvergenceFailureError(f"g({lo!r}) = {fa!r} and g({hi!r}) = {fb!r} share a sign")
-    a, b = lo, hi
-    # Newton starts from the end where |g| is smaller
-    x, gx, dx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
+    above = False
     for _ in range(_BRANCH_BUDGET):
-        w = b - a
-        mid = a + 0.5 * w
-        if w <= 1e-15 or not a < mid < b:
-            return exp(mid)
-        s = x - gx / dx if dx != 0.0 else mid
-        if s == x:
-            return exp(x)
-        if not a < s < b:
-            s = mid
-        t = exp(s)
+        if not lo <= u <= hi:
+            raise ConvergenceFailureError(f"branch solve left [{lo!r}, {hi!r}] at u = {u!r}")
+        # g = _log_cosh(t) - u + log_h and its slope, inlined (see _log_cosh)
+        t = exp(u)
         e = exp(-2.0 * t)
-        x, gx, dx = s, t + log1p(e) - log_2 - s + log_h, t * (1.0 - e) / (1.0 + e) - 1.0
-        if -2.3e-16 <= gx <= 2.3e-16:
-            return exp(x)
-        if (gx > 0.0) == (fa > 0.0):
-            a = x
-        else:
-            b = x
+        g = t + log1p(e) - log_2 - u + log_h
+        if g <= 2.3e-16 and (above or g >= -2.3e-16):
+            return t
+        above = g > 0.0
+        s = u - g / (t * (1.0 - e) / (1.0 + e) - 1.0)
+        if s == u:
+            return t
+        u = s
     raise ConvergenceFailureError(
-        f"branch solve missed tolerance after {_BRANCH_BUDGET} steps; bracket [{a!r}, {b!r}]"
+        f"branch solve missed tolerance after {_BRANCH_BUDGET} steps; last u = {u!r}"
     )
 
 
@@ -292,7 +281,11 @@ def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, floa
     then g(u* - delta) <= 0 <= g(u* + delta) for
     tau_star**2 * delta**2 / 2 = log(h_star/h), so u_1 <= u* - delta and
     u_2 <= u* + delta. The pad widens every end past the rounding of u (2
-    ulps of log h) and of g.
+    ulps of log h) and of g. The lower solve starts at the lower end, where
+    g > 0, or, for delta <= _FAR_FROM_FOLD, at the inner end
+    u* - (1 - _FOLD_MARGIN)*delta + pad, where g < 0 with u_1 a little
+    more than delta/64 below it. There it lies nearer u_1 than the lower
+    end, and its first Newton step crosses to g >= 0.
     """
     if not h >= _H_MIN:
         raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
@@ -305,7 +298,8 @@ def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, floa
     pad = 4e-15 - 4.5e-16 * log_h
     # tau_1 = h*cosh(tau_1) > h*cosh(h)
     lo = math.log(h * math.cosh(h)) - pad
-    tau = _solve_branch(log_h, lo, _U_STAR - (1.0 - _FOLD_MARGIN) * delta + pad)
+    hi = _U_STAR - (1.0 - _FOLD_MARGIN) * delta + pad
+    tau = _solve_branch(log_h, lo if delta > _FAR_FROM_FOLD else hi, lo, hi)
     return Extremal(h, tau, h / tau, _LOWER), (log_h, delta, pad)
 
 
@@ -335,7 +329,7 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
         hi = math.log(hi)
     else:
         hi = _U_STAR + (1.0 + _FOLD_MARGIN) * delta
-    tau2 = _solve_branch(log_h, _U_STAR - pad, hi + pad)
+    tau2 = _solve_branch(log_h, hi + pad, _U_STAR - pad, hi + pad)
     return lower, Extremal(h, tau2, h / tau2, _UPPER)
 
 

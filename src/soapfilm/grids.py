@@ -37,12 +37,12 @@ def check_uniform_grid(grid: np.ndarray) -> float:
     if grid.ndim != 1 or grid.size < 3:
         raise DomainError("grid must be one-dimensional with at least 3 points")
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(grid)
+        steps = grid[1:] - grid[:-1]
         dx = (grid[-1] - grid[0]) / (grid.size - 1)
-    if not (np.all(steps > 0.0) and dx < math.inf):
+    if not ((steps > 0.0).all() and dx < math.inf):
         raise DomainError("grid must be strictly increasing with a finite span")
     scale = max(abs(grid[0]), abs(grid[-1]))
-    if np.max(np.abs(steps - dx)) > 1e-14 * scale:
+    if np.abs(steps - dx).max() > 1e-14 * scale:
         raise DomainError("grid spacing is not uniform to within 1e-14")
     return float(dx)
 

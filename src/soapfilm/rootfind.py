@@ -2,9 +2,9 @@
 
 `find_root_bracketed` refines the string eigenvalues. The scalar solves do
 without it: the branch equation is convex, so extremals._solve_branch runs
-a plain bracketed Newton loop with the function written inline, which costs
-less than this solver's callback and safeguards, and tau_star and the
-Goldschmidt constant are a few Newton steps each. Each iteration here
+a plain Newton loop from one bracket end, with the function written inline,
+which costs less than this solver's callback and safeguards; tau_star and
+the Goldschmidt constant are a few Newton steps each. Each iteration here
 proposes the secant point of the two most recent evaluations. The point is
 kept at least tol_x/2, and at least one float, from the latest evaluation
 (Brent's minimal step), so that a root next to it gets bracketed, then

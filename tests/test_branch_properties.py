@@ -87,8 +87,8 @@ def test_force_solves_branches_once(h):
     taus = []
     solve = extremals._solve_branch
 
-    def counting(log_h, lo, hi):
-        taus.append(solve(log_h, lo, hi))
+    def counting(log_h, u, lo, hi):
+        taus.append(solve(log_h, u, lo, hi))
         return taus[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -141,13 +141,13 @@ def _g(u, log_h):
 
 
 def _brackets(h):
-    """The (log h, lo, hi) of each branch solve solve_branches(h) makes."""
+    """The (log h, start u, lo, hi) of each branch solve solve_branches(h) makes."""
     seen = []
     solve = extremals._solve_branch
 
-    def capture(log_h, lo, hi):
-        seen.append((log_h, lo, hi))
-        return solve(log_h, lo, hi)
+    def capture(log_h, u, lo, hi):
+        seen.append((log_h, u, lo, hi))
+        return solve(log_h, u, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremals, "_solve_branch", capture)
@@ -167,19 +167,25 @@ def _brackets(h):
 def test_closed_form_brackets_contain_the_root(h):
     # g falls through its lower root and rises through its upper one, so
     # each bracket must have g > 0 > g (lower) or g < 0 < g (upper) at its
-    # ends, clear of g's rounding floor; the solver sign-checks the same ends.
-    if not h < critical_constants().h_star - 1e-12:
+    # ends, clear of g's rounding floor. The solver evaluates no end but its
+    # start: the lower end, or the inner one where the fold offset is at
+    # most 1/2, for the lower branch, and the upper end for the upper one.
+    tau_star, h_star = critical_constants()
+    if not h < h_star - 1e-12:
         return
-    (log_h, lo1, hi1), (_, lo2, hi2) = _brackets(h)
+    (log_h, u1, lo1, hi1), (_, u2, lo2, hi2) = _brackets(h)
     floor = 2.3e-16
     assert _g(lo1, log_h) > floor and _g(hi1, log_h) < -floor
     assert _g(lo2, log_h) < -floor and _g(hi2, log_h) > floor
+    delta = math.sqrt(2.0 * math.log(h_star / h)) / tau_star
+    assert u1 == (lo1 if delta > 0.5 else hi1) and u2 == hi2
     lower, upper = solve_branches(h)
     assert lo1 <= math.log(lower.tau) <= hi1
     assert lo2 <= math.log(upper.tau) <= hi2
 
 
-# The branch solves' tolerances in u and in g.
+# How near a sign change of g the solve's contract puts u, about an ulp of
+# u, and its tolerance in g, g's rounding floor.
 _TOL_X, _TOL_F = 1e-15, 2.3e-16
 
 _BANDS = {
@@ -189,18 +195,40 @@ _BANDS = {
 }
 
 # Most ulps by which (tau_1, tau_2) of the branch solve miss the exact root
-# (oracles.branch_root). Bulk: 67 and 68 over 220 000 h, 160 000 of them in
-# the band's top 2e-5, which holds the maxima: there |g'| is 0.021, and the
-# residual |g| <= 1.15 tol_f seen there allows at most 70. Tiny: 16 and 8
-# over 210 000 h; at tau_2 ~ 700 g's rounding is far above tol_f, so there
-# the miss is an ulp count, not a residual. Near the fold, where g is flat,
-# any u within its rounding is a root: there the miss is bounded by the u
-# over which g moves by 2 tol_f (at most 1.82 tol_f over 160 000 h).
+# (oracles.branch_root). Bulk: 67 and 67 over 220 000 h, 160 000 of them in
+# the band's top 2e-5, which holds the maxima: there |g'| is 0.021. A solve
+# there may stop on g down to -1.93 tol_f (6 438 of those 320 000 solves
+# stop below -tol_f), but from the convex side that g is rounding: Newton
+# overshoots the root only by the rounding of the g it stepped from, and
+# such stops miss by no more than the rest (67 at h = 0.6626355959614388,
+# g = -1.69 tol_f). Tiny: 16 and 8 over an earlier 210 000 h; a later
+# 210 000 met 17 (h = 5.7914387250874006e-08) and 5. tau_1's miss there is
+# an ulp count of u, not a residual: u_1 is near -16.7, where adjacent
+# floats of u are 31 ulps of tau apart, and at tau_2 ~ 700 g's rounding is
+# far above tol_f. Near the fold, where g is flat, any u within its
+# rounding is a root: there the miss is bounded by the u over which g moves
+# by 2 tol_f (at most 1.83 tol_f over 160 000 h).
 _ULPS = {"bulk": (70, 70), "tiny": (16, 8)}
 
+# (band, h) the draws below need not meet: four with a solve that stops on
+# g between -2 tol_f and -tol_f with no sign change of g within tol_x of u
+# (two near the fold, the lowest g measured and the largest miss of tau_2),
+# then the largest miss of tau_1.
+_HARD_SOLVES = [
+    ("fold", 0.6627433199111888),
+    ("fold", 0.662699993780875),
+    ("bulk", 0.6626373204548726),
+    ("bulk", 0.6626355959614388),
+    ("bulk", 0.6626415414827597),
+]
 
-def _solve_in_u(log_h, lo, hi):
-    """The branch solve's root u, whose exp it returns, and that tau."""
+
+def _solve_in_u(log_h, u, lo, hi):
+    """The branch solve's iterates u, the last of them the root whose exp it
+    returns, and that tau.
+
+    Each evaluation calls exp(u), then exp(-2t).
+    """
     args = []
 
     def exp(x):
@@ -209,36 +237,66 @@ def _solve_in_u(log_h, lo, hi):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremals, "math", SimpleNamespace(exp=exp, log1p=math.log1p))
-        tau = extremals._solve_branch(log_h, lo, hi)
-    assert tau == math.exp(args[-1])
-    return args[-1], tau
+        tau = extremals._solve_branch(log_h, u, lo, hi)
+    assert tau == math.exp(args[-2]) and args[-1] == -2.0 * tau
+    return args[0::2], tau
+
+
+def _check_branch_solves(band, h):
+    for i, (log_h, start, lo, hi) in enumerate(_brackets(h)):
+        us, tau = _solve_in_u(log_h, start, lo, hi)
+        u = us[-1]
+        root, exact, slope = branch_root(log_h, lo, hi)
+        if band == "fold":
+            assert abs(u - root) * abs(slope) <= 2.0 * _TOL_F
+        else:
+            assert abs(tau - exact) <= _ULPS[band][i] * math.ulp(exact)
+        # Newton from its start, inside the bracket, every step toward the
+        # root (up for tau_1, down for tau_2) once an iterate had g > 0
+        gs = [_g(x, log_h) for x in us]
+        assert us[0] == start and all(lo <= x <= hi for x in us)
+        positive = [k for k, g in enumerate(gs) if g > 0.0]
+        if positive:
+            steps = [b - a for a, b in zip(us[positive[0] :], us[positive[0] + 1 :])]
+            assert all(d > 0.0 if i == 0 else d < 0.0 for d in steps)
+        # the root finder's contract: |g| <= tol_f, or g changes sign within
+        # tol_x of u, give or take its rounding, or Newton from the convex
+        # side stopped on g's rounding below 0, no lower than -2 tol_f
+        reach = _TOL_X + 4.0 * math.ulp(u)
+        assert (
+            abs(gs[-1]) <= _TOL_F
+            or (_g(u - reach, log_h) > 0.0) != (_g(u + reach, log_h) > 0.0)
+            or (-2.0 * _TOL_F <= gs[-1] <= _TOL_F and positive and positive[0] < len(us) - 1)
+        )
 
 
 @pytest.mark.parametrize("band", sorted(_BANDS))
 @given(data=st.data())
 def test_branch_solve_matches_exact_roots(band, data):
     h = data.draw(_BANDS[band])
-    if not h < critical_constants().h_star - 1e-12:
-        return
-    for i, (log_h, lo, hi) in enumerate(_brackets(h)):
-        u, tau = _solve_in_u(log_h, lo, hi)
-        root, exact, slope = branch_root(log_h, lo, hi)
-        if band == "fold":
-            assert abs(u - root) * abs(slope) <= 2.0 * _TOL_F
-        else:
-            assert abs(tau - exact) <= _ULPS[band][i] * math.ulp(exact)
-        # the root finder's contract: |g| <= tol_f, or g changes sign
-        # within tol_x of u, give or take its rounding
-        reach = _TOL_X + 4.0 * math.ulp(u)
-        assert abs(_g(u, log_h)) <= _TOL_F or (_g(u - reach, log_h) > 0.0) != (
-            _g(u + reach, log_h) > 0.0
-        )
+    if h < critical_constants().h_star - 1e-12:
+        _check_branch_solves(band, h)
 
 
-def test_a_bracket_without_a_sign_change_is_a_library_bug():
-    # g > 0 over all of tau in [e**2, e**3] at h = 0.3
-    with pytest.raises(ConvergenceFailureError):
-        extremals._solve_branch(math.log(0.3), 2.0, 3.0)
+@pytest.mark.parametrize("band, h", _HARD_SOLVES)
+def test_branch_solve_matches_exact_roots_where_it_is_hardest(band, h):
+    _check_branch_solves(band, h)
+
+
+@pytest.mark.parametrize("start", [2.0, 3.0])
+def test_an_iterate_leaving_the_bracket_is_a_library_bug(start):
+    # g > 0 and rising over all of tau in [e**2, e**3] at h = 0.3, so
+    # Newton walks left out of [2, 3] from either end
+    with pytest.raises(ConvergenceFailureError, match=r"^branch solve left \[2\.0, 3\.0\]"):
+        extremals._solve_branch(math.log(0.3), start, 2.0, 3.0)
+
+
+def test_a_spent_budget_is_a_library_bug(monkeypatch):
+    # the upper root at h = 0.3 takes more than one Newton step from its end
+    monkeypatch.setattr(extremals, "_BRANCH_BUDGET", 1)
+    message = "^branch solve missed tolerance after 1 steps"
+    with pytest.raises(ConvergenceFailureError, match=message):
+        solve_branches(0.3)
 
 
 @given(st.one_of(st.just(math.nan), st.floats(max_value=0.0)))

@@ -250,7 +250,7 @@ def _patch_branch_solve(monkeypatch, case):
     """Make the branch solves return the case's answers; its message."""
     answers, message = BAD_SOLVES[case]
     returned = iter(answers)
-    monkeypatch.setattr(extremals, "_solve_branch", lambda log_h, lo, hi: next(returned))
+    monkeypatch.setattr(extremals, "_solve_branch", lambda log_h, u, lo, hi: next(returned))
     return message
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soapfilm import extremals
+from soapfilm import energetics, extremals
 from soapfilm.errors import DomainError
 from soapfilm.rootfind import find_root_bracketed
 
@@ -295,37 +295,49 @@ def _branch_g_lines():
     return found
 
 
-def _evaluations(call):
-    """Branch-solve evaluations the call makes, over all its solves.
+def _solves(call):
+    """Each branch solve the call makes: (start, lo, hi) and the u it evaluates g at.
 
     The branch solves evaluate g inline, so their evaluations are counted as
     executions of the lines that form it.
     """
-    count = [0]
+    solves = []
     code, lines = extremals._solve_branch.__code__, _branch_g_lines()
 
     def in_branch_solve(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:
-            count[0] += 1
+            solves[-1][1].append(frame.f_locals["u"])
+        return in_branch_solve
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        args = frame.f_locals
+        solves.append(((args["u"], args["lo"], args["hi"]), []))
         return in_branch_solve
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_branch_solve if frame.f_code is code else None)
+    sys.settrace(on_call)
     try:
         call()
     finally:
         sys.settrace(previous)
-    return count[0]
+    return solves
+
+
+def _evaluations(call):
+    """Branch-solve evaluations the call makes, over all its solves."""
+    return sum(len(us) for _, us in _solves(call))
 
 
 # caller -> (call, bound). Bounds are the counts once measured with every
 # solve in find_root_bracketed plus 25 %: 11, 7 and 8. The branch solves'
-# own Newton loop makes 11, 6 and 8: at 1e-300 u_1 is near -690, where an
-# ulp (1.1e-13) exceeds tol_x, and Newton lands on u_1's float at once; the
-# next Newton point rounds back to it, which ends the solve without a
-# minimal step across it. critical_constants and goldschmidt_constant
-# solve no equation when called: tau_star is three Newton steps taken when
-# extremals loads, and h_G Newton steps on the Lambert W equation.
+# own Newton loop makes 9, 4 and 6: at 1e-300 u_1 is near -690, where an
+# ulp (1.1e-13) exceeds g's rounding, and Newton lands on u_1's float at
+# once; the next Newton point rounds back to it, which ends the solve.
+# critical_constants and goldschmidt_constant solve no equation when
+# called: tau_star is three Newton steps taken when extremals loads, and
+# h_G Newton steps on the Lambert W equation.
 CALLERS = {
     "solve_branches(0.3)": (lambda: extremals.solve_branches(0.3), 13),
     "solve_branches(1e-300)": (lambda: extremals.solve_branches(1e-300), 8),
@@ -339,20 +351,36 @@ CALLERS = {
 @pytest.mark.parametrize("name", sorted(CALLERS))
 def test_evaluation_counts_per_caller(name):
     call, bound = CALLERS[name]
-    # every caller solves at least once, evaluating at both ends
+    # every caller makes two solves, each evaluating at least its start
     assert 2 <= _evaluations(call) <= bound
 
 
-def test_branch_solves_over_the_bulk_average_at_most_13_evaluations():
-    # 200 h uniform below the fold band, as in the benchmark's bulk; measured
-    # 11.2 evaluations per solve_branches (11.16 in the branch solves' own
-    # loop), at least 4 of them at the ends of its two solves.
+# band -> (mean evaluations per solve_branches, per force), about 10 % above
+# the 8.84/3.99, 4.48/2.00 and 7.06/3.54 measured on these 500 h per band
+# (bulk, tiny and fold bands as the benchmark draws them, from
+# random.Random(2024)).
+EVALUATION_BOUNDS = {"bulk": (9.7, 4.4), "tiny": (4.9, 2.2), "fold": (7.8, 3.9)}
+
+
+def _evaluation_bands():
     h_star = extremals.critical_constants().h_star
-    rng = random.Random(20261018)
-    hs = [rng.uniform(0.01, h_star - 1e-4) for _ in range(200)]
+    rng = random.Random(2024)
+    bands = {"bulk": [rng.uniform(0.01, h_star - 1e-4) for _ in range(500)]}
+    bands["tiny"] = [10.0 ** rng.uniform(-307.0, -2.0) for _ in range(500)]
+    bands["fold"] = [h_star - 10.0 ** rng.uniform(-12.0, -4.0) for _ in range(500)]
+    return bands
 
-    def solve_all():
-        for h in hs:
-            extremals.solve_branches(h)
 
-    assert 4 * len(hs) <= _evaluations(solve_all) <= 13 * len(hs)
+@pytest.mark.parametrize("band", sorted(EVALUATION_BOUNDS))
+def test_branch_solves_evaluate_from_their_start_alone(band):
+    hs = _evaluation_bands()[band]
+    per_solve_branches, per_force = EVALUATION_BOUNDS[band]
+    both = _solves(lambda: [extremals.solve_branches(h) for h in hs])
+    lower = _solves(lambda: [energetics.force(h) for h in hs])
+    assert sum(len(us) for _, us in both) <= per_solve_branches * len(hs)
+    assert sum(len(us) for _, us in lower) <= per_force * len(hs)
+    for (start, lo, hi), us in both + lower:
+        # at most 8 evaluations (7 measured over 60 000 h), the first at the
+        # start and none at another bracket end
+        assert 1 <= len(us) <= 8 and us[0] == start
+        assert lo not in us[1:] and hi not in us[1:]
