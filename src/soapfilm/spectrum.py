@@ -17,12 +17,14 @@ lambda_k is exactly the root in nu of psi_e(tanh tau) for odd k and of
 psi_o(tanh tau) for even k. eigenvalues evaluates them with `math` alone:
 P and Q as series in z = (1 - x)/2, the hypergeometric series in x^2 about
 s = 0 where z is large, and the recurrence in the degree where either
-series would cancel (see _characteristic). The signs of (psi_e, psi_o)
-count the eigenvalues below lambda mod 4, which unwraps the pair's angle,
-and each lambda_k is solved as the root of that angle less k*pi/2, a
-Pruefer phase nearly linear in nu, bracketed by the previous root and a
-closed-form Sturm bound from the equation's Liouville normal form (see
-eigenvalues). No ODE is integrated, and numpy is not imported.
+series would cancel (see _characteristic). The angle of the pair
+(psi_e, psi_o), suitably scaled, is read without forming the pair: as
+pi*nu/2 + arg(P + i*(2/pi)*Q) from P and Q, and directly from the series
+about s = 0. Each lambda_k is solved as the root of that angle less
+k*pi/2, wrapped once by 2*pi into [-pi, pi]: a Pruefer phase nearly linear
+in nu, bracketed by the previous root and a closed-form Sturm bound from
+the equation's Liouville normal form (see eigenvalues). No ODE is
+integrated, and numpy is not imported.
 
 shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, one scalar
 step at a time; it is the RK4 oracle of the tests and imports no numpy.
@@ -69,6 +71,7 @@ _NEAR_ENDS = math.sqrt(3.0) - 1.0
 _MAX_LOSS = 12.0
 _MAX_DEGREE = 1e4
 _HALF_PI = 0.5 * math.pi
+_TWO_PI = 2.0 * math.pi
 # the rounding unit eps relative to an angle of pi/2
 _ANGLE_ULP = _HALF_PI * sys.float_info.epsilon
 # the upper bracket ends' margin past their bounds: 1e-3*pi/2 of the pair's
@@ -195,22 +198,8 @@ def _ferrers(tau: float, z: float, nu: float) -> Tuple[float, float]:
             return p, p * (tau - _EULER_GAMMA - _digamma(nu + 1.0)) + s
 
 
-def _parity_pair(nu: float, p: float, q: float) -> Tuple[float, float]:
-    """(psi_e, (2/pi)*psi_o) from P_nu and Q_nu at one x: (P, (2/pi)*Q) turned by pi*nu/2.
-
-    cos and sin of pi*nu/2 come from nu - round(nu), which is exact, so they
-    keep their relative accuracy next to every integer nu.
-    """
-    m = round(nu)
-    r = (nu - m) * _HALF_PI
-    c, s = math.cos(r), math.sin(r)
-    cos, sin = ((c, s), (-s, c), (-c, -s), (s, -c))[m % 4]
-    q /= _HALF_PI
-    return cos * p - sin * q, sin * p + cos * q
-
-
 def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float]:
-    """(psi_e, (2/pi)*psi_o) from P and Q of degrees nu - m, nu - m + 1 raised to nu, m = floor(nu).
+    """P_nu and Q_nu from the degrees nu - m, nu - m + 1 raised to nu, m = floor(nu).
 
     Both Ferrers functions satisfy (d+1) F_{d+1} = (2d+1) x F_d - d F_{d-1},
     and for |x| < 1 they oscillate alike, so neither dominates and the
@@ -226,7 +215,7 @@ def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float
         d += 1.0
         p0, p1 = p1, ((2.0 * d + 1.0) * x * p1 - d * p0) / (d + 1.0)
         q0, q1 = q1, ((2.0 * d + 1.0) * x * q1 - d * q0) / (d + 1.0)
-    return _parity_pair(nu, p1, q1) if m else _parity_pair(nu, p0, q0)
+    return (p1, q1) if m else (p0, q0)
 
 
 def _about_centre(x: float, nu: float) -> Tuple[float, float]:
@@ -255,24 +244,28 @@ def _about_centre(x: float, nu: float) -> Tuple[float, float]:
 
 
 def _characteristic(tau: float) -> Callable[[float], Tuple[float, float]]:
-    """nu -> (psi_e, w*psi_o) at s = tau, for lambda = nu*(nu+1)/2.
+    """nu -> (t, a): the angle of (psi_e, w*psi_o) at s = tau is (t + 1)*pi/2 + a mod 2*pi.
 
-    w makes the pair's angle nearly linear in nu: w = 2/pi on the Ferrers
-    scale, where the angle is pi*nu/2 + arg(P + i*(2/pi)*Q), and
-    w = sqrt(2*lambda) on the x^2 form's, where psi_e(0) = psi_o'(0) = 1 and
+    lambda = nu*(nu+1)/2; w makes the angle nearly linear in nu. On the
+    Ferrers scale w = 2/pi, the pair is (P, (2/pi)*Q) turned by pi*nu/2, and
+    t = nu, a = atan2(-P, (2/pi)*Q). On the x^2 form's, psi_e(0) =
+    psi_o'(0) = 1, w = sqrt(2*lambda), t = 0 and a = atan2(-psi_e, w*psi_o);
     the angle is about sqrt(2*lambda) times the Liouville length
-    gd(tau) = integral of sqrt(rho/2). Both series alternate once nu is
-    large, the one in z like J_0(2*nu*sqrt(z)) and the one in x^2 like
-    cos(nu*x), so each loses about exp(2*nu*sqrt(z)) or exp(nu*x) ulps in
-    rounding. The one in z serves where 2*sqrt(z) <= x, that is
-    x >= sqrt(3) - 1, and the one in x^2 below: one form per tau keeps a
-    root solve's values on one scale. Where that loss would exceed exp(12),
-    the upward recurrence in the degree takes over, in floor(nu) steps, up
-    to degree 1e4; it carries the Ferrers scale, whose psi_e and psi_o are
-    positive multiples of the x^2 form's, so signs agree across the switch.
-    Beyond degree 1e4, at tau below ~1e-3 where nu*x stays near k*pi/2, the
-    series go on to a loss of exp(24), up to about 1e-8 relative, and
-    DomainError is raised past it.
+    gd(tau) = integral of sqrt(rho/2). Measured from the quarter turn,
+    pi*nu/2 + a keeps nu's relative accuracy where nu_1 ~ 1/tau is small.
+    Both series alternate once nu is large, the one in z like
+    J_0(2*nu*sqrt(z)) and the one in x^2 like cos(nu*x), so each loses
+    about exp(2*nu*sqrt(z)) or exp(nu*x) ulps in rounding. The one in z
+    serves where 2*sqrt(z) <= x, that is x >= sqrt(3) - 1, and the one in
+    x^2 below: one form per tau keeps a root solve's values on one scale.
+    Where that loss would exceed exp(12), the upward recurrence in the
+    degree takes over, in floor(nu) steps, up to degree 1e4; it carries the
+    Ferrers scale, whose psi_e and psi_o are positive multiples of the x^2
+    form's, so signs agree across the switch. Beyond degree 1e4, at tau
+    below ~1e-3 where nu*x stays near k*pi/2, the series go on to a loss of
+    exp(24), up to about 1e-8 relative, and DomainError is raised past it.
+    An evaluation takes 4.5 to 14 us on the benchmark's inputs (CPython
+    3.11, x86-64), nearly all of it in the series.
     """
     x = math.tanh(tau)
     t = math.exp(-2.0 * tau)
@@ -283,14 +276,17 @@ def _characteristic(tau: float) -> Callable[[float], Tuple[float, float]]:
     def psi(nu: float) -> Tuple[float, float]:
         loss = nu * rate
         if loss > _MAX_LOSS and nu <= _MAX_DEGREE:
-            return _recurrence(tau, x, z, nu)
-        if loss > 2.0 * _MAX_LOSS:
+            p, q = _recurrence(tau, x, z, nu)
+        elif loss > 2.0 * _MAX_LOSS:
             raise DomainError(
                 f"lambda = {0.5 * nu * (nu + 1.0)!r} is beyond the series' precision at tau={tau!r}"
             )
-        if centre:
-            return _about_centre(x, nu)
-        return _parity_pair(nu, *_ferrers(tau, z, nu))
+        elif centre:
+            even, odd = _about_centre(x, nu)
+            return 0.0, math.atan2(-even, odd)
+        else:
+            p, q = _ferrers(tau, z, nu)
+        return nu, math.atan2(-_HALF_PI * p, q)
 
     return psi
 
@@ -304,14 +300,17 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     """First k_max Dirichlet eigenvalues, the roots of the Legendre characteristic functions.
 
     lambda_k = nu*(nu+1)/2 is the root in nu of psi_e(tau) for odd k and of
-    psi_o(tau) for even k (see the module docstring). N, the number of
-    eigenvalues below lambda, is given mod 4 by the signs of (psi_e, psi_o):
-    (+, +), (-, +), (-, -), (+, -) for N = 0, 1, 2, 3. So the angle of
-    (psi_e, w*psi_o) unwrapped by N (see _characteristic for w) is k*pi/2
+    psi_o(tau) for even k (see the module docstring). The angle of
+    (psi_e, w*psi_o) (see _characteristic), continued in nu from 0, lies in
+    [N*pi/2, (N+1)*pi/2) while N eigenvalues lie below lambda: it is k*pi/2
     exactly at lambda_k, and find_root_bracketed solves it less k*pi/2 by
-    secant steps: its sign is that of N >= k on any positive scale, and it
+    secant steps. Its sign is that of N >= k on any positive scale, and it
     is nearly linear in nu (a Pruefer angle, as in SLEIGN2: Bailey, Everitt
-    & Zettl, ACM TOMS 27(2), 2001).
+    & Zettl, ACM TOMS 27(2), 2001). The residual is (t - k + 1)*pi/2 + a
+    from _characteristic's (t, a), t - k + 1 first reduced mod 4 and the
+    sum then wrapped once into [-pi, pi], both exactly (math.remainder): it
+    reads the continued angle while N is k-2 to k+1, and takes about 0.2 us
+    per evaluation, against 4.5 to 14 us for the evaluation itself.
 
     Each root is bracketed in closed form. With x = tanh(s) = sin(phi),
     u = sqrt(cos(phi))*psi solves -u'' - sec^2(phi)*u/4 = (nu + 1/2)^2*u on
@@ -328,9 +327,9 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     1/(4*log(cosh(tau)) - 2*tau*tanh(tau)), the Rayleigh quotient of the
     tent 1 - |s|/tau with s*tanh(s) <= s*tanh(tau) (it cancels at small tau).
 
-    The residual is unwrapped from N = max(k - 2, 0), as N is k-2 or k-1 at
-    the previous root and, if nu_k+2 lies above the upper end, k or k+1
-    there. This is assumed. It is proven where the upper end is at most
+    The wrap is exact over root k's bracket, as N is k-2 or k-1 at the
+    previous root and, if nu_k+2 lies above the upper end, k or k+1 there.
+    The latter is assumed. It is proven where the upper end is at most
     k + 1, as nu_j > j - 1 (domain monotonicity against phi in
     [-pi/2, pi/2], whose eigenfunctions are sqrt(cos(phi))*P_n(sin(phi))),
     and where ((k+2)*c)^2 - cosh(tau)^2/4 >= ((k + 1e-3)*c)^2 (comparison
@@ -341,7 +340,7 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
 
     Accuracy: lambda_k is within 1e-13 relative of the exact eigenvalue for
     k <= 5 and tau in [0.05, 300] (the tests check this against 50-digit
-    mpmath roots of the same condition; measured at most 1.3e-14), and
+    mpmath roots of the same condition; measured at most 1.6e-14), and
     within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ k*pi/2e4,
     where the recurrence would take over 1e4 steps, k from 8 to 14 lose up
     to 3e-9 and k = 15 up to 2e-8 (measured against 60-digit roots).
@@ -365,25 +364,18 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     seen: Dict[float, Tuple[float, float]] = {}
 
     def residual(nu: float) -> float:
-        """The pair's unwrapped angle at nu less k*pi/2: negative exactly while N < k."""
+        """The pair's angle at nu less k*pi/2, wrapped into [-pi, pi]: negative while N < k."""
         if nu not in seen:
             seen[nu] = psi(nu)
-        even, odd = seen[nu]
-        quadrant = 2 * (odd < 0.0) + ((even < 0.0) != (odd < 0.0))
-        n_nu = base + (quadrant - base) % 4
-        # the angle past the start of quadrant n_nu, and the part of it still ahead
-        past, ahead = (abs(odd), abs(even)) if n_nu % 2 == 0 else (abs(even), abs(odd))
-        if n_nu >= k:
-            return (n_nu - k) * _HALF_PI + math.atan2(past, ahead)
-        return -((k - n_nu - 1) * _HALF_PI + math.atan2(ahead, past))
+        turns, angle = seen[nu]
+        return math.remainder(math.remainder(turns - k1, 4.0) * _HALF_PI + angle, _TWO_PI)
 
     # below every nu_k: root_floor^2 is itself a lower bound on lambda_1
     nu_floor = _degree(root_floor)
     lo = _degree(root_floor * math.sqrt(0.5))
     lams = []
     for k in range(1, k_max + 1):
-        # N is k-2 or k-1 at the previous root and k or k+1 at the upper end
-        base = max(k - 2, 0)
+        k1 = k - 1.0
         hi = (k + _PAD) * c - 0.5
         if k == 1 and tau > 1.0:
             # the Rayleigh quotient of the tent 1 - |s|/tau bounds lambda_1 above
@@ -393,9 +385,11 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
         # root or more. tol_f is the residual's rounding floor: an ulp of nu
         # moves it by eps*nu times its slope, about pi/2 on the Ferrers scale
         # and k*pi/(2*nu) on the x^2 form's, and the pair's rounding adds as
-        # much again. An iterate within it is the root to an ulp or two.
+        # much again; m*pi/2 and a, which cancel at the root (m = t - k + 1
+        # mod 4, |m| <= min(2, nu)), add half an ulp and an ulp of their
+        # size. An iterate within it is the root to a few ulps.
         nu_min = max(lo, k - 1.0, nu_floor)
-        tol_f = 2.0 * min(k, nu_min) * _ANGLE_ULP
+        tol_f = (2.0 * min(k, nu_min) + 1.5 * min(2.0, hi)) * _ANGLE_ULP
         nu = find_root_bracketed(residual, lo, hi, tol_x=1e-15 * nu_min, tol_f=tol_f)
         lams.append(0.5 * nu * (nu + 1.0))
         lo = nu

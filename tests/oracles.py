@@ -400,39 +400,87 @@ def _tanh_exactly(tau):
         return mpmath.tanh(mpmath.mpf(tau))
 
 
+def ferrers_pair(tau, nu):
+    """The Ferrers P_nu and Q_nu at x = tanh(tau), legenp/legenq of type 2 at 50 digits."""
+    x = _tanh_exactly(tau)
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+        return mpmath.legenp(nu, 0, x, type=2), mpmath.legenq(nu, 0, x, type=2)
+
+
 def legendre_characteristic(tau, nu):
     """(psi_e, psi_o) at s = tau, lambda = nu(nu+1)/2, from mpmath's Ferrers functions.
 
     psi_e = cos(pi nu/2) P_nu(x) - (2/pi) sin(pi nu/2) Q_nu(x) and
     psi_o = (pi/2) sin(pi nu/2) P_nu(x) + cos(pi nu/2) Q_nu(x), x = tanh(tau),
-    with legenp/legenq of type 2 at 50 digits; mpf values. psi_e is even in
-    s and psi_o odd, so lambda is a Dirichlet eigenvalue on [-tau, tau]
-    exactly where one of them vanishes.
+    with P and Q from ferrers_pair; mpf values. psi_e is even in s and psi_o
+    odd, so lambda is a Dirichlet eigenvalue on [-tau, tau] exactly where
+    one of them vanishes.
     """
-    x = _tanh_exactly(tau)
+    p, q = ferrers_pair(tau, nu)
     with mpmath.workdps(50):
         nu = mpmath.mpf(nu)
-        p = mpmath.legenp(nu, 0, x, type=2)
-        q = mpmath.legenq(nu, 0, x, type=2)
         cos, sin = mpmath.cospi(nu / 2), mpmath.sinpi(nu / 2)
         return cos * p - 2 / mpmath.pi * sin * q, mpmath.pi / 2 * sin * p + cos * q
 
 
-def characteristic_pair(tau, nu, ferrers):
-    """(psi_e, w*psi_o) from legendre_characteristic on one of the library's two scales.
+def characteristic_angle(tau, nu, ferrers):
+    """The angle of the library's pair (psi_e, w psi_o) less (t + 1) pi/2, at 50 digits.
 
-    The Ferrers scale with w = 2/pi, or the x^2 form's, psi_e(0) = 1 and
-    psi_o'(0) = 1, with w = sqrt(nu(nu+1)). DLMF 14.5.1-14.5.4 give the
-    Ferrers psi_e(0) = G/sqrt(pi) and psi_o'(0) = sqrt(pi)/G, with
-    G = Gamma(nu/2 + 1/2)/Gamma(nu/2 + 1); mpf values.
+    On the Ferrers scale, w = 2/pi and t = nu: the pair is (P, (2/pi) Q)
+    turned by pi nu/2, so the angle is atan2(-P, (2/pi) Q) with P and Q
+    from ferrers_pair. On the x^2 form's, psi_e(0) = 1 and psi_o'(0) = 1,
+    w = sqrt(nu(nu+1)) and t = 0: DLMF 14.5.1-14.5.4 give the Ferrers
+    psi_e(0) = G/sqrt(pi) and psi_o'(0) = sqrt(pi)/G, with
+    G = Gamma(nu/2 + 1/2)/Gamma(nu/2 + 1), and the angle is
+    atan2(-psi_e, w psi_o) with legendre_characteristic's pair rescaled.
+    An mpf in (-pi, pi].
     """
+    if ferrers:
+        p, q = ferrers_pair(tau, nu)
+        with mpmath.workdps(50):
+            return mpmath.atan2(-p, 2 / mpmath.pi * q)
     even, odd = legendre_characteristic(tau, nu)
     with mpmath.workdps(50):
         nu = mpmath.mpf(nu)
-        if ferrers:
-            return even, 2 / mpmath.pi * odd
         g = mpmath.gamma(nu / 2 + 0.5) / mpmath.gamma(nu / 2 + 1) / mpmath.sqrt(mpmath.pi)
-        return even / g, mpmath.sqrt(nu * (nu + 1)) * g * odd
+        return mpmath.atan2(-even / g, mpmath.sqrt(nu * (nu + 1)) * g * odd)
+
+
+def integer_degree_angle(tau, n, ferrers):
+    """characteristic_angle at an integer degree n in floats, from _legendre's P_n and Q_n.
+
+    cos and sin of pi n/2 are exact there, and the x^2 form's scale is a
+    ratio of math.gamma values.
+    """
+    p, q = _legendre(n, math.tanh(tau))
+    if ferrers:
+        return math.atan2(-p, q / (0.5 * math.pi))
+    cos, sin = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]
+    even = cos * p - 2.0 / math.pi * sin * q
+    odd = 0.5 * math.pi * sin * p + cos * q
+    g = math.gamma(n / 2 + 0.5) / math.gamma(n / 2 + 1) / math.sqrt(math.pi)
+    return math.atan2(-even / g, math.sqrt(n * (n + 1)) * g * odd)
+
+
+def large_tau_ground_eigenvalue(tau):
+    """lambda_1 where exp(-2 tau) is negligible (tau >= 40), at 50 digits.
+
+    As x = tanh(tau) -> 1, P_nu(x) -> 1 and Q_nu(x) -> tau - gamma -
+    digamma(nu + 1), each up to O(exp(-2 tau)) (DLMF 14.8.1 and 14.8.3, with
+    ln(2/(1 - x))/2 = tau + O(exp(-2 tau))). So psi_e(tau) = 0 reads
+    tan(pi nu/2) (tau - gamma - digamma(nu + 1)) = pi/2, solved by mpmath's
+    findroot from nu = 1/tau; returns the float nearest nu(nu + 1)/2.
+    """
+    with mpmath.workdps(50):
+        tau = mpmath.mpf(tau)
+
+        def condition(nu):
+            q = tau - mpmath.euler - mpmath.digamma(nu + 1)
+            return mpmath.tan(mpmath.pi * nu / 2) * q - mpmath.pi / 2
+
+        nu = mpmath.findroot(condition, 1 / tau)
+        return float(nu * (nu + 1) / 2)
 
 
 def string_eigenvalue(tau, k, guess):

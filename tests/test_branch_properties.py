@@ -195,31 +195,49 @@ _BANDS = {
 }
 
 # Most ulps by which (tau_1, tau_2) of the branch solve miss the exact root
-# (oracles.branch_root). Bulk: 67 and 67 over 220 000 h, 160 000 of them in
-# the band's top 2e-5, which holds the maxima: there |g'| is 0.021. A solve
-# there may stop on g down to -1.93 tol_f (6 438 of those 320 000 solves
-# stop below -tol_f), but from the convex side that g is rounding: Newton
-# overshoots the root only by the rounding of the g it stepped from, and
-# such stops miss by no more than the rest (67 at h = 0.6626355959614388,
-# g = -1.69 tol_f). Tiny: 16 and 8 over an earlier 210 000 h; a later
-# 210 000 met 17 (h = 5.7914387250874006e-08) and 5. tau_1's miss there is
-# an ulp count of u, not a residual: u_1 is near -16.7, where adjacent
-# floats of u are 31 ulps of tau apart, and at tau_2 ~ 700 g's rounding is
-# far above tol_f. Near the fold, where g is flat, any u within its
-# rounding is a root: there the miss is bounded by the u over which g moves
-# by 2 tol_f (at most 1.83 tol_f over 160 000 h).
-_ULPS = {"bulk": (70, 70), "tiny": (16, 8)}
+# (oracles.branch_root) in the bulk band: 67 and 67 over 220 000 h, 160 000
+# of them in the band's top 2e-5, which holds the maxima: there |g'| is
+# 0.021. A solve there may stop on g down to -1.93 tol_f (6 438 of those
+# 320 000 solves stop below -tol_f), but from the convex side that g is
+# rounding: Newton overshoots the root only by the rounding of the g it
+# stepped from, and such stops miss by no more than the rest (67 at
+# h = 0.6626355959614388, g = -1.69 tol_f). In the tiny band the miss is
+# bounded by the float spacing of u instead (_tiny_miss_ulps). Near the
+# fold, where g is flat, any u within its rounding is a root: there the
+# miss is bounded by the u over which g moves by 2 tol_f (at most 1.83
+# tol_f over 160 000 h).
+_BULK_ULPS = (70, 70)
+
+
+def _tiny_miss_ulps(u, tau, slope):
+    """The most ulps of tau by which a branch solve ending on u can miss the root tau.
+
+    The solve stops on |g| <= tol_f or on a Newton step that rounds to its
+    iterate, under half an ulp of u. g's rounding moves that stop by its
+    size over |g'|: half an ulp of |u| + tau, at the subtraction of u, and
+    about two ulps of tau + 1 from exp, log1p and the other sums. An ulp of
+    u moves tau by tau*ulp(u)/ulp(tau) of its ulps, and exp rounds by one
+    more. Where tau_1 is tiny, u_1 ~ log h is large and |g'| ~ 1: then the
+    spacing of u's floats alone is up to 2|u| ulps of tau (31 at
+    h = 5.79e-8, where the solve misses by 17), far above the bulk's misses.
+    """
+    g_rounding = 0.5 * math.ulp(abs(u) + tau) + 2.0 * math.ulp(tau + 1.0)
+    du = 0.5 * math.ulp(u) + (g_rounding + _TOL_F) / abs(slope)
+    return du * tau / math.ulp(tau) + 1.0
+
 
 # (band, h) the draws below need not meet: four with a solve that stops on
 # g between -2 tol_f and -tol_f with no sign change of g within tol_x of u
 # (two near the fold, the lowest g measured and the largest miss of tau_2),
-# then the largest miss of tau_1.
+# then the largest miss of tau_1, and the largest tiny-band miss of tau_1
+# measured (17 ulps, over a sample maximum of 16 that once bounded it).
 _HARD_SOLVES = [
     ("fold", 0.6627433199111888),
     ("fold", 0.662699993780875),
     ("bulk", 0.6626373204548726),
     ("bulk", 0.6626355959614388),
     ("bulk", 0.6626415414827597),
+    ("tiny", 5.7914387250874006e-08),
 ]
 
 
@@ -249,8 +267,10 @@ def _check_branch_solves(band, h):
         root, exact, slope = branch_root(log_h, lo, hi)
         if band == "fold":
             assert abs(u - root) * abs(slope) <= 2.0 * _TOL_F
+        elif band == "tiny":
+            assert abs(tau - exact) <= _tiny_miss_ulps(u, exact, slope) * math.ulp(exact)
         else:
-            assert abs(tau - exact) <= _ULPS[band][i] * math.ulp(exact)
+            assert abs(tau - exact) <= _BULK_ULPS[i] * math.ulp(exact)
         # Newton from its start, inside the bracket, every step toward the
         # root (up for tau_1, down for tau_2) once an iterate had g > 0
         gs = [_g(x, log_h) for x in us]

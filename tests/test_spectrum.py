@@ -24,9 +24,11 @@ from fresh import loads
 from oracles import (
     TAU_STAR,
     centre_series_eigenvalue,
-    characteristic_pair,
+    characteristic_angle,
     discrete_eigenvalue,
     exact_rayleigh_quotient,
+    integer_degree_angle,
+    large_tau_ground_eigenvalue,
     jacobi_ground_energy,
     legendre_characteristic,
     legendre_pins,
@@ -85,29 +87,48 @@ def test_eigenvalues_meet_their_accuracy_contract_on_legendre_pins(tau, k, lam):
     assert abs(got - lam) <= 1e-13 * lam
 
 
-# (tau, nu) on both scales: the series about s = 0 below tanh(tau) = 0.732,
-# where psi_e(0) = psi_o'(0) = 1, and the Ferrers form above
-CHARACTERISTIC_POINTS = [(0.3, 2.5), (TAU_STAR, 1.3), (2.0, 4.7), (30.0, 0.1)]
+# (tau, nu) on the three paths: the series about s = 0 below tanh(tau) = 0.732,
+# where psi_e(0) = psi_o'(0) = 1; the Ferrers series above; and, on the
+# Ferrers scale, the degree recurrence past a loss of exp(12), nu*tanh(tau) > 12
+# at tau = 0.3. At the integer degrees _legendre's P_n and Q_n are exact too.
+CHARACTERISTIC_POINTS = [
+    (0.3, 2.5),
+    (TAU_STAR, 1.3),
+    (2.0, 4.7),
+    (30.0, 0.1),
+    (0.3, 4.0),
+    (2.0, 3.0),
+    (0.3, 45.0),
+]
+
+
+def _on_ferrers_scale(tau, nu):
+    x = math.tanh(tau)
+    return x >= math.sqrt(3.0) - 1.0 or nu * x > 12.0
 
 
 @pytest.mark.parametrize("tau, nu", CHARACTERISTIC_POINTS)
 def test_characteristic_functions_match_mpmath(tau, nu):
-    # Positive multiples of psi_e and psi_o, so the signs are mpmath's; on
-    # the library's scale, the values too.
-    got = spectrum._characteristic(tau)(nu)
-    for g, w in zip(got, legendre_characteristic(tau, nu)):
-        assert (g > 0.0) == (w > 0)
-    want = characteristic_pair(tau, nu, math.tanh(tau) >= math.sqrt(3.0) - 1.0)
-    scale = float(abs(want[0]) + abs(want[1]))
-    assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-14 * scale
+    # The pair's angle is (t + 1)*pi/2 + a, with t = nu on the Ferrers scale
+    # and 0 on the x^2 form's. Both scales are positive multiples of psi_e
+    # and psi_o, so the angle lies in the quadrant of mpmath's signs.
+    t, a = spectrum._characteristic(tau)(nu)
+    assert t == (nu if _on_ferrers_scale(tau, nu) else 0.0)
+    angle = (t + 1.0) * (0.5 * math.pi) + a
+    even, odd = legendre_characteristic(tau, nu)
+    assert (math.cos(angle) > 0.0, math.sin(angle) > 0.0) == (even > 0, odd > 0)
 
 
 @pytest.mark.parametrize("tau, nu", CHARACTERISTIC_POINTS)
 def test_characteristic_angle_matches_mpmath(tau, nu):
-    # The eigenvalue solve reads the angle of (psi_e, w*psi_o).
-    even, odd = spectrum._characteristic(tau)(nu)
-    want = characteristic_pair(tau, nu, math.tanh(tau) >= math.sqrt(3.0) - 1.0)
-    assert abs(math.atan2(odd, even) - math.atan2(float(want[1]), float(want[0]))) <= 1e-14
+    # The eigenvalue solve reads a, the pair's angle less (t + 1)*pi/2.
+    _, a = spectrum._characteristic(tau)(nu)
+    ferrers = _on_ferrers_scale(tau, nu)
+    wants = [float(characteristic_angle(tau, nu, ferrers))]
+    if nu == int(nu):
+        wants.append(integer_degree_angle(tau, int(nu), ferrers))
+    for want in wants:
+        assert abs(math.remainder(a - want, 2.0 * math.pi)) <= 1e-14
 
 
 def _brackets(tau, k_max):
@@ -156,6 +177,14 @@ def test_eigenvalues_are_the_mpmath_roots(log_tau, k):
     assert abs(got - string_eigenvalue(tau, k, got)) <= 1e-13 * got
 
 
+@pytest.mark.parametrize("tau", [40.0, 1e3, 1e6, 1e12, 1e100, 1e300])
+def test_lambda_1_keeps_its_relative_accuracy_at_large_tau(tau):
+    # nu_1 ~ 1/tau there: the phase residual must not round nu - 1 (measured
+    # at most 2.2e-16; forming (nu - 1)*pi/2 beside atan2 gave 2.5e-10 at 1e6)
+    lam = eigenvalues(tau, 1).lambdas[0]
+    assert abs(lam / large_tau_ground_eigenvalue(tau) - 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_the_centre_series_oracle_is_the_legendre_one(k):
     # the two mpmath roots share no series: hyp2f1 in x^2 against legenp/legenq
@@ -197,7 +226,10 @@ def _evaluations(monkeypatch):
 def test_eigenvalues_take_few_evaluations(monkeypatch):
     # Each nu is evaluated once. The bounds sit 20-30 % above the worst
     # measured on these 40 tau, 7, 12 and 29 evaluations for k = 1, 2, 5;
-    # on the benchmark's inputs (tau in [0.2, 5]), 5.2 per eigenvalue on average.
+    # on the benchmark's inputs (tau in [0.2, 5]), 5.1 per eigenvalue on
+    # average. At k_max = 400 they sit about 25 % above 1 235, 1 285 and
+    # 1 330, so that a tol_f below the residual's rounding, which ends
+    # solves on tol_x, shows in long spectra too.
     calls = _evaluations(monkeypatch)
     for i in range(40):
         tau = math.exp(math.log(1e-2) + math.log(3e4) * i / 39)
@@ -206,6 +238,11 @@ def test_eigenvalues_take_few_evaluations(monkeypatch):
             eigenvalues(tau, k)
             assert len(calls) <= {1: 9, 2: 15, 5: 35}[k], (tau, k, len(calls))
             assert len(set(calls)) == len(calls)
+    for tau, bound in ((1.0, 1550), (4.5, 1600), (10.0, 1650)):
+        calls.clear()
+        eigenvalues(tau, 400)
+        assert len(calls) <= bound, (tau, len(calls))
+        assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("tau", [1e-150, 0.2, TAU_STAR, 5.0, 300.0, 1e300])
@@ -255,8 +292,8 @@ def test_sturm_bounds_lie_above_the_mpmath_roots(tau):
 @example(log_tau=math.log(1e-2), k=8)
 @example(log_tau=math.log(300.0), k=8)
 def test_each_upper_end_lies_below_the_root_after_next(log_tau, k):
-    # The residual is unwrapped from N = k - 2, which reads N right only up
-    # to k + 1: root k's upper end must lie below nu_k+2.
+    # The residual's wrap into [-pi, pi] reads the angle right only while N
+    # is at most k + 1: root k's upper end must lie below nu_k+2.
     nu, ends = _brackets(math.exp(log_tau), k + 2)
     for j, (lo, hi, _, _) in enumerate(ends[:k]):
         assert lo < nu[j] < hi < nu[j + 2], (j + 1, lo, hi, nu)
