@@ -6,11 +6,12 @@ a sampled profile by projected Newton steps on the discrete area
     A(y) = 2*pi*dx * sum of ybar_i*sqrt(1 + m_i^2)
 
 with per-segment slope m_i, w_i = sqrt(1 + m_i^2) and midpoint radius ybar_i,
-endpoints pinned to 1 and interior values kept at or above a small floor.
-The Hessian is tridiagonal, H = K + P: K is the Dirichlet Laplacian with
-weights 2*pi*ybar_i/(dx*w_i^3), positive definite as sqrt(1 + m^2) is convex,
-and P the diagonal 2*pi*((m/w)_(i-1) - (m/w)_i), which can be indefinite.
-Below the critical half-distance the relaxation lands on the stable catenoid;
+endpoints pinned to 1 and interior radii kept at or above a small floor,
+those on the floor and pushed down by the gradient held there. The
+Hessian is tridiagonal, H = K + P: K is the Dirichlet Laplacian with weights
+2*pi*ybar_i/(dx*w_i^3), positive definite as sqrt(1 + m^2) is convex, and P
+the diagonal 2*pi*((m/w)_(i-1) - (m/w)_i), which can be indefinite. Below
+the critical half-distance the relaxation lands on the stable catenoid;
 above it the waist hits the floor (the discrete stand-in for the two-disk
 configuration) and the run reports a collapse. Its area is that of the two
 end cones, 2*pi*sqrt(1 + dx^2) for grid spacing dx, just over the disks'
@@ -70,8 +71,8 @@ _BACKTRACK_CAP = 60
 # slopes m, stretches w and midpoint radii ybar of the n - 1 segments
 Segments = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
-# size of the perturbation added to the unstable branch by the
-# UPPER_PERTURBED preset
+# UPPER_PERTURBED adds _KICK*psi(s)*cosh(s), s = x/c, psi = negative_direction,
+# to the upper branch; it peaks near 0.6*_KICK, so in waists c it grows like 1/c
 _KICK = 1e-3
 
 
@@ -199,20 +200,23 @@ def _ldl_solve(
     return x
 
 
-def _newton_step(y: np.ndarray, seg: Segments, g: np.ndarray, eps: float, dx: float) -> np.ndarray:
-    """Projected Newton direction: H^-1 g on the free radii, g/K on the active ones.
+def _newton_step(y: np.ndarray, seg: Segments, g: np.ndarray, dx: float) -> np.ndarray:
+    """Projected Newton direction: H^-1 g on the free radii, g/K on the held ones.
 
-    The active radii are those within eps of the floor that g pushes down.
+    Held radii are on the floor and pushed down by g: their rows decouple
+    and P undoes their step. The free rows solve with H, or K past a
+    non-positive pivot, so g.d > 0 over them, and for small alpha P clips
+    only terms g_i*d_i <= 0 of floored radii with g <= 0: the step descends.
     """
     import numpy as np
     m, w, ybar = seg
     c = math.tau * ybar / (dx * w**3)
     q = math.tau * m / w
     gi = g[1:-1]
-    active = (y[1:-1] <= _FLOOR + eps) & (gi > 0.0)
+    held = (y[1:-1] <= _FLOOR) & (gi > 0.0)
     k_diag = c[:-1] + c[1:]
-    off = np.where(active[:-1] | active[1:], 0.0, -c[1:-1])
-    sol = _ldl_solve(k_diag + np.where(active, 0.0, q[:-1] - q[1:]), off, gi)
+    off = np.where(held[:-1] | held[1:], 0.0, -c[1:-1])
+    sol = _ldl_solve(k_diag + np.where(held, 0.0, q[:-1] - q[1:]), off, gi)
     if sol is None:
         sol = _ldl_solve(k_diag, off, gi, _laplacian_pivots(c, off))
     return np.array([0.0, *sol, 0.0])
@@ -280,8 +284,6 @@ def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray
             psi = negative_direction(upper.tau)
             s = grid / upper.c
             eta = np.interp(s, psi.grid, psi.values) * np.cosh(s)
-            eta[0] = 0.0
-            eta[-1] = 0.0
             y = y + _KICK * eta
     y[0] = 1.0
     y[-1] = 1.0
@@ -291,16 +293,15 @@ def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray
 def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> MinimizeReport:
     """Projected Newton descent on the discretized area functional.
 
-    P projects radii onto [floor, inf) with the ends pinned to 1, and
-    eps = max|y - P(y - g)| is the projected gradient's max-norm. Radii
-    within eps of the floor that the gradient pushes down (Bertsekas'
-    epsilon-active set) move by g/K, the rest by H^-1 g, or by K^-1 g where
-    H has a non-positive pivot (the saddle, the collapse); K's pivots are
-    formed from positive terms only. The full step, projected by P,
-    backtracks until the monotone sufficient-decrease test holds. The run
-    ends once eps <= grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius
-    ended at or below 10*floor, Converged otherwise; IterationLimit if the
-    budget ran out first or the line search stalled. final_area is
+    P projects radii onto [floor, inf) with the ends pinned to 1, and eps =
+    max|y - P(y - g)| is the projected gradient's max-norm. Radii on the floor
+    and pushed down by the gradient are held there; the rest move by H^-1 g,
+    or by K^-1 g where H has a non-positive pivot (the saddle, the collapse);
+    K's pivots are formed from positive terms only. The full step, projected
+    by P, backtracks until the monotone sufficient-decrease test holds. The
+    run ends once eps <= grad_tol = 1e-8 * 2*pi: Collapsed if an interior
+    radius ended at or below 10*floor, Converged otherwise; IterationLimit if
+    the budget ran out first or the line search stalled. final_area is
     discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
@@ -341,15 +342,14 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
 
     for _ in range(_MAX_ITER):
         g = _gradient(seg, dx)
-        # the projected gradient y - P(y - g); floored radii pushed further
-        # down by g are stationary under the projection P
+        # the projected gradient y - P(y - g), zero on the held radii
         inner = y[1:-1]
         eps = float(np.abs(inner - np.maximum(inner - g[1:-1], _FLOOR)).max())
         if eps <= _GRAD_TOL:
             outcome = Outcome.COLLAPSED if inner.min() <= _COLLAPSE_AT else Outcome.CONVERGED
             break
 
-        step = _newton_step(y, seg, g, eps, dx)
+        step = _newton_step(y, seg, g, dx)
         alpha = 1.0
         for _ in range(_BACKTRACK_CAP):
             y_new = y - alpha * step

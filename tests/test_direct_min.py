@@ -192,7 +192,7 @@ def test_stalled_line_search_is_an_iteration_limit(monkeypatch, scale):
     # An uphill step fails the Armijo test at every trial: the short one
     # dwindles to a null step, the long one exhausts the 60 halvings. Either
     # way the run stops at the cylinder it started from, of area 4*pi*h.
-    monkeypatch.setattr(direct_min, "_newton_step", lambda y, seg, g, eps, dx: -scale * g)
+    monkeypatch.setattr(direct_min, "_newton_step", lambda y, seg, g, dx: -scale * g)
     h = 0.45
     report = minimize(h, 64, "cylinder")
     assert report.outcome is Outcome.ITERATION_LIMIT
@@ -287,6 +287,56 @@ def test_minimize_iteration_counts(h, n, init, bound):
     # Newton steps: the count does not grow with n (gradient descent took
     # 11 746, 51 647 and 11 342 iterations at the first three).
     assert minimize(h, n, init).iterations <= bound
+
+
+def test_saddle_escapes_take_few_iterations_in_total():
+    # Upper-branch starts must leave the saddle along the second variation's
+    # ground state. Radii far above the floor once counted as active and
+    # crawled by g/K: 85 358 iterations over these nine. Single counts are
+    # chaotic in the last bit of the arithmetic, so the total is bounded.
+    up, uc = "upper_perturbed", "upper_catenoid"
+    runs = [
+        (1e-5, 64, up), (1e-4, 64, up), (1e-3, 128, up),
+        (3.2e-6, 64, uc), (0.1155, 128, uc), (0.1355, 64, uc),
+        (0.1791, 128, up), (0.3, 512, up), (0.4, 256, up),
+    ]
+    total = 0
+    for h, n, init in runs:
+        report = minimize(h, n, init)
+        assert report.outcome is Outcome.CONVERGED, (h, n, init)
+        exact = area_closed_form(solve_branches(h)[0])
+        assert abs(report.final_area - exact) <= 1e-5 * exact, (h, n, init)
+        total += report.iterations
+    assert total <= 480
+
+
+def test_newton_step_holds_only_the_radii_on_the_floor():
+    # Both dips are pushed down by g. An epsilon-active band as wide as the
+    # projected gradient (about 1 here) would hold the 2*floor radius too.
+    h, n, held, near = 0.45, 64, 20, 40
+    grid = np.linspace(-h, h, n)
+    y = np.ones(n)
+    y[held], y[near] = direct_min._FLOOR, 2.0 * direct_min._FLOOR
+    dx = grid[1] - grid[0]
+    seg = direct_min._segments(y, dx)
+    g = direct_min._gradient(seg, dx)
+    assert g[held] > 0.0 and g[near] > 0.0
+    step = direct_min._newton_step(y, seg, g, dx)
+
+    m, w, ybar = seg
+    c = math.tau * ybar / (dx * w**3)
+    k = np.diag(c[:-1] + c[1:]) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)
+    assert step[held] == g[held] / k[held - 1, held - 1]
+    # The neck at the 2*floor radius is concave (its area is about
+    # 2*pi*(1 - y^2)), so H has a negative pivot there and the free rows,
+    # that radius with its neighbours, solve with K.
+    free = np.arange(1, n - 1) != held
+    hess = k + np.diag(math.tau * ((m / w)[:-1] - (m / w)[1:]))
+    assert np.linalg.eigvalsh(hess[np.ix_(free, free)]).min() < 0.0
+    k_free, s, rhs = k[np.ix_(free, free)], step[1:-1][free], g[1:-1][free]
+    scale = np.abs(k_free) @ np.abs(s) + np.abs(rhs)
+    assert np.all(np.abs(k_free @ s - rhs) <= 8.0 * np.finfo(float).eps * scale)
+    assert step[near] != g[near] / k[near - 1, near - 1]
 
 
 @given(st.floats(0.05, 0.62))
