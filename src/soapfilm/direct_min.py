@@ -6,9 +6,9 @@ a sampled profile by projected Newton steps on the discrete area
     A(y) = 2*pi*dx * sum of ybar_i*sqrt(1 + m_i^2)
 
 with per-segment slope m_i, w_i = sqrt(1 + m_i^2) and midpoint radius ybar_i,
-endpoints pinned to 1 and interior radii kept at or above a small floor,
-those on the floor and pushed down by the gradient held there. The
-Hessian is tridiagonal, H = K + P: K is the Dirichlet Laplacian with weights
+endpoints pinned to 1 and interior radii projected onto a small floor;
+the line search checks that each step descends (g.dy > 0). The Hessian is
+tridiagonal, H = K + P: K is the Dirichlet Laplacian with weights
 2*pi*ybar_i/(dx*w_i^3), positive definite as sqrt(1 + m^2) is convex, and P
 the diagonal 2*pi*((m/w)_(i-1) - (m/w)_i), which can be indefinite. Below
 the critical half-distance the relaxation lands on the stable catenoid;
@@ -200,42 +200,39 @@ def _ldl_solve(
     return x
 
 
-def _newton_step(y: np.ndarray, seg: Segments, g: np.ndarray, dx: float) -> np.ndarray:
-    """Projected Newton direction: H^-1 g on the free radii, g/K on the held ones.
+def _newton_step(seg: Segments, g: np.ndarray, dx: float) -> np.ndarray:
+    """Newton direction on every interior radius: H^-1 g, or K^-1 g past a non-positive pivot.
 
-    Held radii are on the floor and pushed down by g: their rows decouple
-    and P undoes their step. The free rows solve with H, or K past a
-    non-positive pivot, so g.d > 0 over them, and for small alpha P clips
-    only terms g_i*d_i <= 0 of floored radii with g <= 0: the step descends.
+    Either matrix is positive definite where it is used, so g.d > 0. The
+    projection onto the floor can clip that away; the line search takes no
+    trial point with g.dy <= 0, so every accepted step descends.
     """
     import numpy as np
     m, w, ybar = seg
     c = math.tau * ybar / (dx * w**3)
     q = math.tau * m / w
-    gi = g[1:-1]
-    held = (y[1:-1] <= _FLOOR) & (gi > 0.0)
     k_diag = c[:-1] + c[1:]
-    off = np.where(held[:-1] | held[1:], 0.0, -c[1:-1])
-    sol = _ldl_solve(k_diag + np.where(held, 0.0, q[:-1] - q[1:]), off, gi)
+    off = -c[1:-1]
+    sol = _ldl_solve(k_diag + (q[:-1] - q[1:]), off, g[1:-1])
     if sol is None:
-        sol = _ldl_solve(k_diag, off, gi, _laplacian_pivots(c, off))
+        sol = _ldl_solve(k_diag, off, g[1:-1], _laplacian_pivots(c))
     return np.array([0.0, *sol, 0.0])
 
 
-def _laplacian_pivots(c: np.ndarray, off: np.ndarray) -> List[float]:
+def _laplacian_pivots(c: np.ndarray) -> List[float]:
     """The LDL^T pivots of K from positive terms only.
 
     Row i's pivot is c_(i+1) plus the series conductance e_i of the segments
-    on its left: e_i = c_i*e_(i-1)/(c_i + e_(i-1)), or c_i where off cuts the
-    coupling. Elimination subtracts c_i^2/d_(i-1) from c_i + c_(i+1) instead,
-    which cancels to a non-positive pivot once the weights span about 16
-    decades (a steep catenoid at small h).
+    on its left, e_i = c_i*e_(i-1)/(c_i + e_(i-1)); c_i > 0 wherever w_i^3
+    is finite, so no quotient is 0/0. Elimination subtracts c_i^2/d_(i-1)
+    from c_i + c_(i+1) instead, which cancels to a non-positive pivot once
+    the weights span about 16 decades (a steep catenoid at small h).
     """
-    c, cut = c.tolist(), (off == 0.0).tolist()
+    c = c.tolist()
     e = c[0]
     pivots = [c[1] + e]
     for i in range(1, len(c) - 1):
-        e = c[i] if cut[i - 1] else c[i] * e / (c[i] + e)
+        e = c[i] * e / (c[i] + e)
         pivots.append(c[i + 1] + e)
     return pivots
 
@@ -294,14 +291,15 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     """Projected Newton descent on the discretized area functional.
 
     P projects radii onto [floor, inf) with the ends pinned to 1, and eps =
-    max|y - P(y - g)| is the projected gradient's max-norm. Radii on the floor
-    and pushed down by the gradient are held there; the rest move by H^-1 g,
-    or by K^-1 g where H has a non-positive pivot (the saddle, the collapse);
-    K's pivots are formed from positive terms only. The full step, projected
-    by P, backtracks until the monotone sufficient-decrease test holds. The
-    run ends once eps <= grad_tol = 1e-8 * 2*pi: Collapsed if an interior
-    radius ended at or below 10*floor, Converged otherwise; IterationLimit if
-    the budget ran out first or the line search stalled. final_area is
+    max|y - P(y - g)| is the projected gradient's max-norm. Every interior
+    radius moves by H^-1 g, or by K^-1 g where H has a non-positive pivot (the
+    saddle, the collapse); K's pivots are formed from positive terms only.
+    The full step, projected by P, backtracks until the monotone
+    sufficient-decrease test holds; the point it accepts must descend,
+    g.dy > 0, or the line search has stalled. The run ends once eps <=
+    grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or
+    below 10*floor, Converged otherwise; IterationLimit if the budget ran
+    out first or the line search stalled. final_area is
     discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
@@ -342,14 +340,14 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
 
     for _ in range(_MAX_ITER):
         g = _gradient(seg, dx)
-        # the projected gradient y - P(y - g), zero on the held radii
+        # the projected gradient y - P(y - g)
         inner = y[1:-1]
         eps = float(np.abs(inner - np.maximum(inner - g[1:-1], _FLOOR)).max())
         if eps <= _GRAD_TOL:
             outcome = Outcome.COLLAPSED if inner.min() <= _COLLAPSE_AT else Outcome.CONVERGED
             break
 
-        step = _newton_step(y, seg, g, dx)
+        step = _newton_step(seg, g, dx)
         alpha = 1.0
         for _ in range(_BACKTRACK_CAP):
             y_new = y - alpha * step
@@ -364,7 +362,7 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
             alpha *= _SHRINK
         else:
             break
-        if gap == 0.0:
+        if gap <= 0.0:
             break
         y, seg = y_new, seg_new
         steps += 1
