@@ -160,7 +160,7 @@ def _area_decrease(dy: np.ndarray, seg: Segments, seg_new: Segments, dx: float) 
     (m1, w1, _), (m2, w2, ybar2) = seg, seg_new
     dybar = 0.5 * (dy[:-1] + dy[1:])
     dm = (dy[1:] - dy[:-1]) / dx
-    terms = dybar * w1 + ybar2 * dm * (m1 + m2) / (w1 + w2)
+    terms = dybar * w1 + ybar2 * dm * ((m1 + m2) / (w1 + w2))
     return math.tau * dx * float(terms.sum())
 
 
@@ -173,23 +173,16 @@ def _gradient(seg: Segments, dx: float) -> np.ndarray:
     return g
 
 
-def _ldl_solve(
-    diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, pivots: Optional[List[float]] = None
-) -> Optional[List[float]]:
-    """Solve a symmetric tridiagonal system by LDL^T; None unless it is positive definite.
-
-    Given pivots, the factorization takes them instead of eliminating diag.
-    """
-    d, e, x = diag.tolist() if pivots is None else pivots, off.tolist(), rhs.tolist()
+def _ldl_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> Optional[List[float]]:
+    """Solve a symmetric tridiagonal system by LDL^T; None unless it is positive definite."""
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
     piv, last = d[0], x[0]
     if not piv > 0.0:
         return None
     for i in range(1, len(d)):
         upper = e[i - 1]
         lower = upper / piv
-        if pivots is None:
-            d[i] = d[i] - lower * upper
-        piv = d[i]
+        d[i] = piv = d[i] - lower * upper
         if not piv > 0.0:
             return None
         x[i] = last = x[i] - lower * last
@@ -198,6 +191,26 @@ def _ldl_solve(
     for i in range(len(d) - 2, -1, -1):
         x[i] = last = x[i] / d[i] - e[i] * last
     return x
+
+
+def _laplacian_solve(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """K^-1 g for the Dirichlet Laplacian K of a chain with conductances c, in closed form.
+
+    K^-1 is the chain's Green's function: with resistances r = 1/c, R_i the
+    resistance from interior node i to the left ring and S_i that to the
+    right ring, (K^-1)_ij = R_min(i,j)*S_max(i,j)/(R_i + S_i). R and S are
+    sums of positive terms, so nothing cancels however far the weights
+    spread. Elimination forms the pivot c_i + c_(i+1) - c_i^2/d_(i-1)
+    instead, which cancels to a non-positive pivot once the weights span
+    about 16 decades (a steep catenoid at small h).
+    """
+    import numpy as np
+    r = 1.0 / c
+    left = np.cumsum(r)[:-1]
+    right = np.cumsum(r[::-1])[-2::-1]
+    x = right * np.cumsum(left * g)
+    x[:-1] += left[:-1] * np.cumsum((right * g)[:0:-1])[::-1]
+    return x / (left + right)
 
 
 def _newton_step(seg: Segments, g: np.ndarray, dx: float) -> np.ndarray:
@@ -209,32 +222,13 @@ def _newton_step(seg: Segments, g: np.ndarray, dx: float) -> np.ndarray:
     """
     import numpy as np
     m, w, ybar = seg
-    c = math.tau * ybar / (dx * w**3)
+    # ybar >= |m|*dx/2, so c is positive and finite wherever w is
+    c = math.tau * ybar / (dx * w) / (w * w)
     q = math.tau * m / w
-    k_diag = c[:-1] + c[1:]
-    off = -c[1:-1]
-    sol = _ldl_solve(k_diag + (q[:-1] - q[1:]), off, g[1:-1])
-    if sol is None:
-        sol = _ldl_solve(k_diag, off, g[1:-1], _laplacian_pivots(c))
-    return np.array([0.0, *sol, 0.0])
-
-
-def _laplacian_pivots(c: np.ndarray) -> List[float]:
-    """The LDL^T pivots of K from positive terms only.
-
-    Row i's pivot is c_(i+1) plus the series conductance e_i of the segments
-    on its left, e_i = c_i*e_(i-1)/(c_i + e_(i-1)); c_i > 0 wherever w_i^3
-    is finite, so no quotient is 0/0. Elimination subtracts c_i^2/d_(i-1)
-    from c_i + c_(i+1) instead, which cancels to a non-positive pivot once
-    the weights span about 16 decades (a steep catenoid at small h).
-    """
-    c = c.tolist()
-    e = c[0]
-    pivots = [c[1] + e]
-    for i in range(1, len(c) - 1):
-        e = c[i] * e / (c[i] + e)
-        pivots.append(c[i + 1] + e)
-    return pivots
+    sol = _ldl_solve(c[:-1] + c[1:] + (q[:-1] - q[1:]), -c[1:-1], g[1:-1])
+    step = np.zeros_like(g)
+    step[1:-1] = _laplacian_solve(c, g[1:-1]) if sol is None else sol
+    return step
 
 
 def discrete_area(p: Profile) -> float:
@@ -293,13 +287,13 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     P projects radii onto [floor, inf) with the ends pinned to 1, and eps =
     max|y - P(y - g)| is the projected gradient's max-norm. Every interior
     radius moves by H^-1 g, or by K^-1 g where H has a non-positive pivot (the
-    saddle, the collapse); K's pivots are formed from positive terms only.
-    The full step, projected by P, backtracks until the monotone
-    sufficient-decrease test holds; the point it accepts must descend,
-    g.dy > 0, or the line search has stalled. The run ends once eps <=
-    grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or
-    below 10*floor, Converged otherwise; IterationLimit if the budget ran
-    out first or the line search stalled. final_area is
+    saddle, the collapse); K^-1 is the chain's Green's function, formed from
+    sums of positive resistances, so it cancels nowhere. The full step,
+    projected by P, backtracks until the monotone sufficient-decrease test
+    holds; the point it accepts must descend, g.dy > 0, or the line search
+    has stalled. The run ends once eps <= grad_tol = 1e-8 * 2*pi: Collapsed
+    if an interior radius ended at or below 10*floor, Converged otherwise;
+    IterationLimit if the budget ran out first or the line search stalled. final_area is
     discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
@@ -307,7 +301,8 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     1e-7 <= dx <= 1, whatever the starting profile: on a finer grid the
     rounding of the radii alone exceeds the gradient tolerance, and on a
     grid coarser than the ring radius the end cones are no stand-in for the
-    disks.
+    disks. It raises DomainError too where an explicit start's discrete area
+    overflows.
     """
     if not 0.0 < 2.0 * h < math.inf:
         raise DomainError(f"half-distance must be positive with 2*h finite, got {h!r}")
@@ -321,6 +316,7 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     if isinstance(init, Profile):
         if abs(init.h - h) > 1e-12 * h or init.n != n:
             raise DomainError("initial profile does not match the requested h and n")
+        discrete_area(init)
         grid, y = init.grid.copy(), init.y.copy()
     else:
         if isinstance(init, str):

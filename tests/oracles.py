@@ -3,12 +3,14 @@
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, Taylor series summed to convergence, simple finite
 differences, plain Simpson sums, a scalar step-by-step RK4 loop, a Sturm
-count bisection, and 40-, 50- and 60-digit mpmath roots and closed forms.
+count bisection, a tridiagonal solve in rationals, and 40-, 50- and
+60-digit mpmath roots and closed forms.
 None of it calls into soapfilm internals.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -325,6 +327,23 @@ def branch_root(log_h, lo, hi):
         )
         tau = mpmath.exp(u)
         return float(u), float(tau), float(tau * mpmath.tanh(tau) - 1)
+
+
+def laplacian_solve_exact(c, g):
+    """K^-1 g in rationals, K the Dirichlet Laplacian with conductances c.
+
+    K has diagonal c_i + c_(i+1) and off-diagonal -c_(i+1) on the len(g)
+    interior nodes; plain elimination in Fractions, with no rounding.
+    """
+    c = [Fraction(v) for v in c]
+    pivots, forward = [c[0] + c[1]], [Fraction(g[0])]
+    for i in range(1, len(g)):
+        pivots.append(c[i] + c[i + 1] - c[i] ** 2 / pivots[-1])
+        forward.append(Fraction(g[i]) + c[i] / pivots[-2] * forward[-1])
+    x = [forward[-1] / pivots[-1]]
+    for i in range(len(g) - 2, -1, -1):
+        x.insert(0, (forward[i] + c[i + 1] * x[0]) / pivots[i])
+    return x
 
 
 # Frozen values produced by the helpers above.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from soapfilm import direct_min
 from soapfilm.direct_min import (
-    _laplacian_pivots,
+    _laplacian_solve,
     _ldl_solve,
     InitPreset,
     Outcome,
@@ -21,7 +21,7 @@ from soapfilm.direct_min import (
 from soapfilm.errors import DomainError
 from soapfilm.extremals import area_closed_form, profile, solve_branches
 
-from oracles import richardson_diff, smooth_test_profiles
+from oracles import laplacian_solve_exact, richardson_diff, smooth_test_profiles
 
 
 def _catenoid_profile(h, n, branch=0):
@@ -276,6 +276,24 @@ def test_minimize_accepts_explicit_profile():
         minimize(h, 257, start)
 
 
+@pytest.mark.parametrize(
+    "radius, overflows", [(1e103, False), (1e144, False), (1e150, False), (1e160, True), (1e300, True)]
+)
+def test_a_start_with_one_huge_radius_collapses_unless_its_area_overflows(radius, overflows):
+    # Its two segments' w^3 overflows from a radius of about 1e103, and the
+    # area decrease's ybar*dm*(m1 + m2) from about 1e144; neither is formed.
+    # From about 1e153 the start's discrete area overflows: a DomainError.
+    h, n = 0.45, 64
+    y = np.ones(n)
+    y[30] = radius
+    start = Profile(h=h, grid=np.linspace(-h, h, n), y=y)
+    if overflows:
+        with pytest.raises(DomainError):
+            minimize(h, n, start)
+    else:
+        assert minimize(h, n, start).outcome is Outcome.COLLAPSED
+
+
 def test_minimize_validates_arguments():
     with pytest.raises(DomainError):
         minimize(0.0, 256, InitPreset.CYLINDER)
@@ -404,36 +422,48 @@ def test_minimize_collapses_above_transition(h):
     assert math.tau < report.final_area < math.tau + 0.15
 
 
-def test_laplacian_pivots_survive_weights_spread_over_20_decades():
-    # Segment weights of a steep profile: elimination rounds the second pivot,
-    # (1e8 + 1e-12) - 1e8**2/(1e8 + 1e-12), to 0, where it is about 2e-12.
-    c = np.array([1e-12, 1e8, 1e-12, 1e8, 1e-12, 3.0, 1e-12])
-    diag, off = c[:-1] + c[1:], -c[1:-1]
+# Segment weights of a steep profile, spread over 20 decades
+_STEEP_WEIGHTS = [1e-12, 1e8, 1e-12, 1e8, 1e-12, 3.0, 1e-12]
+
+
+def test_laplacian_solve_survives_weights_spread_over_20_decades():
+    # Elimination rounds the second pivot, (1e8 + 1e-12) - 1e8**2/(1e8 + 1e-12),
+    # to 0, where it is about 2e-12.
+    c = np.array(_STEEP_WEIGHTS)
     rhs = np.arange(1.0, 7.0)
-    assert _ldl_solve(diag, off, rhs) is None
-    # exact pivots and solution of K with these weights, in rationals
-    w = [Fraction(v) for v in c]
-    pivots, forward = [w[0] + w[1]], [Fraction(rhs[0])]
-    for i in range(1, len(diag)):
-        pivots.append(w[i] + w[i + 1] - w[i] ** 2 / pivots[-1])
-        forward.append(Fraction(rhs[i]) + w[i] / pivots[-2] * forward[-1])
-    exact = [forward[-1] / pivots[-1]]
-    for i in range(len(diag) - 2, -1, -1):
-        exact.insert(0, (forward[i] + w[i + 1] * exact[0]) / pivots[i])
-    got = _laplacian_pivots(c)
-    for value, want in zip(got, pivots):
-        assert abs(Fraction(value) - want) <= Fraction(1e-15) * want
-    for value, want in zip(_ldl_solve(diag, off, rhs, got), exact):
+    assert _ldl_solve(c[:-1] + c[1:], -c[1:-1], rhs) is None
+    for value, want in zip(_laplacian_solve(c, rhs), laplacian_solve_exact(c, rhs)):
         assert abs(Fraction(value) - want) <= Fraction(1e-14) * abs(want)
 
 
-def _ldl_reference(d, e, x, eliminate):
+_WEIGHT = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+_RHS = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)).map(
+    lambda t: t[0] * 10.0 ** t[1]
+)
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.lists(_WEIGHT, min_size=n + 1, max_size=n + 1),
+                        st.lists(_RHS, min_size=n, max_size=n))
+))
+@example((_STEEP_WEIGHTS, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+def test_laplacian_solve_is_accurate_to_a_few_ulps_of_the_summed_terms(system):
+    # Weights log-uniform over up to 24 decades, g of mixed sign. K^-1 is
+    # entrywise positive, so |K^-1||g| is K^-1 applied to |g|.
+    c, g = np.array(system[0]), np.array(system[1])
+    got = _laplacian_solve(c, g)
+    eps = Fraction(np.finfo(float).eps)
+    scale = laplacian_solve_exact(c, np.abs(g))
+    for value, want, bound in zip(got, laplacian_solve_exact(c, g), scale):
+        assert abs(Fraction(value) - want) <= 8 * eps * bound
+
+
+def _ldl_reference(d, e, x):
     """LDL^T of a symmetric tridiagonal matrix in the textbook order, in place."""
     for i in range(len(d)):
         if i:
             lower = e[i - 1] / d[i - 1]
-            if eliminate:
-                d[i] -= lower * e[i - 1]
+            d[i] -= lower * e[i - 1]
             x[i] -= lower * x[i - 1]
             e[i - 1] = lower
         if not d[i] > 0.0:
@@ -448,19 +478,15 @@ _ENTRY = st.floats(-1e6, 1e6, allow_subnormal=False)
 
 
 @given(st.integers(1, 40).flatmap(
-    lambda n: st.tuples(*(st.lists(_ENTRY, min_size=k, max_size=k) for k in (n, n - 1, n, n)))
+    lambda n: st.tuples(*(st.lists(_ENTRY, min_size=k, max_size=k) for k in (n, n - 1, n)))
 ))
 def test_ldl_solve_matches_the_textbook_recurrence_bit_for_bit(rows):
-    diag, off, rhs, pivots = rows
+    diag, off, rhs = rows
     # as drawn (often indefinite), and made diagonally dominant (definite)
     bands = [0.0, *map(abs, off), 0.0]
     dominant = [abs(v) + bands[i] + bands[i + 1] + 1.0 for i, v in enumerate(diag)]
     for d in (diag, dominant):
-        want = _ldl_reference(list(d), list(off), list(rhs), eliminate=True)
+        want = _ldl_reference(list(d), list(off), list(rhs))
         got = _ldl_solve(np.array(d), np.array(off), np.array(rhs))
         assert got is None if want is None else [v.hex() for v in got] == [v.hex() for v in want]
     assert got is not None
-    given_pivots = [abs(p) + 1.0 for p in pivots]
-    want = _ldl_reference(list(given_pivots), list(off), list(rhs), eliminate=False)
-    got = _ldl_solve(np.array(diag), np.array(off), np.array(rhs), given_pivots)
-    assert [v.hex() for v in got] == [v.hex() for v in want]

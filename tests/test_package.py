@@ -56,12 +56,11 @@ TWO_PI config riccati_residual rayleigh_quotient MaxIterationsError
 # Public names that no code in src/ calls. The paper's results and the
 # checks a reader runs on them: critical_extremal, small_h_asymptotics,
 # area_along_direction, q_form_factored, taylor_probe, third_variation,
-# discrete_area, discrete_gradient. Names the benchmark times or checks
-# against: phi, shoot, dense_eigenvalues.
+# discrete_gradient. Names the benchmark times or checks against: phi,
+# shoot, dense_eigenvalues.
 UNCALLED = """
 critical_extremal small_h_asymptotics area_along_direction q_form_factored
-taylor_probe third_variation discrete_area discrete_gradient phi shoot
-dense_eigenvalues
+taylor_probe third_variation discrete_gradient phi shoot dense_eigenvalues
 """.split()
 
 
