@@ -202,15 +202,20 @@ def _laplacian_solve(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     sums of positive terms, so nothing cancels however far the weights
     spread. Elimination forms the pivot c_i + c_(i+1) - c_i^2/d_(i-1)
     instead, which cancels to a non-positive pivot once the weights span
-    about 16 decades (a steep catenoid at small h).
+    about 16 decades (a steep catenoid at small h). r and g are scaled,
+    exactly, by powers of two at or above their largest entries, so no
+    product overflows; a step past the float range is +-inf, then floored.
     """
     import numpy as np
     r = 1.0 / c
+    er, eg = math.frexp(r.max())[1], math.frexp(np.abs(g).max())[1]
+    r, g = np.ldexp(r, -er), np.ldexp(g, -eg)
     left = np.cumsum(r)[:-1]
     right = np.cumsum(r[::-1])[-2::-1]
     x = right * np.cumsum(left * g)
     x[:-1] += left[:-1] * np.cumsum((right * g)[:0:-1])[::-1]
-    return x / (left + right)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x / (left + right), er + eg)
 
 
 def _newton_step(seg: Segments, g: np.ndarray, dx: float) -> np.ndarray:

@@ -90,8 +90,9 @@ def force(h: float) -> ForceSample:
     mu(s) = 1 - s*tanh(s), so dF/dh = 4*pi*tanh(tau_1)/mu(tau_1), unbounded
     toward h_star where mu vanishes.
 
-    Raises DomainError unless h >= 1e-307, and NoExtremalError from 1e-12 below
-    h_star on (the degenerate catenoid's force is one-sided, not reported).
+    Raises DomainError unless h > 0 (NaN included), and NoExtremalError from
+    1e-12 below h_star on (the degenerate catenoid's force is one-sided, not
+    reported).
     """
     lower, fold = _lower_branch(h)
     if fold is None:
@@ -104,4 +105,5 @@ def _force(lower: Extremal) -> ForceSample:
     h, tau = lower.h, lower.tau
     tanh = math.tanh(tau)
     slope = 2.0 * math.tau * tanh / (1.0 - tau * tanh)
-    return ForceSample(h, -2.0 * math.tau * h / tau, slope)
+    # h/tau_1 first: -4*pi*h is subnormal, and loses bits, below h ~ 1.75e-309
+    return ForceSample(h, -2.0 * math.tau * (h / tau), slope)

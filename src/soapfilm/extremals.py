@@ -10,12 +10,12 @@ With tau = h / C the boundary condition becomes phi(tau) = cosh(tau) / tau
 solving 1 - tau tanh(tau) = 0, so the problem has two solutions for
 h < h_star = tau_star / cosh(tau_star), one (degenerate) solution at h_star,
 and none beyond it. Either branch parameter is one solve of
-log(h * phi(tau)) = 0 in log(tau), from h = 1e-307 up to the fold. Its
-slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so each solve
-is a Newton loop of its own that evaluates both inline, and tau_star, the
-root of mu, is three Newton steps taken when the module loads. The
-equation is convex in log(tau), so Newton from the side where it is
-positive converges monotonically. Each branch solve starts from an end of a
+log(h * phi(tau)) = 0 in log(tau), for every positive double h up to the
+fold. Its slope is -mu(tau), the Jacobi field mu(s) = 1 - s tanh(s), so
+each solve is a Newton loop of its own that evaluates both inline, and
+tau_star, the root of mu, is three Newton steps taken when the module
+loads. The equation is convex in log(tau), so Newton from the side where it
+is positive converges monotonically. Each branch solve starts from an end of a
 closed-form bracket, whose other end it never evaluates: h cosh(h) below
 tau_1, tau_star below tau_2, and above them the fold offsets of the
 quadratic log(h/h_star) + tau_star**2 (u - u*)**2 / 2 or, far from the
@@ -54,17 +54,10 @@ __all__ = [
 # cosh overflows float64 just above exp(709); phi is astronomically large
 # there anyway, so clip to +inf instead of raising.
 _COSH_OVERFLOW = 710.0
-# math.exp overflows from log(float max) = 709.78 on
-_EXP_OVERFLOW = 709.0
 
 # h within this distance of h_star is treated as the critical case: the two
 # branch parameters are closer than root-finding can resolve them.
 _CRITICAL_TOL = 1e-12
-
-# Below this h, c = h/tau_2 is subnormal and so coarse that the upper
-# extremal's boundary check (1e-10) fails at some h from 1.24e-308 down;
-# at 1e-307 that check's residual is at most 1.3e-11.
-_H_MIN = 1e-307
 
 _LOG_2 = math.log(2.0)
 
@@ -187,6 +180,7 @@ def _solve_critical() -> CriticalConstants:
 
 _CRITICAL = _solve_critical()
 _TAU_STAR, _H_STAR = _CRITICAL
+_LOG_H_STAR = math.log(_H_STAR)
 # u* = log(tau_star), the centre of both branch brackets (see _lower_branch)
 _U_STAR = math.log(_TAU_STAR)
 
@@ -196,34 +190,36 @@ def critical_constants() -> CriticalConstants:
     return _CRITICAL
 
 
-class Extremal(_Record, namedtuple("Extremal", "h tau c branch")):
+class Extremal(_Record, namedtuple("Extremal", "h tau branch")):
     """One catenoid solution: y(x) = c cosh(x / c) on [-h, h] with c = h/tau.
 
-    Raises DomainError unless h, tau and c are positive, c*cosh(h/c) = 1 to
-    within 1e-10 in its log, h/c = tau to within 1e-9 relative, and tau lies
-    on the named branch's side of tau_star (to within 1e-9). The library
-    builds every Extremal positionally, which binds faster than keywords,
-    and through these same checks.
+    Raises DomainError unless h and tau are positive, h*cosh(tau) = tau to
+    within 1e-10 in its log (at every positive double h, where c may be 0),
+    and tau lies on the named branch's side of tau_star (to within 1e-9).
+    The library builds every Extremal positionally, which binds faster than
+    keywords, and through these same checks.
     """
 
     __slots__ = ()
 
-    def __new__(cls, h: float, tau: float, c: float, branch: Branch) -> Extremal:
-        if not (h > 0.0 and tau > 0.0 and c > 0.0):
-            raise DomainError("h, tau, c must all be positive")
-        # log(c*cosh(h/c)), which stays finite where cosh(h/c) overflows;
+    def __new__(cls, h: float, tau: float, branch: Branch) -> Extremal:
+        if not (h > 0.0 and tau > 0.0):
+            raise DomainError("h and tau must both be positive")
+        # log(h*cosh(tau)/tau), which stays finite where cosh(tau) overflows;
         # log cosh inlined (see _log_cosh)
-        t = h / c
-        residual = math.log(c) + (t + math.log1p(math.exp(-2.0 * t)) - _LOG_2)
+        residual = tau + math.log1p(math.exp(-2.0 * tau)) - _LOG_2 - math.log(tau) + math.log(h)
         if not abs(residual) <= 1e-10:
-            raise DomainError(f"boundary condition violated: log(c*cosh(h/c)) = {residual!r}")
-        if not abs(t / tau - 1.0) <= 1e-9:
-            raise DomainError(f"tau = {tau!r} differs from h/c = {t!r}")
+            raise DomainError(f"boundary condition violated: log(h*cosh(tau)/tau) = {residual!r}")
         if branch is _LOWER and tau > _TAU_STAR + 1e-9:
             raise DomainError("lower-branch parameter exceeds tau_star")
         if branch is _UPPER and tau < _TAU_STAR - 1e-9:
             raise DomainError("upper-branch parameter is below tau_star")
-        return tuple.__new__(cls, (h, tau, c, branch))
+        return tuple.__new__(cls, (h, tau, branch))
+
+    @property
+    def c(self) -> float:
+        """The waist radius h/tau, subnormal or 0 where tau_2 > 709.1."""
+        return self[0] / self[1]
 
 
 def _solve_branch(log_h: float, u: float, lo: float, hi: float) -> float:
@@ -287,20 +283,21 @@ def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, floa
     more than delta/64 below it. There it lies nearer u_1 than the lower
     end, and its first Newton step crosses to g >= 0.
     """
-    if not h >= _H_MIN:
-        raise DomainError(f"half-distance must be at least {_H_MIN!r}, got {h!r}")
+    if not h > 0.0:
+        raise DomainError(f"half-distance must be positive, got {h!r}")
     if abs(h - _H_STAR) <= _CRITICAL_TOL:
-        return Extremal(h, _TAU_STAR, h / _TAU_STAR, _LOWER), None
+        return Extremal(h, _TAU_STAR, _LOWER), None
     if h > _H_STAR:
         raise NoExtremalError(h, _H_STAR)
     log_h = math.log(h)
-    delta = math.sqrt(2.0 * math.log(_H_STAR / h)) / _TAU_STAR
+    # log h* - log h, finite where h*/h overflows (h below 3.7e-309)
+    delta = math.sqrt(2.0 * (_LOG_H_STAR - log_h)) / _TAU_STAR
     pad = 4e-15 - 4.5e-16 * log_h
     # tau_1 = h*cosh(tau_1) > h*cosh(h)
     lo = math.log(h * math.cosh(h)) - pad
     hi = _U_STAR - (1.0 - _FOLD_MARGIN) * delta + pad
     tau = _solve_branch(log_h, lo if delta > _FAR_FROM_FOLD else hi, lo, hi)
-    return Extremal(h, tau, h / tau, _LOWER), (log_h, delta, pad)
+    return Extremal(h, tau, _LOWER), (log_h, delta, pad)
 
 
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
@@ -311,13 +308,12 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     branch.
 
     Raises:
-        DomainError: h is below 1e-307 (NaN included), where c = h/tau_2
-            is too coarse to hold the boundary condition.
+        DomainError: h is not positive (NaN included).
         NoExtremalError: h exceeds the critical half-distance.
     """
     lower, fold = _lower_branch(h)
     if fold is None:
-        return lower, Extremal(h, lower.tau, lower.c, _UPPER)
+        return lower, Extremal(h, lower.tau, _UPPER)
     log_h, delta, pad = fold
     if delta > _FAR_FROM_FOLD:
         # cosh(tau) >= e^tau/2 puts tau_2 below 2*log(2/h) + 2 and below
@@ -330,51 +326,48 @@ def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     else:
         hi = _U_STAR + (1.0 + _FOLD_MARGIN) * delta
     tau2 = _solve_branch(log_h, hi + pad, _U_STAR - pad, hi + pad)
-    return lower, Extremal(h, tau2, h / tau2, _UPPER)
+    return lower, Extremal(h, tau2, _UPPER)
 
 
 def critical_extremal() -> Extremal:
     """The degenerate catenoid at the critical half-distance."""
-    return Extremal(_H_STAR, _TAU_STAR, _H_STAR / _TAU_STAR, _LOWER)
+    return Extremal(_H_STAR, _TAU_STAR, _LOWER)
 
 
 def profile(e: Extremal, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Evaluate the catenoid radius y(x) = c cosh(x / c).
 
     Accepts a scalar or an array of positions; every position must lie in
-    [-h, h] up to a roundoff slack of 1e-12*h (NaN is rejected). Where
-    cosh(x/c) overflows (the upper extremal below h ~ 6e-306), c*cosh(x/c)
-    is formed from logs.
+    [-h, h] up to a roundoff slack of 1e-12*h (NaN is rejected). Where c is
+    subnormal or 0 (tau_2 above 709.1, h below 1.6e-305), x/c would divide
+    by few bits or none: there y = exp(log h - log tau + log cosh(tau*x/h)).
     """
     import numpy as np
+    h, tau = e.h, e.tau
     arr = np.asarray(x, dtype=float)
-    slack = 1e-12 * e.h
-    if not np.all(np.abs(arr) <= e.h + slack):
-        raise DomainError(f"position outside [-{e.h}, {e.h}]")
-    u = arr / e.c
-    t = np.abs(u)
-    with np.errstate(over="ignore"):
-        y = np.where(
-            t > _COSH_OVERFLOW,
-            np.exp(math.log(e.c) + t + np.log1p(np.exp(-2.0 * t)) - _LOG_2),
-            e.c * np.cosh(u),
-        )
-    if arr.ndim == 0:
-        return float(y)
-    return y
+    if not np.all(np.abs(arr) <= h + 1e-12 * h):
+        raise DomainError(f"position outside [-{h}, {h}]")
+    c = h / tau
+    if c >= 2.2250738585072014e-308:
+        y = c * np.cosh(arr / c)
+    else:
+        t = np.abs(arr / h) * tau
+        y = np.exp(math.log(h) - math.log(tau) + t + np.log1p(np.exp(-2.0 * t)) - _LOG_2)
+    return float(y) if arr.ndim == 0 else y
 
 
 def area_closed_form(e: Extremal) -> float:
     """Film area 2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 of an extremal.
 
     Written in c = h/tau, whose factors do not underflow at tiny h. Where
-    cosh(tau) overflows, c*cosh(tau) is formed from logs and tanh(tau) is 1.
+    cosh(tau) overflows, c*cosh(tau) is exp(log h - log tau + log cosh tau).
     """
-    c, tau = e.c, e.tau
+    h, tau = e.h, e.tau
+    c = h / tau
     if tau > _COSH_OVERFLOW:
-        c_cosh = math.exp(math.log(c) + _log_cosh(tau))
-        return math.tau * (e.h * c + c_cosh * c_cosh)
-    return math.tau * (e.h * c + (c * math.sinh(tau)) * (c * math.cosh(tau)))
+        c_cosh = math.exp(math.log(h) - math.log(tau) + _log_cosh(tau))
+        return math.tau * (h * c + c_cosh * c_cosh)
+    return math.tau * (h * c + (c * math.sinh(tau)) * (c * math.cosh(tau)))
 
 
 def small_h_asymptotics(h: float) -> Tuple[float, float]:
@@ -382,14 +375,11 @@ def small_h_asymptotics(h: float) -> Tuple[float, float]:
 
     Returns (tau1/h, h*exp(tau2)/tau2). Requires 0 < h < h_star/10 so the
     branches are far apart and the ratios are meaningful; raises DomainError
-    otherwise, and below h = 1e-307 as solve_branches does.
+    otherwise.
     """
     if not (0.0 < h < _H_STAR / 10.0):
         raise DomainError(f"asymptotic regime needs 0 < h < {_H_STAR / 10.0}, got {h!r}")
     lower, upper = solve_branches(h)
-    tau2 = upper.tau
-    if tau2 < _EXP_OVERFLOW:
-        return lower.tau / h, h * math.exp(tau2) / tau2
-    # exp(tau2) overflows below h ~ 1e-305: apply it in two halves
-    half = math.exp(0.5 * tau2)
-    return lower.tau / h, h * half * half / tau2
+    # exp(tau2) overflows below h ~ 1e-305, so it is applied in two halves
+    half = math.exp(0.5 * upper.tau)
+    return lower.tau / h, h * half * half / upper.tau

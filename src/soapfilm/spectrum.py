@@ -349,7 +349,9 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     1..2**20, where the eigenvalues leave the float range (lambda_1 below
     the least normal float from tau ~ 1e307, lambda_k_max beyond the largest
     float below tau ~ 1e-154), and where no evaluation reaches that
-    precision (k_max >= 16 below tau ~ 2.5e-3).
+    precision (k_max >= 16 below tau ~ 2.5e-3). The cost grows about as
+    k_max**1.7 (at tau = 1, 0.010 s at k_max = 100 up to 1.0-1.2 s at 1 600
+    on a 2-core Xeon), so the 2**20 count bound caps memory, not time.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"half-interval must be positive and finite, got {tau!r}")

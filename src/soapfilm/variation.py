@@ -144,9 +144,8 @@ def q_form_factored(psi: TestFunction) -> float:
 def eta_from_psi(psi: TestFunction, e: Extremal) -> TestFunction:
     """Map a direction psi(s) on [-tau, tau] to eta(x) = psi(x/C) cosh(x/C).
 
-    eta's grid is psi's scaled by h/tau, so it ends at +-h to rounding
-    whatever c's last digits (Extremal holds h/c = tau to 1e-9 only), and
-    profile takes it. Raises DomainError unless psi's halfwidth is tau to
+    eta's grid is psi's scaled by c = h/tau, so it ends at +-h to rounding
+    and profile takes it. Raises DomainError unless psi's halfwidth is tau to
     within 1e-12 relative, and where cosh overflows on the grid (tau above
     about 710, the upper extremal below h ~ 6e-306).
     """

@@ -329,6 +329,14 @@ def branch_root(log_h, lo, hi):
         return float(u), float(tau), float(tau * mpmath.tanh(tau) - 1)
 
 
+def catenoid_area(h, tau):
+    """2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 at 50 digits, as the float nearest it."""
+    with mpmath.workdps(50):
+        h, tau = mpmath.mpf(h), mpmath.mpf(tau)
+        area = 2 * mpmath.pi * h * h / tau + mpmath.pi * h * h * mpmath.sinh(2 * tau) / (tau * tau)
+        return float(area)
+
+
 def laplacian_solve_exact(c, g):
     """K^-1 g in rationals, K the Dirichlet Laplacian with conductances c.
 

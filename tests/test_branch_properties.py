@@ -12,13 +12,16 @@ from soapfilm import energetics, extremals
 from soapfilm.errors import ConvergenceFailureError, DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, critical_constants, solve_branches
 
-from oracles import H_STAR, TAU_STAR, branch_root, richardson_diff
+from oracles import H_STAR, TAU_STAR, branch_root, catenoid_area, richardson_diff
 
 # Closest approach to the fold that is still resolved as two branches.
 _FOLD_MARGIN = 2e-12
 
-# Smallest h solve_branches accepts: below it c = h/tau_2 is too coarse.
-_H_MIN = 1e-307
+# The least positive double, 2**-1074: every h from it up is answered.
+_H_MIN = 5e-324
+# Below this h the lower area 4*pi*h is no longer a normal float: its
+# relative rounding grows to an ulp of the subnormal.
+_H_NORMAL_AREA = 1e-307
 
 
 def _log_uniform(lo, hi):
@@ -39,30 +42,54 @@ def test_boundary_residual_and_branch_order(h):
     assert lower.tau < TAU_STAR < upper.tau
 
 
-@pytest.mark.parametrize("h", [_H_MIN, 1e-306, 5e-306])
+@pytest.mark.parametrize("h", [_H_MIN, 1e-307, 1e-306, 5e-306])
 def test_upper_extremal_where_cosh_overflows(h):
-    # tau_2 > 700 here, and c = h/tau_2 is subnormal below about 1.6e-305.
+    # tau_2 > 700 here, and c = h/tau_2 is subnormal below about 1.6e-305
+    # (0 at 5e-324).
     _, upper = solve_branches(h)
     assert upper.tau > 700.0
     assert abs(_log_boundary_residual(h, upper.tau)) <= 1e-12
     assert abs(area_closed_form(upper) / (2.0 * math.pi) - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("h", [9.99e-308, 1.2e-308, 1e-310, 5e-324])
-def test_h_below_the_smallest_accepted_is_a_domain_error(h):
-    with pytest.raises(DomainError):
-        solve_branches(h)
-    with pytest.raises(DomainError):
-        energetics.force(h)
+@example(9.99e-308)
+@example(1.2e-308)
+@example(2.2250738585072014e-308)
+@example(1e-310)
+@example(5.619578425415e-311)
+@example(_H_MIN)
+@given(st.one_of(_log_uniform(_H_MIN, 1e-307), st.integers(1, 2**52).map(lambda k: k * 2.0**-1074)))
+def test_h_below_1e_307_is_answered(h):
+    # c = h/tau_2 is subnormal or 0 here, and every answer is finite
+    lower, upper = solve_branches(h)
+    values = [
+        lower.tau, upper.tau, lower.c, upper.c, area_closed_form(lower), area_closed_form(upper),
+        *energetics.force(h), *extremals.small_h_asymptotics(h),
+        extremals.profile(lower, -h), extremals.profile(upper, 0.0), extremals.profile(upper, h),
+    ]
+    assert all(math.isfinite(v) for v in values)
+    assert abs(extremals.profile(upper, h) - 1.0) <= 1e-12
 
 
-@given(_log_uniform(_H_MIN, 1e-8))
+@given(_log_uniform(_H_NORMAL_AREA, 1e-8))
 def test_areas_at_tiny_h(h):
     # The lower film is a thin tube of area 4*pi*h; the upper one tends to
     # the two flat disks, 2*pi.
     lower, upper = solve_branches(h)
     assert abs(area_closed_form(lower) / (4.0 * math.pi * h) - 1.0) <= 1e-12
     assert abs(area_closed_form(upper) / (2.0 * math.pi) - 1.0) <= 1e-6
+
+
+# 2.0e-282 (tau_2 = 655.8) is where the identity 2*pi*(h*c + tanh(tau)),
+# which c*cosh(tau) = 1 gives, misses the formula by 8.8e-13; a subnormal
+# area (the lower one below h ~ 1.8e-309) rounds to a few of its ulps.
+@pytest.mark.parametrize(
+    "h", [5e-324, 1e-310, 1e-307, 2.027854582882596e-282, 1e-100, 1e-8, 0.4, H_STAR - 1e-6]
+)
+def test_area_closed_form_meets_the_formula_at_the_returned_tau(h):
+    for e in solve_branches(h):
+        want = catenoid_area(h, e.tau)
+        assert abs(area_closed_form(e) - want) <= 1e-12 * want + 4.0 * _H_MIN
 
 
 @given(_log_uniform(_FOLD_MARGIN, 1e-6))
@@ -177,7 +204,7 @@ def test_closed_form_brackets_contain_the_root(h):
     floor = 2.3e-16
     assert _g(lo1, log_h) > floor and _g(hi1, log_h) < -floor
     assert _g(lo2, log_h) < -floor and _g(hi2, log_h) > floor
-    delta = math.sqrt(2.0 * math.log(h_star / h)) / tau_star
+    delta = math.sqrt(2.0 * (math.log(h_star) - math.log(h))) / tau_star
     assert u1 == (lo1 if delta > 0.5 else hi1) and u2 == hi2
     lower, upper = solve_branches(h)
     assert lo1 <= math.log(lower.tau) <= hi1
@@ -190,7 +217,9 @@ _TOL_X, _TOL_F = 1e-15, 2.3e-16
 
 _BANDS = {
     "bulk": st.floats(0.01, H_STAR - 1e-4),
-    "tiny": _log_uniform(1e-307, 1e-2),
+    "tiny": _log_uniform(_H_MIN, 1e-2),
+    # k*2**-1074, every subnormal and the normals up to 2**-1021
+    "subnormal": st.integers(1, 2**53).map(lambda k: k * 2.0**-1074),
     "fold": _log_uniform(1e-12, 1e-4).map(lambda d: H_STAR - d),
 }
 
@@ -231,6 +260,9 @@ def _tiny_miss_ulps(u, tau, slope):
 # (two near the fold, the lowest g measured and the largest miss of tau_2),
 # then the largest miss of tau_1, and the largest tiny-band miss of tau_1
 # measured (17 ulps, over a sample maximum of 16 that once bounded it).
+# Then the subnormal and normal edges: 2**-1074 and 3*2**-1074; an h where
+# exp(u) rounds tau_1 one subnormal ulp away from h; the least normal
+# double; and 2**-26, where cosh(h) rounds to 1 but tau_1 to h + 1 ulp.
 _HARD_SOLVES = [
     ("fold", 0.6627433199111888),
     ("fold", 0.662699993780875),
@@ -238,6 +270,11 @@ _HARD_SOLVES = [
     ("bulk", 0.6626355959614388),
     ("bulk", 0.6626415414827597),
     ("tiny", 5.7914387250874006e-08),
+    ("subnormal", 5e-324),
+    ("subnormal", 1.5e-323),
+    ("subnormal", 5.619578425415e-311),
+    ("tiny", 2.2250738585072014e-308),
+    ("tiny", 1.4901161193847656e-08),
 ]
 
 
@@ -260,6 +297,17 @@ def _solve_in_u(log_h, u, lo, hi):
     return args[0::2], tau
 
 
+def _check_force(h, exact, miss):
+    """force(h).force against -4*pi*h/tau_1, within tau_1's miss of miss ulps.
+
+    exact is the float nearest tau_1, half an ulp from it: at subnormal h
+    that half ulp is as coarse as the miss.
+    """
+    want = -2.0 * math.tau * (h / exact)
+    rel = (miss + 0.5) * math.ulp(exact) / exact + 4.0 * sys.float_info.epsilon
+    assert abs(energetics.force(h).force - want) <= rel * abs(want)
+
+
 def _check_branch_solves(band, h):
     for i, (log_h, start, lo, hi) in enumerate(_brackets(h)):
         us, tau = _solve_in_u(log_h, start, lo, hi)
@@ -267,10 +315,14 @@ def _check_branch_solves(band, h):
         root, exact, slope = branch_root(log_h, lo, hi)
         if band == "fold":
             assert abs(u - root) * abs(slope) <= 2.0 * _TOL_F
-        elif band == "tiny":
-            assert abs(tau - exact) <= _tiny_miss_ulps(u, exact, slope) * math.ulp(exact)
         else:
-            assert abs(tau - exact) <= _BULK_ULPS[i] * math.ulp(exact)
+            if band == "bulk":
+                miss = _BULK_ULPS[i]
+            else:
+                miss = _tiny_miss_ulps(u, exact, slope)
+            assert abs(tau - exact) <= miss * math.ulp(exact)
+            if i == 0:
+                _check_force(h, exact, miss)
         # Newton from its start, inside the bracket, every step toward the
         # root (up for tau_1, down for tau_2) once an iterate had g > 0
         gs = [_g(x, log_h) for x in us]

@@ -15,7 +15,7 @@ from soapfilm.cli import _COMMANDS, _build_parser, _parse, _range_points, _rende
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import critical_constants
 
-from oracles import THIRD_VARIATION_CRITICAL, mpmath_constants
+from oracles import THIRD_VARIATION_CRITICAL, branch_root, mpmath_constants
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,18 @@ def test_solve_supercritical_is_domain_outcome(capsys):
     h_star = mpmath_constants()[1]
     assert abs(results["h_star"] - h_star) <= 2.0 * math.ulp(h_star)
     np.testing.assert_allclose(results["goldschmidt_area"], 2.0 * math.pi, rtol=1e-15)
+
+
+def test_solve_at_the_least_positive_double(capsys):
+    # c2 = h/tau_2 underflows to 0 and tau_1 rounds to h itself
+    code, out, _ = run_cli(capsys, "solve", "--h", "5e-324")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["outcome"] == "Subcritical"
+    assert (results["tau1"], results["c1"], results["c2"]) == (5e-324, 1.0, 0.0)
+    tau2 = branch_root(math.log(5e-324), math.log(700.0), math.log(800.0))[1]
+    assert abs(results["tau2"] - tau2) <= 2.0 * math.ulp(tau2)
+    assert abs(results["area2"] / (2.0 * math.pi) - 1.0) <= 1e-12
 
 
 def test_critical_subcommand(capsys):
@@ -213,9 +225,9 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "minimize", "--h", "0.4", "--init", "bogus")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     # rejected by the library alone, with its message on stderr
-    code, out, err = run_cli(capsys, "solve", "--h", "1e-308")
+    code, out, err = run_cli(capsys, "solve", "--h", "0")
     assert (code, out) == (2, "")
-    assert err == "usage error: half-distance must be at least 1e-307, got 1e-308\n"
+    assert err == "usage error: half-distance must be positive, got 0.0\n"
     assert run_cli(capsys, "spectrum", "--tau", "inf")[0] == 2
     h_star = repr(critical_constants().h_star)
     assert run_cli(capsys, "minimize", "--h", h_star, "--n", "64", "--init", "upper_perturbed")[0] == 2

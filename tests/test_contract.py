@@ -142,10 +142,18 @@ def _with_node(x):
 
 
 def _extremal(branch, field):
-    """The catenoid of that branch at h = 0.4 with x in one field."""
+    """The catenoid of that branch at h = 0.4 with x in one field, or as its waist c.
+
+    c is no field: x as the waist builds the record with tau = h/x.
+    """
     def call(x):
         e = solve_branches(0.4)[branch is Branch.UPPER]
-        fields = {"h": e.h, "tau": e.tau, "c": e.c, field: x}
+        fields = {"h": e.h, "tau": e.tau}
+        if field == "c":
+            with np.errstate(all="ignore"):
+                fields["tau"] = float(np.divide(e.h, x))
+        else:
+            fields[field] = x
         e = Extremal(branch=branch, **fields)
         return [e.h, e.tau, e.c]
     return call
@@ -304,13 +312,18 @@ def test_matching_inputs_at_a_tiny_scale_are_accepted():
         assert math.isfinite(variation.third_variation(e, _direction(e)))
 
 
-# The constructor holds h/c = tau to 1e-9 and the boundary condition to 1e-10
-# in its log, so it accepts the lower catenoid at h = 0.4 with tau or c one
-# part in 1e10 off; every probe takes such an extremal's own psi grid.
-@pytest.mark.parametrize("field, factor", [(f, 1.0 + d) for f in ("tau", "c") for d in (1e-10, -1e-10)])
+# The constructor holds the boundary condition to 1e-10 in its log, so it
+# accepts the lower catenoid at h = 0.4 with tau one part in 1e10 off (the
+# log moves by mu(tau_1) = 0.82 times that) or h one part in 1.1e10 off (a
+# full 1e-10 in h lands on the bound, past it by the solve's rounding);
+# every probe takes such an extremal's own psi grid.
+@pytest.mark.parametrize(
+    "field, factor",
+    [(f, 1.0 + d) for f, size in (("tau", 1e-10), ("h", 9e-11)) for d in (size, -size)],
+)
 def test_the_probes_take_every_extremal_the_constructor_accepts(field, factor):
     lower = solve_branches(0.4)[0]
-    fields = {"h": lower.h, "tau": lower.tau, "c": lower.c}
+    fields = {"h": lower.h, "tau": lower.tau}
     fields[field] *= factor
     e = Extremal(branch=Branch.LOWER, **fields)
     psi = _direction(e, 257)

@@ -277,13 +277,26 @@ def test_minimize_accepts_explicit_profile():
 
 
 @pytest.mark.parametrize(
-    "radius, overflows", [(1e103, False), (1e144, False), (1e150, False), (1e160, True), (1e300, True)]
+    "h, radius, overflows",
+    [
+        (0.45, 1e103, False),
+        (0.45, 1e144, False),
+        (0.45, 1e150, False),
+        (0.45, 1e152, False),
+        (0.45, 1e160, True),
+        (0.45, 1e300, True),
+        (31.5, 1e149, False),
+        (31.5, 1e150, False),
+    ],
 )
-def test_a_start_with_one_huge_radius_collapses_unless_its_area_overflows(radius, overflows):
+def test_a_start_with_one_huge_radius_collapses_unless_its_area_overflows(h, radius, overflows):
     # Its two segments' w^3 overflows from a radius of about 1e103, and the
     # area decrease's ybar*dm*(m1 + m2) from about 1e144; neither is formed.
-    # From about 1e153 the start's discrete area overflows: a DomainError.
-    h, n = 0.45, 64
+    # From 1e149 on the coarsest grid (dx = 1) and 1e152 at h = 0.45, the K
+    # solve meets resistances whose products pass the float range unless
+    # scaled. From about 1e153 the start's discrete area overflows: a
+    # DomainError.
+    n = 64
     y = np.ones(n)
     y[30] = radius
     start = Profile(h=h, grid=np.linspace(-h, h, n), y=y)

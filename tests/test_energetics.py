@@ -73,7 +73,7 @@ def test_area_quadrature_richardson_rate():
 def _scaled_area(tau):
     """area / (pi*h^2) = 2/tau + sinh(2*tau)/tau^2 of the catenoid with parameter tau."""
     h = tau / math.cosh(tau)
-    e = Extremal(h=h, tau=tau, c=h / tau, branch=Branch.LOWER)
+    e = Extremal(h=h, tau=tau, branch=Branch.LOWER)
     return area_closed_form(e) / (math.pi * h * h)
 
 

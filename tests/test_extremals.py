@@ -187,33 +187,40 @@ def test_small_h_asymptotics_requires_small_h():
 
 
 def test_extremal_validates_inputs():
-    with pytest.raises(DomainError):
-        Extremal(h=0.4, tau=1.0, c=0.4, branch=Branch.LOWER)
+    with pytest.raises(DomainError, match="boundary condition violated"):
+        Extremal(h=0.4, tau=1.0, branch=Branch.LOWER)
     lower, _ = solve_branches(0.4)
-    with pytest.raises(DomainError):
-        Extremal(h=0.4, tau=lower.tau, c=lower.c, branch=Branch.UPPER)
-    # tau must be h/c, on either branch
-    with pytest.raises(DomainError, match="differs from h/c"):
-        Extremal(h=0.4, tau=2.0 * lower.tau, c=lower.c, branch=Branch.LOWER)
-    with pytest.raises(DomainError, match="differs from h/c"):
-        Extremal(h=0.4, tau=math.inf, c=lower.c, branch=Branch.UPPER)
+    with pytest.raises(DomainError, match="below tau_star"):
+        Extremal(h=0.4, tau=lower.tau, branch=Branch.UPPER)
+    # tau must solve h*cosh(tau) = tau, on either branch
+    with pytest.raises(DomainError, match="boundary condition violated"):
+        Extremal(h=0.4, tau=2.0 * lower.tau, branch=Branch.LOWER)
+    with pytest.raises(DomainError, match="boundary condition violated"):
+        Extremal(h=0.4, tau=math.inf, branch=Branch.UPPER)
 
 
 def test_extremal_is_an_immutable_record():
     lower, upper = solve_branches(0.4)
-    again = Extremal(h=0.4, tau=lower.tau, c=lower.c, branch=Branch.LOWER)
-    assert repr(lower) == (
-        f"Extremal(h=0.4, tau={lower.tau!r}, c={lower.c!r}, branch=<Branch.LOWER: 'lower'>)"
-    )
+    again = Extremal(h=0.4, tau=lower.tau, branch=Branch.LOWER)
+    assert repr(lower) == f"Extremal(h=0.4, tau={lower.tau!r}, branch=<Branch.LOWER: 'lower'>)"
+    assert Extremal._fields == ("h", "tau", "branch")
     assert lower == again and hash(lower) == hash(again)
     assert lower != upper and not lower == upper
     # immutability, tuple comparison and _replace: test_package's record contract
 
 
-@pytest.mark.parametrize("field", ["h", "tau", "c"])
+@pytest.mark.parametrize("h", [1e-300, 0.4, H_STAR])
+def test_the_waist_is_h_over_tau(h):
+    for e in solve_branches(h):
+        assert e.c == e.h / e.tau
+    with pytest.raises(AttributeError):
+        e.c = 1.0
+
+
+@pytest.mark.parametrize("field", ["h", "tau"])
 def test_extremal_rejects_nan(field):
     lower, _ = solve_branches(0.4)
-    fields = {"h": 0.4, "tau": lower.tau, "c": lower.c, field: math.nan}
+    fields = {"h": 0.4, "tau": lower.tau, field: math.nan}
     with pytest.raises(DomainError):
         Extremal(branch=Branch.LOWER, **fields)
 
@@ -233,10 +240,10 @@ def test_branch_solution_matches_independent_halving():
 # keyword build: a branch solve that returned a wrong tau is refused with
 # Extremal's message wherever the record is built. At h = 0.3 the true
 # roots lie on either side of tau_star, and moving either by 1e-6 relative
-# moves log(c*cosh(h/c)) by |mu(tau)|*1e-6, far past 1e-10.
+# moves log(h*cosh(tau)/tau) by |mu(tau)|*1e-6, far past 1e-10.
 _H = 0.3
 _TAU1, _TAU2 = (e.tau for e in solve_branches(_H))
-_RESIDUAL = "boundary condition violated: log(c*cosh(h/c)) = "
+_RESIDUAL = "boundary condition violated: log(h*cosh(tau)/tau) = "
 # case -> (what each successive branch solve returns, the message)
 BAD_SOLVES = {
     "lower off its root": ([_TAU1 * (1.0 + 1e-6)], _RESIDUAL),
@@ -282,8 +289,8 @@ def test_a_wrong_branch_solve_makes_cli_solve_exit_2(case, monkeypatch, capsys):
 def test_library_records_equal_their_keyword_builds(h):
     lower, upper = solve_branches(h)
     # records equal only records of their own class
-    assert lower == Extremal(h=h, tau=lower.tau, c=lower.c, branch=Branch.LOWER)
-    assert upper == Extremal(h=h, tau=upper.tau, c=upper.c, branch=Branch.UPPER)
+    assert lower == Extremal(h=h, tau=lower.tau, branch=Branch.LOWER)
+    assert upper == Extremal(h=h, tau=upper.tau, branch=Branch.UPPER)
     if h == H_STAR:
         assert critical_extremal() == lower
     else:
