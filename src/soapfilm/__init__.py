@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 # Names resolve on first use (PEP 562), searched in this order. No module
 # imports numpy when it loads: the functions that use arrays import it
 # themselves. A scalar name is found before the search reaches rootfind,
-# which only the spectrum uses. The first four modules are returned alone.
+# which no module calls (the benchmark's traced run wraps it by name). The
+# first four modules are returned alone.
 # Any other module name, as `from soapfilm import spectrum` asks, imports
 # every module, so that the traced benchmark finds every module it spans in
 # sys.modules.

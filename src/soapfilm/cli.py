@@ -2,7 +2,8 @@
 
 Each invocation emits one record: the schema version, the command, its
 inputs and its named results. Every real number is serialized
-with 17 significant digits, so re-running a command reproduces the output
+with 17 significant digits, and in JSON an integral one ends in ".0", so
+that it reads back as a float; re-running a command reproduces the output
 byte for byte. Domain outcomes such as NoExtremal are data, not errors: they
 exit 0 with the outcome encoded in the record. The library functions check
 their own arguments: any DomainError, from them or from the CLI's range
@@ -44,10 +45,12 @@ def _scalar_token(value) -> str:
 
 
 def _render_json(value, indent: int = 0) -> str:
-    # floats first: they are most of a record's leaves; strings and keys are
+    # floats first: they are most of a record's leaves. An integral float
+    # gets ".0", so that it reads back as a float; strings and keys are
     # escaped as json.dumps escapes them
-    if type(value) is float:
-        return format(value, ".17g")
+    if isinstance(value, float):
+        token = format(value, ".17g")
+        return token if "." in token or "e" in token or "n" in token else token + ".0"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     pad = " " * indent
@@ -60,12 +63,22 @@ def _render_json(value, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if any(isinstance(item, (list, tuple, dict)) for item in value):
-            lines = [f"{pad}  {_render_json(item, indent + 2)}" for item in value]
-            return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
-        return "[" + ", ".join(map(_render_json, value)) + "]"
+        # scalars on one line, in one pass, floats inline as above to spare
+        # a call per cell; a list holding any container puts each item on a
+        # line of its own
+        tokens = []
+        for item in value:
+            if type(item) is float:
+                token = format(item, ".17g")
+                if not ("." in token or "e" in token or "n" in token):
+                    token += ".0"
+            elif isinstance(item, (list, tuple, dict)):
+                lines = [f"{pad}  {_render_json(item, indent + 2)}" for item in value]
+                return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
+            else:
+                token = _render_json(item)
+            tokens.append(token)
+        return "[" + ", ".join(tokens) + "]"
     if value is None:
         return "null"
     return _scalar_token(value)

@@ -1,10 +1,14 @@
 """Deterministic bracketed scalar root finding.
 
-`find_root_bracketed` refines the string eigenvalues. The scalar solves do
-without it: the branch equation is convex, so extremals._solve_branch runs
-a plain Newton loop from one bracket end, with the function written inline,
-which costs less than this solver's callback and safeguards; tau_star and
-the Goldschmidt constant are a few Newton steps each. Each iteration here
+No module of the package calls `find_root_bracketed`: each solve runs a
+loop of its own with its function written inline, which costs less than
+this solver's callback and generic checks. The branch equation is convex,
+so extremals._solve_branch is a plain Newton loop from one bracket end;
+spectrum.eigenvalues takes this solver's steps on the phase residual, and
+stops one evaluation early where the secant has pinned the root; tau_star
+and the Goldschmidt constant are a few Newton steps each. The function is
+kept for the benchmark's traced run, whose `rootfind` span wraps it by
+name (perfbench/spans.py). Each iteration here
 proposes the secant point of the two most recent evaluations. The point is
 kept at least tol_x/2, and at least one float, from the latest evaluation
 (Brent's minimal step), so that a root next to it gets bracketed, then

@@ -41,11 +41,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from .errors import ConvergenceFailureError, DomainError, _count
 from .extremals import _Record, _log_cosh, critical_constants
-from .rootfind import find_root_bracketed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -303,14 +302,42 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     psi_o(tau) for even k (see the module docstring). The angle of
     (psi_e, w*psi_o) (see _characteristic), continued in nu from 0, lies in
     [N*pi/2, (N+1)*pi/2) while N eigenvalues lie below lambda: it is k*pi/2
-    exactly at lambda_k, and find_root_bracketed solves it less k*pi/2 by
-    secant steps. Its sign is that of N >= k on any positive scale, and it
-    is nearly linear in nu (a Pruefer angle, as in SLEIGN2: Bailey, Everitt
-    & Zettl, ACM TOMS 27(2), 2001). The residual is (t - k + 1)*pi/2 + a
-    from _characteristic's (t, a), t - k + 1 first reduced mod 4 and the
-    sum then wrapped once into [-pi, pi], both exactly (math.remainder): it
-    reads the continued angle while N is k-2 to k+1, and takes about 0.2 us
-    per evaluation, against 4.5 to 14 us for the evaluation itself.
+    exactly at lambda_k, and each root is solved on the angle less k*pi/2.
+    Its sign is that of N >= k on any positive scale, and it is nearly
+    linear in nu (a Pruefer angle, as in SLEIGN2: Bailey, Everitt & Zettl,
+    ACM TOMS 27(2), 2001). The residual is (t - k + 1)*pi/2 + a from
+    _characteristic's (t, a), t - k + 1 first reduced mod 4 and the sum then
+    wrapped once into [-pi, pi], both exactly (math.remainder): it reads the
+    continued angle while N is k-2 to k+1, and is formed inline, as the
+    whole loop is, to spare a call per evaluation.
+
+    Each root is a bracketed secant loop. Its ends are evaluated first, and
+    ConvergenceFailureError is raised unless the residual is < 0 at the
+    lower end and >= 0 at the upper: either is a bracket bug. The lower end
+    of root k >= 2 is root k - 1, where the residual is -pi/2 to within its
+    tolerance: it is taken as exactly -pi/2 where root k - 1 was solved on
+    the Ferrers scale (t = nu), and read as evaluated on the x^2 form's,
+    whose rounding near a root reaches ~200 ulps of pi/2 at small tau. Each
+    step takes the secant point of the two latest evaluations, or the
+    midpoint where their residuals are equal; moves it tol_x/2 from the
+    latest where it is closer (Brent's minimal step), so that a root beside
+    it gets bracketed; and projects it onto a ball about the midpoint that
+    shrinks so that the bracket after j evaluations is at most
+    2**(n + 4 - j)*tol_x wide, n = ceil(log2((hi - lo)/tol_x)) (the ITP
+    method: Oliveira & Takahashi, ACM TOMS 47(1), 2021), or takes the
+    midpoint where the point leaves the bracket. It stops at an iterate
+    with |f| <= tol_f, the residual's rounding floor; at the midpoint once
+    the bracket is at most tol_x wide, a few ulps of the root; or, on the
+    Ferrers scale, at the next secant point, unevaluated, once the two
+    latest residuals have |f1*f2| <= tol_f: the secant's error is
+    e+ ~ (f''/2f')*e1*e2, so |f+| <~ |f''/(2f'^2)|*|f1*f2|, well below
+    tol_f for this nearly linear angle. The x^2 form evaluates every point.
+    So a root takes at most two evaluations at its ends and n + 5 after
+    them, 4 beyond bisection's count and one for the midpoints' rounding,
+    and ConvergenceFailureError is raised once those are spent. n was at
+    most 51 where measured (k <= 40 from tau = 0.01 to 1e300, k <= 15 from
+    2e-3), 58 evaluations per root. The benchmark's inputs (k <= 5, tau in
+    [0.2, 5]) take 5.4 per call at k = 1 and 4.4 per later root.
 
     Each root is bracketed in closed form. With x = tanh(s) = sin(phi),
     u = sqrt(cos(phi))*psi solves -u'' - sec^2(phi)*u/4 = (nu + 1/2)^2*u on
@@ -340,8 +367,10 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
 
     Accuracy: lambda_k is within 1e-13 relative of the exact eigenvalue for
     k <= 5 and tau in [0.05, 300] (the tests check this against 50-digit
-    mpmath roots of the same condition; measured at most 1.6e-14), and
-    within a few 1e-13 up to k = 20 at tau >= 0.01. Below tau ~ k*pi/2e4,
+    mpmath roots of the same condition; measured at most 1.7e-14), and
+    within 1e-12 up to k = 20 at tau >= 0.01 (measured at most 6.6e-13,
+    at k = 9 to 12 and tau near 1, where the series in z and the x^2
+    form lose most to rounding). Below tau ~ k*pi/2e4,
     where the recurrence would take over 1e4 steps, k from 8 to 14 lose up
     to 3e-9 and k = 15 up to 2e-8 (measured against 60-digit roots).
 
@@ -350,8 +379,9 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     the least normal float from tau ~ 1e307, lambda_k_max beyond the largest
     float below tau ~ 1e-154), and where no evaluation reaches that
     precision (k_max >= 16 below tau ~ 2.5e-3). The cost grows about as
-    k_max**1.7 (at tau = 1, 0.010 s at k_max = 100 up to 1.0-1.2 s at 1 600
-    on a 2-core Xeon), so the 2**20 count bound caps memory, not time.
+    k_max**1.7 (at tau = 1, best of 3 to 5: 0.0075 s at k_max = 100, 0.062 s
+    at 400 and 0.85 s at 1 600 on a 2-core Xeon, CPython 3.11), so the 2**20
+    count bound caps memory, not time.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
@@ -363,21 +393,25 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     # c = pi/(2*gd(tau)): nu_k < k*c - 1/2
     c = _HALF_PI / (2.0 * math.atan(math.tanh(0.5 * tau)))
     psi = _characteristic(tau)
-    seen: Dict[float, Tuple[float, float]] = {}
-
-    def residual(nu: float) -> float:
-        """The pair's angle at nu less k*pi/2, wrapped into [-pi, pi]: negative while N < k."""
-        if nu not in seen:
-            seen[nu] = psi(nu)
-        turns, angle = seen[nu]
-        return math.remainder(math.remainder(turns - k1, 4.0) * _HALF_PI + angle, _TWO_PI)
-
+    remainder, half_pi, two_pi = math.remainder, _HALF_PI, _TWO_PI
     # below every nu_k: root_floor^2 is itself a lower bound on lambda_1
     nu_floor = _degree(root_floor)
     lo = _degree(root_floor * math.sqrt(0.5))
+    # t and angle of the latest evaluation, at x2; none yet
+    t, x2 = 0.0, math.nan
     lams = []
     for k in range(1, k_max + 1):
         k1 = k - 1.0
+        if t:
+            # root k - 1, solved on the Ferrers scale: the residual is -pi/2
+            # there to within tol_f
+            f_lo = -_HALF_PI
+        else:
+            # the floor, or root k - 1 on the x^2 form, whose residual rounds
+            # by up to ~200 ulps of pi/2 near the root: read as it evaluates
+            if lo != x2:
+                t, angle = psi(lo)
+            f_lo = remainder(remainder(t - k1, 4.0) * half_pi + angle, two_pi)
         hi = (k + _PAD) * c - 0.5
         if k == 1 and tau > 1.0:
             # the Rayleigh quotient of the tent 1 - |s|/tau bounds lambda_1 above
@@ -390,9 +424,63 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
         # much again; m*pi/2 and a, which cancel at the root (m = t - k + 1
         # mod 4, |m| <= min(2, nu)), add half an ulp and an ulp of their
         # size. An iterate within it is the root to a few ulps.
-        nu_min = max(lo, k - 1.0, nu_floor)
+        nu_min = max(lo, k1, nu_floor)
         tol_f = (2.0 * min(k, nu_min) + 1.5 * min(2.0, hi)) * _ANGLE_ULP
-        nu = find_root_bracketed(residual, lo, hi, tol_x=1e-15 * nu_min, tol_f=tol_f)
+        tol_x = 1e-15 * nu_min
+        t, angle = psi(hi)
+        f2 = remainder(remainder(t - k1, 4.0) * half_pi + angle, two_pi)
+        if not f_lo < 0.0 <= f2:
+            raise ConvergenceFailureError(
+                f"no sign change over root {k}'s bracket [{lo!r}, {hi!r}] at tau={tau!r}"
+            )
+        # the secant's two latest points, each with its t (nu on the Ferrers
+        # scale, 0 on the x^2 form's); lo's 0 keeps it out of the unevaluated
+        # stop, which needs two evaluated points
+        a, b, x1, f1, t1, x2, t2 = lo, hi, lo, f_lo, 0.0, hi, t
+        least = 0.5 * tol_x
+        # the width the next evaluation leaves is at most `allowed`, which
+        # halves with each: within 4 of bisection's count
+        n = math.ceil(math.log2((hi - lo) / tol_x))
+        allowed = math.ldexp(tol_x, n + 4)
+        for _ in range(n + 6):
+            half = 0.5 * (b - a)
+            mid = a + half
+            if half <= least or not a < mid < b:
+                nu = mid
+                break
+            s = x2 - f2 * ((x2 - x1) / (f2 - f1)) if f2 != f1 else mid
+            if t1 and t2 and a <= s <= b and -tol_f <= f1 * f2 <= tol_f:
+                # |f(s)| <= |f''/2f'^2|*|f1*f2|: s needs no evaluation
+                nu = s
+                break
+            # at least tol_x/2 from x2, so that a root next to it gets
+            # bracketed (Brent's minimal step), then within r of mid, so that
+            # the next bracket is at most `allowed` wide (the ITP method:
+            # Oliveira & Takahashi, ACM TOMS 47(1), 2021)
+            if -least < s - x2 < least:
+                s = x2 + math.copysign(least, mid - x2)
+                if s == x2:
+                    s = math.nextafter(x2, mid)
+            allowed *= 0.5
+            r = allowed - half
+            if not -r <= s - mid <= r:
+                s = mid + math.copysign(r, s - mid) if r > 0.0 else mid
+            if not a < s < b:
+                s = mid
+            t, angle = psi(s)
+            f = remainder(remainder(t - k1, 4.0) * half_pi + angle, two_pi)
+            if -tol_f <= f <= tol_f:
+                nu = x2 = s
+                break
+            if f < 0.0:
+                a = s
+            else:
+                b = s
+            x1, f1, t1, x2, f2, t2 = x2, f2, t2, s, f, t
+        else:
+            raise ConvergenceFailureError(
+                f"root {k} at tau={tau!r} missed its tolerances in its evaluation bound"
+            )
         lams.append(0.5 * nu * (nu + 1.0))
         lo = nu
     if lams[-1] == math.inf:

@@ -596,5 +596,38 @@ def test_strings_render_as_json_dumps_renders_them(text):
 
 
 @given(st.floats())
+@example(1.0)
+@example(-0.0)
+@example(1e16)
 def test_floats_render_with_17_digits(x):
-    assert _render_json(x) == _render_json(np.float64(x)) == format(x, ".17g")
+    # an integral float gets ".0", so that JSON reads it back as a float
+    token = format(x, ".17g")
+    if math.isfinite(x) and x == int(x) and "e" not in token:
+        token += ".0"
+    assert _render_json(x) == _render_json(np.float64(x)) == token
+    assert _render_json([x, x]) == f"[{token}, {token}]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--h", "5e-324"], ["solve", "--h", "1"], ["spectrum", "--tau", "1", "--k", "1"]],
+    ids=" ".join,
+)
+def test_every_float_reads_back_as_a_float(argv, capsys):
+    # c1 = 1 and c2 = 0 at the least positive double; an integral --h or
+    # --tau; k, in the inputs and the row, stays an integer
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    record = json.loads(out)
+
+    def leaves(value):
+        if isinstance(value, dict):
+            return [leaf for item in value.values() for leaf in leaves(item)]
+        if isinstance(value, list):
+            return [leaf for item in value for leaf in leaves(item)]
+        return [value]
+
+    numbers = [leaf for leaf in leaves(record) if type(leaf) in (int, float)]
+    integers = [leaf for leaf in numbers if type(leaf) is int]
+    assert integers == ([1, 1] if argv[0] == "spectrum" else []), numbers
+    assert 1.0 in numbers

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import re
 import sys
 import warnings
@@ -9,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soapfilm import spectrum
-from soapfilm.errors import DomainError
+from soapfilm.errors import ConvergenceFailureError, DomainError
 from soapfilm.extremals import critical_constants
 from soapfilm.grids import TestFunction, composite_simpson
 from soapfilm.spectrum import (
@@ -131,19 +133,43 @@ def test_characteristic_angle_matches_mpmath(tau, nu):
         assert abs(math.remainder(a - want, 2.0 * math.pi)) <= 1e-14
 
 
-def _brackets(tau, k_max):
-    """eigenvalues(tau, k_max)'s degrees; each root solve's bracket and residual at its ends."""
-    ends = []
-    solve = spectrum.find_root_bracketed
+def _evaluated(tau, k_max):
+    """eigenvalues(tau, k_max)'s degrees and the nu of every characteristic evaluation."""
+    calls = []
+    original = spectrum._characteristic
 
-    def recording(f, lo, hi, **tols):
-        ends.append((lo, hi, f(lo), f(hi)))
-        return solve(f, lo, hi, **tols)
+    def recording(tau):
+        psi = original(tau)
+
+        def recorded(nu):
+            calls.append(nu)
+            return psi(nu)
+
+        return recorded
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectrum, "find_root_bracketed", recording)
+        patch.setattr(spectrum, "_characteristic", recording)
         lams = eigenvalues(tau, k_max).lambdas
-    return [(math.sqrt(1.0 + 8.0 * lam) - 1.0) / 2.0 for lam in lams], ends
+    return [(math.sqrt(1.0 + 8.0 * lam) - 1.0) / 2.0 for lam in lams], calls
+
+
+def _brackets(nu, calls):
+    """Each root solve's bracket (lo, hi), from its degrees and evaluations.
+
+    The floor, root 1's lower end, is evaluated first; each later root's
+    lower end is the root before it. Each upper end is the first evaluation
+    above every earlier one: a root's iterates lie below its upper end, and
+    the upper ends rise with k.
+    """
+    ends = sorted(set(itertools.accumulate(calls, max)))
+    assert len(ends) == len(nu) + 1
+    return list(zip([ends[0]] + nu[:-1], ends[1:]))
+
+
+def _residual(psi, k, nu):
+    """Root k's residual at nu: the pair's angle less k*pi/2, wrapped into [-pi, pi]."""
+    t, a = psi(nu)
+    return math.remainder(math.remainder(t - k + 1.0, 4.0) * (0.5 * math.pi) + a, 2.0 * math.pi)
 
 
 @settings(max_examples=60)
@@ -156,10 +182,18 @@ def _brackets(tau, k_max):
 def test_the_phase_residual_is_negative_exactly_below_each_root(log_tau, k):
     # Each root solve starts from a bracket where the residual is < 0 at lo
     # and >= 0 at hi: its sign is that of N >= k, whatever the pair's scale.
-    _, ends = _brackets(math.exp(log_tau), k)
+    # At root k - 1, root k's lower end, it is -pi/2 (measured within 1e-11,
+    # the x^2 series' rounding where nu*tanh(tau) nears 12), the value the
+    # solve takes there without evaluating it.
+    tau = math.exp(log_tau)
+    psi = spectrum._characteristic(tau)
+    ends = _brackets(*_evaluated(tau, k))
     assert len(ends) == k
-    for _, _, at_lo, at_hi in ends:
-        assert at_lo < 0.0 <= at_hi
+    for j, (lo, hi) in enumerate(ends, start=1):
+        at_lo = _residual(psi, j, lo)
+        assert at_lo < 0.0 <= _residual(psi, j, hi)
+        if j > 1:
+            assert abs(at_lo + 0.5 * math.pi) <= 1e-10, (j, at_lo)
 
 
 @settings(max_examples=40)
@@ -205,44 +239,105 @@ def test_eigenvalues_keep_their_accuracy_where_the_series_lose_most(tau):
         assert error <= (3e-9 if k < 15 else 2e-8), (k, error)
 
 
-def _evaluations(monkeypatch):
-    """Record the nu of every characteristic-function evaluation eigenvalues makes."""
-    calls = []
-    original = spectrum._characteristic
-
-    def counting(tau):
-        psi = original(tau)
-
-        def recorded(nu):
-            calls.append(nu)
-            return psi(nu)
-
-        return recorded
-
-    monkeypatch.setattr(spectrum, "_characteristic", counting)
-    return calls
-
-
-def test_eigenvalues_take_few_evaluations(monkeypatch):
+def test_eigenvalues_take_few_evaluations():
     # Each nu is evaluated once. The bounds sit 20-30 % above the worst
-    # measured on these 40 tau, 7, 12 and 29 evaluations for k = 1, 2, 5;
-    # on the benchmark's inputs (tau in [0.2, 5]), 5.1 per eigenvalue on
-    # average. At k_max = 400 they sit about 25 % above 1 235, 1 285 and
-    # 1 330, so that a tol_f below the residual's rounding, which ends
-    # solves on tol_x, shows in long spectra too.
-    calls = _evaluations(monkeypatch)
+    # measured on these 40 tau, 6, 11 and 28 evaluations for k = 1, 2, 5;
+    # on the benchmark's inputs (tau in [0.2, 5]), 4.7 per eigenvalue on
+    # average. At k_max = 400 they sit 25-65 % above 941, 1 216 and 1 214,
+    # so that a tol_f below the residual's rounding, which ends solves on
+    # tol_x, shows in long spectra too.
     for i in range(40):
         tau = math.exp(math.log(1e-2) + math.log(3e4) * i / 39)
         for k in (1, 2, 5):
-            calls.clear()
-            eigenvalues(tau, k)
+            calls = _evaluated(tau, k)[1]
             assert len(calls) <= {1: 9, 2: 15, 5: 35}[k], (tau, k, len(calls))
             assert len(set(calls)) == len(calls)
     for tau, bound in ((1.0, 1550), (4.5, 1600), (10.0, 1650)):
-        calls.clear()
-        eigenvalues(tau, 400)
+        calls = _evaluated(tau, 400)[1]
         assert len(calls) <= bound, (tau, len(calls))
         assert len(set(calls)) == len(calls)
+
+
+# (tau, k) where the root solves are hardest: on the x^2 form near
+# nu*tanh(tau) = 12, where its rounding is largest (the worst of 505 draws
+# from random.Random(23), and an input where an unevaluated last secant
+# point there missed by 4.9e-13); on the Ferrers scale at tau just above
+# the switch from the x^2 form, where the residual's rounding reached
+# 122*tol_f at unevaluated points; and at small tau, where the x^2 series'
+# rounding near lambda_5 reaches ~200 ulps of pi/2.
+_HARD_SPECTRA = [
+    (0.4379024390918692, 8),
+    (0.3122301844673262, 7),
+    (0.9448023144693112, 8),
+    (0.9448023144693112, 9),
+    (0.9630499013977649, 8),
+    (0.9630499013977649, 9),
+    (1.0, 8),
+    (1.0, 9),
+    (0.05, 5),
+    (0.2, 5),
+]
+
+
+@pytest.mark.parametrize("tau, k", _HARD_SPECTRA)
+def test_eigenvalues_meet_their_accuracy_bound_where_the_solve_is_hardest(tau, k):
+    # the docstring's bounds: 1e-13 relative for k <= 5, 1e-12 up to k = 20
+    # (measured at most 4.0e-13 here, at tau = 0.9448, k = 9)
+    lam = eigenvalues(tau, k).lambdas[k - 1]
+    bound = 1e-13 if k <= 5 else 1e-12
+    assert abs(lam - string_eigenvalue(tau, k, lam)) <= bound * lam
+
+
+def _check_evaluation_bound(tau, k):
+    # Roots 1..k-1 are solved alike for any k_max, so root k's evaluations
+    # are those eigenvalues(tau, k) makes beyond eigenvalues(tau, k - 1): at
+    # most two at its ends and n + 5 after them, n = ceil(log2((hi -
+    # lo)/tol_x)), 58 in all where the docstring measured n. tol_x is
+    # 1e-15 times at least max(lo, k - 1), which bounds n from above.
+    nu, calls = _evaluated(tau, k)
+    lo, hi = _brackets(nu, calls)[-1]
+    count = len(calls) - (len(_evaluated(tau, k - 1)[1]) if k > 1 else 0)
+    n = math.ceil(math.log2((hi - lo) / (1e-15 * max(lo, k - 1.0))))
+    assert count <= min(n + 7, 58), (count, n)
+
+
+@settings(max_examples=60)
+@given(
+    log_tau=st.floats(math.log(1e-2), math.log(300.0)),
+    k=st.integers(1, 8),
+)
+@example(log_tau=math.log(1e-2), k=8)
+@example(log_tau=math.log(300.0), k=8)
+def test_each_root_keeps_its_evaluation_bound(log_tau, k):
+    _check_evaluation_bound(math.exp(log_tau), k)
+
+
+@pytest.mark.parametrize("tau, k", _HARD_SPECTRA)
+def test_each_root_keeps_its_evaluation_bound_where_the_solve_is_hardest(tau, k):
+    _check_evaluation_bound(tau, k)
+
+
+def test_the_benchmark_inputs_take_no_more_evaluations_than_a_generic_solver():
+    # The spectrum workload's ops on seed 1, passes 0-29: tau = 0.2*25**u,
+    # u a golden-ratio walk from a seeded start for each k. Per-k totals,
+    # not single calls, against the 177/315/449/587/766 evaluations (2 294)
+    # that find_root_bracketed made on the same ops; measured 163/286/409/
+    # 540/701 (2 099).
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    totals = []
+    for k in range(1, 6):
+        start = random.Random(f"1/spectrum/{k}").random()
+        taus = [0.2 * 25.0 ** ((start + p * golden) % 1.0) for p in range(30)]
+        totals.append(sum(len(_evaluated(tau, k)[1]) for tau in taus))
+    assert all(new <= old for new, old in zip(totals, [177, 315, 449, 587, 766])), totals
+
+
+def test_a_bracket_without_a_sign_change_is_a_library_bug(monkeypatch):
+    # with the upper ends pulled below the Sturm bound, root 1's at tau = 2
+    # lies below the root
+    monkeypatch.setattr(spectrum, "_PAD", -0.5)
+    with pytest.raises(ConvergenceFailureError, match="^no sign change over root 1's bracket"):
+        eigenvalues(2.0, 1)
 
 
 @pytest.mark.parametrize("tau", [1e-150, 0.2, TAU_STAR, 5.0, 300.0, 1e300])
@@ -294,8 +389,8 @@ def test_sturm_bounds_lie_above_the_mpmath_roots(tau):
 def test_each_upper_end_lies_below_the_root_after_next(log_tau, k):
     # The residual's wrap into [-pi, pi] reads the angle right only while N
     # is at most k + 1: root k's upper end must lie below nu_k+2.
-    nu, ends = _brackets(math.exp(log_tau), k + 2)
-    for j, (lo, hi, _, _) in enumerate(ends[:k]):
+    nu, calls = _evaluated(math.exp(log_tau), k + 2)
+    for j, (lo, hi) in enumerate(_brackets(nu, calls)[:k]):
         assert lo < nu[j] < hi < nu[j + 2], (j + 1, lo, hi, nu)
 
 
@@ -307,8 +402,8 @@ def test_upper_ends_hold_where_no_proof_covers_them(tau):
     # lambda_500 (mu = lambda*dt^2 <= 0.017, an RK4 error below 5*mu^2 =
     # 1.5e-3 relative, against gaps of 4e-3), so no root before it was
     # skipped.
-    nu, ends = _brackets(tau, 500)
-    assert all(end[1] < nu[j + 2] for j, end in enumerate(ends[:-2]))
+    nu, calls = _evaluated(tau, 500)
+    assert all(hi < nu[j + 2] for j, (_, hi) in enumerate(_brackets(nu, calls)[:-2]))
     lam, n = 0.5 * nu[-1] * (nu[-1] + 1.0), 2**15
     delta = 5.0 * (lam * (2.0 * tau / n) ** 2) ** 2
     assert rk4_sweep(tau, lam * (1.0 - delta), n)[1] == 499
