@@ -125,13 +125,15 @@ def _run_solve(args) -> Tuple[Dict, Dict]:
         }
         return inputs, results
     if lower.tau == upper.tau:
+        # the two solves meet only at h_star, whose record is the fold's own
+        fold = extremals.critical_extremal()
         results = {
             "outcome": "Critical",
-            "tau_star": lower.tau,
-            "c": lower.c,
-            "area": extremals.area_closed_form(lower),
+            "tau_star": fold.tau,
+            "c": fold.c,
+            "area": extremals.area_closed_form(fold),
             # along eta = mu(s)*cosh(s) the cubic term's integrand is s^2/c^2
-            "third_variation": math.tau * lower.tau**4 / (3.0 * lower.h),
+            "third_variation": math.tau * fold.tau**4 / (3.0 * fold.h),
             "verdict": "critical: no extremum",
         }
         return inputs, results

@@ -88,22 +88,26 @@ def force(h: float) -> ForceSample:
 
     From tau = h*cosh(tau), tau_1' = cosh(tau_1)/mu(tau_1) with
     mu(s) = 1 - s*tanh(s), so dF/dh = 4*pi*tanh(tau_1)/mu(tau_1), unbounded
-    toward h_star where mu vanishes.
+    toward h_star where mu vanishes. It grows like (h_star - h)**-0.5, so
+    one ulp of h moves it by 41 % at the last double below h_star. Its
+    error there is 5.6 %, and within 1e-12 below h_star it is at most the
+    change over 2.4 ulps of h (measured against 50-digit roots).
 
-    Raises DomainError unless h > 0 (NaN included), and NoExtremalError from
-    1e-12 below h_star on (the degenerate catenoid's force is one-sided, not
-    reported).
+    Raises DomainError unless h > 0 (NaN included), and NoExtremalError
+    from h_star on: above it no catenoid exists, and at h_star the lower
+    solve lands on the fold, where mu(tau_1) is not positive and the slope
+    has no value.
     """
-    lower, fold = _lower_branch(h)
-    if fold is None:
-        raise NoExtremalError(h, critical_constants().h_star)
-    return _force(lower)
+    return _force(_lower_branch(h)[0])
 
 
 def _force(lower: Extremal) -> ForceSample:
-    """force(lower.h) from the lower extremal, which must not be the fold's."""
+    """force(lower.h) from the lower extremal; NoExtremalError where mu <= 0."""
     h, tau = lower.h, lower.tau
     tanh = math.tanh(tau)
-    slope = 2.0 * math.tau * tanh / (1.0 - tau * tanh)
+    mu = 1.0 - tau * tanh
+    if not mu > 0.0:
+        raise NoExtremalError(h, critical_constants().h_star)
+    slope = 2.0 * math.tau * tanh / mu
     # h/tau_1 first: -4*pi*h is subnormal, and loses bits, below h ~ 1.75e-309
     return ForceSample(h, -2.0 * math.tau * (h / tau), slope)

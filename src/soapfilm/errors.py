@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
 DomainError means bad input; ConvergenceFailureError means the library
-failed; NoExtremalError is the problem's outcome above h_star. _count turns
-a count argument that is not one into a DomainError.
+failed; NoExtremalError is the problem's outcome above h_star, and
+force's at it. _count turns a count argument that is not one into a
+DomainError.
 """
 
 import operator
@@ -24,7 +25,10 @@ class DomainError(SoapFilmError, ValueError):
 
 
 class NoExtremalError(SoapFilmError):
-    """No catenoid spans the rings at this half-distance (h above critical).
+    """No subcritical catenoid spans the rings at this half-distance.
+
+    Above h_star no catenoid exists; at h_star force raises it too, since the
+    degenerate catenoid's slope divides by mu(tau_star) = 0.
 
     This is a domain outcome of the problem, not an internal failure; callers
     that sweep over h are expected to catch it.
@@ -34,7 +38,7 @@ class NoExtremalError(SoapFilmError):
         self.h = h
         self.h_star = h_star
         super().__init__(
-            f"no extremal exists for h={h!r}: above the critical half-distance {h_star!r}"
+            f"no subcritical extremal exists for h={h!r}: the critical half-distance is {h_star!r}"
         )
 
 

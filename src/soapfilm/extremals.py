@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 from .errors import ConvergenceFailureError, DomainError, NoExtremalError
 
@@ -54,10 +54,6 @@ __all__ = [
 # cosh overflows float64 just above exp(709); phi is astronomically large
 # there anyway, so clip to +inf instead of raising.
 _COSH_OVERFLOW = 710.0
-
-# h within this distance of h_star is treated as the critical case: the two
-# branch parameters are closer than root-finding can resolve them.
-_CRITICAL_TOL = 1e-12
 
 _LOG_2 = math.log(2.0)
 
@@ -268,25 +264,24 @@ def _solve_branch(log_h: float, u: float, lo: float, hi: float) -> float:
     )
 
 
-def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, float]]]:
+def _lower_branch(h: float) -> Tuple[Extremal, Tuple[float, float, float]]:
     """solve_branches(h)[0], raising as it does, and the upper bracket's data.
 
-    The data are log(h), the fold offset delta and the pad, or None where h
-    is at the fold. Both brackets rest on g being convex in u with
-    g(u*) = log(h/h_star), g'(u*) = 0, g''(u*) = tau_star**2 and g''' > 0:
-    then g(u* - delta) <= 0 <= g(u* + delta) for
-    tau_star**2 * delta**2 / 2 = log(h_star/h), so u_1 <= u* - delta and
-    u_2 <= u* + delta. The pad widens every end past the rounding of u (2
-    ulps of log h) and of g. The lower solve starts at the lower end, where
-    g > 0, or, for delta <= _FAR_FROM_FOLD, at the inner end
-    u* - (1 - _FOLD_MARGIN)*delta + pad, where g < 0 with u_1 a little
-    more than delta/64 below it. There it lies nearer u_1 than the lower
-    end, and its first Newton step crosses to g >= 0.
+    The data are log(h), the fold offset delta and the pad. Both brackets
+    rest on g being convex in u with g(u*) = log(h/h_star), g'(u*) = 0,
+    g''(u*) = tau_star**2 and g''' > 0: then g(u* - delta) <= 0 <=
+    g(u* + delta) for tau_star**2 * delta**2 / 2 = log(h_star/h), so
+    u_1 <= u* - delta and u_2 <= u* + delta. The pad widens every end past
+    the rounding of u (2 ulps of log h) and of g. The lower solve starts at
+    the lower end, where g > 0, or, for delta <= _FAR_FROM_FOLD, at the
+    inner end u* - (1 - _FOLD_MARGIN)*delta + pad, where g < 0 with u_1 a
+    little more than delta/64 below it. There it lies nearer u_1 than the
+    lower end, and its first Newton step crosses to g >= 0. Every h up to
+    h_star takes this solve, h_star itself (delta = 0) included; any h
+    above it raises NoExtremalError.
     """
     if not h > 0.0:
         raise DomainError(f"half-distance must be positive, got {h!r}")
-    if abs(h - _H_STAR) <= _CRITICAL_TOL:
-        return Extremal(h, _TAU_STAR, _LOWER), None
     if h > _H_STAR:
         raise NoExtremalError(h, _H_STAR)
     log_h = math.log(h)
@@ -303,18 +298,17 @@ def _lower_branch(h: float) -> Tuple[Extremal, Optional[Tuple[float, float, floa
 def solve_branches(h: float) -> Tuple[Extremal, Extremal]:
     """Both catenoid solutions at half-distance h, ordered lower then upper.
 
-    For h within 1e-12 of h_star the two parameters coincide at tau_star and
-    the returned extremals are the single degenerate catenoid tagged once per
-    branch.
+    Every h up to h_star takes the same two solves. The true fold lies
+    8.2e-18 above the double h_star, so the branches are distinct at every
+    double below it; g is flat there to its rounding, which leaves each
+    within 5e-9 relative of its root. At h_star itself both solves land on
+    one double, 23 ulps above tau_star.
 
     Raises:
         DomainError: h is not positive (NaN included).
-        NoExtremalError: h exceeds the critical half-distance.
+        NoExtremalError: h exceeds h_star.
     """
-    lower, fold = _lower_branch(h)
-    if fold is None:
-        return lower, Extremal(h, lower.tau, _UPPER)
-    log_h, delta, pad = fold
+    lower, (log_h, delta, pad) = _lower_branch(h)
     if delta > _FAR_FROM_FOLD:
         # cosh(tau) >= e^tau/2 puts tau_2 below 2*log(2/h) + 2 and below
         # U(tau) = log(2*tau/h) of any tau >= tau_2; U is increasing, so its

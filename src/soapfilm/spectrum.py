@@ -204,7 +204,8 @@ def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float
     and for |x| < 1 they oscillate alike, so neither dominates and the
     upward recurrence keeps their relative accuracy up to a factor that
     grows like the number of steps. The two start degrees are below 2,
-    where the series in z lose nothing.
+    where the series in z lose nothing. psi calls it only where
+    nu*rate > 12 with rate <= sqrt(3) - 1, so m >= 16.
     """
     m = math.floor(nu)
     d = nu - m
@@ -214,7 +215,7 @@ def _recurrence(tau: float, x: float, z: float, nu: float) -> Tuple[float, float
         d += 1.0
         p0, p1 = p1, ((2.0 * d + 1.0) * x * p1 - d * p0) / (d + 1.0)
         q0, q1 = q1, ((2.0 * d + 1.0) * x * q1 - d * q0) / (d + 1.0)
-    return (p1, q1) if m else (p0, q0)
+    return p1, q1
 
 
 def _about_centre(x: float, nu: float) -> Tuple[float, float]:
@@ -315,9 +316,9 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     ConvergenceFailureError is raised unless the residual is < 0 at the
     lower end and >= 0 at the upper: either is a bracket bug. The lower end
     of root k >= 2 is root k - 1, where the residual is -pi/2 to within its
-    tolerance: it is taken as exactly -pi/2 where root k - 1 was solved on
-    the Ferrers scale (t = nu), and read as evaluated on the x^2 form's,
-    whose rounding near a root reaches ~200 ulps of pi/2 at small tau. Each
+    tolerance, and it is taken as exactly -pi/2 on either scale: on the x^2
+    form's, whose rounding near a root reaches ~200 ulps of pi/2 at small
+    tau, an evaluation there would read that rounding, not the root. Each
     step takes the secant point of the two latest evaluations, or the
     midpoint where their residuals are equal; moves it tol_x/2 from the
     latest where it is closer (Brent's minimal step), so that a root beside
@@ -397,21 +398,11 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     # below every nu_k: root_floor^2 is itself a lower bound on lambda_1
     nu_floor = _degree(root_floor)
     lo = _degree(root_floor * math.sqrt(0.5))
-    # t and angle of the latest evaluation, at x2; none yet
-    t, x2 = 0.0, math.nan
+    t, angle = psi(lo)
+    f_lo = remainder(remainder(t, 4.0) * half_pi + angle, two_pi)
     lams = []
     for k in range(1, k_max + 1):
         k1 = k - 1.0
-        if t:
-            # root k - 1, solved on the Ferrers scale: the residual is -pi/2
-            # there to within tol_f
-            f_lo = -_HALF_PI
-        else:
-            # the floor, or root k - 1 on the x^2 form, whose residual rounds
-            # by up to ~200 ulps of pi/2 near the root: read as it evaluates
-            if lo != x2:
-                t, angle = psi(lo)
-            f_lo = remainder(remainder(t - k1, 4.0) * half_pi + angle, two_pi)
         hi = (k + _PAD) * c - 0.5
         if k == 1 and tau > 1.0:
             # the Rayleigh quotient of the tent 1 - |s|/tau bounds lambda_1 above
@@ -470,7 +461,7 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
             t, angle = psi(s)
             f = remainder(remainder(t - k1, 4.0) * half_pi + angle, two_pi)
             if -tol_f <= f <= tol_f:
-                nu = x2 = s
+                nu = s
                 break
             if f < 0.0:
                 a = s
@@ -482,7 +473,8 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
                 f"root {k} at tau={tau!r} missed its tolerances in its evaluation bound"
             )
         lams.append(0.5 * nu * (nu + 1.0))
-        lo = nu
+        # root k, where root k + 1's residual is -pi/2 to within its tol_f
+        lo, f_lo = nu, -half_pi
     if lams[-1] == math.inf:
         raise DomainError(f"the eigenvalues at tau={tau!r} leave the float range")
     return StringSpectrum(tau=tau, lambdas=lams)

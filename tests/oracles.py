@@ -1,11 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately primitive: plain bisection with a fixed
-halving count, Taylor series summed to convergence, simple finite
-differences, plain Simpson sums, a scalar step-by-step RK4 loop, a Sturm
-count bisection, a tridiagonal solve in rationals, and 40-, 50- and
-60-digit mpmath roots and closed forms.
-None of it calls into soapfilm internals.
+halving count, simple finite differences, plain Simpson sums, a scalar
+step-by-step RK4 loop, a Sturm count bisection, a tridiagonal solve in
+rationals, and 40-, 50- and 60-digit mpmath roots and closed forms. None of
+it calls into soapfilm internals.
 """
 
 import functools
@@ -30,28 +29,6 @@ def bisect60(f, lo, hi):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def cosh_series(x):
-    """cosh via its Taylor series, no math.cosh."""
-    total, term, k = 1.0, 1.0, 0
-    while True:
-        k += 2
-        term *= x * x / ((k - 1) * k)
-        total += term
-        if term < 1e-18 * total:
-            return total
-
-
-def sinh_series(x):
-    """sinh via its Taylor series, no math.sinh."""
-    total, term, k = x, x, 1
-    while True:
-        k += 2
-        term *= x * x / ((k - 1) * k)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            return total
 
 
 def central_diff(f, x, step):

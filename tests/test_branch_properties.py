@@ -1,5 +1,8 @@
 """Properties of the branch solves and the ring force over their whole domain."""
 
+import contextlib
+import io
+import json
 import math
 import sys
 from types import SimpleNamespace
@@ -9,12 +12,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from soapfilm import energetics, extremals
+from soapfilm.cli import main
 from soapfilm.errors import ConvergenceFailureError, DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, critical_constants, solve_branches
 
 from oracles import H_STAR, TAU_STAR, branch_root, catenoid_area, richardson_diff
 
-# Closest approach to the fold that is still resolved as two branches.
+# Closest approach to the fold of the log-uniform draws; the doubles nearer
+# it are drawn ulp by ulp (test_the_fold_s_last_doubles_*).
 _FOLD_MARGIN = 2e-12
 
 # The least positive double, 2**-1074: every h from it up is answered.
@@ -353,6 +358,91 @@ def test_branch_solve_matches_exact_roots(band, data):
 @pytest.mark.parametrize("band, h", _HARD_SOLVES)
 def test_branch_solve_matches_exact_roots_where_it_is_hardest(band, h):
     _check_branch_solves(band, h)
+
+
+# The fold's last doubles, h = h_star - k ulps ("below") and h_star + k ulps
+# ("above"). The true fold lies 8.2e-18 above the double h_star, so every
+# double up to h_star has two distinct catenoids (at h_star itself both
+# solves land on one double), and every double above none. g is flat at
+# the fold to its rounding, so the solves there are good to 5e-9 relative,
+# not to ulps: against branch_root, 2.07e-9 at k = 70 is the worst over
+# the 600 doubles nearest below h_star.
+_FOLD_RTOL = 5e-9
+
+# k = 0 is h_star, where both solves land on the same double, 23 ulps above
+# tau_star; 1 and 2 are the last doubles below; 70 the largest miss
+# measured; 9 007 lies within 1e-12 of h_star on either side and 9 008 just
+# outside it.
+_HARD_FOLD = [
+    ("below", 0),
+    ("below", 1),
+    ("below", 2),
+    ("below", 70),
+    ("below", 9007),
+    ("below", 9008),
+    ("above", 1),
+    ("above", 9007),
+    ("above", 9008),
+]
+
+
+def _solve_outcome(h):
+    """The outcome field of `solve --h h`'s record."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", "--h", repr(h)]) == 0
+    return json.loads(out.getvalue())["results"]["outcome"]
+
+
+def _check_fold(side, k):
+    tau_star, h_star = critical_constants()
+    if side == "above":
+        h = h_star + k * math.ulp(h_star)
+        with pytest.raises(NoExtremalError):
+            solve_branches(h)
+        with pytest.raises(NoExtremalError):
+            energetics.force(h)
+        assert _solve_outcome(h) == "NoExtremal"
+        return
+    h = h_star - k * math.ulp(h_star)
+    lower, upper = solve_branches(h)
+    if k == 0:
+        # float log(h_star) may round past the true fold, so the root is
+        # taken as the fold's own, the 50-digit tau_star
+        assert lower.tau == upper.tau
+        assert abs(lower.tau - TAU_STAR) <= _FOLD_RTOL * TAU_STAR
+        with pytest.raises(NoExtremalError, match="critical half-distance") as exc:
+            energetics.force(h)
+        assert "above" not in str(exc.value)
+        assert _solve_outcome(h) == "Critical"
+        return
+    assert lower.tau < tau_star < upper.tau
+    # the roots lie near u* -+ delta, g's quadratic offsets from its
+    # minimum at u* (see extremals._lower_branch)
+    log_h, u_star = math.log(h), math.log(tau_star)
+    delta = math.sqrt(2.0 * (math.log(h_star) - log_h)) / tau_star
+    exact1 = branch_root(log_h, u_star - 2.0 * delta, u_star - 0.5 * delta)[1]
+    exact2 = branch_root(log_h, u_star + 0.5 * delta, u_star + 2.0 * delta)[1]
+    assert abs(lower.tau - exact1) <= _FOLD_RTOL * exact1
+    assert abs(upper.tau - exact2) <= _FOLD_RTOL * exact2
+    slope = energetics.force(h).dforce_dh
+    assert math.isfinite(slope) and slope > 0.0
+    assert _solve_outcome(h) == "Subcritical"
+
+
+@given(st.integers(1, 200_000))
+def test_the_fold_s_last_doubles_below_h_star_have_two_catenoids(k):
+    _check_fold("below", k)
+
+
+@given(st.integers(1, 200_000))
+def test_the_fold_s_first_doubles_above_h_star_have_none(k):
+    _check_fold("above", k)
+
+
+@pytest.mark.parametrize("side, k", _HARD_FOLD)
+def test_the_fold_where_it_is_hardest(side, k):
+    _check_fold(side, k)
 
 
 @pytest.mark.parametrize("start", [2.0, 3.0])

@@ -141,14 +141,19 @@ def test_force_rejects_supercritical():
         force(0.7)
 
 
-def test_force_not_reported_in_critical_band():
-    # Within 1e-12 of h_star the branches are the one degenerate catenoid and
-    # the slope 4*pi*tanh(tau_1)/mu(tau_1) would divide by mu(tau_star) = 0.
+def test_force_up_to_the_fold_and_none_from_it():
+    # Below h_star the lower catenoid is its own and its slope
+    # 4*pi*tanh(tau_1)/mu(tau_1) is finite and large; at h_star the solve
+    # lands on the fold, where mu(tau_1) is not positive, and above it no
+    # catenoid exists.
     h_star = critical_constants().h_star
-    for d in (-9e-13, -5e-13, 0.0, 5e-13, 9e-13):
-        with pytest.raises(NoExtremalError):
+    for d in (-1.1e-12, -9e-13, -5e-13):
+        slope = force(h_star + d).dforce_dh
+        assert math.isfinite(slope) and slope > 1e6
+    for d in (0.0, 5e-13, 9e-13):
+        with pytest.raises(NoExtremalError) as exc:
             force(h_star + d)
-    assert force(h_star - 1.1e-12).dforce_dh > 1e6
+        assert "above" not in str(exc.value)
 
 
 def test_stable_film_persists_beyond_disk_crossing():

@@ -10,6 +10,7 @@ from soapfilm.energetics import ForceSample, force
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import (
     Branch,
+    CriticalConstants,
     Extremal,
     area_closed_form,
     critical_constants,
@@ -55,6 +56,12 @@ def test_critical_constants_frozen_values():
     assert abs(1.0 - cc.tau_star * math.tanh(cc.tau_star)) <= 1e-12
 
 
+def test_critical_constants_refuse_a_tau_star_off_its_root():
+    # 1 - 1.2*tanh(1.2) = -3.9e-4, though h_star matches 1.2 exactly
+    with pytest.raises(DomainError, match="^tau_star residual"):
+        CriticalConstants(1.2, 1.2 / math.cosh(1.2))
+
+
 def test_solve_branches_at_04():
     lower, upper = solve_branches(0.4)
     np.testing.assert_allclose(lower.tau, TAU1_AT_04, rtol=0.0, atol=1e-11)
@@ -67,9 +74,12 @@ def test_solve_branches_at_04():
 
 
 def test_solve_branches_critical_coincide():
+    # the true fold lies 8.2e-18 above the double h_star, where g is flat to
+    # its rounding: both solves land on one double, 23 ulps above tau_star
     cc = critical_constants()
     lower, upper = solve_branches(cc.h_star)
-    assert lower.tau == upper.tau == cc.tau_star
+    assert lower.tau == upper.tau
+    assert abs(lower.tau - cc.tau_star) <= 5e-9 * cc.tau_star
     e = critical_extremal()
     assert e.tau == cc.tau_star
     assert e.h == cc.h_star
@@ -292,7 +302,10 @@ def test_library_records_equal_their_keyword_builds(h):
     assert lower == Extremal(h=h, tau=lower.tau, branch=Branch.LOWER)
     assert upper == Extremal(h=h, tau=upper.tau, branch=Branch.UPPER)
     if h == H_STAR:
-        assert critical_extremal() == lower
+        tau_star = critical_constants().tau_star
+        assert critical_extremal() == Extremal(h=h, tau=tau_star, branch=Branch.LOWER)
+        with pytest.raises(NoExtremalError):
+            force(h)
     else:
         sample = force(h)
         assert sample == ForceSample(h=h, force=sample.force, dforce_dh=sample.dforce_dh)

@@ -54,14 +54,13 @@ TWO_PI config riccati_residual rayleigh_quotient MaxIterationsError
 """.split()
 
 # Public names that no code in src/ calls. The paper's results and the
-# checks a reader runs on them: critical_extremal, small_h_asymptotics,
-# area_along_direction, q_form_factored, taylor_probe, third_variation,
-# discrete_gradient. Names the benchmark times or checks against: phi,
-# shoot, dense_eigenvalues, and find_root_bracketed, whose span the traced
-# benchmark wraps by name.
+# checks a reader runs on them: small_h_asymptotics, area_along_direction,
+# q_form_factored, taylor_probe, third_variation, discrete_gradient. Names
+# the benchmark times or checks against: phi, shoot, dense_eigenvalues, and
+# find_root_bracketed, whose span the traced benchmark wraps by name.
 UNCALLED = """
-critical_extremal small_h_asymptotics area_along_direction q_form_factored
-taylor_probe third_variation discrete_gradient phi shoot dense_eigenvalues
+small_h_asymptotics area_along_direction q_form_factored taylor_probe
+third_variation discrete_gradient phi shoot dense_eigenvalues
 find_root_bracketed
 """.split()
 

@@ -259,14 +259,16 @@ def test_eigenvalues_take_few_evaluations():
 
 
 # (tau, k) where the root solves are hardest: on the x^2 form near
-# nu*tanh(tau) = 12, where its rounding is largest (the worst of 505 draws
-# from random.Random(23), and an input where an unevaluated last secant
-# point there missed by 4.9e-13); on the Ferrers scale at tau just above
-# the switch from the x^2 form, where the residual's rounding reached
-# 122*tol_f at unevaluated points; and at small tau, where the x^2 series'
-# rounding near lambda_5 reaches ~200 ulps of pi/2.
+# nu*tanh(tau) = 12, where its rounding is largest (the two worst of 505
+# draws from random.Random(23), 1.76e-13 and 2.68e-13, and an input where
+# an unevaluated last secant point there missed by 4.9e-13); on the Ferrers
+# scale at tau just above the switch from the x^2 form, where the
+# residual's rounding reached 122*tol_f at unevaluated points; and at small
+# tau, where the x^2 series' rounding near lambda_5 reaches ~200 ulps of
+# pi/2.
 _HARD_SPECTRA = [
     (0.4379024390918692, 8),
+    (0.43097293988388385, 8),
     (0.3122301844673262, 7),
     (0.9448023144693112, 8),
     (0.9448023144693112, 9),
@@ -322,7 +324,7 @@ def test_the_benchmark_inputs_take_no_more_evaluations_than_a_generic_solver():
     # u a golden-ratio walk from a seeded start for each k. Per-k totals,
     # not single calls, against the 177/315/449/587/766 evaluations (2 294)
     # that find_root_bracketed made on the same ops; measured 163/286/409/
-    # 540/701 (2 099).
+    # 540/699 (2 097).
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     totals = []
     for k in range(1, 6):
@@ -663,6 +665,13 @@ def test_negative_direction_solves_no_string_eigenproblem(monkeypatch):
     for name in ("eigenvalues", "shoot"):
         monkeypatch.setattr(spectrum, name, refuse)
     assert q_form(negative_direction(2.0)) < 0.0
+
+
+def test_a_direction_that_is_not_negative_is_a_library_bug(monkeypatch):
+    # the closed-form ground state is certified by q_form, not assumed
+    monkeypatch.setattr("soapfilm.variation.q_form", lambda psi: 0.0)
+    with pytest.raises(ConvergenceFailureError, match="^ground direction at tau=2.0 failed"):
+        negative_direction(2.0)
 
 
 def test_negative_direction_requires_supercritical_tau():
