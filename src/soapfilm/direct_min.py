@@ -30,7 +30,7 @@ from .errors import DomainError, _count
 from .extremals import profile as catenoid_profile
 from .extremals import _Record, solve_branches
 from .grids import check_uniform_grid
-from .spectrum import negative_direction
+from .variation import _ground_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,8 +71,9 @@ _BACKTRACK_CAP = 60
 # slopes m, stretches w and midpoint radii ybar of the n - 1 segments
 Segments = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
-# UPPER_PERTURBED adds _KICK*psi(s)*cosh(s), s = x/c, psi = negative_direction,
-# to the upper branch; it peaks near 0.6*_KICK, so in waists c it grows like 1/c
+# UPPER_PERTURBED adds _KICK*psi(s)*cosh(s), s = x/c on the run's own nodes, to the upper
+# branch; psi, the form Q's ground state at unit weighted norm, peaks near 0.62, so in
+# waists c the kick grows like 1/c
 _KICK = 1e-3
 
 
@@ -272,17 +273,11 @@ def _preset_values(preset: InitPreset, h: float, grid: np.ndarray) -> np.ndarray
     if preset is InitPreset.CYLINDER:
         return np.ones_like(grid)
     lower, upper = solve_branches(h)
-    if preset is InitPreset.LOWER_CATENOID:
-        y = np.asarray(catenoid_profile(lower, grid), dtype=float)
-    else:
-        y = np.asarray(catenoid_profile(upper, grid), dtype=float)
-        if preset is InitPreset.UPPER_PERTURBED:
-            psi = negative_direction(upper.tau)
-            s = grid / upper.c
-            eta = np.interp(s, psi.grid, psi.values) * np.cosh(s)
-            y = y + _KICK * eta
-    y[0] = 1.0
-    y[-1] = 1.0
+    y = catenoid_profile(lower if preset is InitPreset.LOWER_CATENOID else upper, grid)
+    if preset is InitPreset.UPPER_PERTURBED:
+        s = grid / upper.c
+        y += _KICK * _ground_state(upper.tau, s) * np.cosh(s)
+    y[0] = y[-1] = 1.0
     return y
 
 

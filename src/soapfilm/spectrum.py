@@ -44,7 +44,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Tuple
 
 from .errors import ConvergenceFailureError, DomainError, _count
-from .extremals import _Record, _log_cosh, critical_constants
+from .extremals import _Record, _log_cosh
 
 if TYPE_CHECKING:
     import numpy as np
@@ -550,38 +550,12 @@ def negative_direction(tau: float) -> TestFunction:
     """
     import numpy as np
 
-    from .grids import TestFunction, composite_simpson
-    from .variation import _density, q_form
+    from .grids import TestFunction
+    from .variation import _ground_state, q_form
 
-    tau_star = critical_constants().tau_star
-    if not tau > tau_star + 1e-9:
-        raise DomainError(
-            f"tau={tau!r} does not exceed tau_star={tau_star!r}; no negative direction exists"
-        )
-    dt = _check_problem(tau, _DEFAULT_STEPS)
-    u = math.exp(-2.0 * tau)
-    tanh_tau = math.tanh(tau)
-    kappa = 1.0
-    while True:
-        t = math.exp(-2.0 * kappa * tau)
-        # the slope in kappa: tau*tanh(tau)/cosh^2(kappa*tau) - 1
-        slope = 4.0 * tau * tanh_tau * t / (1.0 + t) ** 2 - 1.0
-        step = kappa - (tanh_tau * (1.0 - t) / (1.0 + t) - kappa) / slope
-        if not step < kappa:
-            break
-        kappa = step
-    # 1 - kappa = (1 - tanh(tau)) + tanh(tau)*(1 - tanh(kappa*tau))
-    gap = 2.0 * u / (1.0 + u) + tanh_tau * 2.0 * t / (1.0 + t)
+    _check_problem(tau, _DEFAULT_STEPS)
     grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
-    a = np.abs(grid)
-    # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
-    lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
-    if gap > 0.0:
-        lead -= np.exp(math.log(gap) + kappa * a)
-    values = np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
-    values[0] = values[-1] = 0.0
-    norm = composite_simpson(_density(grid) * values * values, dt)
-    psi = TestFunction(grid=grid, values=values / math.sqrt(norm))
+    psi = TestFunction(grid=grid, values=_ground_state(tau, grid))
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

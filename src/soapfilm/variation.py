@@ -103,6 +103,36 @@ def _density(s):
         return 2.0 / np.cosh(s) ** 2
 
 
+def _ground_state(tau: float, s: np.ndarray) -> np.ndarray:
+    """negative_direction's samples at the nodes s of [-tau, tau], Simpson-normed on s."""
+    bound = critical_constants().tau_star + 1e-9
+    if not tau > bound:
+        raise DomainError(f"tau={tau!r} is not above tau_star + 1e-9 = {bound!r}")
+    import numpy as np
+    u = math.exp(-2.0 * tau)
+    tanh_tau = math.tanh(tau)
+    kappa = 1.0
+    while True:
+        t = math.exp(-2.0 * kappa * tau)
+        # the slope in kappa: tau*tanh(tau)/cosh^2(kappa*tau) - 1
+        slope = 4.0 * tau * tanh_tau * t / (1.0 + t) ** 2 - 1.0
+        step = kappa - (tanh_tau * (1.0 - t) / (1.0 + t) - kappa) / slope
+        if not step < kappa:
+            break
+        kappa = step
+    # 1 - kappa = (1 - tanh(tau)) + tanh(tau)*(1 - tanh(kappa*tau))
+    gap = 2.0 * u / (1.0 + u) + tanh_tau * 2.0 * t / (1.0 + t)
+    a = np.abs(s)
+    # (kappa - tanh a)*exp(kappa*a), with kappa - tanh a = (1 - tanh a) - gap
+    lead = 2.0 * np.exp((kappa - 2.0) * a) / (1.0 + np.exp(-2.0 * a))
+    if gap > 0.0:
+        lead -= np.exp(math.log(gap) + kappa * a)
+    values = np.exp(-kappa * a) - lead * np.expm1(-2.0 * kappa * a) / (2.0 * kappa)
+    values[0] = values[-1] = 0.0
+    norm = composite_simpson(_density(s) * values * values, (s[-1] - s[0]) / (s.size - 1))
+    return values / math.sqrt(norm)
+
+
 def q_form(psi: TestFunction) -> float:
     """Reduced second-variation form: integral of psi'^2 - 2 psi^2/cosh^2 s.
 

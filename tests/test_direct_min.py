@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from soapfilm.direct_min import (
     minimize,
 )
 from soapfilm.errors import DomainError
-from soapfilm.extremals import area_closed_form, profile, solve_branches
+from soapfilm.extremals import area_closed_form, critical_constants, profile, solve_branches
 
 from oracles import laplacian_solve_exact, richardson_diff, smooth_test_profiles
 
@@ -358,6 +359,33 @@ def test_saddle_escapes_take_few_iterations_in_total():
         assert abs(report.final_area - exact) <= 1e-5 * exact, (h, n, init)
         total += report.iterations
     assert total <= 480
+
+
+def test_saddle_escapes_on_the_cli_grid_take_few_iterations_in_total():
+    # The benchmark's cli workload starts upper_perturbed at these 16 h on
+    # 64 nodes, h a golden-ratio walk over (0.4, 0.5). They ended at 133
+    # iterations in all, each area within 1.26e-5 of the lower branch's, the
+    # O(dx^2) error at dx ~ 0.014. Single counts are chaotic, so only the
+    # total is bounded.
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    total = 0
+    for p in range(16):
+        h = 0.9 - (0.4 + 0.1 * ((0.5 + p * golden) % 1.0))
+        report = minimize(h, 64, "upper_perturbed")
+        assert report.outcome is Outcome.CONVERGED, h
+        exact = area_closed_form(solve_branches(h)[0])
+        assert abs(report.final_area - exact) <= 5e-5 * exact, h
+        total += report.iterations
+    assert total <= 160
+
+
+def test_no_saddle_escape_at_h_star_and_the_message_names_the_bound():
+    # at h* the upper branch's tau is tau* to rounding, within the 1e-9
+    # margin the ground state needs
+    with pytest.raises(DomainError) as info:
+        minimize(critical_constants().h_star, 64, "upper_perturbed")
+    found = re.fullmatch(r"tau=(\S+) is not above tau_star \+ 1e-9 = (\S+)", str(info.value))
+    assert found and float(found[2]) > float(found[1])
 
 
 def test_newton_step_moves_every_interior_radius(monkeypatch):

@@ -82,6 +82,17 @@ def test_shoot_loads_no_numpy():
     assert not loads(SHOOT, "numpy")
 
 
+@pytest.mark.parametrize(
+    "code",
+    ["import soapfilm.direct_min", "from soapfilm.direct_min import minimize; "
+     "assert minimize(0.45, 64, 'upper_perturbed').outcome.value == 'Converged'"],
+    ids=["import", "upper_perturbed"],
+)
+def test_direct_min_loads_no_spectrum(code):
+    # the saddle-escape start samples variation's closed form itself
+    assert not loads(code, "soapfilm.spectrum")
+
+
 def test_cli_import_loads_no_numpy():
     assert not loads("from soapfilm import cli", "numpy")
 

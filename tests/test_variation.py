@@ -8,6 +8,7 @@ from soapfilm.extremals import critical_constants, critical_extremal, solve_bran
 from soapfilm.grids import TestFunction, composite_simpson, sampled_derivative
 from soapfilm.spectrum import negative_direction
 from soapfilm.variation import (
+    _ground_state,
     Classification,
     area_along_direction,
     eta_from_psi,
@@ -19,7 +20,13 @@ from soapfilm.variation import (
     third_variation,
 )
 
-from oracles import TAU_STAR, THIRD_VARIATION_CRITICAL, central_diff, riccati_residual
+from oracles import (
+    TAU_STAR,
+    THIRD_VARIATION_CRITICAL,
+    central_diff,
+    riccati_residual,
+    soliton_ground_state,
+)
 
 
 def _sine_psi(tau, n=2049, k=1):
@@ -96,6 +103,17 @@ def test_factored_form_matches_q_form():
 def test_factored_form_rejects_wide_interval():
     with pytest.raises(DomainError):
         q_form_factored(_sine_psi(1.5))
+
+
+@pytest.mark.parametrize("h, n", [(0.45, 65), (0.05, 513)])
+def test_ground_state_on_a_runs_nodes_matches_mpmath(h, n):
+    # minimize's upper_perturbed start samples the closed form at s = x/c,
+    # off negative_direction's 2049 nodes; at odd n the library's Simpson
+    # norm is the oracle's plain one
+    upper = solve_branches(h)[1]
+    s = np.linspace(-h, h, n) / upper.c
+    want = soliton_ground_state(upper.tau, s)[1]
+    assert np.max(np.abs(_ground_state(upper.tau, s) - want)) <= 1e-12
 
 
 def test_eta_from_psi_scaling():
