@@ -2,7 +2,7 @@
 
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, simple finite differences, plain Simpson sums, a scalar
-step-by-step RK4 loop, a Sturm count bisection, a tridiagonal solve in
+step-by-step RK4 loop, Sturm counts, a tridiagonal solve in
 rationals, and 40-, 50- and 60-digit mpmath roots and closed forms. None of
 it calls into soapfilm internals.
 """
@@ -231,6 +231,34 @@ def lambert_goldschmidt():
     """h_G = sqrt(W_0(1/e)), W_0 the principal Lambert W, as the double nearest its 50-digit value."""
     with mpmath.workdps(50):
         return float(mpmath.sqrt(mpmath.lambertw(1 / mpmath.e)))
+
+
+def finite_difference_count(tau, lam, intervals=4096):
+    """How many eigenvalues of the 3-point finite-difference string problem lie below lam.
+
+    -psi_(i-1) + 2 psi_i - psi_(i+1) = mu (2/cosh^2 s_i) psi_i, mu = lam ds^2,
+    at the nodes s_i = -tau + i ds of `intervals` equal steps with psi = 0 at
+    both ends: the sign changes of psi_1..psi_intervals from psi_0 = 0,
+    psi_1 = 1, over the whole grid. The recurrence is stepped on the slope
+    D_i = psi_i - psi_(i-1), which keeps mu's relative accuracy where 2 - mu
+    rho would round it away. Unscaled: for the low modes only.
+    """
+    ds = 2.0 * tau / intervals
+    mu = lam * ds * ds
+    psi, slope, count = 1.0, 1.0, 0
+    for rho in _node_density(tau, intervals):
+        slope -= mu * rho * psi
+        new = psi + slope
+        count += (new < 0.0) != (psi < 0.0)
+        psi = new
+    return count
+
+
+@functools.lru_cache(maxsize=4)
+def _node_density(tau, intervals):
+    """2/cosh^2 s at the interior nodes -tau + i ds of `intervals` equal steps."""
+    ds = 2.0 * tau / intervals
+    return tuple(_string_density(-tau + i * ds) for i in range(1, intervals))
 
 
 def jacobi_ground_energy(tau, intervals=4000):

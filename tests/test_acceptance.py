@@ -199,7 +199,7 @@ def test_c10_oracle_equivalence_and_orders():
     worst_spec = 0.0
     for tau in (0.5, cc.tau_star, 2.0):
         lams = eigenvalues(tau, 5).lambdas
-        dense = dense_eigenvalues(tau, 5)
+        dense = np.array(dense_eigenvalues(tau, 5))
         worst_spec = max(worst_spec, float(np.max(np.abs(lams - dense) / dense)))
     # not at tau_star, where nu_1 = 1 and mpmath's Q_nu takes a slow limit; C3 pins it
     worst_exact = max(

@@ -10,7 +10,8 @@ finite, or the inf/NaN the docstring names. A numpy warning fails the test
 too (the suite turns warnings into errors). The source scan pins the other
 half: every raise in the library names one of the four types of
 soapfilm.errors. Every count argument that is not an integer in its range
-is a DomainError too, raised before numpy or scipy sees it. A second scan checks that no module imports dataclasses.
+is a DomainError too, raised before numpy sees it. Two more scans check
+that no module imports dataclasses or scipy.
 """
 
 import ast
@@ -408,7 +409,8 @@ def test_a_count_that_is_not_one_is_a_domain_error(name, count):
 
 
 def test_dense_k_max_beyond_the_matrix_rows_is_a_domain_error():
-    # the matrix has 4095 rows; k_max = 4095 itself takes seconds
+    # the matrix has 4095 rows; k_max = 4095 itself takes about 25 s at
+    # tau = 1 (5.6 s with the former LAPACK bisection), so it is not run
     with pytest.raises(DomainError):
         dense_eigenvalues(1.0, 4096)
 
@@ -458,9 +460,8 @@ def test_every_raise_names_a_library_error():
     ]
 
 
-def test_no_module_imports_dataclasses():
-    # the records derive from extremals._Record; dataclasses would bring
-    # inspect, ast and dis into every import of the package
+def _imports(package):
+    """(file name, module) for every import of `package` or its submodules in the library."""
     found = []
     for file, node in _source_nodes():
         if isinstance(node, ast.Import):
@@ -469,8 +470,20 @@ def test_no_module_imports_dataclasses():
             modules = [node.module or ""]
         else:
             continue
-        found += [(file, m) for m in modules if m.partition(".")[0] == "dataclasses"]
-    assert found == []
+        found += [(file, m) for m in modules if m.partition(".")[0] == package]
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # the records derive from extremals._Record; dataclasses would bring
+    # inspect, ast and dis into every import of the package
+    assert _imports("dataclasses") == []
+
+
+def test_no_module_imports_scipy():
+    # dense_eigenvalues, the finite-difference oracle, counts Sturm sign
+    # changes with math alone; scipy is not a dependency
+    assert _imports("scipy") == []
 
 
 def test_area_where_the_slope_squared_overflows():

@@ -445,7 +445,27 @@ def test_floored_starts_and_fine_collapses_take_few_iterations_in_total():
     assert total <= 28
 
 
+# The benchmark's cli workload starts the cylinder at these 16 h on 64 nodes,
+# h_p = 0.4 + 0.1*frac(0.5 + p*(sqrt(5) - 1)/2) for p = 0..15: its
+# "minimize below h*" check. Each converged in 4 iterations, within 1.3e-5
+# of the lower branch's area.
 @given(st.floats(0.05, 0.62))
+@example(0.45)
+@example(0.4118033988749895)
+@example(0.473606797749979)
+@example(0.4354101966249685)
+@example(0.49721359549995797)
+@example(0.4590169943749475)
+@example(0.420820393249937)
+@example(0.48262379212492645)
+@example(0.44442719099991596)
+@example(0.40623058987490546)
+@example(0.46803398874989494)
+@example(0.42983738762488444)
+@example(0.4916407864998739)
+@example(0.4534441853748634)
+@example(0.41524758424985286)
+@example(0.4770509831248424)
 def test_minimize_converges_below_transition(h):
     report = minimize(h, 64, InitPreset.CYLINDER)
     assert report.outcome is Outcome.CONVERGED

@@ -3,8 +3,9 @@
 No module of the package imports numpy when it loads: the functions that use
 arrays import it themselves. So importing any module, the scalar API, the
 string eigenvalues and every CLI subcommand but minimize run in a fresh
-interpreter without numpy (or scipy), as does the RK4 oracle shoot, while
-numpy loads on the first array call. The CLI reads a well-formed argv from
+interpreter without numpy, as do the RK4 oracle shoot and the
+finite-difference oracle dense_eigenvalues, while numpy loads on the first
+array call. Nothing loads scipy. The CLI reads a well-formed argv from
 its command table and imports argparse for any other. No import or scalar
 call loads dataclasses, or the inspect it brings: the records are named
 tuples. No subcommand and none of the scalar API loads the generic root
@@ -28,6 +29,7 @@ SCALAR_API = (
 )
 EIGENVALUES = "import soapfilm; soapfilm.eigenvalues(1.2, 3)"
 SHOOT = "from soapfilm.spectrum import shoot; shoot(1.3, 7.0)"
+DENSE = "from soapfilm.spectrum import dense_eigenvalues; dense_eigenvalues(1.2, 3)"
 
 MODULE_IMPORTS = [
     "import soapfilm.grids, soapfilm.variation, soapfilm.direct_min",
@@ -91,6 +93,12 @@ def test_shoot_loads_no_numpy():
 def test_direct_min_loads_no_spectrum(code):
     # the saddle-escape start samples variation's closed form itself
     assert not loads(code, "soapfilm.spectrum")
+
+
+@pytest.mark.parametrize("module", ["numpy", "scipy"])
+def test_dense_eigenvalues_load_neither_numpy_nor_scipy(module):
+    # Sturm counts of the three-term recurrence, one scalar at a time
+    assert not loads(DENSE, module)
 
 
 def test_cli_import_loads_no_numpy():

@@ -22,13 +22,13 @@ from soapfilm.spectrum import (
 )
 from soapfilm.variation import mu, mu_prime, q_form
 
-from fresh import loads
 from oracles import (
     TAU_STAR,
     centre_series_eigenvalue,
     characteristic_angle,
     discrete_eigenvalue,
     exact_rayleigh_quotient,
+    finite_difference_count,
     integer_degree_angle,
     large_tau_ground_eigenvalue,
     jacobi_ground_energy,
@@ -485,18 +485,6 @@ def test_lambdas_are_a_tuple_of_positive_increasing_floats():
             spectrum.StringSpectrum(1.2, bad)
 
 
-def test_import_does_not_load_scipy_linalg():
-    assert not loads("import soapfilm", "scipy.linalg")
-
-
-def test_minimize_does_not_load_scipy_linalg():
-    # The Newton solve and the saddle escape's negative direction run
-    # without scipy.linalg.
-    argv = ["minimize", "--h", "0.45", "--n", "64", "--init", "upper_perturbed"]
-    code = f"import os, soapfilm.cli as cli; cli.main({argv!r} + ['--out', os.devnull])"
-    assert not loads(code, "scipy.linalg")
-
-
 def test_shoot_rejects_bad_input():
     with pytest.raises(DomainError):
         shoot(0.0, 1.0)
@@ -689,43 +677,121 @@ def test_eigenvalues_deterministic():
 
 @pytest.mark.parametrize("tau", [10.0, 20.0, 50.0, 100.0])
 def test_dense_solver_at_large_tau(tau):
-    # The bisection tolerance is absolute: eps*||A|| would grow like cosh^2(tau).
+    # The 4096-interval discretization is at most 5.7e-4 off here (k = 3,
+    # tau = 100).
     dense = dense_eigenvalues(tau, 3)
-    assert np.all(dense > 0.0) and np.all(np.diff(dense) > 0.0)
+    assert type(dense) is tuple and all(type(lam) is float for lam in dense)
+    assert 0.0 < dense[0] < dense[1] < dense[2]
     np.testing.assert_allclose(dense, eigenvalues(tau, 3).lambdas, rtol=1e-3, atol=0.0)
 
 
 @pytest.mark.parametrize("tau", [1e-74, 1e-100, 1e-150])
 def test_dense_solver_at_tiny_tau(tau):
-    # lambda_k ~ (k*pi/2/tau)^2/2 here, so an absolute 1e-13 in lambda is far
-    # below the rounding of a matrix scaled by 1/ds^2: stebz does not
-    # converge on it below tau ~1e-74. The 4096-interval discretization is
-    # 2e-7 off.
+    # lambda_k ~ (k*pi/2/tau)^2/2 here, near the top of the float range at
+    # 1e-150. The 4096-interval discretization is 2e-7 off at k = 2. The
+    # density rounds to 2 at every node, so the matrix's eigenvalues are
+    # 2*sin(k*pi/8192)^2/ds^2 exactly: within the kernel's 1e-13 of mu
+    # (measured 2.6e-14).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dense = dense_eigenvalues(tau, 2)
-    np.testing.assert_allclose(dense, eigenvalues(tau, 2).lambdas, rtol=1e-6, atol=0.0)
+        dense = dense_eigenvalues(tau, 5)
+    np.testing.assert_allclose(dense[:2], eigenvalues(tau, 2).lambdas, rtol=1e-6, atol=0.0)
+    ds = 2.0 * tau / 4096
+    for k, lam in enumerate(dense, start=1):
+        exact = 2.0 * math.sin(k * math.pi / 8192) ** 2 / ds / ds
+        assert abs(lam / exact - 1.0) <= 1e-13, k
+
+
+# dense_eigenvalues as LAPACK's tridiagonal bisection (stebz, through scipy)
+# returned it, on the same 4096-interval matrix, before the Sturm-count
+# kernel replaced it: 1.1996786402577337 is tau_star. That bisection was
+# itself off by up to 1.2e-10 (8.2e-10 at 1e-100, against the closed form
+# above), where the kernel is within 2.5e-14 of 40-digit solves.
+_LAPACK_DENSE = {
+    1e-100: (1.2337004906730727e200, 4.9348012336995461e200),
+    0.2: (31.003097567008783, 124.763563106535, 281.03206556406792, 499.8079918615984,
+          781.09114689868875),
+    0.5: (5.0921468446031053, 21.125744202174232, 47.855254848487675, 85.277610653080018,
+          133.39233595225954),
+    1.1996786402577337: (0.99999994956022997, 4.784147771954272, 11.126307685492817,
+                         20.01388574185, 31.443829250785047),
+    1.2: (0.99953305244624147, 4.7822948035900374, 11.122161031461401, 20.006533565821108,
+          31.432358078018293),
+    4.6: (0.13696643644250486, 1.4465649837706647, 3.8187044134274717, 7.2407743096151655,
+          11.706757188170814),
+    20.0: (0.026302758466303762, 1.0802821679850159, 3.1363474777195544),
+    100.0: (0.0050504066620694378, 1.0150373953211842, 3.0236976346519442),
+}
+
+
+@pytest.mark.parametrize("tau", sorted(_LAPACK_DENSE))
+def test_dense_eigenvalues_meet_the_lapack_values(tau):
+    want = _LAPACK_DENSE[tau]
+    got = dense_eigenvalues(tau, len(want))
+    assert len(got) == len(want)
+    for k, (lam, ref) in enumerate(zip(got, want), start=1):
+        assert abs(lam / ref - 1.0) <= 1e-9, k
+
+
+@given(log_tau=st.floats(math.log(1e-3), math.log(300.0)))
+@settings(max_examples=15)
+@example(log_tau=math.log(1e-100))
+@example(log_tau=math.log(800.0))
+def test_each_dense_eigenvalue_is_where_the_sturm_count_steps(log_tau):
+    # Counted over the whole grid, from the plain recurrence: k - 1
+    # eigenvalues lie just below lambda_k and k just above it. The returned
+    # midpoint is within half its bracket, at most 1e-13 of mu wide, of
+    # where the kernel's count steps.
+    tau = math.exp(log_tau)
+    for k, lam in enumerate(dense_eigenvalues(tau, 5), start=1):
+        margin = 1e-12 * lam
+        assert finite_difference_count(tau, lam - margin) == k - 1, k
+        assert finite_difference_count(tau, lam + margin) == k, k
 
 
 def test_dense_solver_rejects_bad_input():
     with pytest.raises(DomainError):
         dense_eigenvalues(-1.0, 3)
-    with pytest.raises(DomainError):  # where the tridiagonal bisection fails
-        dense_eigenvalues(250.0, 3)
     with pytest.raises(DomainError):
         eigenvalues(1.0, 0)
 
 
+def test_dense_solver_where_lapack_bisection_failed():
+    # stebz failed from tau ~ 200 on; the Sturm counts need no norm. The
+    # 4096-interval discretization is 3.6e-3 off at k = 3 (ds = 0.12).
+    np.testing.assert_allclose(
+        dense_eigenvalues(250.0, 3), eigenvalues(250.0, 3).lambdas, rtol=5e-3, atol=0.0
+    )
+
+
+@pytest.mark.parametrize(
+    "tau, k_max", [(1e5, 20), (1e6, 2), (8.9e307, 1)], ids=["15-finite", "1-finite", "underflow"]
+)
+def test_dense_solver_beyond_its_finite_eigenvalues(tau, k_max):
+    # rho underflows to 0 beyond |s| ~ 372, and each such node takes a
+    # finite eigenvalue away; at 8.9e307 lambda_1 ~ 2048/tau^2 underflows
+    with pytest.raises(DomainError):
+        dense_eigenvalues(tau, k_max)
+
+
+@pytest.mark.parametrize("tau", [1e6, 1e10, 1e150])
+def test_dense_solver_where_only_the_centre_carries_rho(tau):
+    # rho is 0 at every node but s = 0, so psi is a tent and mu_1 = 1/2048:
+    # lambda_1 = 2048/tau^2, far below an absolute 1e-13 from tau ~ 1e8 on
+    (lam,) = dense_eigenvalues(tau, 1)
+    assert abs(lam / (2048.0 / tau / tau) - 1.0) <= 1e-13
+
+
 def test_spectrum_where_cosh_overflows():
-    # Beyond |s| ~ 355 the density underflows to 0: the closed form and
-    # shooting go on quietly, while the dense oracle's 1/rho scaling cannot
-    # be formed.
+    # Beyond |s| ~ 355 the density is subnormal, then 0: the closed form,
+    # shooting and the dense oracle, which forms no 1/rho, go on quietly.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = eigenvalues(800.0, 5)
         shoot(800.0, 1.0)
+        dense = dense_eigenvalues(800.0, 1)
     assert 0.0 < spec.lambdas[0] < 1e-3
     # lambda_k -> (k-1)k/2 as tau grows: nu_k -> k-1
     np.testing.assert_allclose(spec.lambdas[1:], [1.0, 3.0, 6.0, 10.0], rtol=3e-3)
-    with pytest.raises(DomainError):
-        dense_eigenvalues(800.0, 1)
+    # the 4096-interval discretization (ds = 0.39) is 1.1e-5 off lambda_1
+    np.testing.assert_allclose(dense, spec.lambdas[:1], rtol=2e-5, atol=0.0)
