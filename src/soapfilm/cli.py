@@ -84,17 +84,15 @@ def _render_json(value, indent: int = 0) -> str:
     return _scalar_token(value)
 
 
-def _results_table(results: Dict) -> Tuple[List[str], List[List]]:
-    if "columns" in results:
-        return list(results["columns"]), [list(row) for row in results["rows"]]
-    return list(results.keys()), [list(results.values())]
-
-
 def _emit(record: Dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = _render_json(record) + "\n"
     else:
-        columns, rows = _results_table(record["results"])
+        results = record["results"]
+        if "columns" in results:
+            columns, rows = results["columns"], results["rows"]
+        else:
+            columns, rows = results, [results.values()]
         lines = [",".join(columns)]
         lines.extend(",".join(_scalar_token(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"

@@ -346,9 +346,8 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
         step = _newton_step(seg, g, dx)
         alpha = 1.0
         for _ in range(_BACKTRACK_CAP):
+            # step is 0 at both ends, which stay exactly 1
             y_new = y - alpha * step
-            y_new[0] = 1.0
-            y_new[-1] = 1.0
             np.maximum(y_new[1:-1], _FLOOR, out=y_new[1:-1])
             dy = y - y_new
             seg_new = _segments(y_new, dx)

@@ -444,7 +444,8 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
         for _ in range(n + 6):
             half = 0.5 * (b - a)
             mid = a + half
-            if half <= least or not a < mid < b:
+            # iterates lie below 4*nu_min: a bracket over tol_x wide holds mid
+            if half <= least:
                 nu = mid
                 break
             s = x2 - f2 * ((x2 - x1) / (f2 - f1)) if f2 != f1 else mid
@@ -457,9 +458,8 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
             # the next bracket is at most `allowed` wide (the ITP method:
             # Oliveira & Takahashi, ACM TOMS 47(1), 2021)
             if -least < s - x2 < least:
+                # least is over half an ulp of x2 < 4*nu_min: s moves off x2
                 s = x2 + math.copysign(least, mid - x2)
-                if s == x2:
-                    s = math.nextafter(x2, mid)
             allowed *= 0.5
             r = allowed - half
             if not -r <= s - mid <= r:
@@ -516,12 +516,10 @@ def dense_eigenvalues(tau: float, k_max: int) -> Tuple[float, ...]:
     Each step keeps at least half the tolerance from the latest point
     (Brent's minimal step) and takes the midpoint where the secant point
     leaves the bracket and from the ninth sweep on. It stops once the
-    bracket is at most 1e-13 of mu wide, or holds no float inside, and
-    returns its midpoint; ConvergenceFailureError after 100 sweeps. (The
-    former LAPACK bisection stopped at an absolute 1e-13*ds^2 in mu, more
-    than lambda_1 ~ 2048/tau^2 from tau ~ 1.4e8.) A root takes 4 to 7
-    sweeps of 0.12 to 0.2 ms on the benchmark's inputs (k <= 5, tau in
-    [0.2, 5]; CPython 3.11, x86-64), 4 to 8 for k <= 5 from tau = 1e-150
+    bracket is at most 1e-13 of mu wide and returns its midpoint;
+    ConvergenceFailureError after 100 sweeps. A root takes 4 to 7 sweeps on
+    the benchmark's inputs (k <= 5, tau in [0.2, 5]), 5.67 on average over
+    those of seeds 1 and 424242, and 4 to 8 for k <= 5 from tau = 1e-150
     to 800. Measured errors: at most 2.5e-14 relative against the same
     matrix solved in 40-digit arithmetic (tau = 0.2, 1.2, 4.6, 100; k = 1,
     2, 5), and against the closed form 2*sin(k*pi/8192)^2/ds^2 for k <= 5
@@ -532,9 +530,8 @@ def dense_eigenvalues(tau: float, k_max: int) -> Tuple[float, ...]:
     The upper modes live in the two tails, where rho is least, and come in
     even/odd pairs whose eigenvalues agree to about 1e-12 or closer, so a
     pair may be returned in either order: from k = 36 at tau = 200, 14 at
-    800 and 4 at 1e4, and at tau = 1 from k ~ 2900, where LAPACK returned
-    588 equal neighbours. All 4095 at tau = 1 take 25 s, 15.9 sweeps per
-    root, and agree with LAPACK's to 1.4e-10. From tau ~ 1e4 a few nodes
+    800 and 4 at 1e4, and at tau = 1 from k ~ 2900. All 4095 at tau = 1
+    take 25 s, 15.9 sweeps per root. From tau ~ 1e4 a few nodes
     carry all of rho: the eigenvalues spread over decades, and a root takes
     50 to 180 sweeps, most of them doubling the upper end or bisecting.
 
@@ -604,9 +601,9 @@ def dense_eigenvalues(tau: float, k_max: int) -> Tuple[float, ...]:
         a, b, x1, f1, x2, f2 = lo, hi, lo, f_lo, hi, f_hi
         for i in range(_MAX_SWEEPS):
             mid = 0.5 * (a + b)
-            # 1e-13 of mu = x^2
+            # 1e-13 of mu = x^2, 225 ulps of b or more: a wider bracket holds mid
             step = 5e-14 * b
-            if b - a <= step or not a < mid < b:
+            if b - a <= step:
                 break
             s = x2 - f2 * ((x2 - x1) / (f2 - f1)) if f2 != f1 else mid
             # at least step/2 from x2, so that a root beside it gets
@@ -650,15 +647,15 @@ def negative_direction(tau: float) -> TestFunction:
     2049 nodes of [-tau, tau], scaled to unit weighted norm (weight
     2/cosh^2 s). Raises DomainError unless tau_star + 1e-9 < tau and 2*tau
     is finite, and ConvergenceFailureError if q_form(psi) is not negative.
+    Within about 1e-6 of tau_star that check reads q_form's own O(dx^2)
+    quadrature error, not the form: at tau_star + 1e-9, -8.1e-7 where the
+    form is -1.45e-9 (kappa^2 = 2.5e-9). The sign is right there, but the
+    check cannot tell.
     """
-    import numpy as np
-
     from .grids import TestFunction
     from .variation import _ground_state, q_form
 
-    _check_problem(tau, _DEFAULT_STEPS)
-    grid = np.linspace(-tau, tau, _DEFAULT_STEPS + 1)
-    psi = TestFunction(grid=grid, values=_ground_state(tau, grid))
+    psi = TestFunction.sample(lambda s: _ground_state(tau, s), tau, _DEFAULT_STEPS + 1)
     if q_form(psi) >= 0.0:
         raise ConvergenceFailureError(
             f"ground direction at tau={tau!r} failed to certify negativity"

@@ -2,9 +2,9 @@
 
 Everything here is deliberately primitive: plain bisection with a fixed
 halving count, simple finite differences, plain Simpson sums, a scalar
-step-by-step RK4 loop, Sturm counts, a tridiagonal solve in
-rationals, and 40-, 50- and 60-digit mpmath roots and closed forms. None of
-it calls into soapfilm internals.
+step-by-step RK4 loop, Sturm counts in floats and in 40 digits, a
+tridiagonal solve in rationals, and 40-, 50- and 60-digit mpmath roots and
+closed forms. None of it calls into soapfilm internals.
 """
 
 import functools
@@ -241,7 +241,10 @@ def finite_difference_count(tau, lam, intervals=4096):
     both ends: the sign changes of psi_1..psi_intervals from psi_0 = 0,
     psi_1 = 1, over the whole grid. The recurrence is stepped on the slope
     D_i = psi_i - psi_(i-1), which keeps mu's relative accuracy where 2 - mu
-    rho would round it away. Unscaled: for the low modes only.
+    rho would round it away. Unscaled: for the low modes only. Once psi
+    overflows the count is wrong (14 for 21 at tau = 1e4 just above
+    lambda_20), and overflow leaves psi inf or NaN to the end, so a
+    non-finite end raises ValueError.
     """
     ds = 2.0 * tau / intervals
     mu = lam * ds * ds
@@ -251,7 +254,27 @@ def finite_difference_count(tau, lam, intervals=4096):
         new = psi + slope
         count += (new < 0.0) != (psi < 0.0)
         psi = new
+    if not math.isfinite(psi):
+        raise ValueError(f"psi overflows at lam={lam!r}, tau={tau!r}: the count is unreliable")
     return count
+
+
+def mpmath_sturm_count(tau, lam, intervals=4096):
+    """finite_difference_count in 40-digit arithmetic, with rho = 2/cosh^2 s formed there too.
+
+    mpmath's exponent range is unbounded, so psi never overflows and the
+    count holds for every mode; a count takes about 0.1 s.
+    """
+    with mpmath.workdps(40):
+        ds = 2 * mpmath.mpf(tau) / intervals
+        mu = mpmath.mpf(lam) * ds * ds
+        psi, slope, count = mpmath.mpf(1), mpmath.mpf(1), 0
+        for i in range(1, intervals):
+            slope -= mu * (2 / mpmath.cosh(i * ds - tau) ** 2) * psi
+            new = psi + slope
+            count += (new < 0) != (psi < 0)
+            psi = new
+        return count
 
 
 @functools.lru_cache(maxsize=4)

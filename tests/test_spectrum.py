@@ -34,6 +34,7 @@ from oracles import (
     jacobi_ground_energy,
     legendre_characteristic,
     legendre_pins,
+    mpmath_sturm_count,
     rayleigh_quotient,
     rk4_sweep,
     soliton_ground_state,
@@ -317,6 +318,52 @@ def test_each_root_keeps_its_evaluation_bound(log_tau, k):
 @pytest.mark.parametrize("tau, k", _HARD_SPECTRA)
 def test_each_root_keeps_its_evaluation_bound_where_the_solve_is_hardest(tau, k):
     _check_evaluation_bound(tau, k)
+
+
+def _check_evaluations_below_four_nu_min(tau, k):
+    # eigenvalues' width stop and Brent's minimal step rely on every point
+    # they evaluate lying below 4*nu_min, nu_min = max(lo, k - 1, nu_floor)
+    # as the loop forms it (measured at most 2.69*nu_min, root 2's upper end
+    # at tau_star, where nu_1 = 1): tol_x/2 = 5e-16*nu_min is then over half
+    # an ulp of every iterate, so the step always moves off x2 and a bracket
+    # wider than tol_x holds its midpoint.
+    try:
+        nu, calls = _evaluated(tau, k)
+    except DomainError:
+        # the eigenvalues leave the float range (lambda_k below tau ~ 1e-154,
+        # lambda_1 above ~ 1e307)
+        assert not 1e-150 <= tau <= 1e300, tau
+        return
+    root_floor = max(
+        math.pi / math.sqrt(8.0) / tau, 1.0 / math.sqrt(2.0 * tau) / math.sqrt(math.tanh(tau))
+    )
+    nu_floor = spectrum._degree(root_floor)
+    lows = [spectrum._degree(root_floor * math.sqrt(0.5))] + nu[:-1]
+    nu_min = [max(lo, j - 1.0, nu_floor) for j, lo in enumerate(lows, start=1)]
+    # the first evaluation is the floor, root 1's lower end; each root's
+    # evaluations start at its upper end, the first above every earlier one
+    j, top = 0, -math.inf
+    for x in calls:
+        if x > top:
+            j, top = j + 1, x
+        assert x < 4.0 * nu_min[max(j - 1, 1) - 1], (tau, k, j, x)
+
+
+@settings(max_examples=60)
+@given(
+    log_tau=st.floats(math.log(1e-300), math.log(1e300)),
+    k=st.integers(1, 8),
+)
+@example(log_tau=math.log(1e-150), k=8)
+@example(log_tau=math.log(TAU_STAR), k=2)
+@example(log_tau=math.log(1e300), k=8)
+def test_every_evaluation_lies_below_four_times_nu_min(log_tau, k):
+    _check_evaluations_below_four_nu_min(math.exp(log_tau), k)
+
+
+@pytest.mark.parametrize("tau, k", _HARD_SPECTRA)
+def test_every_evaluation_lies_below_four_times_nu_min_where_the_solve_is_hardest(tau, k):
+    _check_evaluations_below_four_nu_min(tau, k)
 
 
 def test_the_benchmark_inputs_take_no_more_evaluations_than_a_generic_solver():
@@ -749,6 +796,23 @@ def test_each_dense_eigenvalue_is_where_the_sturm_count_steps(log_tau):
         assert finite_difference_count(tau, lam + margin) == k, k
 
 
+def test_dense_eigenvalues_rescale_where_psi_would_overflow():
+    # At tau = 1e4 a few nodes carry all of rho and the eigenvalues spread
+    # over decades: lambda_39 = 2.0034008578428512e78 and lambda_40 =
+    # 3.4908003491164671e82, reached only through 3 913 scalings of psi by
+    # 2**-500 (without them the recurrence overflows at mu = 2.4e48). Each
+    # is a tied even/odd pair's upper member: within 1e-12 of them the
+    # 40-digit count over the whole grid steps 37 -> 39 and 39 -> 41.
+    lams = dense_eigenvalues(1e4, 40)
+    for k, steps in ((39, (37, 39)), (40, (39, 41))):
+        lam = lams[k - 1]
+        counts = tuple(mpmath_sturm_count(1e4, lam * (1.0 + d)) for d in (-1e-12, 1e-12))
+        assert counts == steps, (k, counts)
+    # the unscaled float count overflows there and says so
+    with pytest.raises(ValueError, match="psi overflows"):
+        finite_difference_count(1e4, lams[19])
+
+
 def test_dense_solver_rejects_bad_input():
     with pytest.raises(DomainError):
         dense_eigenvalues(-1.0, 3)
@@ -765,12 +829,21 @@ def test_dense_solver_where_lapack_bisection_failed():
 
 
 @pytest.mark.parametrize(
-    "tau, k_max", [(1e5, 20), (1e6, 2), (8.9e307, 1)], ids=["15-finite", "1-finite", "underflow"]
+    "tau, k_max, message",
+    [
+        (1e5, 20, "the matrix has 15 finite"),
+        (1e6, 2, "the matrix has 1 finite"),
+        (8.9e307, 1, "the eigenvalues .* leave the float range"),
+        (3e5, 5, "the recurrence overflows"),
+    ],
+    ids=["15-finite", "1-finite", "underflow", "overflow"],
 )
-def test_dense_solver_beyond_its_finite_eigenvalues(tau, k_max):
+def test_dense_solver_beyond_its_finite_eigenvalues(tau, k_max, message):
     # rho underflows to 0 beyond |s| ~ 372, and each such node takes a
-    # finite eigenvalue away; at 8.9e307 lambda_1 ~ 2048/tau^2 underflows
-    with pytest.raises(DomainError):
+    # finite eigenvalue away; at 8.9e307 lambda_1 ~ 2048/tau^2 underflows;
+    # at 3e5 mu*rho passes ~1e150 in a step, where (2e5, 5) still returns
+    # lambda_5 = 5.81e164
+    with pytest.raises(DomainError, match=f"^{message}"):
         dense_eigenvalues(tau, k_max)
 
 
