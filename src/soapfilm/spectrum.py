@@ -22,9 +22,9 @@ series would cancel (see _characteristic). The angle of the pair
 pi*nu/2 + arg(P + i*(2/pi)*Q) from P and Q, and directly from the series
 about s = 0. Each lambda_k is solved as the root of that angle less
 k*pi/2, wrapped once by 2*pi into [-pi, pi]: a Pruefer phase nearly linear
-in nu, bracketed by the previous root and a closed-form Sturm bound from
-the equation's Liouville normal form (see eigenvalues). No ODE is
-integrated, and numpy is not imported.
+in nu, bracketed by the previous root, or nu = 0, and a closed-form Sturm
+bound from the equation's Liouville normal form (see eigenvalues). Only
+upper ends are evaluated; no ODE is integrated, and numpy is not imported.
 
 shoot integrates the ODE by fixed-step RK4 with dt = 2*tau/n, one scalar
 step at a time; it is the RK4 oracle of the tests and imports no numpy.
@@ -320,10 +320,12 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     continued angle while N is k-2 to k+1, and is formed inline, as the
     whole loop is, to spare a call per evaluation.
 
-    Each root is a bracketed secant loop. Its ends are evaluated first, and
-    ConvergenceFailureError is raised unless the residual is < 0 at the
-    lower end and >= 0 at the upper: either is a bracket bug. The lower end
-    of root k >= 2 is root k - 1, where the residual is -pi/2 to within its
+    Each root is a bracketed secant loop that evaluates only its upper end,
+    first, and raises ConvergenceFailureError unless the residual is >= 0
+    there: a bracket bug. Root 1's lower end is nu = 0, where P_0 = 1 and
+    Q_0 = atanh(x) = tau (DLMF 14.5) and psi_e = 1, psi_o = 0: the residual
+    is atan2(-pi/2, tau) on the Ferrers scale and -pi/2 on the x^2 form's.
+    Root k >= 2's is root k - 1, where the residual is -pi/2 to within its
     tolerance, and it is taken as exactly -pi/2 on either scale: on the x^2
     form's, whose rounding near a root reaches ~200 ulps of pi/2 at small
     tau, an evaluation there would read that rounding, not the root. Each
@@ -341,20 +343,20 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     latest residuals have |f1*f2| <= tol_f: the secant's error is
     e+ ~ (f''/2f')*e1*e2, so |f+| <~ |f''/(2f'^2)|*|f1*f2|, well below
     tol_f for this nearly linear angle. The x^2 form evaluates every point.
-    So a root takes at most two evaluations at its ends and n + 5 after
-    them, 4 beyond bisection's count and one for the midpoints' rounding,
-    and ConvergenceFailureError is raised once those are spent. n was at
-    most 51 where measured (k <= 40 from tau = 0.01 to 1e300, k <= 15 from
-    2e-3), 58 evaluations per root. The benchmark's inputs (k <= 5, tau in
-    [0.2, 5]) take 5.4 per call at k = 1 and 4.4 per later root.
+    So a root takes at most one evaluation at its end and n + 5 after, 4
+    beyond bisection's count and one for the midpoints' rounding, and
+    ConvergenceFailureError is raised once those are spent. n was at most
+    51 where measured (k <= 40 from tau = 0.01 to 1e300, k <= 15 from
+    2e-3), 57 evaluations per root. The benchmark's inputs (k <= 5, tau in
+    [0.2, 5]) take 4.8 per call at k = 1 and 4.4 per later root.
 
     Each root is bracketed in closed form. With x = tanh(s) = sin(phi),
     u = sqrt(cos(phi))*psi solves -u'' - sec^2(phi)*u/4 = (nu + 1/2)^2*u on
     [-gd(tau), gd(tau)], Legendre's equation in Liouville normal form (DLMF
     14.5, 14.15; Olver, Asymptotics and Special Functions, ch. 6). The
     potential is at most -1/4, so by Sturm comparison nu_k < k*c - 1/2,
-    c = pi/(2*gd(tau)). Root k is solved between the previous root and
-    (k + 1e-3)*c - 1/2; root 1 from the degree at half of
+    c = pi/(2*gd(tau)). Root k is solved between the previous root (0 for
+    root 1) and (k + 1e-3)*c - 1/2. The tolerances scale with the degree at
     max(a^2, 1/(2*tau*tanh(tau))), a = pi/(sqrt(8)*tau), two lower bounds on
     lambda_1: by Sturm comparison with rho <= 2, and because
     psi^2 <= (tau/2) * integral psi'^2 for psi vanishing at both ends while
@@ -363,8 +365,8 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     1/(4*log(cosh(tau)) - 2*tau*tanh(tau)), the Rayleigh quotient of the
     tent 1 - |s|/tau with s*tanh(s) <= s*tanh(tau) (it cancels at small tau).
 
-    The wrap is exact over root k's bracket, as N is k-2 or k-1 at the
-    previous root and, if nu_k+2 lies above the upper end, k or k+1 there.
+    The wrap is exact over root k's bracket, as N is k-2 or k-1 at its
+    lower end and, if nu_k+2 lies above the upper end, k or k+1 there.
     The latter is assumed. It is proven where the upper end is at most
     k + 1, as nu_j > j - 1 (domain monotonicity against phi in
     [-pi/2, pi/2], whose eigenfunctions are sqrt(cos(phi))*P_n(sin(phi))),
@@ -403,11 +405,9 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     c = _HALF_PI / (2.0 * math.atan(math.tanh(0.5 * tau)))
     psi = _characteristic(tau)
     remainder, half_pi, two_pi = math.remainder, _HALF_PI, _TWO_PI
-    # below every nu_k: root_floor^2 is itself a lower bound on lambda_1
     nu_floor = _degree(root_floor)
-    lo = _degree(root_floor * math.sqrt(0.5))
-    t, angle = psi(lo)
-    f_lo = remainder(remainder(t, 4.0) * half_pi + angle, two_pi)
+    # root 1's lower end is nu = 0, its residual in closed form (see above)
+    lo, f_lo = 0.0, -half_pi if math.tanh(tau) < _NEAR_ENDS else math.atan2(-half_pi, tau)
     lams = []
     for k in range(1, k_max + 1):
         k1 = k - 1.0
@@ -428,7 +428,7 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
         tol_x = 1e-15 * nu_min
         t, angle = psi(hi)
         f2 = remainder(remainder(t - k1, 4.0) * half_pi + angle, two_pi)
-        if not f_lo < 0.0 <= f2:
+        if not 0.0 <= f2:
             raise ConvergenceFailureError(
                 f"no sign change over root {k}'s bracket [{lo!r}, {hi!r}] at tau={tau!r}"
             )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -151,26 +152,43 @@ def _evaluated(tau, k_max):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectrum, "_characteristic", recording)
         lams = eigenvalues(tau, k_max).lambdas
-    return [(math.sqrt(1.0 + 8.0 * lam) - 1.0) / 2.0 for lam in lams], calls
+    return [spectrum._degree(math.sqrt(lam)) for lam in lams], calls
 
 
 def _brackets(nu, calls):
     """Each root solve's bracket (lo, hi), from its degrees and evaluations.
 
-    The floor, root 1's lower end, is evaluated first; each later root's
-    lower end is the root before it. Each upper end is the first evaluation
-    above every earlier one: a root's iterates lie below its upper end, and
-    the upper ends rise with k.
+    Root 1's lower end is nu = 0 and each later root's is the root before
+    it; neither is evaluated. Each upper end is the first evaluation above
+    every earlier one: a root's iterates lie below its upper end, and the
+    upper ends rise with k.
     """
     ends = sorted(set(itertools.accumulate(calls, max)))
-    assert len(ends) == len(nu) + 1
-    return list(zip([ends[0]] + nu[:-1], ends[1:]))
+    assert len(ends) == len(nu)
+    return list(zip([0.0] + nu[:-1], ends))
+
+
+def _nu_mins(tau, nu):
+    """Each root solve's nu_min = max(lo, k - 1, nu_floor), as eigenvalues forms it."""
+    root_floor = max(
+        math.pi / math.sqrt(8.0) / tau, 1.0 / math.sqrt(2.0 * tau) / math.sqrt(math.tanh(tau))
+    )
+    nu_floor = spectrum._degree(root_floor)
+    return [max(lo, j - 1.0, nu_floor) for j, lo in enumerate([0.0] + nu[:-1], start=1)]
+
+
+# the least double on the Ferrers scale, tanh(tau) >= sqrt(3) - 1, where the
+# residual at nu = 0 changes form, and a log_tau whose exp is that double
+# (both checked in test_root_1_takes_the_closed_form_residual_at_nu_0)
+TAU_SWITCH = math.atanh(math.sqrt(3.0) - 1.0)
+LOG_SWITCH = math.log(TAU_SWITCH)
 
 
 def _residual(psi, k, nu):
     """Root k's residual at nu: the pair's angle less k*pi/2, wrapped into [-pi, pi]."""
+    # t - (k - 1), as the loop forms it: t - k + 1 would round t ~ 1/tau away
     t, a = psi(nu)
-    return math.remainder(math.remainder(t - k + 1.0, 4.0) * (0.5 * math.pi) + a, 2.0 * math.pi)
+    return math.remainder(math.remainder(t - (k - 1.0), 4.0) * (0.5 * math.pi) + a, 2.0 * math.pi)
 
 
 @settings(max_examples=60)
@@ -180,12 +198,16 @@ def _residual(psi, k, nu):
 )
 @example(log_tau=math.log(1e-2), k=8)
 @example(log_tau=math.log(300.0), k=8)
+@example(log_tau=math.log(1e300), k=1)
+@example(log_tau=LOG_SWITCH, k=3)
+@example(log_tau=math.log(TAU_STAR), k=2)
 def test_the_phase_residual_is_negative_exactly_below_each_root(log_tau, k):
-    # Each root solve starts from a bracket where the residual is < 0 at lo
-    # and >= 0 at hi: its sign is that of N >= k, whatever the pair's scale.
-    # At root k - 1, root k's lower end, it is -pi/2 (measured within 1e-11,
-    # the x^2 series' rounding where nu*tanh(tau) nears 12), the value the
-    # solve takes there without evaluating it.
+    # Each root solve's bracket has the residual < 0 at lo and >= 0 at hi:
+    # its sign is that of N >= k, whatever the pair's scale. The solve
+    # evaluates only hi. At nu = 0, root 1's lower end, it takes the residual
+    # in closed form (checked below); at root k - 1, root k's, as -pi/2
+    # (measured within 1e-11, the x^2 series' rounding where nu*tanh(tau)
+    # nears 12).
     tau = math.exp(log_tau)
     psi = spectrum._characteristic(tau)
     ends = _brackets(*_evaluated(tau, k))
@@ -195,6 +217,69 @@ def test_the_phase_residual_is_negative_exactly_below_each_root(log_tau, k):
         assert at_lo < 0.0 <= _residual(psi, j, hi)
         if j > 1:
             assert abs(at_lo + 0.5 * math.pi) <= 1e-10, (j, at_lo)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        1e-300,
+        1e-3,
+        0.2,
+        math.nextafter(TAU_SWITCH, 0.0),
+        TAU_SWITCH,
+        math.nextafter(TAU_SWITCH, 2.0),
+        1.0,
+        19.0,
+        1e6,
+        1e300,
+    ],
+)
+def test_root_1_takes_the_closed_form_residual_at_nu_0(tau):
+    # P_0 = 1 and Q_0 = atanh(x) = tau (DLMF 14.5), and psi_e = 1, psi_o = 0
+    # about s = 0: eigenvalues takes root 1's residual at its lower end
+    # nu = 0 as atan2(-pi/2, tau) on the Ferrers scale and -pi/2 on the x^2
+    # form's, unevaluated (measured within 6.6e-16 relative of the series)
+    got = _residual(spectrum._characteristic(tau), 1, 0.0)
+    if _on_ferrers_scale(tau, 0.0):
+        want = math.atan2(-0.5 * math.pi, tau)
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+    else:
+        assert got == -0.5 * math.pi
+    assert _on_ferrers_scale(tau, 0.0) is (tau >= TAU_SWITCH)
+    assert math.exp(LOG_SWITCH) == TAU_SWITCH
+
+
+@pytest.mark.parametrize("tau", [1e3, 1e4, 1e6, 1e12, 1e100, 1e300])
+def test_root_1_takes_two_evaluations_at_large_tau(tau):
+    # From tau ~ 560 on the residual is linear in nu to its rounding over
+    # root 1's bracket, so the secant through the closed-form residual at
+    # nu = 0 and the upper end's lands on the root: two evaluations in all.
+    # A residual at nu = 0 off by 1 % takes three from 1e3 to 1e8.
+    assert len(_evaluated(tau, 1)[1]) == 2
+
+
+@settings(max_examples=60)
+@given(
+    log_tau=st.floats(math.log(1e-150), math.log(1e300)),
+    k=st.integers(1, 8),
+)
+@example(log_tau=math.log(1e300), k=1)
+@example(log_tau=LOG_SWITCH, k=3)
+@example(log_tau=math.log(TAU_STAR), k=2)
+def test_no_root_solve_evaluates_its_lower_end(log_tau, k):
+    # Root j's evaluations are those eigenvalues(tau, j) makes beyond
+    # eigenvalues(tau, j - 1). The first is its upper end, above the root,
+    # and every one lies above its lower end: nu = 0 for root 1, the root
+    # before it for the others, both taken without an evaluation.
+    tau = math.exp(log_tau)
+    nu, calls = _evaluated(tau, k)
+    done = 0
+    for j, lo in enumerate([0.0] + nu[:-1], start=1):
+        own = _evaluated(tau, j)[1][done:]
+        done += len(own)
+        assert own[0] > nu[j - 1], (j, own[0], nu[j - 1])
+        assert all(x > lo for x in own), (j, lo, min(own))
+    assert done == len(calls)
 
 
 @settings(max_examples=40)
@@ -241,10 +326,10 @@ def test_eigenvalues_keep_their_accuracy_where_the_series_lose_most(tau):
 
 
 def test_eigenvalues_take_few_evaluations():
-    # Each nu is evaluated once. The bounds sit 20-30 % above the worst
-    # measured on these 40 tau, 6, 11 and 28 evaluations for k = 1, 2, 5;
-    # on the benchmark's inputs (tau in [0.2, 5]), 4.7 per eigenvalue on
-    # average. At k_max = 400 they sit 25-65 % above 941, 1 216 and 1 214,
+    # Each nu is evaluated once. The bounds sit 30-50 % above the worst
+    # measured on these 40 tau, 6, 11 and 27 evaluations for k = 1, 2, 5;
+    # on the benchmark's inputs (tau in [0.2, 5]), 4.4 per eigenvalue on
+    # average. At k_max = 400 they sit 25-65 % above 940, 1 215 and 1 213,
     # so that a tol_f below the residual's rounding, which ends solves on
     # tol_x, shows in long spectra too.
     for i in range(40):
@@ -294,14 +379,14 @@ def test_eigenvalues_meet_their_accuracy_bound_where_the_solve_is_hardest(tau, k
 def _check_evaluation_bound(tau, k):
     # Roots 1..k-1 are solved alike for any k_max, so root k's evaluations
     # are those eigenvalues(tau, k) makes beyond eigenvalues(tau, k - 1): at
-    # most two at its ends and n + 5 after them, n = ceil(log2((hi -
-    # lo)/tol_x)), 58 in all where the docstring measured n. tol_x is
-    # 1e-15 times at least max(lo, k - 1), which bounds n from above.
+    # most one at its upper end and n + 5 after it, n = ceil(log2((hi -
+    # lo)/tol_x)), tol_x = 1e-15*nu_min as the loop forms it; 57 in all
+    # where the docstring measured n.
     nu, calls = _evaluated(tau, k)
     lo, hi = _brackets(nu, calls)[-1]
     count = len(calls) - (len(_evaluated(tau, k - 1)[1]) if k > 1 else 0)
-    n = math.ceil(math.log2((hi - lo) / (1e-15 * max(lo, k - 1.0))))
-    assert count <= min(n + 7, 58), (count, n)
+    n = math.ceil(math.log2((hi - lo) / (1e-15 * _nu_mins(tau, nu)[-1])))
+    assert count <= min(n + 6, 57), (count, n)
 
 
 @settings(max_examples=60)
@@ -311,6 +396,9 @@ def _check_evaluation_bound(tau, k):
 )
 @example(log_tau=math.log(1e-2), k=8)
 @example(log_tau=math.log(300.0), k=8)
+@example(log_tau=math.log(1e300), k=1)
+@example(log_tau=LOG_SWITCH, k=3)
+@example(log_tau=math.log(TAU_STAR), k=2)
 def test_each_root_keeps_its_evaluation_bound(log_tau, k):
     _check_evaluation_bound(math.exp(log_tau), k)
 
@@ -334,19 +422,14 @@ def _check_evaluations_below_four_nu_min(tau, k):
         # lambda_1 above ~ 1e307)
         assert not 1e-150 <= tau <= 1e300, tau
         return
-    root_floor = max(
-        math.pi / math.sqrt(8.0) / tau, 1.0 / math.sqrt(2.0 * tau) / math.sqrt(math.tanh(tau))
-    )
-    nu_floor = spectrum._degree(root_floor)
-    lows = [spectrum._degree(root_floor * math.sqrt(0.5))] + nu[:-1]
-    nu_min = [max(lo, j - 1.0, nu_floor) for j, lo in enumerate(lows, start=1)]
-    # the first evaluation is the floor, root 1's lower end; each root's
-    # evaluations start at its upper end, the first above every earlier one
-    j, top = 0, -math.inf
+    nu_min = _nu_mins(tau, nu)
+    # each root's evaluations start at its upper end, the first above every
+    # earlier one
+    j, top = -1, -math.inf
     for x in calls:
         if x > top:
             j, top = j + 1, x
-        assert x < 4.0 * nu_min[max(j - 1, 1) - 1], (tau, k, j, x)
+        assert x < 4.0 * nu_min[j], (tau, k, j + 1, x)
 
 
 @settings(max_examples=60)
@@ -357,6 +440,8 @@ def _check_evaluations_below_four_nu_min(tau, k):
 @example(log_tau=math.log(1e-150), k=8)
 @example(log_tau=math.log(TAU_STAR), k=2)
 @example(log_tau=math.log(1e300), k=8)
+@example(log_tau=math.log(1e300), k=1)
+@example(log_tau=LOG_SWITCH, k=3)
 def test_every_evaluation_lies_below_four_times_nu_min(log_tau, k):
     _check_evaluations_below_four_nu_min(math.exp(log_tau), k)
 
@@ -366,19 +451,35 @@ def test_every_evaluation_lies_below_four_times_nu_min_where_the_solve_is_hardes
     _check_evaluations_below_four_nu_min(tau, k)
 
 
-def test_the_benchmark_inputs_take_no_more_evaluations_than_a_generic_solver():
-    # The spectrum workload's ops on seed 1, passes 0-29: tau = 0.2*25**u,
-    # u a golden-ratio walk from a seeded start for each k. Per-k totals,
-    # not single calls, against the 177/315/449/587/766 evaluations (2 294)
-    # that find_root_bracketed made on the same ops; measured 163/286/409/
-    # 540/699 (2 097).
+@functools.lru_cache(maxsize=None)
+def _benchmark_evaluations():
+    """Per-k evaluation totals over the spectrum workload's ops on seed 1, passes 0-29.
+
+    tau = 0.2*25**u, u a golden-ratio walk from a seeded start for each k.
+    """
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     totals = []
     for k in range(1, 6):
         start = random.Random(f"1/spectrum/{k}").random()
         taus = [0.2 * 25.0 ** ((start + p * golden) % 1.0) for p in range(30)]
         totals.append(sum(len(_evaluated(tau, k)[1]) for tau in taus))
+    return totals
+
+
+def test_the_benchmark_inputs_take_no_more_evaluations_than_a_generic_solver():
+    # Per-k totals, not single calls, against the 177/315/449/587/766
+    # evaluations (2 294) that find_root_bracketed made on the same ops;
+    # measured 144/266/390/521/681 (2 002).
+    totals = _benchmark_evaluations()
     assert all(new <= old for new, old in zip(totals, [177, 315, 449, 587, 766])), totals
+
+
+def test_root_1_from_nu_0_saves_an_evaluation_on_the_benchmark_inputs():
+    # Every k takes fewer evaluations than the 163/286/409/540/699 (2 097)
+    # made when root 1's lower end was evaluated, at the degree of
+    # root_floor/sqrt(2); one fewer per call from tau ~ 2.76 to 5
+    totals = _benchmark_evaluations()
+    assert all(new < old for new, old in zip(totals, [163, 286, 409, 540, 699])), totals
 
 
 def test_a_bracket_without_a_sign_change_is_a_library_bug(monkeypatch):
@@ -435,6 +536,9 @@ def test_sturm_bounds_lie_above_the_mpmath_roots(tau):
 )
 @example(log_tau=math.log(1e-2), k=8)
 @example(log_tau=math.log(300.0), k=8)
+@example(log_tau=math.log(1e300), k=1)
+@example(log_tau=LOG_SWITCH, k=3)
+@example(log_tau=math.log(TAU_STAR), k=2)
 def test_each_upper_end_lies_below_the_root_after_next(log_tau, k):
     # The residual's wrap into [-pi, pi] reads the angle right only while N
     # is at most k + 1: root k's upper end must lie below nu_k+2.
