@@ -60,10 +60,11 @@ def goldschmidt_constant() -> float:
     """Half-distance where the stable catenoid's area equals the disks' 2*pi.
 
     In closed form h_G = sqrt(W_0(1/e)), W_0 the principal Lambert W
-    (DLMF 4.13). On the lower catenoid c = 1/cosh(tau_1) and h = tau_1*c, so
-    its area is 2*pi*(tanh(tau) + tau/cosh^2(tau)) at tau = tau_1. Equal to
-    2*pi, it gives 2*tau = 1 + exp(-2*tau), that is cosh(tau_G) =
-    tau_G*exp(tau_G); so h_G = exp(-tau_G) and h_G^2*exp(h_G^2) = 1/e.
+    (DLMF 4.13). On the lower catenoid c = 1/cosh(tau_1) and h = tau_1*c,
+    so its area 2*pi*(h^2/tau + tanh(tau)) (area_closed_form) is
+    2*pi*(tanh(tau) + tau/cosh^2(tau)) at tau = tau_1. Equal to 2*pi, it
+    gives 2*tau = 1 + exp(-2*tau), that is cosh(tau_G) = tau_G*exp(tau_G);
+    so h_G = exp(-tau_G) and h_G^2*exp(h_G^2) = 1/e.
     w = W_0(1/e) solves w + ln(w) + 1 = 0: six Newton steps from 0.28 reach
     its float, and h_G = sqrt(w) (exp(-tau_G) lands an ulp low). The slope
     of the area is dS/dh = -F(h) = 4*pi*h/tau_1: the ring force is minus the

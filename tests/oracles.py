@@ -313,8 +313,11 @@ def jacobi_ground_energy(tau, intervals=4000):
 def soliton_ground_state(tau, grid):
     """cosh(k s) - tanh(s) sinh(k s)/k at the float nodes grid, scaled to unit weighted norm.
 
-    k in (0, 1) is the root of tanh(tau) tanh(k tau) = k, by mpmath's
-    Anderson-Bjorck iteration on [0.05, 1], and the scale is the plain
+    k in (0, 1) is the root of tanh(tau) tanh(k tau)/k = 1, by mpmath's
+    Anderson-Bjorck iteration on [1e-12, 1]: the left side falls from about
+    tau tanh(tau) > 1 there, and k = 0, a root of the undivided equation,
+    is none of it, so the root is found as near tau_star as k^2 = 2.5e-9
+    (tau_star + 1e-9). The scale is the plain
     Simpson sum of (2/cosh^2 s) psi^2 on the same nodes; all at 50 digits
     and more, as the samples near +-tau cancel about tau/ln(10) of them.
     Returns (k, the samples) as floats; the end samples are exactly 0.
@@ -322,8 +325,8 @@ def soliton_ground_state(tau, grid):
     with mpmath.workdps(50 + int(tau)):
         t = mpmath.tanh(mpmath.mpf(tau))
         k = mpmath.findroot(
-            lambda k: t * mpmath.tanh(k * tau) - k,
-            (mpmath.mpf(0.05), mpmath.mpf(1)),
+            lambda k: t * mpmath.tanh(k * tau) / k - 1,
+            (mpmath.mpf(1e-12), mpmath.mpf(1)),
             solver="anderson",
         )
         s = [mpmath.mpf(float(x)) for x in grid]
@@ -338,6 +341,16 @@ def soliton_ground_state(tau, grid):
         return float(k), np.array([float(p / mpmath.sqrt(norm)) for p in psi])
 
 
+def _branch_u(log_h, lo, hi):
+    """The root u of g(u) = log(cosh(e^u)) - u + log_h in [lo, hi], at the working precision."""
+    return mpmath.findroot(
+        lambda u: mpmath.log(mpmath.cosh(mpmath.exp(u))) - u + log_h,
+        (mpmath.mpf(lo), mpmath.mpf(hi)),
+        solver="anderson",
+        maxsteps=200,
+    )
+
+
 def branch_root(log_h, lo, hi):
     """The root of g(u) = log(h*cosh(e^u)) - u in [lo, hi] at 50 digits.
 
@@ -347,22 +360,32 @@ def branch_root(log_h, lo, hi):
     50-digit value.
     """
     with mpmath.workdps(50):
-        log_h = mpmath.mpf(log_h)
-        u = mpmath.findroot(
-            lambda u: mpmath.log(mpmath.cosh(mpmath.exp(u))) - u + log_h,
-            (mpmath.mpf(lo), mpmath.mpf(hi)),
-            solver="anderson",
-        )
+        u = _branch_u(mpmath.mpf(log_h), lo, hi)
         tau = mpmath.exp(u)
         return float(u), float(tau), float(tau * mpmath.tanh(tau) - 1)
 
 
-def catenoid_area(h, tau):
-    """2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 at 50 digits, as the float nearest it."""
+def branch_area(h, upper):
+    """The film area 2*pi*(h^2/T + tanh T) at the 50-digit root T on one branch.
+
+    T solves h*cosh(T) = T, the upper root if upper, else the lower one,
+    with log h exact rather than the float a branch solve is handed, so
+    both roots exist at every double up to h_star (the fold lies 8.2e-18
+    above it). u = log T is bracketed by u* = log tau_star, at 50 digits,
+    where g < 0, and by log h - 1 below u_1 or log(2*log(2/h) + 2) above
+    u_2, where g > 0 (cosh T >= e^T/2). The area is the float nearest its
+    50-digit value.
+    """
     with mpmath.workdps(50):
-        h, tau = mpmath.mpf(h), mpmath.mpf(tau)
-        area = 2 * mpmath.pi * h * h / tau + mpmath.pi * h * h * mpmath.sinh(2 * tau) / (tau * tau)
-        return float(area)
+        h = mpmath.mpf(h)
+        log_h = mpmath.log(h)
+        u_star = mpmath.log(mpmath.findroot(lambda t: 1 - t * mpmath.tanh(t), 1.2))
+        if upper:
+            u = _branch_u(log_h, u_star, mpmath.log(2 * mpmath.log(2 / h) + 2))
+        else:
+            u = _branch_u(log_h, log_h - 1, u_star)
+        tau = mpmath.exp(u)
+        return float(2 * mpmath.pi * (h * h / tau + mpmath.tanh(tau)))
 
 
 def laplacian_solve_exact(c, g):

@@ -16,7 +16,7 @@ from soapfilm.cli import main
 from soapfilm.errors import ConvergenceFailureError, DomainError, NoExtremalError
 from soapfilm.extremals import area_closed_form, critical_constants, solve_branches
 
-from oracles import H_STAR, TAU_STAR, branch_root, catenoid_area, richardson_diff
+from oracles import H_STAR, TAU_STAR, branch_area, branch_root, richardson_diff
 
 # Closest approach to the fold of the log-uniform draws; the doubles nearer
 # it are drawn ulp by ulp (test_the_fold_s_last_doubles_*).
@@ -85,16 +85,28 @@ def test_areas_at_tiny_h(h):
     assert abs(area_closed_form(upper) / (2.0 * math.pi) - 1.0) <= 1e-6
 
 
-# 2.0e-282 (tau_2 = 655.8) is where the identity 2*pi*(h*c + tanh(tau)),
-# which c*cosh(tau) = 1 gives, misses the formula by 8.8e-13; a subnormal
-# area (the lower one below h ~ 1.8e-309) rounds to a few of its ulps.
-@pytest.mark.parametrize(
-    "h", [5e-324, 1e-310, 1e-307, 2.027854582882596e-282, 1e-100, 1e-8, 0.4, H_STAR - 1e-6]
+# The unreduced formula 2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 at the
+# returned tau_2 misses the area by 8.9e-13 relative at 2.06e-295 (tau_2 =
+# 685.8): its relative slope in tau is about 2 there, where the identity's
+# slope vanishes. A subnormal area (the lower one below h ~ 1.8e-309)
+# rounds to a few of its ulps.
+@example(2.0608403138824425e-295)
+@example(2.027854582882596e-282)
+@example(5.2430535061384727e-272)
+@example(_H_MIN)
+@example(H_STAR - 1e-12)
+@example(H_STAR)
+@given(
+    st.one_of(
+        _log_uniform(_H_MIN, H_STAR),
+        st.integers(1, 2**53).map(lambda k: k * 2.0**-1074),
+        _log_uniform(1e-12, 1e-4).map(lambda d: H_STAR - d),
+    )
 )
-def test_area_closed_form_meets_the_formula_at_the_returned_tau(h):
-    for e in solve_branches(h):
-        want = catenoid_area(h, e.tau)
-        assert abs(area_closed_form(e) - want) <= 1e-12 * want + 4.0 * _H_MIN
+def test_area_closed_form_meets_the_exact_area_at_the_exact_root(h):
+    for upper, e in enumerate(solve_branches(h)):
+        want = branch_area(h, upper)
+        assert abs(area_closed_form(e) - want) <= 2.0 * math.ulp(want) + 4.0 * _H_MIN
 
 
 @given(_log_uniform(_FOLD_MARGIN, 1e-6))

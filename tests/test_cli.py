@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -22,6 +25,56 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# A fixed argv set per subcommand: solve at h = 0.66*10**(-300 + 300*i/99),
+# i = 0..99, and at the least double, 0.4, the fold's double h_star and 0.7;
+# force and sweep over a wide and a near-fold range; minimize at n = 64.
+_H_STAR_TEXT = "0.66274341934918157"
+_RANGES = [["--h-min", "1e-300", "--h-max", "0.66", "--steps", "50"],
+           ["--h-min", "0.3", "--h-max", _H_STAR_TEXT, "--steps", "40"]]
+_DIGEST_ARGVS = {
+    "solve": [["solve", "--h", repr(0.66 * 10.0 ** (-300 + 300 * i / 99))] for i in range(100)]
+    + [["solve", "--h", h] for h in ("5e-324", "0.4", _H_STAR_TEXT, "0.7")],
+    "critical": [["critical"]],
+    "goldschmidt": [["goldschmidt"]],
+    "spectrum": [
+        ["spectrum", "--tau", tau, "--k", k]
+        for tau, k in (("0.5", "5"), ("1.2", "3"), ("2.0", "5"), ("50.0", "2"))
+    ],
+    "force": [["force", *r] for r in _RANGES],
+    "sweep": [["sweep", *r] for r in _RANGES],
+    "minimize": [
+        ["minimize", "--h", h, "--n", "64", "--init", init]
+        for h, init in (("0.4", "cylinder"), ("0.4", "upper_perturbed"), ("0.6", "lower_catenoid"),
+                        ("0.7", "cylinder"))
+    ],
+}
+
+
+def _digests():
+    """One SHA-256 per subcommand over the exit code, stdout and stderr of
+    its _DIGEST_ARGVS, each run in process in JSON and in CSV.
+
+    CI prints them, so a change to any output's bytes shows in its log.
+    """
+    digests = {}
+    for name, argvs in _DIGEST_ARGVS.items():
+        sha = hashlib.sha256()
+        for argv in argvs:
+            for fmt in ("json", "csv"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--format", fmt])
+                sha.update(f"{code}\n{out.getvalue()}{err.getvalue()}\n".encode())
+        digests[name] = sha.hexdigest()
+    return digests
+
+
+def test_output_digests_are_reproducible():
+    first = _digests()
+    assert sorted(first) == sorted(_COMMANDS)
+    assert _digests() == first
 
 
 def test_solve_subcritical_json(capsys):
