@@ -85,6 +85,12 @@ def test_areas_at_tiny_h(h):
     assert abs(area_closed_form(upper) / (2.0 * math.pi) - 1.0) <= 1e-6
 
 
+def _check_area(h):
+    for upper, e in enumerate(solve_branches(h)):
+        want = branch_area(h, upper)
+        assert abs(area_closed_form(e) - want) <= 2.0 * math.ulp(want) + 4.0 * _H_MIN
+
+
 # The unreduced formula 2*pi*h^2/tau + pi*h^2*sinh(2*tau)/tau^2 at the
 # returned tau_2 misses the area by 8.9e-13 relative at 2.06e-295 (tau_2 =
 # 685.8): its relative slope in tau is about 2 there, where the identity's
@@ -104,9 +110,17 @@ def test_areas_at_tiny_h(h):
     )
 )
 def test_area_closed_form_meets_the_exact_area_at_the_exact_root(h):
-    for upper, e in enumerate(solve_branches(h)):
-        want = branch_area(h, upper)
-        assert abs(area_closed_form(e) - want) <= 2.0 * math.ulp(want) + 4.0 * _H_MIN
+    _check_area(h)
+
+
+# One h per regime, each run on its own whatever the draws: a subnormal
+# lower area, cosh(tau_2) past overflow, tau_2 near 650, mid-range, and
+# both sides of the fold's approach.
+@pytest.mark.parametrize(
+    "h", [5e-324, 1e-310, 1e-307, 2.027854582882596e-282, 1e-100, 1e-8, 0.4, H_STAR - 1e-6]
+)
+def test_area_closed_form_meets_the_exact_area_where_it_is_hardest(h):
+    _check_area(h)
 
 
 @given(_log_uniform(_FOLD_MARGIN, 1e-6))
