@@ -289,11 +289,11 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     radius moves by H^-1 g, or by K^-1 g where H has a non-positive pivot (the
     saddle, the collapse); K^-1 is the chain's Green's function, formed from
     sums of positive resistances, so it cancels nowhere. The full step,
-    projected by P, backtracks until the monotone sufficient-decrease test
-    holds; the point it accepts must descend, g.dy > 0, or the line search
-    has stalled. The run ends once eps <= grad_tol = 1e-8 * 2*pi: Collapsed
-    if an interior radius ended at or below 10*floor, Converged otherwise;
-    IterationLimit if the budget ran out first or the line search stalled. final_area is
+    projected by P, backtracks until the point descends, g.dy > 0, and the
+    monotone sufficient-decrease test holds. The run ends once eps <=
+    grad_tol = 1e-8 * 2*pi: Collapsed if an interior radius ended at or
+    below 10*floor, Converged otherwise; IterationLimit if the budget of
+    100 000 iterations, or a step's 60 halvings, ran out first. final_area is
     discrete_area(final_profile), and a collapse's is that of the two end
     cones, 2*pi*sqrt(1 + dx^2) for the grid spacing dx = 2h/(n-1).
 
@@ -301,7 +301,8 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
     1e-7 <= dx <= 1, whatever the starting profile: on a finer grid the
     rounding of the radii alone exceeds the gradient tolerance, and on a
     grid coarser than the ring radius the end cones are no stand-in for the
-    disks. It raises DomainError too where an explicit start's discrete area
+    disks. It raises DomainError too where init is neither a Profile nor an
+    InitPreset member or value, and where an explicit start's discrete area
     overflows.
     """
     if not 0.0 < 2.0 * h < math.inf:
@@ -319,12 +320,11 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
         discrete_area(init)
         grid, y = init.grid.copy(), init.y.copy()
     else:
-        if isinstance(init, str):
-            try:
-                init = InitPreset(init)
-            except ValueError:
-                names = ", ".join(p.value for p in InitPreset)
-                raise DomainError(f"unknown preset {init!r}; choose one of: {names}") from None
+        try:
+            init = InitPreset(init)
+        except ValueError:
+            names = ", ".join(p.value for p in InitPreset)
+            raise DomainError(f"unknown preset {init!r}; choose one of: {names}") from None
         grid = np.linspace(-h, h, n)
         y = _preset_values(init, h, grid)
     dx = check_uniform_grid(grid)
@@ -352,12 +352,10 @@ def minimize(h: float, n: int, init: Union[Profile, InitPreset, str]) -> Minimiz
             dy = y - y_new
             seg_new = _segments(y_new, dx)
             gap = float(g @ dy)
-            if _area_decrease(dy, seg, seg_new, dx) >= _ARMIJO * gap:
+            if gap > 0.0 and _area_decrease(dy, seg, seg_new, dx) >= _ARMIJO * gap:
                 break
             alpha *= _SHRINK
         else:
-            break
-        if gap <= 0.0:
             break
         y, seg = y_new, seg_new
         steps += 1

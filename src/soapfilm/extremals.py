@@ -191,9 +191,9 @@ class Extremal(_Record, namedtuple("Extremal", "h tau branch")):
 
     Raises DomainError unless h and tau are positive, h*cosh(tau) = tau to
     within 1e-10 in its log (at every positive double h, where c may be 0),
-    and tau lies on the named branch's side of tau_star (to within 1e-9).
-    The library builds every Extremal positionally, which binds faster than
-    keywords, and through these same checks.
+    branch is a Branch member and tau lies on its side of tau_star (to
+    within 1e-9). The library builds every Extremal positionally, which
+    binds faster than keywords, and through these same checks.
     """
 
     __slots__ = ()
@@ -206,10 +206,14 @@ class Extremal(_Record, namedtuple("Extremal", "h tau branch")):
         residual = tau + math.log1p(math.exp(-2.0 * tau)) - _LOG_2 - math.log(tau) + math.log(h)
         if not abs(residual) <= 1e-10:
             raise DomainError(f"boundary condition violated: log(h*cosh(tau)/tau) = {residual!r}")
-        if branch is _LOWER and tau > _TAU_STAR + 1e-9:
-            raise DomainError("lower-branch parameter exceeds tau_star")
-        if branch is _UPPER and tau < _TAU_STAR - 1e-9:
-            raise DomainError("upper-branch parameter is below tau_star")
+        if branch is _LOWER:
+            if tau > _TAU_STAR + 1e-9:
+                raise DomainError("lower-branch parameter exceeds tau_star")
+        elif branch is _UPPER:
+            if tau < _TAU_STAR - 1e-9:
+                raise DomainError("upper-branch parameter is below tau_star")
+        else:
+            raise DomainError(f"branch must be a Branch member, got {branch!r}")
         return tuple.__new__(cls, (h, tau, branch))
 
     @property

@@ -330,13 +330,11 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     form's, whose rounding near a root reaches ~200 ulps of pi/2 at small
     tau, an evaluation there would read that rounding, not the root. Each
     step takes the secant point of the two latest evaluations, or the
-    midpoint where their residuals are equal; moves it tol_x/2 from the
-    latest where it is closer (Brent's minimal step), so that a root beside
-    it gets bracketed; and projects it onto a ball about the midpoint that
-    shrinks so that the bracket after j evaluations is at most
-    2**(n + 4 - j)*tol_x wide, n = ceil(log2((hi - lo)/tol_x)) (the ITP
-    method: Oliveira & Takahashi, ACM TOMS 47(1), 2021), or takes the
-    midpoint where the point leaves the bracket. It stops at an iterate
+    midpoint where their residuals are equal, and projects it onto a ball
+    about the midpoint that shrinks so that the bracket after j evaluations
+    is at most 2**(n + 4 - j)*tol_x wide, n = ceil(log2((hi - lo)/tol_x))
+    (the ITP method: Oliveira & Takahashi, ACM TOMS 47(1), 2021), or takes
+    the midpoint where the point leaves the bracket. It stops at an iterate
     with |f| <= tol_f, the residual's rounding floor; at the midpoint once
     the bracket is at most tol_x wide, a few ulps of the root; or, on the
     Ferrers scale, at the next secant point, unevaluated, once the two
@@ -389,10 +387,10 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
     1..2**20, where the eigenvalues leave the float range (lambda_1 below
     the least normal float from tau ~ 1e307, lambda_k_max beyond the largest
     float below tau ~ 1e-154), and where no evaluation reaches that
-    precision (k_max >= 16 below tau ~ 2.5e-3). The cost grows about as
-    k_max**1.7 (at tau = 1, best of 3 to 5: 0.0075 s at k_max = 100, 0.062 s
-    at 400 and 0.85 s at 1 600 on a 2-core Xeon, CPython 3.11), so the 2**20
-    count bound caps memory, not time.
+    precision (k_max >= 16 below tau ~ 2.5e-3). An evaluation's cost grows
+    about linearly in the degree, so the total tends to k_max**2: at tau =
+    1 it grew as k_max**1.55 from 100 to 400 and k_max**1.9 from 400 to
+    1 600. The 2**20 count bound caps memory, not time.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"half-interval must be positive and finite, got {tau!r}")
@@ -453,13 +451,8 @@ def eigenvalues(tau: float, k_max: int) -> StringSpectrum:
                 # |f(s)| <= |f''/2f'^2|*|f1*f2|: s needs no evaluation
                 nu = s
                 break
-            # at least tol_x/2 from x2, so that a root next to it gets
-            # bracketed (Brent's minimal step), then within r of mid, so that
-            # the next bracket is at most `allowed` wide (the ITP method:
-            # Oliveira & Takahashi, ACM TOMS 47(1), 2021)
-            if -least < s - x2 < least:
-                # least is over half an ulp of x2 < 4*nu_min: s moves off x2
-                s = x2 + math.copysign(least, mid - x2)
+            # within r of mid, so that the next bracket is at most `allowed`
+            # wide (the ITP method: Oliveira & Takahashi, ACM TOMS 47(1), 2021)
             allowed *= 0.5
             r = allowed - half
             if not -r <= s - mid <= r:

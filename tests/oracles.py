@@ -378,14 +378,43 @@ def branch_area(h, upper):
     """
     with mpmath.workdps(50):
         h = mpmath.mpf(h)
-        log_h = mpmath.log(h)
-        u_star = mpmath.log(mpmath.findroot(lambda t: 1 - t * mpmath.tanh(t), 1.2))
-        if upper:
-            u = _branch_u(log_h, u_star, mpmath.log(2 * mpmath.log(2 / h) + 2))
-        else:
-            u = _branch_u(log_h, log_h - 1, u_star)
-        tau = mpmath.exp(u)
+        tau = _branch_tau(h, upper)
         return float(2 * mpmath.pi * (h * h / tau + mpmath.tanh(tau)))
+
+
+def _branch_tau(h, upper):
+    """branch_area's root T for an mpf h, at the caller's working precision."""
+    log_h = mpmath.log(h)
+    u_star = mpmath.log(mpmath.findroot(lambda t: 1 - t * mpmath.tanh(t), 1.2))
+    if upper:
+        return mpmath.exp(_branch_u(log_h, u_star, mpmath.log(2 * mpmath.log(2 / h) + 2)))
+    return mpmath.exp(_branch_u(log_h, log_h - 1, u_star))
+
+
+def converged_discrete_area(h, n):
+    """The discrete area at the discrete minimum near the lower catenoid, to O(dx^4).
+
+    A + (pi*T/6)*dx^2, with A = 2*pi*(h^2/T + tanh T) the lower branch's
+    area at its 50-digit root T (as in branch_area) and dx = 2h/(n - 1) for
+    n nodes. Derivation: on a segment of half-width e about its midpoint,
+    with y and its derivatives taken there and w = sqrt(1 + y'^2), the mean
+    of the end radii is y + y''*e^2/2 and the chord slope y' + y'''*e^2/6,
+    so the segment's 2*pi*2e*ybar*sqrt(1 + m^2) is 2*pi*(2e*y*w +
+    e^3*(y''*w + y*y'*y'''/(3w))) + O(e^5), while the area it stands for is
+    2*pi*(2e*y*w + e^3*(y*w)''/3) + O(e^5). On y = c*cosh(x/c), where w =
+    y/c, y'' = y/c^2 and y''' = y'/c^2, the excess is 2*pi*e^3*(cosh^2 -
+    sinh^2)/(3c) = 2*pi*e^3/(3c) on every segment, and the 2h/dx segments
+    add up to (pi*h/(6c))*dx^2 = (pi*T/6)*dx^2. The sampled catenoid lies
+    O(dx^2) from the discrete minimum, where the discrete area is
+    stationary, so the two areas differ by O(dx^4). That remainder is
+    bounded by measurement, not derived: each test that uses this
+    reference states the worst error it measured.
+    """
+    with mpmath.workdps(50):
+        h = mpmath.mpf(h)
+        tau = _branch_tau(h, False)
+        dx = 2 * h / (n - 1)
+        return float(2 * mpmath.pi * (h * h / tau + mpmath.tanh(tau) + tau * dx * dx / 12))
 
 
 def laplacian_solve_exact(c, g):

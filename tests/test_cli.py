@@ -18,7 +18,7 @@ from soapfilm.cli import _COMMANDS, _build_parser, _parse, _range_points, _rende
 from soapfilm.errors import DomainError, NoExtremalError
 from soapfilm.extremals import critical_constants
 
-from oracles import THIRD_VARIATION_CRITICAL, branch_root, mpmath_constants
+from oracles import THIRD_VARIATION_CRITICAL, branch_root, converged_discrete_area, mpmath_constants
 
 
 def run_cli(capsys, *argv):
@@ -87,10 +87,13 @@ def test_solve_subcritical_json(capsys):
     assert "config" not in record["inputs"]
     results = record["results"]
     assert results["outcome"] == "Subcritical"
-    np.testing.assert_allclose(results["tau1"], 0.4392042525017987, rtol=1e-10)
-    np.testing.assert_allclose(results["tau2"], 2.5322482252938836, rtol=1e-10)
-    np.testing.assert_allclose(results["area1"], 4.883793201931079, rtol=1e-10)
-    np.testing.assert_allclose(results["area2"], 6.601303526004207, rtol=1e-10)
+    # the floats nearest the 50-digit roots of 0.4*cosh(tau) = tau and the
+    # exact areas there, 2*pi*(h^2/tau + tanh(tau)); the library meets each
+    # to an ulp
+    exact = {"tau1": 0.43920425250179163, "tau2": 2.5322482252944261,
+             "area1": 4.883793201931147, "area2": 6.601303526008196}
+    for key, want in exact.items():
+        assert abs(results[key] - want) <= 2.0 * math.ulp(want), key
     assert results["area1"] < results["area2"]
     assert results["verdict_lower"] == "local minimum"
     assert results["verdict_upper"] == "saddle: no extremum"
@@ -256,7 +259,9 @@ def test_minimize_json(capsys):
     assert record["inputs"]["init"] == "lower_catenoid"
     results = record["results"]
     assert results["outcome"] == "Converged"
-    np.testing.assert_allclose(results["final_area"], 4.883793201931079, rtol=1e-4)
+    # within 1e-11 of the corrected reference (measured 3.8e-12)
+    reference = converged_discrete_area(0.4, 128)
+    assert abs(results["final_area"] - reference) <= 1e-11 * reference
     assert results["iterations"] >= 0
 
 

@@ -49,6 +49,8 @@ from soapfilm.rootfind import find_root_bracketed
 from soapfilm.spectrum import dense_eigenvalues, eigenvalues, negative_direction, shoot
 from soapfilm.variation import mu, mu_prime
 
+from oracles import converged_discrete_area
+
 # 1e-150 is a string half-interval whose eigenvalues (lambda ~ 1/tau^2) come
 # near the top of the float range, and 1e4 and 1e6 are ones where a shot at
 # the default n takes steps far wider than the density; at 1e-200 the bound
@@ -382,8 +384,9 @@ def test_minimize_just_above_the_grid_spacing_bound_converges(init):
     h = 3.2e-6  # 2h/63 = 1.016e-7
     report = minimize(h, 64, init)
     assert report.outcome is Outcome.CONVERGED
-    exact = area_closed_form(solve_branches(h)[0])
-    assert abs(report.final_area - exact) <= 1e-12 * exact
+    # within 1e-15 of the corrected reference (measured 1.7e-16, an ulp)
+    reference = converged_discrete_area(h, 64)
+    assert abs(report.final_area - reference) <= 1e-15 * reference
 
 
 # Each count argument, with the least value it takes: 16, 64 and 256 samples

@@ -209,6 +209,17 @@ def test_extremal_validates_inputs():
         Extremal(h=0.4, tau=math.inf, branch=Branch.UPPER)
 
 
+@pytest.mark.parametrize("branch", ["lower", "upper", None, 1, True, "LOWER"])
+def test_extremal_takes_only_a_branch_member(branch):
+    # a label that names no member would pass neither side check unread
+    lower, upper = solve_branches(0.4)
+    for e in (lower, upper):
+        with pytest.raises(DomainError, match="must be a Branch member"):
+            Extremal(e.h, e.tau, branch)
+        with pytest.raises(DomainError, match="must be a Branch member"):
+            e._replace(branch=branch)
+
+
 def test_extremal_is_an_immutable_record():
     lower, upper = solve_branches(0.4)
     again = Extremal(h=0.4, tau=lower.tau, branch=Branch.LOWER)

@@ -409,12 +409,11 @@ def test_each_root_keeps_its_evaluation_bound_where_the_solve_is_hardest(tau, k)
 
 
 def _check_evaluations_below_four_nu_min(tau, k):
-    # eigenvalues' width stop and Brent's minimal step rely on every point
-    # they evaluate lying below 4*nu_min, nu_min = max(lo, k - 1, nu_floor)
-    # as the loop forms it (measured at most 2.69*nu_min, root 2's upper end
-    # at tau_star, where nu_1 = 1): tol_x/2 = 5e-16*nu_min is then over half
-    # an ulp of every iterate, so the step always moves off x2 and a bracket
-    # wider than tol_x holds its midpoint.
+    # eigenvalues' width stop relies on every point it evaluates lying below
+    # 4*nu_min, nu_min = max(lo, k - 1, nu_floor) as the loop forms it
+    # (measured at most 2.69*nu_min, root 2's upper end at tau_star, where
+    # nu_1 = 1): tol_x/2 = 5e-16*nu_min is then over half an ulp of every
+    # iterate, so a bracket wider than tol_x holds its midpoint.
     try:
         nu, calls = _evaluated(tau, k)
     except DomainError:
